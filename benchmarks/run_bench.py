@@ -1,9 +1,8 @@
 """Machine-readable benchmark snapshots: ``BENCH_<n>.json``.
 
 Runs every workload under both solver engines (the optimised delta/
-topological engine, with its batched-propagation kernel on the
-default ``auto`` backend, and the retained naive reference engine)
-and emits one ``repro.bench/1`` JSON document per run with:
+topological engine and the retained naive reference engine) and
+emits one ``repro.bench/1`` JSON document per run with:
 
 - one traced measurement per engine (wall time, solver work counters,
   peak traced memory, points-to entry counts) — the continuity record
@@ -56,11 +55,8 @@ ENGINES = ("delta", "reference")
 # The counters/gauges a snapshot records per engine run.
 COUNTERS = ("solver.iterations", "solver.node_revisits",
             "solver.delta_propagations", "solver.seeded_nodes",
-            "solver.kernel_batches", "solver.kernel_injections",
-            "solver.kernel_updates", "solver.kernel_fallbacks",
             "valueflow.mhp_cache_hits", "mhp.pair_queries")
-GAUGES = ("solver.sccs", "solver.kernel_rows",
-          "solver.kernel_boundary_rows")
+GAUGES = ("solver.sccs",)
 
 
 def _engine_record(m: Measurement) -> dict:

@@ -3,20 +3,15 @@
 For each workload a cold run populates the per-function artifact
 store, one function receives an IR-visible single-function edit (an
 address-taken store through a fresh local), and the edited source is
-then analyzed three ways:
+then analyzed twice:
 
-- **cold scalar** (``FSAMConfig(kernel="none")``) — the baseline the
-  warm run is measured against. ``solve_incremental`` always runs the
-  scalar delta engine, and the vectorized kernel's iteration counter
-  excludes interior merge-node evaluations, so kernel-vs-scalar
-  iteration counts are not comparable;
-- **cold kernel** (default config) — recorded for context;
-- **warm** — the scalar config plus the populated per-function store:
+- **cold** (default config, empty store) — the baseline;
+- **warm** — the same config plus the populated per-function store:
   unchanged functions' fixpoints are preloaded, only DUG nodes
   downstream of the edit are re-solved.
 
-The snapshot records, per workload, the three iteration counts, the
-reduction factor (cold scalar / warm), the per-function hit rate, the
+The snapshot records, per workload, both iteration counts, the
+reduction factor (cold / warm), the per-function hit rate, the
 seeded-node count against the DUG size, and whether the warm fixpoint
 was bit-identical to the cold one (payload digest over objects,
 ``pts_top``, ``mem``, and store classes). The section is merged into
@@ -85,25 +80,22 @@ def bench_workload(name: str, scale: int, target=None,
     base = get_workload(name).source(scale)
     fn = target or next(f for f in _functions(base) if f != "main")
     edited = _edit(base, fn)
-    scalar = FSAMConfig(kernel="none")
+    config = FSAMConfig()
 
     with tempfile.TemporaryDirectory() as root:
         store = FuncArtifactStore(root)
-        _run(base, name, scalar, store)                 # populate the store
-        warm = _run(edited, name, scalar, store)
-    cold_scalar = _run(edited, name, scalar)
-    cold_kernel = _run(edited, name, FSAMConfig())
+        _run(base, name, config, store)                 # populate the store
+        warm = _run(edited, name, config, store)
+    cold = _run(edited, name, config)
 
     incr = warm.artifact.summary["incremental"]
     warm_iters = warm.artifact.summary["solver_iterations"]
-    cold_iters = cold_scalar.artifact.summary["solver_iterations"]
+    cold_iters = cold.artifact.summary["solver_iterations"]
     record = {
         "scale": scale,
         "loc": source_loc(base),
         "edited_function": fn,
-        "cold_scalar_iterations": cold_iters,
-        "cold_kernel_iterations":
-            cold_kernel.artifact.summary["solver_iterations"],
+        "cold_iterations": cold_iters,
         "warm_iterations": warm_iters,
         "iteration_reduction": round(cold_iters / max(warm_iters, 1), 1),
         "functions": incr["functions"],
@@ -111,11 +103,10 @@ def bench_workload(name: str, scale: int, target=None,
         "seeded_nodes": incr["seeded_nodes"],
         "frozen_nodes": incr["frozen_nodes"],
         "dug_nodes": incr["dug_nodes"],
-        "cold_seconds": round(cold_scalar.seconds, 4),
+        "cold_seconds": round(cold.seconds, 4),
         "warm_seconds": round(warm.seconds, 4),
         "bit_identical": warm.artifact.payload_digest()
-            == cold_scalar.artifact.payload_digest()
-            == cold_kernel.artifact.payload_digest(),
+            == cold.artifact.payload_digest(),
     }
     if verbose:
         print(f"  {name:>14} edit {fn}: "
@@ -159,7 +150,7 @@ def main(argv=None) -> int:
     print(f"incremental bench: {len(names)} workloads, "
           f"scales={args.scales}")
     section = {"edit": "single-function address-taken store",
-               "baseline": "cold scalar delta engine (kernel=none)",
+               "baseline": "cold delta engine, empty function store",
                "workloads": {}}
     for name in names:
         section["workloads"][name] = bench_workload(

@@ -73,20 +73,12 @@ class FSAMConfig:
     # exists as the differential-testing oracle and for benchmarking
     # the optimisation itself.
     solver_engine: str = "delta"
-    # Batched propagation backend for the delta engine's merge-only
-    # subgraph: "auto" (numpy when importable, else the pure-Python
-    # big-int backend), "numpy", "python", or "none" (scalar delta
-    # path only — the differential-test baseline). Ignored by the
-    # reference engine; forced off when trace=True because provenance
-    # needs the scalar per-visit path (counted as a kernel fallback).
-    kernel: str = "auto"
     # "full" runs the whole-program sparse solve inside FSAM.run();
     # "demand" prepares the pipeline (pre-analysis, memory SSA, thread
     # model, value flow) but defers solving to per-query backward DUG
     # slices (FSAMResult.query / repro query). Scheduling policy like
-    # solver_engine/kernel: answers on queried variables are
-    # bit-identical to the whole-program fixpoint, so it stays out of
-    # cache_key_dict().
+    # solver_engine: answers on queried variables are bit-identical to
+    # the whole-program fixpoint, so it stays out of cache_key_dict().
     solver_mode: str = "full"
 
     def to_dict(self) -> dict:
@@ -102,7 +94,6 @@ class FSAMConfig:
             "trace": self.trace,
             "max_context_depth": self.max_context_depth,
             "solver_engine": self.solver_engine,
-            "kernel": self.kernel,
             "solver_mode": self.solver_mode,
         }
 
@@ -123,9 +114,8 @@ class FSAMConfig:
         purpose: ``time_budget`` (changes whether the run finishes,
         not what it computes; degraded results are never cached),
         ``profile``/``trace`` (observability side channels), and
-        ``solver_engine``/``kernel`` (every engine and kernel backend
-        computes the same fixpoint, pinned by the differential
-        suite)."""
+        ``solver_engine`` (both engines compute the same fixpoint,
+        pinned by the differential suite)."""
         return {
             "interleaving": self.interleaving,
             "value_flow": self.value_flow,

@@ -13,8 +13,8 @@ accumulated memory state) by:
    transfer function reads is itself in the slice.
 2. **Solving the slice** — the existing delta engine runs over the
    sub-DUG only (:meth:`repro.fsam.solver.SparseSolver.solve_demand`):
-   slice-local SCC ranks, a slice-filtered schedule and kernel plan,
-   the same scalar/vectorized backends. Because the slice is
+   slice-local SCC ranks and a slice-filtered schedule from
+   :func:`repro.fsam.solver.build_plan`. Because the slice is
    predecessor-closed and transfer functions are union-monotone, the
    computed states on slice members are **bit-identical** to the
    whole-program fixpoint (pinned by ``tests/fsam/test_query.py``).
@@ -83,13 +83,13 @@ class QueryResult:
 
     __slots__ = ("name", "line", "obj_query", "mask", "universe",
                  "slice_nodes", "slice_temps", "slice_fraction",
-                 "iterations", "source", "kernel_backend", "seconds",
+                 "iterations", "source", "seconds",
                  "node_uids", "temp_ids")
 
     def __init__(self, name: str, line: Optional[int], obj_query: bool,
                  mask: int, universe, slice_nodes: int, slice_temps: int,
                  slice_fraction: float, iterations: int, source: str,
-                 kernel_backend: Optional[str], seconds: float,
+                 seconds: float,
                  node_uids: Set[int], temp_ids: Set[int]) -> None:
         self.name = name
         self.line = line
@@ -101,7 +101,6 @@ class QueryResult:
         self.slice_fraction = slice_fraction
         self.iterations = iterations
         self.source = source
-        self.kernel_backend = kernel_backend
         self.seconds = seconds
         # The slice itself (raw uids / temp ids) — consumed by the
         # artifact layer for slice signatures, not serialized.
@@ -125,7 +124,6 @@ class QueryResult:
             "slice_fraction": round(self.slice_fraction, 6),
             "iterations": self.iterations,
             "source": self.source,
-            "kernel_backend": self.kernel_backend,
             "seconds": self.seconds,
         }
 
@@ -198,7 +196,7 @@ class QueryEngine:
                        line: Optional[int]) -> Dict[int, Temp]:
         """:func:`resolve_temps` through a memoized name index — a
         pure function of the frozen module, shared across engines via
-        ``dug.schedule_cache`` like the solver's demand statics — so
+        ``dug.schedule_cache`` like the solver's graph index — so
         each query costs a dict probe instead of a module walk.
         Parameters carry a ``None`` line and, as there, only match
         unrestricted queries."""
@@ -287,7 +285,6 @@ class QueryEngine:
                 temp_ids <= self._solved_temps:
             obs.count("query.engine_hits")
             iterations = 0
-            backend = None
             source = "warm"
         else:
             solver = SparseSolver(self.module, self.dug, self.builder,
@@ -295,7 +292,6 @@ class QueryEngine:
                                   tracer=self.tracer)
             solver.solve_demand(node_uids, temp_ids)
             iterations = solver.iterations
-            backend = solver.kernel_backend
             source = "solve"
             top = self._top_masks
             for tid, pts in solver.pts_top.items():
@@ -326,8 +322,8 @@ class QueryEngine:
             name=name, line=line, obj_query=obj, mask=mask,
             universe=self.universe, slice_nodes=len(node_uids),
             slice_temps=len(temp_ids), slice_fraction=fraction,
-            iterations=iterations, source=source, kernel_backend=backend,
-            seconds=seconds, node_uids=node_uids, temp_ids=temp_ids)
+            iterations=iterations, source=source, seconds=seconds,
+            node_uids=node_uids, temp_ids=temp_ids)
 
     def _query_full(self, name: str, line: Optional[int], obj: bool,
                     target: Optional[MemObject],
@@ -368,6 +364,6 @@ class QueryEngine:
             name=name, line=line, obj_query=obj, mask=mask,
             universe=self.universe, slice_nodes=n_nodes, slice_temps=0,
             slice_fraction=1.0, iterations=iterations, source="full",
-            kernel_backend=None, seconds=seconds,
+            seconds=seconds,
             node_uids={node.uid for node in self.dug.nodes},
             temp_ids=set())

@@ -48,18 +48,6 @@ pre-analysis):
   downstream before any node is revisited. Only nodes with initial
   facts are seeded (AddrOf statements, function-valued copies/phis,
   fork-handle chis); everything else is reached by propagation.
-- **Batched merge propagation** (``FSAMConfig.kernel``, see
-  :mod:`repro.fsam.kernel`). Pure merge pseudo-statements — memory
-  phis, formal-in/out, call-mus, non-fork call/join chis — are the
-  large majority of visits and their transfer is a bare union, so
-  they are lifted out of the worklist entirely: scalar transfers
-  *inject* their deltas into the merge subgraph, a rank-gated *flush*
-  sweeps coalesced deltas straight to the subgraph's boundary rows
-  (the merge nodes feeding loads/stores/fork-chis), and interior
-  states are materialized once after the fixpoint. Loads, stores and
-  fork chis — everything whose transfer can reclassify — stay on the
-  scalar path, as do whole runs when provenance tracing is on
-  (counted in ``solver.kernel_fallbacks``).
 
 Both changes preserve the exact fixpoint: transfer functions are
 union-monotone, so visit order and per-visit cost change but the
@@ -77,14 +65,11 @@ node, and trigger fact that *first* introduced it. With the default
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.andersen import AndersenResult
 from repro.andersen.fields import derive_field
 from repro.fsam.config import Deadline, FSAMConfig
-from repro.fsam.kernel import (
-    AUTO_NUMPY_MIN_REACH, KernelPlan, backend_name, build_plan, make_kernel,
-)
 from repro.ir.instructions import (
     AddrOf, Call, Copy, Fork, Gep, Join, Load, Phi, Store,
 )
@@ -138,6 +123,153 @@ class IncrementalReuse:
         self.mem_masks = mem_masks
 
 
+_TOP_TAGS = {AddrOf: TAG_ADDR, Copy: TAG_COPY, Phi: TAG_PHI, Gep: TAG_GEP}
+
+
+def _node_tag(node: DUGNode) -> int:
+    if isinstance(node, StmtNode):
+        instr = node.instr
+        if isinstance(instr, Load):
+            return TAG_LOAD
+        if isinstance(instr, Store):
+            return TAG_STORE
+        return _TOP_TAGS.get(type(instr), TAG_TOP_OTHER)
+    if isinstance(node, CallChiNode):
+        return TAG_CHI
+    return TAG_MERGE
+
+
+def _is_seed(node: DUGNode) -> bool:
+    """Nodes that can produce facts from nothing: AddrOf statements,
+    copies/phis of function values, and fork-handle chis (their
+    thread-id write needs no incoming state once the handle pointer
+    resolves)."""
+    if isinstance(node, StmtNode):
+        instr = node.instr
+        return (isinstance(instr, AddrOf)
+                or (isinstance(instr, Copy)
+                    and isinstance(instr.src, Function))
+                or (isinstance(instr, Phi)
+                    and any(isinstance(v, Function)
+                            for v, _b in instr.incomings)))
+    return (isinstance(node, CallChiNode)
+            and isinstance(node.site, Fork)
+            and node.site.handle_ptr is not None)
+
+
+def _graph_index(dug: DUG) -> Tuple[Dict[int, Tuple[DUGNode, int]],
+                                    List[DUGNode], Set[int],
+                                    Set[Tuple[int, int, int]]]:
+    """Whole-graph structures every schedule filters from: the
+    ``uid -> (node, dispatch tag)`` index in creation order, the seed
+    list and its uid set, and the ``(src uid, obj id, dst uid)`` keys
+    of thread-aware edges into loads (they take the unconditional
+    delta channel; flagging them from the small thread-edge list beats
+    querying ``is_thread_edge`` once per o-edge). Pure functions of the
+    frozen DUG, memoized in ``dug.schedule_cache``, so a slice schedule
+    pays only slice-proportional filtering on top."""
+    cached = dug.schedule_cache.get("solver_graph_index")
+    if cached is None:
+        node_by_uid: Dict[int, Tuple[DUGNode, int]] = {}
+        seeds: List[DUGNode] = []
+        for node in dug.nodes:
+            node_by_uid[node.uid] = (node, _node_tag(node))
+            if _is_seed(node):
+                seeds.append(node)
+        to_load = {(src.uid, obj.id, dst.uid)
+                   for src, obj, dst in dug.thread_edges
+                   if isinstance(dst, StmtNode)
+                   and isinstance(dst.instr, Load)}
+        cached = (node_by_uid, seeds, {node.uid for node in seeds},
+                  to_load)
+        dug.schedule_cache["solver_graph_index"] = cached
+    return cached
+
+
+class SchedulePlan(NamedTuple):
+    """A solver's static schedule (see :func:`build_plan`). Nothing in
+    it is mutated during a solve, so one plan can serve many solvers."""
+
+    node_by_uid: Dict[int, Tuple[DUGNode, int]]
+    seeds: List[DUGNode]
+    # uid -> obj.id -> [(obj, dst, thread_to_load)]
+    out_edges: Dict[int, Dict[int, List[Tuple[MemObject, DUGNode, bool]]]]
+    # uid -> packed (rank << 32) | uid worklist key
+    rank_key: Dict[int, int]
+    top_users: Dict[int, List[DUGNode]]
+    copies_by_src: Dict[int, List[Tuple[object, Temp]]]
+    top_copies: List[Tuple[object, Temp]]
+
+
+def build_plan(dug: DUG, rank: Dict[int, int],
+               node_uids: Optional[Set[int]] = None,
+               temp_ids: Optional[Set[int]] = None) -> SchedulePlan:
+    """Build the solver's schedule over *dug*: the node index, the
+    seeds, the per-node out-edge caches grouped by flowing object, and
+    the worklist keys packed from the topological *rank* map.
+
+    Without a slice the schedule covers the whole graph. With an
+    upstream-closure slice (*node_uids*/*temp_ids* from
+    :meth:`repro.memssa.dug.DUG.upstream_closure`) every structure —
+    crucially the top-level def-use and copy maps too — covers slice
+    members only: swapping the filtered maps under the hot paths
+    (``_apply_top``, the copy-chain walk, the up-front ``top_copies``
+    sweep) is what stops propagation at the slice boundary without
+    touching the engine itself.
+    """
+    index, all_seeds, seed_uids, to_load = _graph_index(dug)
+    if node_uids is None:
+        uids = index  # creation order
+        node_by_uid = index
+        seeds = all_seeds
+        top_users = dug._top_users
+        copies_by_src = dug._copies_by_src
+        top_copies = dug.top_copies
+    else:
+        # Ascending uid is creation order (uids are a creation
+        # counter), so this reproduces the whole-program seed order
+        # while touching only the slice — never the full node list.
+        uids = sorted(node_uids)
+        node_by_uid = {uid: index[uid] for uid in uids}
+        seeds = [index[uid][0] for uid in uids if uid in seed_uids]
+        full_users = dug._top_users
+        full_copies = dug._copies_by_src
+        top_users = {}
+        copies_by_src = {}
+        top_copies = []
+        for tid in temp_ids:
+            users = full_users.get(tid)
+            if users:
+                kept_users = [u for u in users if u.uid in node_uids]
+                if kept_users:
+                    top_users[tid] = kept_users
+            pairs = full_copies.get(tid)
+            if pairs:
+                kept_pairs = [p for p in pairs if p[1].id in temp_ids]
+                if kept_pairs:
+                    copies_by_src[tid] = kept_pairs
+            top_copies.extend(dug._copies_by_dst.get(tid, ()))
+    out_edges: Dict[
+        int, Dict[int, List[Tuple[MemObject, DUGNode, bool]]]] = {}
+    mem_out = dug._mem_out
+    threaded = bool(to_load)
+    for uid in uids:
+        out = mem_out.get(uid)
+        if not out:
+            continue
+        by_obj: Dict[int, List[Tuple[MemObject, DUGNode, bool]]] = {}
+        for obj, dst in out:
+            if node_uids is not None and dst.uid not in node_uids:
+                continue  # outside the slice: provably unread
+            by_obj.setdefault(obj.id, []).append(
+                (obj, dst, threaded and (uid, obj.id, dst.uid) in to_load))
+        if by_obj:
+            out_edges[uid] = by_obj
+    rank_key = {uid: (rank.get(uid, 0) << 32) | uid for uid in uids}
+    return SchedulePlan(node_by_uid, seeds, out_edges, rank_key,
+                        top_users, copies_by_src, top_copies)
+
+
 class SparseSolver:
     """Delta-propagating worklist solver over the DUG.
 
@@ -187,7 +319,6 @@ class SparseSolver:
         self._heap: List[int] = []
         self._rank_key: Dict[int, int] = {}
         self._queued: Set[int] = set()
-        self._rank: Dict[int, int] = {}
         # uid -> (node, dispatch tag); see the TAG_* constants.
         self._node_by_uid: Dict[int, Tuple[DUGNode, int]] = {}
         # Nodes whose top-level operands changed since their last
@@ -220,20 +351,6 @@ class SparseSolver:
         # every pointer/value change (top-dirty visit).
         self._store_class: Dict[int, Dict[int, str]] = {}
         self._visited: Set[int] = set()
-        # Batched merge-propagation kernel (repro.fsam.kernel); None
-        # when disabled (kernel="none", tracing on, or no merge
-        # nodes). _inj_targets routes scalar deltas into the merge
-        # subgraph: uid -> obj.id -> [SCC ids].
-        self._kern = None
-        self._plan: Optional[KernelPlan] = None
-        self._inj_targets: Dict[int, Dict[int, List[int]]] = {}
-        # Incremental solves preload merge states, which the kernel's
-        # empty-start accumulators cannot represent; they force the
-        # scalar path (bit-identical, pinned differentially).
-        self._force_scalar = False
-        self._frozen_uids: Set[int] = frozenset()
-        self.kernel_backend: Optional[str] = None
-        self.kernel_fallbacks = 0
         self.iterations = 0
         self.strong_updates = 0
         self.weak_updates = 0
@@ -266,30 +383,14 @@ class SparseSolver:
     def _in_mask(self, node: DUGNode, obj: MemObject) -> int:
         """Recompute the full incoming o-state as a raw mask — first
         reads and classification changes only; steady-state
-        propagation uses deltas. With the kernel on, merge-node
-        predecessors keep their live state in the kernel's boundary
-        accumulators (every merge node feeding a scalar node is a
-        boundary row by construction), so read it from there; their
-        ``self.mem`` entries only exist after materialization."""
+        propagation uses deltas."""
         mask = 0
         mem_masks = self._mem_masks
         obj_id = obj.id
-        kern = self._kern
-        if kern is None:
-            for src in self.dug.mem_defs_of(node, obj):
-                state = mem_masks.get((src.uid, obj_id))
-                if state is not None:
-                    mask |= state
-            return mask
-        brow_of = self._plan.brow_of_uid
         for src in self.dug.mem_defs_of(node, obj):
-            brow = brow_of.get(src.uid)
-            if brow is not None:
-                mask |= kern.boundary_mask(brow)
-            else:
-                state = mem_masks.get((src.uid, obj_id))
-                if state is not None:
-                    mask |= state
+            state = mem_masks.get((src.uid, obj_id))
+            if state is not None:
+                mask |= state
         return mask
 
     def _in_values(self, node: DUGNode, obj: MemObject) -> PTSet:
@@ -389,14 +490,6 @@ class SparseSolver:
         masks[key] = merged
         delta = merged & ~current
         obj_id = obj.id
-        inj_by_obj = self._inj_targets.get(node.uid)
-        if inj_by_obj is not None:
-            sccs = inj_by_obj.get(obj_id)
-            if sccs:
-                kern = self._kern
-                for scc in sccs:
-                    self.delta_propagations += 1
-                    kern.inject(scc, delta)
         by_obj = self._out_edges.get(node.uid)
         if by_obj is None:
             return
@@ -413,341 +506,37 @@ class SparseSolver:
 
     # -- solving ---------------------------------------------------------------
 
-    # Pseudo-statements whose whole transfer is a per-object union —
-    # batchable by the kernel. Call chis qualify only when their site
-    # is not a Fork: fork chis also write the abstract thread id into
-    # the handle slot on top-dirty visits.
-    _MERGE_TYPES = (MemPhiNode, FormalInNode, FormalOutNode, CallMuNode)
-
-    def _is_kernel_merge(self, node: DUGNode) -> bool:
-        if isinstance(node, self._MERGE_TYPES):
-            return True
-        return isinstance(node, CallChiNode) and \
-            not isinstance(node.site, Fork)
-
-    _TOP_TAGS = {AddrOf: TAG_ADDR, Copy: TAG_COPY, Phi: TAG_PHI,
-                 Gep: TAG_GEP}
-
-    @classmethod
-    def _node_tag(cls, node: DUGNode) -> int:
-        if isinstance(node, StmtNode):
-            instr = node.instr
-            if isinstance(instr, Load):
-                return TAG_LOAD
-            if isinstance(instr, Store):
-                return TAG_STORE
-            return cls._TOP_TAGS.get(type(instr), TAG_TOP_OTHER)
-        if isinstance(node, CallChiNode):
-            return TAG_CHI
-        return TAG_MERGE
-
-    def _build_schedule(self, kernel: bool) -> Dict[str, object]:
-        """Materialise the solver's static per-graph structures: the
-        node index, the seed list, and the per-node out-edge caches —
-        split, when *kernel* is set, into scalar delta channels and
-        merge-subgraph injection targets around the kernel plan.
-
-        Everything here is a pure function of the frozen DUG, so the
-        result is memoized in ``dug.schedule_cache`` and shared by
-        every solver constructed on the graph; nothing in the bundle
-        is mutated during a solve.
-        """
+    def _prepare(self, node_uids: Optional[Set[int]] = None,
+                 temp_ids: Optional[Set[int]] = None) -> None:
+        """SCC-condense the value-flow graph into topological ranks —
+        the whole graph, or the slice *node_uids*/*temp_ids* — and
+        install the matching :func:`build_plan` schedule. The
+        whole-program schedule is a pure function of the frozen DUG,
+        so it is memoized in ``dug.schedule_cache`` and shared by every
+        solver constructed on the graph."""
         dug = self.dug
-        node_by_uid: Dict[int, Tuple[DUGNode, int]] = {}
-        out_edges: Dict[
-            int, Dict[int, List[Tuple[MemObject, DUGNode, bool]]]] = {}
-        inj_targets: Dict[int, Dict[int, List[int]]] = {}
-        seeds: List[DUGNode] = []
-        # Thread-aware edges into loads take the unconditional delta
-        # channel; flag them from the (small) thread-edge list rather
-        # than querying is_thread_edge once per o-edge.
-        to_load = set()
-        for src, obj, dst in dug.thread_edges:
-            if isinstance(dst, StmtNode) and isinstance(dst.instr, Load):
-                to_load.add((src.uid, obj.id, dst.uid))
-        plan = None
-        kernel_unavailable = None
-        if kernel:
-            merge_nodes = [node for node in dug.nodes
-                           if self._is_kernel_merge(node)]
-            if merge_nodes:
-                try:
-                    plan = build_plan(dug, merge_nodes, self._rank, to_load)
-                except ValueError:
-                    # A mixed-object merge edge would let one object's
-                    # delta leak into another's chain; no builder
-                    # produces one, but fall back to the scalar path
-                    # rather than crash.
-                    kernel_unavailable = "mixed-object"
-            else:
-                kernel_unavailable = "no-merge-nodes"
-        scc_of_uid = plan.scc_of_uid if plan is not None else {}
-        for node in dug.nodes:
-            uid = node.uid
-            node_by_uid[uid] = (node, self._node_tag(node))
-            if self._is_seed(node):
-                seeds.append(node)
-            if uid in scc_of_uid:
-                # In the kernel: edges live in the plan (internal or
-                # boundary); the node never enters the worklist.
-                continue
-            out = dug.mem_out(node)
-            if not out:
-                continue
-            by_obj: Dict[int, List[Tuple[MemObject, DUGNode, bool]]] = {}
-            inj_by_obj: Dict[int, List[int]] = {}
-            for obj, dst in out:
-                scc = scc_of_uid.get(dst.uid)
-                if scc is not None:
-                    # A delta whose object differs from the merge
-                    # node's own is dropped by the scalar merge
-                    # transfer too (pend lookup misses); skip it.
-                    if obj.id == dst.obj.id:
-                        sccs = inj_by_obj.setdefault(obj.id, [])
-                        if scc not in sccs:
-                            sccs.append(scc)
-                    continue
-                by_obj.setdefault(obj.id, []).append(
-                    (obj, dst,
-                     bool(to_load) and (uid, obj.id, dst.uid) in to_load))
-            if by_obj:
-                out_edges[uid] = by_obj
-            if inj_by_obj:
-                inj_targets[uid] = inj_by_obj
-        rank = self._rank
-        rank_key = {uid: (rank.get(uid, 0) << 32) | uid
-                    for uid in node_by_uid}
-        return {
-            "node_by_uid": node_by_uid,
-            "out_edges": out_edges,
-            "inj_targets": inj_targets,
-            "seeds": seeds,
-            "plan": plan,
-            "kernel_unavailable": kernel_unavailable,
-            "rank_key": rank_key,
-        }
-
-    def _schedule_bundle(self, kernel: bool) -> Dict[str, object]:
-        key = "solver_schedule:kernel" if kernel else "solver_schedule:scalar"
-        cached = self.dug.schedule_cache.get(key)
-        if cached is None:
-            cached = self._build_schedule(kernel)
-            self.dug.schedule_cache[key] = cached
-        return cached
-
-    def _prepare_schedule(self) -> None:
-        """SCC-condense the value-flow graph into topological ranks,
-        build (or reuse) the per-graph schedule bundle, and stand up
-        the kernel backend for this solve."""
-        self._rank, self.scc_count = self.dug.compute_topo_ranks()
-        backend = backend_name(self.config.kernel)
-        if backend is not None and self._force_scalar:
-            backend = None
-        if backend is not None and self.provenance is not None:
-            # Provenance records the first-introduction trigger of
-            # every fact at every visit; the kernel skips interior
-            # merge visits entirely, so tracing forces the scalar
-            # path.
-            self.kernel_fallbacks = 1
-            backend = None
-        sched = self._schedule_bundle(backend is not None)
-        if backend is not None and sched["plan"] is None:
-            if sched["kernel_unavailable"] == "mixed-object":
-                self.kernel_fallbacks = 1
-            sched = self._schedule_bundle(False)
-            backend = None
-        self._node_by_uid = sched["node_by_uid"]
-        self._out_edges = sched["out_edges"]
-        self._inj_targets = sched["inj_targets"]
-        self._seeds = sched["seeds"]
-        if backend is not None:
-            self._plan = sched["plan"]
-            if backend == "numpy" and self.config.kernel == "auto" and \
-                    self._plan.max_reach < AUTO_NUMPY_MIN_REACH:
-                # Thin merge chains: one injection reaches a handful of
-                # rows at most, so the vectorized sweep's fixed costs
-                # never amortise — big-int accumulators win.
-                backend = "python"
-            self._kern = make_kernel(backend, self._plan, len(self.universe))
-            self.kernel_backend = backend
-        self._rank_key = sched["rank_key"]
+        if node_uids is None:
+            rank, self.scc_count = dug.compute_topo_ranks()
+            plan = dug.schedule_cache.get("solver_schedule")
+            if plan is None:
+                plan = dug.schedule_cache["solver_schedule"] = \
+                    build_plan(dug, rank)
+        else:
+            rank, self.scc_count = dug.compute_topo_ranks_slice(
+                node_uids, temp_ids)
+            plan = build_plan(dug, rank, node_uids, temp_ids)
+        self._node_by_uid = plan.node_by_uid
+        self._seeds = plan.seeds
+        self._out_edges = plan.out_edges
+        self._rank_key = plan.rank_key
+        self._top_users_map = plan.top_users
+        self._copies_by_src = plan.copies_by_src
+        self._top_copies = plan.top_copies
         self._heap = []
 
-    # -- demand-driven slice schedules --------------------------------------
-
-    def _demand_static(self) -> Dict[str, object]:
-        """Whole-graph structures every demand-driven slice schedule
-        filters from: the (node, tag) index over all uids, the seed
-        and kernel-merge uid sets, and the thread-edge-into-load keys
-        indexed by destination uid. Pure functions of the frozen DUG,
-        memoized in ``dug.schedule_cache`` and shared across queries —
-        each query then pays only slice-proportional filtering on top
-        (membership probes per slice uid, never a whole-list scan)."""
-        dug = self.dug
-        cached = dug.schedule_cache.get("solver_demand_static")
-        if cached is None:
-            node_by_uid: Dict[int, Tuple[DUGNode, int]] = {}
-            seeds: List[DUGNode] = []
-            merges: List[DUGNode] = []
-            for node in dug.nodes:
-                node_by_uid[node.uid] = (node, self._node_tag(node))
-                if self._is_seed(node):
-                    seeds.append(node)
-                if self._is_kernel_merge(node):
-                    merges.append(node)
-            to_load_by_dst: Dict[int, List[Tuple[int, int, int]]] = {}
-            for src, obj, dst in dug.thread_edges:
-                if isinstance(dst, StmtNode) and isinstance(dst.instr, Load):
-                    to_load_by_dst.setdefault(dst.uid, []).append(
-                        (src.uid, obj.id, dst.uid))
-            cached = {"node_by_uid": node_by_uid,
-                      "seed_uids": {n.uid for n in seeds},
-                      "merge_uids": {n.uid for n in merges},
-                      "to_load_by_dst": to_load_by_dst}
-            dug.schedule_cache["solver_demand_static"] = cached
-        return cached
-
-    def _build_demand_schedule(self, node_uids: Set[int],
-                               temp_ids: Set[int],
-                               kernel: bool) -> Dict[str, object]:
-        """:meth:`_build_schedule` restricted to an upstream-closure
-        slice. The node index, seeds, out-edge caches, kernel plan,
-        and — crucially — the top-level def-use and copy maps cover
-        slice members only: swapping the filtered maps under the hot
-        paths (``_apply_top``, the copy-chain walk, the up-front
-        ``top_copies`` sweep) is what stops propagation at the slice
-        boundary without touching the engine itself."""
-        dug = self.dug
-        static = self._demand_static()
-        full_index = static["node_by_uid"]
-        # Ascending uid is creation order (uids are a creation
-        # counter), so these reproduce the whole-program pass's
-        # creation-ordered seed/merge lists while touching only the
-        # slice — never the full node list.
-        order = sorted(node_uids)
-        node_by_uid = {uid: full_index[uid] for uid in order}
-        seed_uids = static["seed_uids"]
-        seeds = [full_index[uid][0] for uid in order if uid in seed_uids]
-        to_load_by_dst = static["to_load_by_dst"]
-        to_load = set()
-        for uid in order:
-            keys = to_load_by_dst.get(uid)
-            if keys:
-                to_load.update(keys)
-        plan = None
-        kernel_unavailable = None
-        if kernel:
-            merge_uids = static["merge_uids"]
-            merge_nodes = [full_index[uid][0] for uid in order
-                           if uid in merge_uids]
-            if merge_nodes:
-                try:
-                    plan = build_plan(dug, merge_nodes, self._rank, to_load,
-                                      keep_uids=node_uids)
-                except ValueError:
-                    kernel_unavailable = "mixed-object"
-            else:
-                kernel_unavailable = "no-merge-nodes"
-        scc_of_uid = plan.scc_of_uid if plan is not None else {}
-        out_edges: Dict[
-            int, Dict[int, List[Tuple[MemObject, DUGNode, bool]]]] = {}
-        inj_targets: Dict[int, Dict[int, List[int]]] = {}
-        mem_out = dug._mem_out
-        for uid in node_uids:
-            if uid in scc_of_uid:
-                continue
-            out = mem_out.get(uid)
-            if not out:
-                continue
-            by_obj: Dict[int, List[Tuple[MemObject, DUGNode, bool]]] = {}
-            inj_by_obj: Dict[int, List[int]] = {}
-            for obj, dst in out:
-                if dst.uid not in node_uids:
-                    continue  # outside the slice: provably unread
-                scc = scc_of_uid.get(dst.uid)
-                if scc is not None:
-                    if obj.id == dst.obj.id:
-                        sccs = inj_by_obj.setdefault(obj.id, [])
-                        if scc not in sccs:
-                            sccs.append(scc)
-                    continue
-                by_obj.setdefault(obj.id, []).append(
-                    (obj, dst,
-                     bool(to_load) and (uid, obj.id, dst.uid) in to_load))
-            if by_obj:
-                out_edges[uid] = by_obj
-            if inj_by_obj:
-                inj_targets[uid] = inj_by_obj
-        rank = self._rank
-        rank_key = {uid: (rank.get(uid, 0) << 32) | uid
-                    for uid in node_by_uid}
-        full_users = dug._top_users
-        top_users: Dict[int, List[DUGNode]] = {}
-        full_copies = dug._copies_by_src
-        copies_by_src: Dict[int, List[Tuple[object, Temp]]] = {}
-        top_copies: List[Tuple[object, Temp]] = []
-        for tid in temp_ids:
-            users = full_users.get(tid)
-            if users:
-                kept_users = [u for u in users if u.uid in node_uids]
-                if kept_users:
-                    top_users[tid] = kept_users
-            pairs = full_copies.get(tid)
-            if pairs:
-                kept_pairs = [p for p in pairs if p[1].id in temp_ids]
-                if kept_pairs:
-                    copies_by_src[tid] = kept_pairs
-            top_copies.extend(dug._copies_by_dst.get(tid, ()))
-        return {
-            "node_by_uid": node_by_uid,
-            "out_edges": out_edges,
-            "inj_targets": inj_targets,
-            "seeds": seeds,
-            "plan": plan,
-            "kernel_unavailable": kernel_unavailable,
-            "rank_key": rank_key,
-            "top_users": top_users,
-            "copies_by_src": copies_by_src,
-            "top_copies": top_copies,
-        }
-
-    def _prepare_demand_schedule(self, node_uids: Set[int],
-                                 temp_ids: Set[int]) -> None:
-        """:meth:`_prepare_schedule` for a slice: slice-local SCC
-        ranks, a slice-filtered schedule bundle, and the same backend
-        resolution ladder (tracing/mixed-object demote to scalar,
-        auto-numpy demotes to python on thin plans)."""
-        self._rank, self.scc_count = \
-            self.dug.compute_topo_ranks_slice(node_uids, temp_ids)
-        backend = backend_name(self.config.kernel)
-        if backend is not None and self._force_scalar:
-            backend = None
-        if backend is not None and self.provenance is not None:
-            self.kernel_fallbacks = 1
-            backend = None
-        sched = self._build_demand_schedule(node_uids, temp_ids,
-                                            backend is not None)
-        if backend is not None and sched["plan"] is None:
-            if sched["kernel_unavailable"] == "mixed-object":
-                self.kernel_fallbacks = 1
-            sched = self._build_demand_schedule(node_uids, temp_ids, False)
-            backend = None
-        self._node_by_uid = sched["node_by_uid"]
-        self._out_edges = sched["out_edges"]
-        self._inj_targets = sched["inj_targets"]
-        self._seeds = sched["seeds"]
-        if backend is not None:
-            self._plan = sched["plan"]
-            if backend == "numpy" and self.config.kernel == "auto" and \
-                    self._plan.max_reach < AUTO_NUMPY_MIN_REACH:
-                backend = "python"
-            self._kern = make_kernel(backend, self._plan, len(self.universe))
-            self.kernel_backend = backend
-        self._rank_key = sched["rank_key"]
-        self._heap = []
-        self._top_users_map = sched["top_users"]
-        self._copies_by_src = sched["copies_by_src"]
-        self._top_copies = sched["top_copies"]
+    def solve(self) -> None:
+        self._prepare()
+        self._solve_prepared()
 
     def solve_demand(self, node_uids: Set[int], temp_ids: Set[int]) -> None:
         """Solve only the sub-DUG induced by an upstream-closure
@@ -764,26 +553,8 @@ class SparseSolver:
         results only inside the slice (the query engine enforces
         this).
         """
-        self._prepare_demand_schedule(node_uids, temp_ids)
+        self._prepare(node_uids, temp_ids)
         self._solve_prepared()
-
-    @staticmethod
-    def _is_seed(node: DUGNode) -> bool:
-        """Nodes that can produce facts from nothing: AddrOf
-        statements, copies/phis of function values, and fork-handle
-        chis (their thread-id write needs no incoming state once the
-        handle pointer resolves)."""
-        if isinstance(node, StmtNode):
-            instr = node.instr
-            return (isinstance(instr, AddrOf)
-                    or (isinstance(instr, Copy)
-                        and isinstance(instr.src, Function))
-                    or (isinstance(instr, Phi)
-                        and any(isinstance(v, Function)
-                                for v, _b in instr.incomings)))
-        return (isinstance(node, CallChiNode)
-                and isinstance(node.site, Fork)
-                and node.site.handle_ptr is not None)
 
     def _seed(self) -> int:
         """Activate the fact sources. Top-level-only seeds (AddrOf,
@@ -805,78 +576,23 @@ class SparseSolver:
                 self._push_top(node)
         return direct
 
-    def solve(self) -> None:
-        self._prepare_schedule()
-        self._solve_prepared()
-
     def _solve_prepared(self) -> None:
-        """The engine proper, shared by :meth:`solve` (whole-program
-        schedule) and :meth:`solve_demand` (slice schedule): evaluate
-        the interprocedural copies, seed, drain the worklist, and
-        finalize/materialize."""
+        """Shared by :meth:`solve` (whole-program schedule) and
+        :meth:`solve_demand` (slice schedule): evaluate the
+        interprocedural copies, seed, and drain the worklist."""
         tracing = self.provenance is not None
         # Interprocedural top-level copies whose sources are constants
         # or function values never re-trigger; evaluate them up front.
         for src, dst in self._top_copies:
             self._set_top(dst, self._value_mask(src),
                           ("copy-chain", src) if tracing else None)
-        iterations = self._seed()
-        queued = self._queued
-        node_by_uid = self._node_by_uid
-        visited = self._visited
-        kern = self._kern
-        deadline = self.deadline
-        heap = self._heap
-        top_dirty = self._top_dirty
-        if kern is None:
-            self._run_scalar_loop(iterations)
-            return
-        deliver = self._deliver_boundary
-        while queued or kern.has_pending:
-            # Rank-gated flush: buffered injections must land before
-            # the worklist evaluates anything that can observe them —
-            # the earliest such visit is at the plan's precomputed
-            # min boundary-reader rank. Flushing no earlier than that
-            # is pure batching: states are monotone, interiors are
-            # never read mid-solve, and the readers' pend deltas are
-            # delivered by the flush itself.
-            if queued:
-                key = heap[0]
-                if kern.pending_min_rank <= key >> 32:
-                    kern.flush(deliver)
-                    continue  # deliveries may have lowered the min key
-                if deadline is not None and iterations % 256 == 0:
-                    deadline.check()
-                iterations += 1
-                heappop(heap)
-                uid = key & 0xFFFFFFFF
-                queued.discard(uid)
-                visited.add(uid)
-                node, tag = node_by_uid[uid]
-                if tag >= TAG_ADDR:
-                    if uid in top_dirty:
-                        top_dirty.remove(uid)
-                        self._eval_top_stmt(node, node.instr, tag)
-                    continue
-                self._eval(node, tag)
-            else:
-                kern.flush(deliver)
-        self.iterations = iterations
-        self._finalize_states()
-        # Interior merge states were never touched during the solve;
-        # reconstruct every final state in one DAG sweep. Rows arrive
-        # grouped by SCC, so each distinct mask is interned once and
-        # the resulting set is shared across all member rows.
-        from_mask = self.universe.from_mask
-        mem = self.mem
-        for mask, nodes in kern.materialize():
-            state = from_mask(mask)
-            for node in nodes:
-                mem[(node.uid, node.obj.id)] = state
+        self._run_worklist(self._seed())
 
-    def _run_scalar_loop(self, iterations: int) -> None:
-        """Drain the worklist on the scalar delta path and finalize.
-        *iterations* counts work already done (direct seed evals)."""
+    def _run_worklist(self, iterations: int) -> None:
+        """Drain the worklist and finalize — the one loop behind
+        :meth:`solve`, :meth:`solve_demand` and
+        :meth:`solve_incremental`. *iterations* counts work already
+        done (direct seed evals)."""
         queued = self._queued
         node_by_uid = self._node_by_uid
         visited = self._visited
@@ -931,10 +647,8 @@ class SparseSolver:
         the wake rule filters them out explicitly. The result is
         bit-identical to :meth:`solve` on the same graph.
         """
-        self._force_scalar = True
-        self._prepare_schedule()
+        self._prepare()
         frozen = reuse.frozen_uids
-        self._frozen_uids = frozen
         tracing = self.provenance is not None
         # Preload the frozen share of the previous fixpoint.
         self._top_masks.update(reuse.top_masks)
@@ -989,13 +703,16 @@ class SparseSolver:
             else:
                 self._push_top(node)
         self.seeded_nodes = direct + len(self._queued)
-        self._run_scalar_loop(direct)
+        self._run_worklist(direct)
 
     def _finalize_states(self) -> None:
         """Intern the raw-mask fixpoint into the public PTSet views
         (``pts_top``/``mem``). The solve itself never touches the
         interning table for state updates — only distinct final masks
-        are interned, here, once."""
+        are interned, here, once. The raw memory-state table is then
+        released: nothing reads it after the solve, and on large
+        programs it is the solver's biggest structure. The raw
+        top-level table stays (``value_pts`` reads it)."""
         from_mask = self.universe.from_mask
         memo: Dict[int, PTSet] = {}
         memo_get = memo.get
@@ -1011,23 +728,7 @@ class SparseSolver:
             if s is None:
                 s = memo[m] = from_mask(m)
             mem[key] = s
-
-    def _deliver_boundary(self, boundary_id: int, new_bits: int) -> None:
-        """Kernel flush callback: route a boundary row's newly-grown
-        bits into the scalar pending books, exactly as a scalar
-        ``_set_mem`` at the merge node would have."""
-        pending = self._pending
-        pending_thread = self._pending_thread
-        for obj, dst, thread_to_load in self._plan.boundary_edges[boundary_id]:
-            self.delta_propagations += 1
-            book = pending_thread if thread_to_load else pending
-            slot = book.setdefault(dst.uid, {})
-            entry = slot.get(obj.id)
-            if entry is None:
-                slot[obj.id] = [obj, new_bits]
-            else:
-                entry[1] |= new_bits
-            self._push(dst)
+        self._mem_masks = {}
 
     _MERGE_RULES = {
         MemPhiNode: "mem-phi",
@@ -1407,18 +1108,6 @@ class SparseSolver:
                   max(0, self.iterations - len(self._visited)))
         obs.count("solver.delta_propagations", self.delta_propagations)
         obs.count("solver.seeded_nodes", self.seeded_nodes)
-        # Kernel accounting: batches = flush sweeps, injections =
-        # scalar deltas entering the merge subgraph, updates =
-        # boundary rows actually grown, fallbacks = runs that
-        # requested a kernel but had to take the scalar path.
-        kern = self._kern
-        obs.count("solver.kernel_batches", kern.batches if kern else 0)
-        obs.count("solver.kernel_injections", kern.injections if kern else 0)
-        obs.count("solver.kernel_updates", kern.updates if kern else 0)
-        obs.count("solver.kernel_fallbacks", self.kernel_fallbacks)
-        if self._plan is not None:
-            obs.gauge("solver.kernel_rows", self._plan.n_rows)
-            obs.gauge("solver.kernel_boundary_rows", self._plan.n_boundary)
         obs.gauge("solver.sccs", self.scc_count)
         obs.gauge("solver.dug_nodes", len(self.dug.nodes))
         obs.gauge("solver.points_to_entries", self.points_to_entries())

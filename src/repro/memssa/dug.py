@@ -166,10 +166,10 @@ class DUG:
         # value-flow phase finishes, but solvers are constructed on it
         # repeatedly (differential runs, ablation sweeps, benchmark
         # samples), and the derived structures they need — topological
-        # ranks, the vectorized kernel's merge-subgraph plan, per-node
-        # out-edge caches — are pure functions of the edge set. They
-        # live here under string keys and are dropped wholesale on any
-        # graph mutation.
+        # ranks, the solver's schedule with its per-node out-edge
+        # caches, the query indexes — are pure functions of the edge
+        # set. They live here under string keys and are dropped
+        # wholesale on any graph mutation.
         self.schedule_cache: Dict[str, object] = {}
 
     # -- nodes --------------------------------------------------------------
@@ -391,47 +391,6 @@ class DUG:
         rank, scc_count = topo_ranks_induced(succ, member, roots)
         rank_of_uid = {uid: rank[slot_of_uid[uid]] for uid in node_uids}
         return rank_of_uid, scc_count
-
-    def merge_topology(self, members: List[DUGNode]) -> Tuple[
-            List[List[int]], List[List[Tuple[MemObject, DUGNode]]]]:
-        """Split *members*' out-edges into the merge-internal subgraph
-        and its boundary, in flat row-indexed arrays.
-
-        *members* are per-object merge pseudo-statements (one
-        ``node.obj`` each). Returns ``(internal, boundary)`` where
-        ``internal[i]`` lists the row indices (positions in *members*)
-        of member-to-member successors and ``boundary[i]`` lists the
-        remaining ``(obj, dst)`` out-edges verbatim. This is the edge
-        grouping the sparse solver's vectorized kernel plans over:
-        rows ordered by creation, internal edges as dense ints ready
-        for SCC condensation, boundary edges keeping their node/object
-        identity for scalar delivery.
-
-        A member-to-member edge whose label differs from the shared
-        object of its endpoints would let one object's delta leak into
-        another object's merge chain; the builder never produces one,
-        and this guards the invariant the kernel relies on.
-        """
-        row_of_uid = {node.uid: i for i, node in enumerate(members)}
-        internal: List[List[int]] = [[] for _ in members]
-        boundary: List[List[Tuple[MemObject, DUGNode]]] = [[] for _ in members]
-        mem_out = self._mem_out
-        empty_out: List[Tuple[MemObject, DUGNode]] = []
-        for i, node in enumerate(members):
-            obj_id = node.obj.id
-            internal_i = internal[i]
-            boundary_i = boundary[i]
-            for obj, dst in mem_out.get(node.uid, empty_out):
-                j = row_of_uid.get(dst.uid)
-                if j is not None:
-                    if obj.id != obj_id or dst.obj.id != obj_id:
-                        raise ValueError(
-                            f"mixed-object merge edge {node!r} --"
-                            f"{obj.name}--> {dst!r}")
-                    internal_i.append(j)
-                else:
-                    boundary_i.append((obj, dst))
-        return internal, boundary
 
     # -- incremental partitioning ----------------------------------------------
 

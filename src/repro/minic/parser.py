@@ -22,6 +22,17 @@ _BROADCAST_NAMES = {"broadcast", "pthread_cond_broadcast"}
 _BARRIER_INIT_NAMES = {"barrier_init", "pthread_barrier_init"}
 _BARRIER_WAIT_NAMES = {"barrier_wait", "pthread_barrier_wait"}
 
+#: Deepest nesting the parser accepts. One counter covers statements
+#: and expressions: open blocks and statement bodies, sub-expressions
+#: (parenthesised, call arguments, indices) and unary operators on the
+#: parse path, plus the height of the expression tree being built
+#: (operator and postfix chains nest left-deep). A parenthesised level
+#: costs the parser about ten Python frames, and lowering recurses
+#: over the finished tree, so this bound keeps both well inside the
+#: interpreter's default recursion limit: hostile input fails with a
+#: ParseError instead of a RecursionError.
+MAX_NESTING = 64
+
 
 class Parser:
     """Parses a token stream into a :class:`repro.minic.ast.Program`."""
@@ -29,6 +40,11 @@ class Parser:
     def __init__(self, tokens: List[Token]) -> None:
         self.tokens = tokens
         self.pos = 0
+        # Open nesting levels on the parse path, and the height of the
+        # expression tree the last expression method returned; see
+        # MAX_NESTING.
+        self.depth = 0
+        self._height = 0
 
     # -- token helpers --------------------------------------------------
 
@@ -66,6 +82,26 @@ class Parser:
     def _at_type(self) -> bool:
         tok = self._peek()
         return tok.kind is TokenKind.KEYWORD and tok.text in _TYPE_KEYWORDS
+
+    # -- nesting bound ----------------------------------------------------
+
+    def _too_deep(self, tok: Token) -> ParseError:
+        return ParseError(f"nesting deeper than {MAX_NESTING} levels",
+                          tok.line, tok.col)
+
+    def _enter(self) -> None:
+        """Open one nesting level at the next token; the caller closes
+        it with ``self.depth -= 1``."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self._too_deep(self._peek())
+
+    def _grow(self, height: int, tok: Token) -> None:
+        """Record that the expression just built at *tok* has tree
+        height *height*."""
+        if self.depth + height > MAX_NESTING:
+            raise self._too_deep(tok)
+        self._height = height
 
     # -- top level ------------------------------------------------------
 
@@ -154,11 +190,13 @@ class Parser:
     # -- statements -----------------------------------------------------
 
     def _parse_block(self) -> List[ast.Stmt]:
+        self._enter()
         self._expect("{")
         stmts: List[ast.Stmt] = []
         while not self._check("}"):
             stmts.append(self._parse_statement())
         self._expect("}")
+        self.depth -= 1
         return stmts
 
     def _parse_statement(self) -> ast.Stmt:
@@ -217,10 +255,9 @@ class Parser:
         then_body = self._parse_body_or_single()
         else_body: List[ast.Stmt] = []
         if self._accept("else"):
-            if self._check("if"):
-                else_body = [self._parse_if()]
-            else:
-                else_body = self._parse_body_or_single()
+            # An else-if nests like any other body: the chain lowers
+            # recursively.
+            else_body = self._parse_body_or_single()
         return ast.IfStmt(cond=cond, then_body=then_body, else_body=else_body, line=tok.line)
 
     def _parse_while(self) -> ast.WhileStmt:
@@ -253,7 +290,10 @@ class Parser:
     def _parse_body_or_single(self) -> List[ast.Stmt]:
         if self._check("{"):
             return self._parse_block()
-        return [self._parse_statement()]
+        self._enter()
+        stmt = self._parse_statement()
+        self.depth -= 1
+        return [stmt]
 
     def _parse_assign_clause(self) -> ast.Stmt:
         """An assignment or expression without the trailing semicolon
@@ -363,55 +403,67 @@ class Parser:
     ]
 
     def _parse_expr(self) -> ast.Expr:
-        return self._parse_binary(0)
+        self._enter()
+        expr = self._parse_binary(0)
+        self.depth -= 1
+        return expr
 
     def _parse_binary(self, level: int) -> ast.Expr:
         if level >= len(self._BINARY_LEVELS):
             return self._parse_unary()
         lhs = self._parse_binary(level + 1)
         while any(self._check(op) for op in self._BINARY_LEVELS[level]):
+            lhs_height = self._height
             op_tok = self._advance()
             rhs = self._parse_binary(level + 1)
+            self._grow(max(lhs_height, self._height) + 1, op_tok)
             lhs = ast.BinaryExpr(op=op_tok.text, lhs=lhs, rhs=rhs, line=op_tok.line)
         return lhs
 
     def _parse_unary(self) -> ast.Expr:
         tok = self._peek()
         if tok.kind is TokenKind.PUNCT and tok.text in ("&", "*", "-", "!"):
+            self._enter()
             self._advance()
             operand = self._parse_unary()
+            self.depth -= 1
+            self._grow(self._height + 1, tok)
             return ast.UnaryExpr(op=tok.text, operand=operand, line=tok.line)
         return self._parse_postfix()
 
     def _parse_postfix(self) -> ast.Expr:
         expr = self._parse_primary()
         while True:
+            height = self._height
             if self._accept("."):
-                fname = self._expect_ident()
-                expr = ast.MemberExpr(base=expr, field_name=fname.text, arrow=False, line=fname.line)
+                tok = self._expect_ident()
+                expr = ast.MemberExpr(base=expr, field_name=tok.text, arrow=False, line=tok.line)
             elif self._accept("->"):
-                fname = self._expect_ident()
-                expr = ast.MemberExpr(base=expr, field_name=fname.text, arrow=True, line=fname.line)
+                tok = self._expect_ident()
+                expr = ast.MemberExpr(base=expr, field_name=tok.text, arrow=True, line=tok.line)
             elif self._check("["):
-                open_tok = self._advance()
+                tok = self._advance()
                 index = self._parse_expr()
                 self._expect("]")
-                expr = ast.IndexExpr(base=expr, index=index, line=open_tok.line)
+                height = max(height, self._height)
+                expr = ast.IndexExpr(base=expr, index=index, line=tok.line)
             elif self._check("("):
-                open_tok = self._advance()
+                tok = self._advance()
                 args: List[ast.Expr] = []
                 if not self._check(")"):
                     while True:
                         args.append(self._parse_expr())
+                        height = max(height, self._height)
                         if not self._accept(","):
                             break
                 self._expect(")")
                 if isinstance(expr, ast.NameExpr) and expr.name == "malloc":
-                    expr = self._make_malloc(args, open_tok)
+                    expr = self._make_malloc(args, tok)
                 else:
-                    expr = ast.CallExpr(callee=expr, args=args, line=open_tok.line)
+                    expr = ast.CallExpr(callee=expr, args=args, line=tok.line)
             else:
                 return expr
+            self._grow(height + 1, tok)
 
     def _make_malloc(self, args: List[ast.Expr], tok: Token) -> ast.MallocExpr:
         # malloc's argument parses as a _TypeArg for both `malloc(T)`
@@ -423,6 +475,7 @@ class Parser:
 
     def _parse_primary(self) -> ast.Expr:
         tok = self._peek()
+        self._height = 0
         if tok.kind is TokenKind.NUMBER:
             self._advance()
             return ast.NumberExpr(value=int(tok.text), line=tok.line)
@@ -443,6 +496,8 @@ class Parser:
             self._advance()
             return ast.NameExpr(name=tok.text, line=tok.line)
         if self._accept("("):
+            # A nesting level (in _parse_expr) but no tree node: the
+            # inner expression's height stands.
             expr = self._parse_expr()
             self._expect(")")
             return expr

@@ -26,13 +26,6 @@ traffic), so a long-lived process analysing many programs — or one
 very large program — holds at most ``2 * cache_cap`` memo entries per
 universe instead of growing without bound.
 
-For batch consumers (the sparse solver's vectorized kernel, merge
-re-evaluations) :meth:`PTUniverse.union_many` and
-:meth:`PTUniverse.diff_many` fold an arbitrary number of operand
-masks with plain int arithmetic and touch the interning table exactly
-once for the final result, instead of interning every intermediate
-union.
-
 ``PTSet`` is deliberately duck-typed against ``frozenset[MemObject]``:
 it iterates ``MemObject``s, supports ``in``/``len``/``bool``, and its
 binary operators accept plain sets (registering any unseen objects),
@@ -278,46 +271,6 @@ class PTUniverse:
         for obj in objs:
             mask |= 1 << self.index(obj)
         return self.from_mask(mask)
-
-    # -- bulk operations ----------------------------------------------------
-
-    def _fold_masks(self, parts: Iterable) -> int:
-        """OR together the masks of *parts* (ints, :class:`PTSet`
-        instances from this universe, or iterables of objects)."""
-        mask = 0
-        for part in parts:
-            if type(part) is int:
-                mask |= part
-            elif isinstance(part, PTSet):
-                mask |= part.mask
-            else:
-                mask |= self.make(part).mask
-        return mask
-
-    def union_many(self, parts: Iterable) -> PTSet:
-        """Union of arbitrarily many operands, interned once.
-
-        The bulk primitive behind the sparse solver's batched merge
-        paths: the fold is plain int ``|=`` per operand and the
-        interning table is consulted exactly once for the final mask
-        (a chained ``a | b | c`` interns every prefix).
-        """
-        return self.from_mask(self._fold_masks(parts))
-
-    def diff_many(self, base, parts: Iterable) -> PTSet:
-        """``base`` minus the union of *parts*, interned once.
-
-        The kernel's delta extraction (``new bits = delta & ~state``)
-        in set form; like :meth:`union_many`, no intermediate set is
-        interned.
-        """
-        base_mask = base if type(base) is int else self._mask_like(base)
-        return self.from_mask(base_mask & ~self._fold_masks(parts))
-
-    def _mask_like(self, part) -> int:
-        if isinstance(part, PTSet):
-            return part.mask
-        return self.make(part).mask
 
     # -- cached binary operations -----------------------------------------
 

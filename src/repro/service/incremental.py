@@ -455,10 +455,8 @@ class _FunctionContext:
             return
         key_by_bit: List[str] = [
             key_of[universe.object_at(i).id] for i in range(len(universe))]
-        # Read the *finalized* views, not the raw delta-path books:
-        # under the vectorized kernel, interior merge states are
-        # materialized straight into ``solver.mem`` and never appear
-        # in ``_mem_masks``.
+        # Read the *finalized* view: the solver releases its raw
+        # memory-state masks once ``solver.mem`` is interned.
         top_masks = solver._top_masks
         rows_by_uid: Dict[int, Dict[int, int]] = {}
         for (uid, obj_id), state in solver.mem.items():

@@ -27,6 +27,7 @@ from repro.frontend import compile_source
 from repro.fsam import FSAM
 from repro.fsam.config import AnalysisTimeout, FSAMConfig
 from repro.obs import NULL_OBS, Observer
+from repro.pts import mask_to_hex
 from repro.service.artifacts import (
     AnalysisArtifact, artifact_from_andersen, artifact_from_query,
     artifact_from_result,
@@ -261,7 +262,7 @@ class QueryRunner:
         payload.update({
             "cache": "warm" if answer.source == "warm" else "miss",
             "pts": answer.names(),
-            "mask": answer.to_dict()["mask"],
+            "mask": mask_to_hex(answer.mask),
             "slice_nodes": answer.slice_nodes,
             "slice_temps": answer.slice_temps,
             "slice_fraction": round(answer.slice_fraction, 6),

@@ -3,11 +3,11 @@
 The contract under test: a demand query's answer — solved over the
 backward DUG slice only — is **bit-identical** (equal PTSet masks) to
 the whole-program fixpoint, for every top-level variable of every
-workload, under every kernel backend and with tracing forced on (the
-scalar-fallback path). Plus the engine mechanics around it: warm
-re-queries cost zero iterations, the reference engine bails to one
-cached whole-program solve, object queries reproduce ``global_pts``,
-and ``solver_mode="demand"`` defers all solving to queries.
+workload, with and without tracing. Plus the engine mechanics around
+it: warm re-queries cost zero iterations, the reference engine bails
+to one cached whole-program solve, object queries reproduce
+``global_pts``, and ``solver_mode="demand"`` defers all solving to
+queries.
 """
 
 from __future__ import annotations
@@ -16,14 +16,11 @@ import pytest
 
 from repro.frontend import compile_source
 from repro.fsam import FSAM, FSAMConfig, analyze_source
-from repro.fsam.kernel import numpy_available
 from repro.fsam.query import QueryEngine, resolve_temps
 from repro.trace import Tracer
 from repro.workloads import get_workload, workload_names
 
 WORKLOADS = tuple(workload_names())
-
-BACKENDS = ("none", "python") + (("numpy",) if numpy_available() else ())
 
 _PIPELINES = {}
 
@@ -62,17 +59,15 @@ def engine_for(result, **config_kwargs) -> QueryEngine:
 
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_demand_answers_bit_identical(name):
-    """Every top-level variable, every kernel backend: demand answer
-    mask == whole-program fixpoint mask."""
+    """Every top-level variable: demand answer mask == whole-program
+    fixpoint mask."""
     result = pipeline(name)
     names = top_level_names(result)
     assert names, f"workload {name} has no top-level variables"
-    for backend in BACKENDS:
-        engine = engine_for(result, kernel=backend)
-        for var in names:
-            answer = engine.query(var)
-            assert answer.mask == expected_mask(result, var), \
-                (name, backend, var)
+    engine = engine_for(result)
+    for var in names:
+        answer = engine.query(var)
+        assert answer.mask == expected_mask(result, var), (name, var)
 
 
 @pytest.mark.parametrize("name", WORKLOADS)
@@ -86,9 +81,9 @@ def test_object_queries_match_global_pts(name):
 
 
 @pytest.mark.parametrize("name", ("kmeans", "raytrace"))
-def test_tracer_forces_scalar_and_stays_identical(name):
-    """Tracing disables the kernel (provenance needs the scalar
-    per-visit path) — the demand answers must not change."""
+def test_traced_queries_stay_identical(name):
+    """Provenance tracing during slice solves must not change the
+    demand answers."""
     result = pipeline(name)
     engine = QueryEngine(result.module, result.dug, result.builder,
                          result.andersen, config=FSAMConfig(trace=True),
@@ -98,7 +93,6 @@ def test_tracer_forces_scalar_and_stays_identical(name):
         answer = engine.query(var)
         if answer.source == "solve":
             saw_solve = True
-            assert answer.kernel_backend is None
         assert answer.mask == expected_mask(result, var), (name, var)
     assert saw_solve
 

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.frontend import compile_source
 from repro.minic import ast, parse
 from repro.minic.errors import ParseError
+from repro.minic.parser import MAX_NESTING
 
 
 class TestTopLevel:
@@ -221,3 +223,58 @@ class TestCompoundAssignment:
         int main() { g.v += 1; }
         """).functions[0].body[0]
         assert isinstance(stmt.target, ast.MemberExpr)
+
+
+# Nesting shapes, one level per line: (fixed levels around the nest,
+# builder for n nested levels). ``main``'s body is one level and an
+# expression another, so the deepest point of a shape sits at
+# n + overhead.
+NESTING_SHAPES = {
+    "parens": (2, lambda n: "int main() { int x; x =\n" + "(\n" * n
+               + "1" + ")" * n + "; return 0; }"),
+    "blocks": (1, lambda n: "int main() {\n" + "{\n" * n + "}" * n
+               + " return 0; }"),
+    "ifs": (2, lambda n: "int main() { int x; x = 1;\n" + "if (x)\n" * n
+            + "x = 2; return 0; }"),
+}
+
+HOSTILE_SHAPES = {
+    "parens": "int main() { int x; x = " + "(" * 5000 + "1" + ")" * 5000
+              + "; }",
+    "blocks": "int main() { " + "{" * 3000 + "}" * 3000 + " }",
+    "ifs": "int main() { int x; " + "if (x) " * 3000 + "x = 1; }",
+    "else_ifs": "int main() { int x; if (x) x = 1;"
+                + " else if (x) x = 1;" * 3000 + " }",
+    "unary": "int main() { int x; x = " + "- " * 5000 + "1; }",
+    # Left-deep trees built by loops, not by parser recursion.
+    "operator_chain": "int main() { int x; x = " + "+".join(["1"] * 5000)
+                      + "; }",
+    "index_chain": "int main() { int a[2]; int x; x = a" + "[0]" * 5000
+                   + "; }",
+}
+
+
+class TestNestingLimit:
+    """Nesting is bounded by one counter, so hostile input fails with a
+    located ParseError instead of a RecursionError, and everything
+    at the limit still compiles (lowering recurses over the AST too)."""
+
+    @pytest.mark.parametrize("shape", sorted(NESTING_SHAPES))
+    def test_compiles_at_the_limit(self, shape):
+        overhead, build = NESTING_SHAPES[shape]
+        compile_source(build(MAX_NESTING - overhead))
+
+    @pytest.mark.parametrize("shape", sorted(NESTING_SHAPES))
+    def test_parse_error_one_past_the_limit(self, shape):
+        overhead, build = NESTING_SHAPES[shape]
+        n = MAX_NESTING - overhead + 1
+        with pytest.raises(ParseError, match="nesting deeper than") as info:
+            compile_source(build(n))
+        # Located inside the nest: one level per line from line 2.
+        assert 2 <= info.value.line <= n + 2
+        assert info.value.col is not None
+
+    @pytest.mark.parametrize("shape", sorted(HOSTILE_SHAPES))
+    def test_hostile_nesting_is_a_parse_error(self, shape):
+        with pytest.raises(ParseError, match="nesting deeper than"):
+            compile_source(HOSTILE_SHAPES[shape])

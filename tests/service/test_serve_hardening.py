@@ -61,6 +61,15 @@ class TestHardening:
         _, responses = _serve(["{nope", '{"workload": "word_count"}'])
         assert responses[0]["error"]["type"] == "JSONDecodeError"
 
+    def test_deeply_nested_source_is_a_parse_error(self):
+        source = ("int main() { int x; x = " + "(" * 5000 + "1"
+                  + ")" * 5000 + "; return 0; }")
+        entry = json.dumps({"source": source, "name": "deep"})
+        _, responses = _serve([entry, '{"workload": "word_count"}'])
+        assert responses[0]["status"] == "error"
+        assert responses[0]["error"]["type"] == "ParseError"
+        assert responses[1]["status"] == "ok"
+
     def test_no_limit_accepts_large_lines(self):
         big = json.dumps({"workload": "word_count",
                           "name": "n" * 4096, "id": 1})
