@@ -30,7 +30,10 @@ Usage::
 ``--compare`` re-reads a previous snapshot and flags any workload
 whose delta-engine ``solver.iterations`` grew by more than the
 threshold (default 20%); the process exits non-zero so CI can surface
-the regression (the bench job itself is non-blocking).
+the regression (the bench job itself is non-blocking). It also exits
+non-zero when no workload was comparable at all (a baseline taken at
+other scales, or without the delta engine): a check that compared
+nothing must not read as a pass.
 """
 
 from __future__ import annotations
@@ -233,9 +236,11 @@ def run_snapshot(names, scales, engines=ENGINES, reps=5, warmup=2,
     return workloads
 
 
-def compare(baseline: dict, current: dict, threshold: float) -> list:
-    """Workloads whose delta-engine solver.iterations regressed."""
+def compare(baseline: dict, current: dict, threshold: float):
+    """Workloads whose delta-engine solver.iterations regressed, and
+    the number of workloads that were comparable at all."""
     regressions = []
+    compared = 0
     for name, entry in sorted(current.items()):
         old = baseline.get("workloads", {}).get(name, {})
         old_rec = old.get("engines", {}).get("delta")
@@ -248,10 +253,11 @@ def compare(baseline: dict, current: dict, threshold: float) -> list:
         new_it = new_rec.get("solver.iterations")
         if not old_it or new_it is None:
             continue
+        compared += 1
         ratio = new_it / old_it
         if ratio > 1.0 + threshold:
             regressions.append((name, old_it, new_it, ratio))
-    return regressions
+    return regressions, compared
 
 
 def main(argv=None) -> int:
@@ -310,14 +316,19 @@ def main(argv=None) -> int:
     if args.compare:
         with open(args.compare) as fh:
             baseline = json.load(fh)
-        regressions = compare(baseline, workloads, args.threshold)
+        regressions, compared = compare(baseline, workloads, args.threshold)
+        if not compared:
+            print(f"\nno workload comparable with {args.compare} "
+                  "(different scales, or no delta-engine record)")
+            return 1
         if regressions:
             print(f"\nsolver.iterations regressions vs {args.compare} "
                   f"(>{args.threshold:.0%}):")
             for name, old_it, new_it, ratio in regressions:
                 print(f"  {name}: {old_it} -> {new_it} ({ratio:.2f}x)")
             return 1
-        print(f"no solver.iterations regressions vs {args.compare}")
+        print(f"no solver.iterations regressions vs {args.compare} "
+              f"({compared} workload(s) compared)")
     return 0
 
 

@@ -452,7 +452,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_batch(args) -> int:
-    """Run a batch spec through the worker pool + artifact cache and
+    """Run a batch spec through the shard workers + artifact cache and
     print one ``repro.batch/1`` report."""
     import os
 
@@ -491,9 +491,11 @@ def cmd_batch(args) -> int:
         sys.stdout.write(batch_report_to_csv(doc))
     else:
         print(render_batch_report(doc))
-    # The availability contract: degraded requests are reported, not
-    # fatal. Exit 3 flags them for callers that want to notice.
-    return 3 if doc["aggregate"]["degraded"] else 0
+    # The availability contract: degraded and failed requests are
+    # reported, not fatal. Exit 3 flags them for callers that want to
+    # notice.
+    failed = any(row["status"] == "error" for row in doc["requests"])
+    return 3 if doc["aggregate"]["degraded"] or failed else 0
 
 
 def _cache_max_bytes(args) -> Optional[int]:
@@ -690,7 +692,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_bench)
 
     p = sub.add_parser("batch",
-                       help="run a batch spec through the worker pool "
+                       help="run a batch spec through the shard workers "
                             "and artifact cache")
     p.add_argument("spec", help="batch spec JSON (see repro.service."
                                 "requests for the format)")

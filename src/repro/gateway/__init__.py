@@ -2,7 +2,8 @@
 
 The front end that turns the batch/serve analysis service into a
 long-running network service: one TCP port speaking framed JSONL and
-minimal HTTP/1.1, backed by persistent warm shard workers.
+minimal HTTP/1.1, backed by the persistent warm shard workers of
+:mod:`repro.service.shards`.
 
 - :mod:`repro.gateway.protocol` — ``repro.gwframe/1`` frames, input
   hardening (size/depth caps), the stdlib HTTP/1.1 surface;
@@ -12,14 +13,12 @@ minimal HTTP/1.1, backed by persistent warm shard workers.
   one computation;
 - :mod:`repro.gateway.admission` — per-tenant token buckets and
   bounded priority queues;
-- :mod:`repro.gateway.shards` — the persistent worker processes and
-  their asyncio-side pool;
-- :mod:`repro.gateway.server` — the :class:`Gateway` tying it all
-  together;
+- :mod:`repro.gateway.server` — the :class:`~repro.gateway.server.Gateway`
+  tying it all together (the shard pool included);
 - :mod:`repro.gateway.trace` — deterministic zipfian request traces
   for the load-test harness and CI smoke job.
+
+Importing the package imports none of its modules, so ``repro serve``
+can share :mod:`repro.gateway.protocol`'s input hardening without
+loading asyncio or the server.
 """
-
-from repro.gateway.server import Gateway, GatewayOptions, run_gateway
-
-__all__ = ["Gateway", "GatewayOptions", "run_gateway"]

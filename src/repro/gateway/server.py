@@ -26,14 +26,15 @@ Request path, in order:
    ring to its home shard; work queues per shard in priority order,
    shedding the lowest-priority entry (429) past the global
    high-water mark;
-6. **execution** — the shard worker answers with an optional
-   streamed Andersen preview frame and a final result; a parent
-   wall-clock deadline hard-kills the shard and degrades the answer,
-   reusing the already-streamed preview when one arrived.
+6. **execution** — the shard worker (:mod:`repro.service.shards`)
+   answers with an optional streamed Andersen preview frame and a
+   final result; the pool's wall-clock deadline hard-kills the shard
+   and the answer degrades, reusing the already-streamed preview when
+   one arrived.
 
-Worker death reroutes only the dead shard's keys (ring arc) and
-retries its in-flight job once before degrading — the same ladder the
-batch pool walks, at gateway scale.
+Worker death reroutes only the dead shard's keys (ring arc); what
+happens to its in-flight job is :func:`repro.service.runner.retry_lost`
+— the same ladder batch and serve walk, at gateway scale.
 """
 
 from __future__ import annotations
@@ -55,10 +56,11 @@ from repro.gateway.protocol import (
     BadRequest, GatewayClosing, QueueFull, RequestError, RequestTooLarge,
 )
 from repro.gateway.routing import HashRing
-from repro.gateway.shards import ShardPool
 from repro.obs import Observer
 from repro.service.digest import query_digest
 from repro.service.requests import request_from_entry
+from repro.service.runner import retry_lost
+from repro.service.shards import ShardPool
 
 #: Parent-side memo/LRU caps.
 ENTRY_MEMO = 256
@@ -86,8 +88,6 @@ class GatewayOptions:
     metrics_stream: Optional[object] = None   # writable text stream
     base_dir: str = "."
     incremental: bool = True
-    profile: bool = True
-    start_method: Optional[str] = None
 
 
 @dataclass
@@ -104,10 +104,8 @@ class _Job:
     timeout: Optional[float] = None
     priority: int = 1
     attempts: int = 0
-    shard: Optional[int] = None
     enqueued: float = 0.0
     preview: Optional[Dict[str, object]] = None
-    timer: Optional[asyncio.TimerHandle] = None
     sent_full: bool = False              # full source crossed the pipe
 
 
@@ -127,9 +125,7 @@ class Gateway:
                 "cache_root": self.options.cache_root,
                 "cache_max_bytes": self.options.cache_max_bytes,
                 "incremental": self.options.incremental,
-                "profile": self.options.profile,
-            },
-            start_method=self.options.start_method)
+            })
         self.pool.on_event = self._on_event
         self.pool.on_shard_down = self._on_shard_down
         self.pool.on_shard_up = self._on_shard_up
@@ -370,7 +366,6 @@ class Gateway:
             self._dispatch(shard, gjob)
 
     def _dispatch(self, shard: int, gjob: _Job) -> None:
-        gjob.shard = shard
         gjob.attempts += 1
         span = f"g{gjob.jid:04d}"
         if gjob.op == "query":
@@ -393,7 +388,8 @@ class Gateway:
                        "payload": dict(gjob.payload, request_id=span)}
             gjob.sent_full = True
         try:
-            self.pool.submit(shard, gjob.jid, gjob, message)
+            self.pool.submit(shard, gjob.jid, gjob, message,
+                             timeout=gjob.timeout)
         except BrokenPipeError:
             # The shard died under us; the death callback rebalances.
             self._seq += 1
@@ -403,17 +399,6 @@ class Gateway:
         self.obs.count("gateway.dispatched", 1)
         if gjob.op == "analyze":
             self.pool.mark_seen(shard, gjob.digest)
-        if gjob.timeout is not None:
-            loop = asyncio.get_event_loop()
-            gjob.timer = loop.call_later(gjob.timeout, self._deadline,
-                                         gjob.jid, shard)
-
-    def _deadline(self, jid: int, shard: int) -> None:
-        gjob = self._jobs.get(jid)
-        if gjob is None or gjob.shard != shard:
-            return
-        self.obs.count("gateway.deadline_kills", 1)
-        self.pool.kill(shard, "wall-clock-timeout")
 
     # -- shard callbacks ---------------------------------------------------
 
@@ -430,9 +415,6 @@ class Gateway:
                 if not gjob.inflight.done:
                     gjob.inflight.publish("andersen", body)
             return
-        if gjob.timer is not None:
-            gjob.timer.cancel()
-            gjob.timer = None
         del self._jobs[jid]
         if retryable == "unknown-digest" and not gjob.sent_full:
             # The shard's memo lost this digest (respawn/eviction):
@@ -475,15 +457,12 @@ class Gateway:
                        reason: str) -> None:
         self.ring.remove(shard)
         self.obs.count("gateway.shard_deaths", 1)
+        if reason == "wall-clock-timeout":
+            self.obs.count("gateway.deadline_kills", 1)
         for gjob in lost:
-            if gjob.timer is not None:
-                gjob.timer.cancel()
-                gjob.timer = None
             self._jobs.pop(gjob.jid, None)
-            if reason == "wall-clock-timeout":
-                self._degrade(gjob, reason)
-            elif gjob.attempts < 2:
-                # Crash: retry once, rerouted around the dead shard.
+            if retry_lost(reason, gjob.attempts):
+                # Rerouted around the dead shard.
                 self.obs.count("gateway.retries", 1)
                 gjob.sent_full = False
                 self._enqueue(gjob)
@@ -526,9 +505,9 @@ class Gateway:
             return
 
         def compute() -> Dict[str, object]:
-            from repro.gateway.shards import _response_body
             from repro.service.requests import AnalysisRequest
             from repro.service.runner import run_degraded
+            from repro.service.shards import _response_body
             request = AnalysisRequest.from_payload(gjob.payload)
             artifact = run_degraded(request, reason=reason)
             return _response_body(request, gjob.digest, artifact, "miss",

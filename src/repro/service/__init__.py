@@ -1,4 +1,4 @@
-"""Batch analysis service (``repro.service``).
+"""Analysis service (``repro.service``).
 
 Turns the single-shot FSAM pipeline into a servable system:
 
@@ -8,13 +8,14 @@ Turns the single-shot FSAM pipeline into a servable system:
   by digest(source, config, code version), so warm re-runs skip the
   solver entirely;
 - :mod:`repro.service.runner` — one request end to end, including
-  the budget-exhaustion degradation ladder (full FSAM -> Andersen-only
-  ``degraded`` result);
-- :mod:`repro.service.pool` — a multiprocessing worker pool with
-  per-request wall-clock timeouts, one retry, and graceful
-  degradation;
+  the degradation ladder (full FSAM -> Andersen-only ``degraded``
+  result) that every front end walks;
+- :mod:`repro.service.shards` — the shard workers, the only code that
+  spawns analysis processes: per-job wall-clock deadlines, crash
+  retry and respawn, for batch and serve (:func:`run_requests`) and
+  for the gateway (:class:`ShardPool`);
 - :mod:`repro.service.batch` — the batch driver: request dedup,
-  cache consultation, pool dispatch, and one aggregated
+  cache consultation, shard dispatch, and one aggregated
   ``repro.batch/1`` report;
 - :mod:`repro.service.serve` — a long-lived stdin/JSONL request loop
   (``repro serve``);
@@ -31,7 +32,7 @@ Turns the single-shot FSAM pipeline into a servable system:
   under ``<cache>/query``.
 
 Every request runs as a telemetry span (deterministic request id,
-own Observer in the worker process); cache-miss span snapshots merge
+own Observer in the shard); cache-miss span snapshots merge
 back into a ``repro.metrics/1`` rollup — mergeable latency
 histograms, cross-request per-phase distributions, cache hit-rate
 gauges — embedded in batch reports and streamed live by
@@ -54,11 +55,11 @@ from repro.service.digest import canonical_digest, query_digest
 from repro.service.requests import (
     AnalysisRequest, QueryRequest, function_digest, request_digest,
 )
-from repro.service.pool import WorkerPool
 from repro.service.runner import (
     QueryRunner, RequestOutcome, run_request_inline,
 )
 from repro.service.serve import serve_loop
+from repro.service.shards import ShardPool, run_requests
 
 __all__ = [
     "AnalysisArtifact", "artifact_from_result", "artifact_from_andersen",
@@ -68,7 +69,7 @@ __all__ = [
     "AnalysisRequest", "QueryRequest", "request_digest", "function_digest",
     "canonical_digest", "query_digest",
     "RequestOutcome", "run_request_inline", "QueryRunner",
-    "WorkerPool",
+    "ShardPool", "run_requests",
     "BatchReport", "run_batch", "render_batch_report",
     "validate_batch_report",
     "serve_loop",

@@ -1,4 +1,4 @@
-"""The batch driver: dedup -> cache -> pool -> one ``repro.batch/1``
+"""The batch driver: dedup -> cache -> shards -> one ``repro.batch/1``
 report.
 
 Execution plan for a batch of requests:
@@ -10,21 +10,25 @@ Execution plan for a batch of requests:
    :class:`~repro.service.cache.ArtifactCache`; hits skip the solver
    entirely (a warm batch performs zero sparse-solver iterations,
    asserted by the differential suite);
-3. **dispatch** — misses go to the
-   :class:`~repro.service.pool.WorkerPool` (or the inline runner when
-   ``workers <= 1``), each walking the degradation ladder;
+3. **dispatch** — misses go to the shard workers
+   (:func:`~repro.service.shards.run_requests`), or run inline when
+   ``workers <= 1`` (:func:`~repro.service.runner.run_inline`), each
+   walking the degradation ladder. A request whose analysis raises
+   (say, a ``ParseError``) gets an ``error`` row instead of an
+   artifact; the rest of the batch is unaffected;
 4. **report** — per-request rows plus aggregated counters and phase
    times, as one ``repro.batch/1`` document. Per-request
    ``repro.obs/1`` profiles ride along inside the artifacts; their
    phase trees are summed into ``aggregate.phase_seconds``.
 
 Telemetry: every dispatched request carries a span id (``rNNNN`` in
-request order) and runs under its own Observer — in the worker process
-for pooled dispatch, in-process for inline — whose ``repro.metrics/1``
-snapshot comes back on the outcome. The driver merges miss snapshots
-into the batch observer (cross-request ``phase.*`` latency
-distributions, worker-side counters such as the per-worker
-FuncArtifactStore tallies), records ``pool.run_seconds`` /
+request order) and, when it profiles, runs under its own Observer — in
+the shard for pooled dispatch, in-process for inline — whose
+``repro.metrics/1`` snapshot comes back on the outcome. The driver
+merges miss snapshots into the batch observer (cross-request
+``phase.*`` latency distributions, worker-side counters; the shards'
+FuncArtifactStore tallies arrive with their shutdown), records
+``pool.run_seconds`` /
 ``pool.queue_seconds`` / ``request.seconds`` histograms, and embeds
 the final rollup in the report as ``metrics``. Hits and dedup
 followers contribute nothing to histograms or phase times, so a fully
@@ -39,17 +43,16 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.fsam.config import FSAMConfig
 from repro.obs import Observer
 from repro.schemas import BATCH_SCHEMA
 from repro.service.cache import (
     ArtifactCache, FuncArtifactStore, QueryArtifactStore,
 )
-from repro.service.pool import WorkerPool
 from repro.service.requests import AnalysisRequest, QueryRequest
 from repro.service.runner import (
-    QueryRunner, RequestOutcome, run_request_inline,
+    QueryRunner, RequestOutcome, error_record, run_inline,
 )
+from repro.service.shards import run_requests
 
 
 @dataclass
@@ -81,20 +84,25 @@ class BatchReport:
                 "cache": outcome.cache,
                 "seconds": round(outcome.seconds, 6),
                 # Per-attempt wall clocks, one per degradation rung.
-                # ``seconds`` measures from first spawn and includes
-                # killed attempts plus requeue wait; these do not.
+                # ``seconds`` measures from first dispatch and
+                # includes killed attempts plus requeue wait; these do
+                # not.
                 "attempt_seconds": [round(s, 6)
                                     for s in outcome.attempt_seconds],
-                # Slot wait (enqueue -> spawn + requeue -> respawn),
-                # disjoint from the attempt entries.
+                # Slot wait (enqueue -> dispatch, also before a
+                # retry), disjoint from the attempt entries.
                 "queue_seconds": round(outcome.queue_seconds, 6),
                 "attempts": outcome.attempts,
-                "summary": dict(outcome.artifact.summary),
             }
             if outcome.request_id is not None:
                 row["request_id"] = outcome.request_id
-            if outcome.artifact.degraded:
-                row["degraded_reason"] = outcome.artifact.degraded_reason
+            if outcome.error is not None:
+                row["error"] = dict(outcome.error)
+            else:
+                row["summary"] = dict(outcome.artifact.summary)
+                if outcome.artifact.degraded:
+                    row["degraded_reason"] = \
+                        outcome.artifact.degraded_reason
             rows.append(row)
         return {
             "schema": BATCH_SCHEMA,
@@ -114,9 +122,10 @@ class BatchReport:
                 # artifact's summary.
                 "solver_iterations": sum(
                     o.artifact.solver_iterations()
-                    for o in self.outcomes if o.cache == "miss"),
+                    for o in self.outcomes
+                    if o.cache == "miss" and o.error is None),
                 "degraded": sum(
-                    1 for o in self.outcomes if o.artifact.degraded),
+                    1 for o in self.outcomes if o.status == "degraded"),
             },
             "metrics": self.metrics,
             "exemplars": list(self.exemplars),
@@ -130,7 +139,7 @@ class BatchReport:
         run's profile, not work done by this batch."""
         total: Dict[str, float] = {}
         for outcome in self.outcomes:
-            if outcome.cache != "miss":
+            if outcome.cache != "miss" or outcome.error is not None:
                 continue
             profile = outcome.artifact.profile
             if not profile:
@@ -149,7 +158,6 @@ def run_batch(requests: List[AnalysisRequest],
               timeout: Optional[float] = None,
               obs: Optional[Observer] = None,
               name: str = "batch",
-              pool: Optional[WorkerPool] = None,
               incremental: bool = True,
               slow_ms: Optional[float] = None,
               queries: Optional[List[QueryRequest]] = None) -> BatchReport:
@@ -157,9 +165,9 @@ def run_batch(requests: List[AnalysisRequest],
 
     ``workers <= 1`` runs inline (no subprocesses) — the serial
     reference arm of the differential suite and the no-multiprocessing
-    escape hatch. *pool* injects a preconfigured
-    :class:`~repro.service.pool.WorkerPool` (tests use this to force a
-    start method); otherwise one is built from ``workers``/``timeout``.
+    escape hatch; there the wall-clock *timeout* becomes each request's
+    cooperative budget. Otherwise misses run on ``workers`` shards under
+    *timeout* as a per-request wall-clock deadline.
 
     With *incremental* (the default) and a cache configured, a
     per-function artifact store lives next to the whole-program
@@ -179,7 +187,7 @@ def run_batch(requests: List[AnalysisRequest],
     fails on a bad query — the error rides in the query's row.
     """
     observer = obs if obs is not None else Observer(name=name)
-    funcstore = FuncArtifactStore(cache.root) \
+    funcstore_root = str(cache.root) \
         if incremental and cache is not None else None
     start = time.perf_counter()
 
@@ -216,38 +224,22 @@ def run_batch(requests: List[AnalysisRequest],
     # 3. dispatch misses.
     if to_run:
         if workers > 1:
-            worker_pool = pool if pool is not None else \
-                WorkerPool(workers=workers, timeout=timeout,
-                           funcstore_root=str(cache.root)
-                           if funcstore is not None else None)
-            fresh = worker_pool.run(to_run)
-            worker_pool.flush_obs(observer)
+            fresh = run_requests(to_run, workers, timeout=timeout,
+                                 funcstore_root=funcstore_root,
+                                 obs=observer)
         else:
-            if timeout is not None:
-                # Inline mode has no process to kill; the wall-clock
-                # timeout becomes the cooperative budget instead.
-                budgeted = []
-                for request in to_run:
-                    if request.config.time_budget is None:
-                        config = FSAMConfig.from_dict(request.config.to_dict())
-                        config.time_budget = request.timeout \
-                            if request.timeout is not None else timeout
-                        request = AnalysisRequest(
-                            name=request.name, source=request.source,
-                            config=config, timeout=request.timeout,
-                            request_id=request.request_id)
-                    budgeted.append(request)
-                to_run = budgeted
-            fresh = [run_request_inline(request, funcstore=funcstore)
+            funcstore = FuncArtifactStore(funcstore_root) \
+                if funcstore_root is not None else None
+            fresh = [run_inline(request, timeout, funcstore=funcstore)
                      for request in to_run]
             if funcstore is not None:
                 # The inline funcstore is shared across every request
-                # in the batch; flush its tallies once (pooled workers
-                # flush their own store into the shipped snapshot).
+                # in the batch; flush its tallies once (the shards
+                # flush their own store into their shutdown snapshot).
                 funcstore.flush_obs(observer)
         for outcome in fresh:
             resolved[outcome.digest] = outcome
-            if cache is not None:
+            if cache is not None and outcome.error is None:
                 cache.put(outcome.digest, outcome.artifact)
 
     # 4. fan results back out to every original request.
@@ -263,7 +255,7 @@ def run_batch(requests: List[AnalysisRequest],
             outcomes.append(RequestOutcome(
                 name=request.name, digest=digest, artifact=base.artifact,
                 cache="dedup", seconds=0.0, attempts=0,
-                request_id=request.request_id))
+                request_id=request.request_id, error=base.error))
 
     # 5. demand queries, after the analysis dispatch (a query against
     # a program this batch just analysed still slices fresh — the two
@@ -283,8 +275,7 @@ def run_batch(requests: List[AnalysisRequest],
                     "op": "query", "name": query.request.name,
                     "var": query.var, "line": query.line,
                     "obj": query.obj, "status": "error",
-                    "error": {"type": type(exc).__name__,
-                              "message": str(exc)},
+                    "error": error_record(exc),
                 }
             row["request_id"] = query.request.request_id
             query_rows.append(row)
@@ -320,12 +311,15 @@ def run_batch(requests: List[AnalysisRequest],
     observer.count("batch.cache_misses",
                    sum(1 for o in outcomes if o.cache == "miss"))
     observer.count("batch.degraded",
-                   sum(1 for o in outcomes if o.artifact.degraded))
+                   sum(1 for o in outcomes if o.status == "degraded"))
+    errors = sum(1 for o in outcomes if o.error is not None)
+    if errors:
+        observer.count("batch.errors", errors)
     # Solver work this batch actually performed — zero on a fully warm
     # batch (the repro.obs-counter form of the cache guarantee).
     observer.count("batch.solver_iterations",
-                   sum(o.artifact.solver_iterations()
-                       for o in outcomes if o.cache == "miss"))
+                   sum(o.artifact.solver_iterations() for o in outcomes
+                       if o.cache == "miss" and o.error is None))
     if cache is not None:
         cache.flush_obs(observer)
     observer.gauge("batch.workers", workers)
@@ -345,7 +339,8 @@ def run_batch(requests: List[AnalysisRequest],
     if slow_ms is not None:
         threshold = slow_ms / 1000.0
         slow = sorted((o for o in outcomes
-                       if o.cache == "miss" and o.seconds >= threshold),
+                       if o.cache == "miss" and o.error is None
+                       and o.seconds >= threshold),
                       key=lambda o: o.seconds, reverse=True)
         for outcome in slow[:8]:
             phases = {}
@@ -412,7 +407,7 @@ def validate_batch_report(doc: object) -> Dict[str, object]:
         _check(isinstance(row.get("digest"), str)
                and len(row["digest"]) == 64,
                f"requests[{i}] digest is not a sha256 hex string")
-        _check(row.get("status") in ("ok", "degraded"),
+        _check(row.get("status") in ("ok", "degraded", "error"),
                f"requests[{i}] status {row.get('status')!r} invalid")
         _check(row.get("cache") in ("hit", "miss", "dedup"),
                f"requests[{i}] cache {row.get('cache')!r} invalid")
@@ -433,8 +428,12 @@ def validate_batch_report(doc: object) -> Dict[str, object]:
         request_id = row.get("request_id")
         _check(request_id is None or isinstance(request_id, str),
                f"requests[{i}] request_id is not a string")
-        _check(isinstance(row.get("summary"), dict),
-               f"requests[{i}] summary is not an object")
+        if row["status"] == "error":
+            _check(isinstance(row.get("error"), dict),
+                   f"requests[{i}] error record missing")
+        else:
+            _check(isinstance(row.get("summary"), dict),
+                   f"requests[{i}] summary is not an object")
     counters = doc.get("counters")
     _check(isinstance(counters, dict), "counters is not an object")
     assert isinstance(counters, dict)

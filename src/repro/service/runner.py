@@ -1,20 +1,25 @@
 """Executing one analysis request end to end.
 
-The degradation ladder (the batch service's availability contract —
-a batch returns *some* result for every request, never an exception):
+The degradation ladder (the availability contract of batch, serve and
+the gateway — every request gets an answer, never a crashed batch):
 
 1. the full FSAM pipeline, under ``config.time_budget`` if set;
-2. on budget exhaustion (``AnalysisTimeout``) or a parent-enforced
-   wall-clock kill: one retry of the full pipeline (pool mode only —
-   in-process budget exhaustion is deterministic, so the inline
-   runner skips straight to rung 3);
-3. the Andersen-only fallback: compile + pre-analysis, packaged as a
+2. cooperative budget exhaustion (``AnalysisTimeout``) degrades where
+   it happens — inline, or inside the shard worker — to rung 4;
+3. when a shard dies under a job (:func:`retry_lost`): a parent-side
+   wall-clock kill degrades at once; a crash is retried once on a live
+   shard, then degrades;
+4. the Andersen-only fallback: compile + pre-analysis, packaged as a
    ``degraded=True`` artifact with flow-insensitive top-level
-   points-to sets and no memory states.
+   points-to sets and no memory states (or, in the gateway, the
+   Andersen preview it already streamed).
 
-:func:`run_request_inline` is the serial building block used by the
-batch driver when ``workers <= 1``, by the pool's last-resort
-fallback in the parent, and directly by tests.
+An exception the analysis itself raises (a ``ParseError``, say) is
+terminal: it repeats on every attempt, so it is never retried and the
+request's outcome carries the error instead of an artifact.
+
+:func:`run_inline` is the ``workers <= 1`` arm of batch and serve;
+:func:`repro.service.shards.run_requests` is the pooled arm.
 """
 
 from __future__ import annotations
@@ -42,31 +47,43 @@ class RequestOutcome:
 
     name: str
     digest: str
-    artifact: AnalysisArtifact
-    cache: str = "miss"            # "hit" | "miss"
+    #: None exactly when the request failed (see ``error``).
+    artifact: Optional[AnalysisArtifact]
+    cache: str = "miss"            # "hit" | "miss" | "dedup"
     seconds: float = 0.0           # total, from the first attempt's start
     attempts: int = 1
     #: Wall-clock duration of each individual attempt (including the
     #: final degraded fallback, when one ran). ``seconds`` measures the
-    #: whole request from the first spawn and therefore also contains
-    #: requeue wait between retries; the per-attempt entries do not.
+    #: whole request from the first dispatch and therefore also
+    #: contains requeue wait before a retry; the per-attempt entries
+    #: do not.
     attempt_seconds: List[float] = field(default_factory=list)
     #: Time spent waiting for a worker slot: the delay from enqueue to
-    #: the first spawn plus any requeue wait between retry rungs.
+    #: the first dispatch plus any requeue wait before a retry.
     #: Disjoint from ``attempt_seconds`` — queue wait vs attempt work
     #: feed separate latency histograms.
     queue_seconds: float = 0.0
     #: Span id assigned by the dispatcher (see ``AnalysisRequest``).
     request_id: Optional[str] = None
     #: The request's ``repro.metrics/1`` telemetry span — recorded by
-    #: the worker-side Observer and shipped back through the result
-    #: pipe (pool mode) or captured in-process (inline mode). None when
-    #: profiling is off and no func-store counters accrued.
+    #: the worker-side Observer and shipped back through the shard
+    #: pipe (pooled) or captured in-process (inline). None when the
+    #: request does not profile.
     obs_snapshot: Optional[Dict[str, object]] = None
+    #: ``{"type", "message"}`` of the exception that failed the
+    #: request; terminal, never retried.
+    error: Optional[Dict[str, str]] = None
 
     @property
     def status(self) -> str:
+        if self.error is not None:
+            return "error"
         return "degraded" if self.artifact.degraded else "ok"
+
+
+def error_record(exc: BaseException) -> Dict[str, str]:
+    """The ``{"type", "message"}`` record a failed request carries."""
+    return {"type": type(exc).__name__, "message": str(exc)}
 
 
 def run_full(request: AnalysisRequest,
@@ -111,7 +128,7 @@ def run_full(request: AnalysisRequest,
 
 def run_degraded(request: AnalysisRequest,
                  reason: str = "budget-exhausted") -> AnalysisArtifact:
-    """Rung 3: Andersen-only. Deliberately ignores the request budget
+    """Rung 4: Andersen-only. Deliberately ignores the request budget
     — the pre-analysis is orders of magnitude cheaper than the sparse
     solve, and the ladder must terminate with a result."""
     from repro.andersen import run_andersen
@@ -122,6 +139,14 @@ def run_degraded(request: AnalysisRequest,
                                   reason=reason)
 
 
+def retry_lost(reason: str, attempts: int) -> bool:
+    """Rung 3, the one decision both shard parents (the gateway and
+    :func:`~repro.service.shards.run_requests`) make when a shard dies
+    under a job: retry a ``worker-crash`` once on a live shard; degrade
+    a ``wall-clock-timeout`` kill, or a second crash, at once."""
+    return reason == "worker-crash" and attempts < 2
+
+
 def run_request_inline(request: AnalysisRequest,
                        funcstore=None) -> RequestOutcome:
     """The serial ladder: full pipeline, degrading on budget
@@ -130,7 +155,7 @@ def run_request_inline(request: AnalysisRequest,
 
     When the request profiles (``config.profile``), the whole attempt
     runs under a per-request span Observer whose ``repro.metrics/1``
-    snapshot lands on ``outcome.obs_snapshot`` — the same shape a pool
+    snapshot lands on ``outcome.obs_snapshot`` — the same shape a shard
     worker ships back, so batch/serve aggregation is dispatch-agnostic.
     (The shared inline *funcstore* is deliberately not flushed here:
     its counters span the whole batch and are flushed once by the
@@ -159,6 +184,31 @@ def run_request_inline(request: AnalysisRequest,
         request_id=request.request_id,
         obs_snapshot=obs.to_metrics_dict() if obs is not None else None,
     )
+
+
+def run_inline(request: AnalysisRequest, timeout: Optional[float] = None,
+               funcstore=None) -> RequestOutcome:
+    """The ``workers <= 1`` arm of batch and serve. There is no process
+    to kill inline, so the request's wall-clock timeout (else
+    *timeout*) becomes its cooperative budget; an exception the
+    analysis raises becomes the outcome's terminal ``error``."""
+    if request.timeout is not None:
+        timeout = request.timeout
+    if timeout is not None and request.config.time_budget is None:
+        config = FSAMConfig.from_dict(request.config.to_dict())
+        config.time_budget = timeout
+        request = AnalysisRequest(
+            name=request.name, source=request.source, config=config,
+            timeout=request.timeout, request_id=request.request_id)
+    start = time.perf_counter()
+    try:
+        return run_request_inline(request, funcstore=funcstore)
+    except Exception as exc:  # noqa: BLE001 - reported in the outcome
+        seconds = time.perf_counter() - start
+        return RequestOutcome(
+            name=request.name, digest=request.digest(), artifact=None,
+            seconds=seconds, attempt_seconds=[seconds],
+            request_id=request.request_id, error=error_record(exc))
 
 
 class QueryRunner:

@@ -23,10 +23,12 @@ a structured error record — ``{"status": "error", "error": {"type":
 killing the loop, and a response that itself fails to serialize is
 downgraded to the same record rather than tearing down the server.
 
-Requests are executed through the same cache + pool machinery as
+Requests are executed through the same cache + shard machinery as
 ``repro batch``: warm requests are served from the artifact cache
-without running any analysis, cold ones run in a worker process under
-the per-request wall-clock timeout (inline when ``workers <= 1``).
+without running any analysis, cold ones run on a shard worker under
+the per-request wall-clock timeout (inline when ``workers <= 1``,
+where the timeout becomes the cooperative budget). A request whose
+analysis raises answers with the same structured error record.
 
 Telemetry: each request gets a serial span id (``sNNNN``) and runs
 under its own Observer; cache-miss snapshots merge into the loop's
@@ -53,11 +55,11 @@ from repro.obs import NULL_OBS, Observer
 from repro.service.cache import (
     ArtifactCache, FuncArtifactStore, QueryArtifactStore,
 )
-from repro.service.pool import WorkerPool
 from repro.service.requests import query_from_entry, request_from_entry
 from repro.service.runner import (
-    QueryRunner, RequestOutcome, run_request_inline,
+    QueryRunner, RequestOutcome, error_record, run_inline,
 )
+from repro.service.shards import run_requests
 
 
 def _response(outcome: RequestOutcome, request_id) -> Dict[str, object]:
@@ -80,11 +82,8 @@ def _response(outcome: RequestOutcome, request_id) -> Dict[str, object]:
     return response
 
 
-def _error_response(exc: BaseException, request_id) -> Dict[str, object]:
-    response: Dict[str, object] = {
-        "status": "error",
-        "error": {"type": type(exc).__name__, "message": str(exc)},
-    }
+def _error_response(error: Dict[str, str], request_id) -> Dict[str, object]:
+    response: Dict[str, object] = {"status": "error", "error": error}
     if request_id is not None:
         response["id"] = request_id
     return response
@@ -99,7 +98,8 @@ def _emit(response: Dict[str, object], out_stream: TextIO,
         ok = True
     except (TypeError, ValueError) as exc:
         obs.count("serve.errors")
-        text = json.dumps(_error_response(exc, request_id), sort_keys=True)
+        text = json.dumps(_error_response(error_record(exc), request_id),
+                          sort_keys=True)
         ok = False
     out_stream.write(text + "\n")
     out_stream.flush()
@@ -217,14 +217,15 @@ def serve_loop(in_stream: TextIO, out_stream: TextIO,
         # A metrics stream without a live observer would emit empty
         # snapshots; upgrade to a real (memory-tracking-free) one.
         obs = Observer(name="serve", track_memory=False)
-    funcstore = FuncArtifactStore(cache.root) \
+    funcstore_root = str(cache.root) \
         if incremental and cache is not None else None
+    # Inline dispatch shares one funcstore across the whole loop; the
+    # shards flush their own store into the snapshot run_requests
+    # merges.
+    funcstore = FuncArtifactStore(funcstore_root) \
+        if funcstore_root is not None and workers <= 1 else None
     querystore = QueryArtifactStore(cache.root) if cache is not None else None
     queryrunner: Optional[QueryRunner] = None
-    pool = WorkerPool(workers=workers, timeout=timeout,
-                      funcstore_root=str(cache.root)
-                      if funcstore is not None else None) \
-        if workers > 1 else None
     served = 0
     serial = 0
     interval = metrics_interval if metrics_interval is not None else 0.0
@@ -292,8 +293,6 @@ def serve_loop(in_stream: TextIO, out_stream: TextIO,
             request = request_from_entry(entry, base_dir=base_dir)
             request.request_id = f"s{serial:04d}"
             serial += 1
-            if timeout is not None and request.timeout is None:
-                request.timeout = timeout
             digest = request.digest()
             artifact = cache.get(digest) if cache is not None else None
             if artifact is not None:
@@ -301,31 +300,41 @@ def serve_loop(in_stream: TextIO, out_stream: TextIO,
                     name=request.name, digest=digest, artifact=artifact,
                     cache="hit", seconds=0.0, attempts=0,
                     request_id=request.request_id)
-            elif pool is not None:
-                outcome = pool.run([request])[0]
+            elif workers > 1:
+                outcome = run_requests([request], workers, timeout=timeout,
+                                       funcstore_root=funcstore_root,
+                                       obs=obs)[0]
             else:
-                outcome = run_request_inline(request, funcstore=funcstore)
-            if cache is not None and outcome.cache == "miss":
-                cache.put(outcome.digest, outcome.artifact)
-            response = _response(outcome, request_id)
-            obs.count("serve.requests")
-            if outcome.cache == "hit":
-                obs.count("serve.cache_hits")
-            if outcome.cache == "miss":
-                # The request's span: worker-side (or inline) counters
-                # and phase times merge into the loop observer; hits
-                # stay out of the latency histograms — they did no
-                # analysis work.
-                if outcome.obs_snapshot is not None:
-                    obs.merge_metrics(outcome.obs_snapshot)
-                for attempt_s in outcome.attempt_seconds:
-                    obs.observe("pool.run_seconds", attempt_s)
-                obs.observe("pool.queue_seconds", outcome.queue_seconds)
-                obs.observe("request.seconds", outcome.seconds)
-            if outcome.artifact.degraded:
-                obs.count("serve.degraded")
+                outcome = run_inline(request, timeout, funcstore=funcstore)
+            if outcome.error is not None:
+                # The analysis raised (in a shard or inline): the same
+                # record an exception raised here produces.
+                response = _error_response(outcome.error, request_id)
+                error = True
+                obs.count("serve.errors")
+            else:
+                if cache is not None and outcome.cache == "miss":
+                    cache.put(outcome.digest, outcome.artifact)
+                response = _response(outcome, request_id)
+                obs.count("serve.requests")
+                if outcome.cache == "hit":
+                    obs.count("serve.cache_hits")
+                if outcome.cache == "miss":
+                    # The request's span: worker-side (or inline)
+                    # counters and phase times merge into the loop
+                    # observer; hits stay out of the latency histograms
+                    # — they did no analysis work.
+                    if outcome.obs_snapshot is not None:
+                        obs.merge_metrics(outcome.obs_snapshot)
+                    for attempt_s in outcome.attempt_seconds:
+                        obs.observe("pool.run_seconds", attempt_s)
+                    obs.observe("pool.queue_seconds",
+                                outcome.queue_seconds)
+                    obs.observe("request.seconds", outcome.seconds)
+                if outcome.artifact.degraded:
+                    obs.count("serve.degraded")
         except Exception as exc:  # noqa: BLE001 - reported on the wire
-            response = _error_response(exc, request_id)
+            response = _error_response(error_record(exc), request_id)
             error = True
             obs.count("serve.errors")
         if _emit(response, out_stream, request_id, obs) and not error:
@@ -334,11 +343,7 @@ def serve_loop(in_stream: TextIO, out_stream: TextIO,
                 and time.monotonic() - last_emit >= interval:
             _emit_metrics(obs, metrics_stream)
             last_emit = time.monotonic()
-    if pool is not None:
-        pool.flush_obs(obs)
-    if funcstore is not None and pool is None:
-        # Inline dispatch shares one funcstore across the whole loop;
-        # pooled workers flush their own store into the shipped span.
+    if funcstore is not None:
         funcstore.flush_obs(obs)
     if querystore is not None and queryrunner is not None:
         querystore.flush_obs(obs)

@@ -1,33 +1,36 @@
-"""Persistent shard workers: the gateway's execution backend.
+"""Shard workers: the one execution core of batch, serve and the
+gateway.
 
-:mod:`repro.service.pool` spawns one process per *attempt* — right
-for batch jobs, wasteful for a gateway whose whole point is warm
-per-program state.  A **shard** is instead a long-lived worker
-process that keeps, across requests:
+A **shard** is a worker process that serves analysis jobs over one
+duplex pipe until it is told to stop. It is the only code that spawns
+analysis processes. Across the jobs of one incarnation it keeps:
 
 - an in-memory LRU of recent :class:`AnalysisArtifact` results
   (``cache: "hot"`` — served without touching disk);
 - the shared on-disk :class:`~repro.service.cache.ArtifactCache`
-  (plus func/query stores) under the gateway cache root;
+  (plus func/query stores) under the cache root;
 - a :class:`~repro.service.runner.QueryRunner` whose per-program
   demand pipelines stay warm between queries;
 - a digest -> request memo, so the parent can resend hot programs as
   a bare ``{"digest": ...}`` reference instead of shipping the source
   text on every request.
 
-Consistent-hash routing (:mod:`repro.gateway.routing`) pins each
-program digest to one shard, so this state is *per-program* warm, not
-just per-process.
+The parent side (:class:`ShardPool`) lives inside an asyncio loop: one
+duplex pipe per shard, a daemon reader thread per shard that posts
+worker messages back onto the loop (``call_soon_threadsafe``), at most
+one in-flight job per shard, a wall-clock kill timer per job (the
+shard is killed and respawned), and crash detection with respawn.
+What happens to a job its shard died under is the caller's decision,
+made by :func:`repro.service.runner.retry_lost`.
 
-The parent side (:class:`ShardPool`) lives inside the gateway's
-asyncio loop: one duplex pipe per shard, a daemon reader thread per
-shard that posts worker messages back onto the loop
-(``call_soon_threadsafe``), at most one in-flight job per shard
-(queued work waits in the gateway's admission queues), parent-enforced
-wall-clock deadlines (the shard is killed and respawned, the same
-hard lever the batch pool has), and crash detection with respawn —
-the gateway rebalances the dead shard's keys onto the ring survivors
-until the respawn lands.
+Two parents drive the pool:
+
+- the gateway (:mod:`repro.gateway.server`), which routes by program
+  digest on a consistent-hash ring so per-program state stays warm;
+- :func:`run_requests`, the synchronous entry of batch and serve,
+  which hands a list of requests FIFO to whichever shard is idle. Its
+  jobs bypass the shard's whole-program cache and hot LRU (the caller
+  owns lookups, dedup and puts) and ship the artifact back.
 
 Worker messages are small dicts; every job answer is a sequence of
 ``(kind, body, final)`` events matching the gateway's frame model:
@@ -38,17 +41,30 @@ or ``error``.
 from __future__ import annotations
 
 import multiprocessing
+import signal
 import threading
 import time
-from collections import OrderedDict
+from collections import OrderedDict, deque
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
+from repro.fsam.config import AnalysisTimeout
 from repro.obs import Observer
+from repro.service.artifacts import AnalysisArtifact, artifact_from_andersen
+from repro.service.cache import (
+    ArtifactCache, FuncArtifactStore, QueryArtifactStore,
+)
 from repro.service.requests import AnalysisRequest, QueryRequest
+from repro.service.runner import (
+    QueryRunner, RequestOutcome, retry_lost, run_degraded, run_full,
+)
 
 #: Per-shard memo caps inside the worker process.
 HOT_ARTIFACTS = 32
 REQUEST_MEMO = 512
+
+#: The signals whose handlers a shard must not inherit from its parent.
+_PARENT_SIGNALS = {signal.SIGINT, signal.SIGTERM}
 
 
 # -- worker-process side ----------------------------------------------------
@@ -82,24 +98,18 @@ class _ShardState:
     """Everything one worker process keeps warm between requests."""
 
     def __init__(self, shard_id: int, options: Dict[str, object]) -> None:
-        from repro.service.cache import (
-            ArtifactCache, FuncArtifactStore, QueryArtifactStore,
-        )
-        from repro.service.runner import QueryRunner
-
         self.shard_id = shard_id
-        self.profile = bool(options.get("profile", True))
         cache_root = options.get("cache_root")
         max_bytes = options.get("cache_max_bytes")
         self.cache = ArtifactCache(cache_root, max_bytes=max_bytes) \
             if cache_root else None
         self.funcstore = FuncArtifactStore(cache_root) \
             if cache_root and options.get("incremental", True) else None
-        querystore = QueryArtifactStore(cache_root) if cache_root else None
-        self.queryrunner = QueryRunner(
-            querystore=querystore,
-            max_pipelines=int(options.get("max_pipelines", 4)))
-        self.querystore = querystore
+        self.cache_root = cache_root
+        # Built by the first query job, as in the serve loop, so a
+        # shard that answers no queries reports no query-store tallies.
+        self.queryrunner: Optional[QueryRunner] = None
+        self.querystore: Optional[QueryArtifactStore] = None
         # digest -> AnalysisRequest (so ref payloads need no source).
         self.requests: "OrderedDict[str, AnalysisRequest]" = OrderedDict()
         # digest -> AnalysisArtifact (in-memory warm answers).
@@ -127,12 +137,13 @@ class _ShardState:
 
 
 def _run_analyze(state: _ShardState, msg: Dict[str, object], conn) -> None:
-    from repro.fsam.config import AnalysisTimeout
-    from repro.service.artifacts import artifact_from_andersen
-    from repro.service.runner import run_degraded, run_full
-
+    """One analyze job. A gateway job answers from the hot LRU or the
+    artifact cache when it can and replies with a response body; a
+    ``ship`` job (from :func:`run_requests`) always runs the pipeline,
+    stores nothing, and replies with the artifact itself."""
     jid = msg["jid"]
     payload = msg["payload"]
+    ship = bool(msg.get("ship"))
     if "source" not in payload:
         digest = str(payload["digest"])
         request = state.requests.get(digest)
@@ -154,20 +165,21 @@ def _run_analyze(state: _ShardState, msg: Dict[str, object], conn) -> None:
         state.remember(digest, request)
 
     start = time.perf_counter()
-    artifact = state.hot.get(digest)
-    cache_state = "hot" if artifact is not None else None
-    if artifact is None and state.cache is not None:
-        artifact = state.cache.get(digest)
+    if not ship:
+        artifact = state.hot.get(digest)
+        cache_state = "hot" if artifact is not None else None
+        if artifact is None and state.cache is not None:
+            artifact = state.cache.get(digest)
+            if artifact is not None:
+                cache_state = "hit"
         if artifact is not None:
-            cache_state = "hit"
-    if artifact is not None:
-        state.keep_hot(digest, artifact)
-        conn.send({"jid": jid, "kind": "result", "final": True,
-                   "body": _response_body(request, digest, artifact,
-                                          cache_state,
-                                          time.perf_counter() - start,
-                                          attempts=0)})
-        return
+            state.keep_hot(digest, artifact)
+            conn.send({"jid": jid, "kind": "result", "final": True,
+                       "body": _response_body(request, digest, artifact,
+                                              cache_state,
+                                              time.perf_counter() - start,
+                                              attempts=0)})
+            return
 
     # Cold: run the pipeline, streaming the Andersen preview when
     # asked.  The preview artifact doubles as the degraded answer if
@@ -185,8 +197,11 @@ def _run_analyze(state: _ShardState, msg: Dict[str, object], conn) -> None:
         conn.send({"jid": jid, "kind": "andersen", "final": False,
                    "body": body})
 
-    obs = Observer(name=request.request_id or request.name,
-                   track_memory=False) if state.profile else None
+    span = request.request_id or request.name
+    if not ship:
+        obs = Observer(name=span, track_memory=False)
+    else:
+        obs = Observer(name=span) if request.config.profile else None
     try:
         artifact = run_full(request, funcstore=state.funcstore, obs=obs,
                             on_preanalysis=on_preanalysis
@@ -197,22 +212,23 @@ def _run_analyze(state: _ShardState, msg: Dict[str, object], conn) -> None:
             artifact.degraded_reason = "budget-exhausted"
         else:
             artifact = run_degraded(request)
-    if state.cache is not None:
-        state.cache.put(digest, artifact)   # degraded never stored
-    if not artifact.degraded:
-        state.keep_hot(digest, artifact)
+    if ship:
+        body: Dict[str, object] = {"artifact": artifact.to_dict()}
+    else:
+        if state.cache is not None:
+            state.cache.put(digest, artifact)   # degraded never stored
+        if not artifact.degraded:
+            state.keep_hot(digest, artifact)
+        body = _response_body(request, digest, artifact, "miss",
+                              time.perf_counter() - start)
     message: Dict[str, object] = {
-        "jid": jid, "kind": "result", "final": True,
-        "body": _response_body(request, digest, artifact, "miss",
-                               time.perf_counter() - start)}
+        "jid": jid, "kind": "result", "final": True, "body": body}
     if obs is not None:
         message["obs"] = obs.to_metrics_dict()
     conn.send(message)
 
 
 def _run_query(state: _ShardState, msg: Dict[str, object], conn) -> None:
-    from repro.service.runner import QueryRunner  # noqa: F401 (typing aid)
-
     jid = msg["jid"]
     payload = msg["payload"]
     request = AnalysisRequest.from_payload(payload["request"])
@@ -220,6 +236,10 @@ def _run_query(state: _ShardState, msg: Dict[str, object], conn) -> None:
                          line=payload.get("line"),
                          obj=bool(payload.get("obj", False)))
     state.remember(request.digest(), request)
+    if state.queryrunner is None:
+        if state.cache_root:
+            state.querystore = QueryArtifactStore(state.cache_root)
+        state.queryrunner = QueryRunner(querystore=state.querystore)
     body = state.queryrunner.run(query)
     if request.request_id is not None:
         body["span"] = request.request_id
@@ -251,7 +271,17 @@ def _close_inherited_sockets(keep_fd: int) -> None:
 def shard_worker_main(conn, shard_id: int,
                       options: Dict[str, object]) -> None:
     """Worker-process entry: serve jobs from the pipe until shutdown
-    (or pipe EOF — a vanished parent must not leave orphans)."""
+    (or pipe EOF — a vanished parent must not leave orphans).
+
+    Whatever handlers the parent had when it forked (serve's shutdown
+    flag, an asyncio loop's ``add_signal_handler``), a shard dies on
+    SIGTERM — the deadline kill — and ignores SIGINT: the parent owns
+    the graceful drain. The parent blocks both signals across the fork,
+    so a kill sent before this reset stays pending until it is done."""
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.set_wakeup_fd(-1)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, _PARENT_SIGNALS)
     _close_inherited_sockets(conn.fileno())
     state = _ShardState(shard_id, options)
     try:
@@ -295,7 +325,8 @@ class ShardHandle:
     """Parent-side state of one shard worker."""
 
     __slots__ = ("shard_id", "proc", "conn", "reader", "alive",
-                 "inflight", "seen_digests", "generation", "kill_reason")
+                 "inflight", "timer", "seen_digests", "generation",
+                 "kill_reason")
 
     def __init__(self, shard_id: int) -> None:
         self.shard_id = shard_id
@@ -303,7 +334,8 @@ class ShardHandle:
         self.conn = None
         self.reader: Optional[threading.Thread] = None
         self.alive = False
-        self.inflight = None            # the gateway's job object
+        self.inflight = None            # the caller's job object
+        self.timer = None               # the in-flight job's kill timer
         self.seen_digests: set = set()  # digests this incarnation holds
         self.generation = 0
         self.kill_reason: Optional[str] = None
@@ -312,22 +344,20 @@ class ShardHandle:
 class ShardPool:
     """N persistent shard workers under an asyncio parent.
 
-    The pool is transport- and policy-free: the gateway owns routing,
+    The pool is transport- and policy-free: its parent owns routing,
     queues, coalescing, and retries, and registers callbacks —
-    ``on_event(shard_id, jid, kind, body, final, obs)`` for worker
-    answers, ``on_shard_down(shard_id, jobs, reason)`` when a worker
-    dies (with whatever was in flight), and ``on_shard_up(shard_id)``
-    after a (re)spawn.
+    ``on_event(shard_id, jid, kind, body, final, obs, retryable)`` for
+    worker answers, ``on_shard_down(shard_id, jobs, reason)`` when a
+    worker dies (with whatever was in flight), and
+    ``on_shard_up(shard_id)`` after a (re)spawn.
     """
 
     def __init__(self, workers: int,
-                 options: Optional[Dict[str, object]] = None,
-                 start_method: Optional[str] = None) -> None:
+                 options: Optional[Dict[str, object]] = None) -> None:
         if workers < 1:
             raise ValueError(f"need at least one shard, got {workers}")
         self.workers = workers
         self.options = dict(options or {})
-        self._ctx = multiprocessing.get_context(start_method)
         self.handles: Dict[int, ShardHandle] = {
             shard_id: ShardHandle(shard_id) for shard_id in range(workers)}
         self.on_event: Callable = lambda *a, **k: None
@@ -348,12 +378,16 @@ class ShardPool:
             self.on_shard_up(handle.shard_id)
 
     def _spawn(self, handle: ShardHandle) -> None:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        proc = self._ctx.Process(
+        parent_conn, child_conn = multiprocessing.Pipe(duplex=True)
+        proc = multiprocessing.Process(
             target=shard_worker_main,
             args=(child_conn, handle.shard_id, self.options),
             daemon=True)
-        proc.start()
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, _PARENT_SIGNALS)
+        try:
+            proc.start()
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         child_conn.close()
         handle.proc = proc
         handle.conn = parent_conn
@@ -393,6 +427,12 @@ class ShardPool:
 
     # -- event-loop callbacks ----------------------------------------------
 
+    @staticmethod
+    def _disarm(handle: ShardHandle) -> None:
+        if handle.timer is not None:
+            handle.timer.cancel()
+            handle.timer = None
+
     def _handle_message(self, handle: ShardHandle, generation: int,
                         msg: Dict[str, object]) -> None:
         if generation != handle.generation:
@@ -400,6 +440,7 @@ class ShardPool:
         jid = msg.get("jid")
         final = bool(msg.get("final"))
         if final:
+            self._disarm(handle)
             handle.inflight = None
         self.on_event(handle.shard_id, jid, msg.get("kind"),
                       msg.get("body"), final, msg.get("obs"),
@@ -409,6 +450,7 @@ class ShardPool:
                       _msg) -> None:
         if generation != handle.generation or self._closing:
             return
+        self._disarm(handle)
         handle.alive = False
         lost = handle.inflight
         handle.inflight = None
@@ -437,10 +479,14 @@ class ShardPool:
     # -- job dispatch ------------------------------------------------------
 
     def submit(self, shard_id: int, jid: int, job,
-               message: Dict[str, object]) -> None:
-        """Send one job message to *shard_id* (the gateway guarantees
-        the shard is idle).  Raises ``BrokenPipeError`` when the shard
-        just died — the caller treats it like a crash."""
+               message: Dict[str, object],
+               timeout: Optional[float] = None) -> None:
+        """Send one job message to *shard_id* (the caller guarantees
+        the shard is idle).  With a wall-clock *timeout*, a job still
+        running that many seconds later has its shard killed; the loss
+        reaches ``on_shard_down`` as ``wall-clock-timeout``.  Raises
+        ``BrokenPipeError`` when the shard just died — the caller
+        treats it like a crash."""
         handle = self.handles[shard_id]
         if not handle.alive or handle.conn is None:
             raise BrokenPipeError(f"shard {shard_id} is down")
@@ -453,20 +499,22 @@ class ShardPool:
         except (BrokenPipeError, OSError):
             handle.inflight = None
             raise BrokenPipeError(f"shard {shard_id} pipe broke") from None
+        if timeout is not None:
+            handle.timer = self._loop.call_later(
+                timeout, self._expire, handle, handle.generation)
+
+    def _expire(self, handle: ShardHandle, generation: int) -> None:
+        """Kill timer: death flows through the reader thread's EOF like
+        any crash, tagged with the reason."""
+        handle.timer = None
+        if generation != handle.generation or not handle.alive:
+            return
+        handle.kill_reason = "wall-clock-timeout"
+        handle.proc.terminate()
 
     def idle(self, shard_id: int) -> bool:
         handle = self.handles[shard_id]
         return handle.alive and handle.inflight is None
-
-    def kill(self, shard_id: int, reason: str) -> None:
-        """Hard-kill a shard (deadline enforcement).  Death flows
-        through the reader thread's EOF like any crash, tagged with
-        *reason*."""
-        handle = self.handles[shard_id]
-        if handle.proc is None or not handle.alive:
-            return
-        handle.kill_reason = reason
-        handle.proc.terminate()
 
     # -- digest memo (source-elision protocol) ------------------------------
 
@@ -498,16 +546,192 @@ class ShardPool:
         for handle in self.handles.values():
             if handle.proc is None:
                 continue
-            while handle.proc.is_alive() \
-                    and time.monotonic() < deadline:
-                await asyncio.sleep(0.02)
-            if handle.proc.is_alive():
+            # The reader ends at the shard's bye (or EOF).  Join it
+            # before closing the pipe under it, so the bye is
+            # delivered, not lost; a shard still busy past the
+            # deadline is killed.
+            await asyncio.to_thread(handle.reader.join,
+                                    max(0.0, deadline - time.monotonic()))
+            if handle.reader.is_alive():
                 handle.proc.terminate()
-                handle.proc.join(timeout=1.0)
+                await asyncio.to_thread(handle.reader.join, 1.0)
+            handle.proc.join(1.0)
             try:
                 handle.conn.close()
             except OSError:  # pragma: no cover
                 pass
-        # Give reader threads a beat to deliver their bye messages.
+        # Run the callbacks the readers posted: their bye snapshots.
         await asyncio.sleep(0)
         return list(self._bye_obs)
+
+
+# -- batch and serve: a list of requests on fresh shards ---------------------
+
+
+@dataclass
+class _RequestJob:
+    """One :func:`run_requests` request on its way through the ladder."""
+
+    index: int
+    request: AnalysisRequest
+    enqueued: float                 # last (re)enqueue, for queue wait
+    attempts: int = 0
+    started: float = 0.0            # this attempt's dispatch
+    first_started: Optional[float] = None
+    queue_seconds: float = 0.0
+    attempt_seconds: List[float] = field(default_factory=list)
+
+
+class _RequestRun:
+    """The parent side of one :func:`run_requests` call: FIFO dispatch
+    onto idle shards, the ladder's parent rungs, and the ``pool.*``
+    tallies."""
+
+    def __init__(self, requests: List[AnalysisRequest],
+                 timeout: Optional[float]) -> None:
+        now = time.perf_counter()
+        self.jobs = [_RequestJob(i, request, now)
+                     for i, request in enumerate(requests)]
+        self.pending = deque(self.jobs)
+        self.timeout = timeout
+        self.outcomes: List[Optional[RequestOutcome]] = [None] * len(requests)
+        self.unfinished = len(requests)
+        self.tally = dict.fromkeys(
+            ("pool.dispatched", "pool.retries", "pool.timeouts",
+             "pool.worker_errors", "pool.budget_exhaustions",
+             "pool.degraded"), 0)
+
+    async def drive(self, shards: int, options: Dict[str, object]
+                    ) -> List[Dict[str, object]]:
+        """Run every job to an outcome; returns the shards' ``bye``
+        snapshots.  Pool callbacks only queue events, so everything
+        below runs in this coroutine and an exception ends the run
+        (after the shards are shut down) instead of a stuck loop."""
+        import asyncio
+        events: asyncio.Queue = asyncio.Queue()
+        pool = ShardPool(shards, options)
+        pool.on_event = lambda *args: events.put_nowait((self._answered,
+                                                         args))
+        pool.on_shard_down = lambda _shard, lost, reason: \
+            events.put_nowait((self._lost, (lost, reason)))
+        try:
+            await pool.start()
+            self._pump(pool)
+            while self.unfinished:
+                handler, args = await events.get()
+                handler(*args)
+                self._pump(pool)
+        finally:
+            byes = await pool.shutdown()
+        return byes
+
+    def _pump(self, pool: ShardPool) -> None:
+        for shard_id in range(pool.workers):
+            if self.pending and pool.idle(shard_id):
+                self._dispatch(pool, shard_id, self.pending.popleft())
+
+    def _dispatch(self, pool: ShardPool, shard_id: int,
+                  job: _RequestJob) -> None:
+        request = job.request
+        try:
+            pool.submit(shard_id, job.index, job,
+                        {"job_kind": "analyze", "ship": True,
+                         "payload": request.to_payload()},
+                        timeout=request.timeout
+                        if request.timeout is not None else self.timeout)
+        except BrokenPipeError:
+            # The shard just died; its respawn takes the job.
+            self.pending.appendleft(job)
+            return
+        now = time.perf_counter()
+        job.queue_seconds += now - job.enqueued
+        if job.first_started is None:
+            job.first_started = now
+        job.started = now
+        job.attempts += 1
+        self.tally["pool.dispatched"] += 1
+
+    def _answered(self, _shard: int, jid: int, kind: str,
+                  body: Dict[str, object], final: bool,
+                  snapshot: Optional[Dict[str, object]],
+                  _retryable) -> None:
+        if not final:
+            return
+        job = self.jobs[jid]
+        job.attempt_seconds.append(time.perf_counter() - job.started)
+        if kind == "error":
+            # A worker-reported exception repeats on every attempt.
+            self.tally["pool.worker_errors"] += 1
+            error = body["error"]
+            self._finish(job, None, snapshot,
+                         error={"type": error["type"],
+                                "message": error["message"]})
+            return
+        artifact = AnalysisArtifact.from_dict(body["artifact"])
+        if artifact.degraded:   # the worker's budget ran out
+            self.tally["pool.budget_exhaustions"] += 1
+            self.tally["pool.degraded"] += 1
+        self._finish(job, artifact, snapshot)
+
+    def _lost(self, lost: List[_RequestJob], reason: str) -> None:
+        now = time.perf_counter()
+        for job in lost:
+            job.attempt_seconds.append(now - job.started)
+            self.tally["pool.timeouts" if reason == "wall-clock-timeout"
+                       else "pool.worker_errors"] += 1
+            if retry_lost(reason, job.attempts):
+                self.tally["pool.retries"] += 1
+                job.enqueued = now
+                self.pending.append(job)
+                continue
+            self.tally["pool.degraded"] += 1
+            rung_start = time.perf_counter()
+            artifact = run_degraded(job.request, reason=reason)
+            job.attempt_seconds.append(time.perf_counter() - rung_start)
+            self._finish(job, artifact, None)
+
+    def _finish(self, job: _RequestJob, artifact, snapshot,
+                error: Optional[Dict[str, str]] = None) -> None:
+        request = job.request
+        self.outcomes[job.index] = RequestOutcome(
+            name=request.name,
+            digest=request.digest(),
+            artifact=artifact,
+            seconds=time.perf_counter() - job.first_started,
+            attempts=job.attempts,
+            attempt_seconds=job.attempt_seconds,
+            queue_seconds=job.queue_seconds,
+            request_id=request.request_id,
+            obs_snapshot=snapshot,
+            error=error,
+        )
+        self.unfinished -= 1
+
+
+def run_requests(requests: List[AnalysisRequest], workers: int,
+                 timeout: Optional[float] = None,
+                 funcstore_root: Optional[str] = None,
+                 obs: Optional[Observer] = None) -> List[RequestOutcome]:
+    """Run *requests* to terminal outcomes on ``min(workers,
+    len(requests))`` fresh shards; the outcomes come back in request
+    order.  The pooled arm of batch and serve.
+
+    Requests go FIFO to whichever shard is idle — there is no hash
+    ring, since a batch wants any free worker.  Each job runs under its
+    own wall-clock deadline (``request.timeout``, else *timeout*) and
+    walks the ladder of :mod:`repro.service.runner`.  With
+    *funcstore_root*, the shards reuse the per-function store under it.
+    The ``pool.*`` tallies and the shards' store tallies (their ``bye``
+    snapshots) are flushed into *obs*."""
+    if not requests:
+        return []
+    import asyncio
+    run = _RequestRun(requests, timeout)
+    options = {"cache_root": funcstore_root} if funcstore_root else {}
+    byes = asyncio.run(run.drive(min(workers, len(requests)), options))
+    if obs is not None:
+        for name, count in run.tally.items():
+            obs.count(name, count)
+        for snapshot in byes:
+            obs.merge_metrics(snapshot)
+    return run.outcomes  # type: ignore[return-value]

@@ -346,6 +346,14 @@ class TestBatchServeCLI:
         assert main(["batch", str(spec)]) == 3
         assert "degraded" in capsys.readouterr().out
 
+    def test_failed_request_exits_3(self, tmp_path, capsys):
+        spec = tmp_path / "broken.json"
+        spec.write_text(json.dumps({"requests": [
+            {"workload": "word_count"},
+            {"source": "int main( { return 0; }", "name": "bad"}]}))
+        assert main(["batch", str(spec)]) == 3
+        assert "error" in capsys.readouterr().out
+
     def test_file_entry_relative_to_spec(self, tmp_path, capsys):
         (tmp_path / "tiny.mc").write_text("int main() { return 0; }")
         spec = tmp_path / "spec.json"

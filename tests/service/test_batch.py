@@ -95,6 +95,35 @@ class TestReport:
             assert name in text
         assert "batch.cache_misses" in text
 
+    def test_per_request_timeout_becomes_inline_budget(self):
+        request = _requests(("raytrace",))[0]
+        request.timeout = 1e-9
+        report = run_batch([request], workers=1)
+        assert report.outcomes[0].status == "degraded"
+        assert report.outcomes[0].artifact.degraded_reason == \
+            "budget-exhausted"
+
+    def test_error_row_validates_and_renders(self, tmp_path):
+        from repro.harness import batch_report_to_csv
+        bad = AnalysisRequest(name="bad", source="int main( { return 0; }")
+        cache = ArtifactCache(tmp_path)
+        report = run_batch(_requests(("word_count",)) + [bad, bad],
+                           workers=1, cache=cache)
+        doc = validate_batch_report(report.to_dict())
+        rows = doc["requests"]
+        assert [row["status"] for row in rows] == ["ok", "error", "error"]
+        assert [row["cache"] for row in rows] == ["miss", "miss", "dedup"]
+        assert rows[1]["error"]["type"] == "ParseError"
+        assert "summary" not in rows[1]
+        assert doc["aggregate"]["degraded"] == 0
+        assert report.counters["batch.errors"] == 2
+        assert report.counters["cache.stores"] == 1   # errors not cached
+        assert "error" in render_batch_report(doc)
+        assert "bad" in batch_report_to_csv(doc)
+        del rows[1]["error"]
+        with pytest.raises(ValueError, match="error record"):
+            validate_batch_report(doc)
+
     def test_validator_rejects_bad_rows(self):
         report = run_batch(_requests(("word_count",)), workers=1)
         doc = report.to_dict()

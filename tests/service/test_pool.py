@@ -1,18 +1,21 @@
-"""Worker-pool scheduling: sharding, timeouts, retry, degradation."""
+"""Shard dispatch for batch and serve (``run_requests``): FIFO
+sharding, deadlines, the crash retry, degradation, terminal errors."""
 
-import multiprocessing
-import time
-from collections import deque
+import os
 
 import pytest
 
 from repro.fsam.config import FSAMConfig
-from repro.service.pool import WorkerPool, _Attempt, _PENDING
+from repro.obs import Observer
+from repro.service import shards
+from repro.service.batch import run_batch
 from repro.service.requests import AnalysisRequest
 from repro.service.runner import run_request_inline
+from repro.service.shards import run_requests
 from repro.workloads import get_workload
 
 SMALL = ("word_count", "kmeans", "automount")
+BAD_SOURCE = "int main( { return 0; }"
 
 
 def _requests(names=SMALL, **config_kwargs):
@@ -23,69 +26,70 @@ def _requests(names=SMALL, **config_kwargs):
             for name in names]
 
 
+def _run(requests, workers, **kwargs):
+    obs = Observer(name="t")
+    return run_requests(requests, workers, obs=obs, **kwargs), obs.counters
+
+
 class TestPoolHappyPath:
     def test_pooled_matches_inline(self):
         requests = _requests()
-        pool = WorkerPool(workers=2)
-        outcomes = pool.run(requests)
+        outcomes, counters = _run(requests, 2)
         assert [o.name for o in outcomes] == list(SMALL)
         for outcome, request in zip(outcomes, requests):
             inline = run_request_inline(request)
             assert outcome.status == "ok"
             assert outcome.artifact.payload_digest() == \
                 inline.artifact.payload_digest()
-        assert pool.dispatched == len(SMALL)
-        assert pool.degraded == 0
-        assert pool.retried == 0
+        assert counters["pool.dispatched"] == len(SMALL)
+        assert counters["pool.degraded"] == 0
+        assert counters["pool.retries"] == 0
         for outcome in outcomes:
             assert len(outcome.attempt_seconds) == 1
             assert 0 < outcome.attempt_seconds[0] <= outcome.seconds + 1e-6
 
     def test_more_workers_than_requests(self):
-        outcomes = WorkerPool(workers=8).run(_requests(("word_count",)))
+        outcomes, _ = _run(_requests(("word_count",)), 8)
         assert len(outcomes) == 1
         assert outcomes[0].status == "ok"
 
     def test_results_in_request_order(self):
         # raytrace takes much longer than word_count; order must not
         # follow completion order.
-        requests = _requests(("raytrace", "word_count"))
-        outcomes = WorkerPool(workers=2).run(requests)
+        outcomes, _ = _run(_requests(("raytrace", "word_count")), 2)
         assert [o.name for o in outcomes] == ["raytrace", "word_count"]
 
 
 class TestPoolDegradation:
     def test_budget_exhaustion_degrades_without_retry(self):
         # The cooperative in-process budget is deterministic, so the
-        # pool skips the retry rung and degrades immediately.
-        pool = WorkerPool(workers=2)
-        outcomes = pool.run(_requests(("raytrace",), time_budget=1e-9))
+        # shard degrades at once instead of walking the retry rung.
+        outcomes, counters = _run(
+            _requests(("raytrace",), time_budget=1e-9), 2)
         assert outcomes[0].status == "degraded"
         assert outcomes[0].artifact.degraded_reason == "budget-exhausted"
-        assert pool.budget_exhaustions == 1
-        assert pool.retried == 0
-        assert pool.degraded == 1
+        assert counters["pool.budget_exhaustions"] == 1
+        assert counters["pool.retries"] == 0
+        assert counters["pool.degraded"] == 1
 
     def test_wall_clock_timeout_retries_then_degrades(self):
-        # A 1ms wall-clock deadline kills the worker before it can
-        # finish; after one retry the pool falls back to the
-        # Andersen-only artifact instead of failing the batch.
+        # A 1ms wall-clock deadline kills the shard before it can
+        # finish. A kill is not retried: the request falls back to the
+        # Andersen-only artifact at once instead of failing the batch.
         request = AnalysisRequest(name="raytrace",
                                   source=get_workload("raytrace").source(1),
                                   timeout=0.001)
-        pool = WorkerPool(workers=1)
-        outcomes = pool.run([request])
+        outcomes, counters = _run([request], 1)
         assert outcomes[0].status == "degraded"
         assert outcomes[0].artifact.degraded_reason == "wall-clock-timeout"
         assert outcomes[0].artifact.pts_top      # Andersen survives
         assert not outcomes[0].artifact.mem
-        assert pool.timeouts >= 1
-        assert pool.retried == 1
-        assert outcomes[0].attempts == 2
-        # Two killed attempts plus the degraded fallback rung, each
-        # timed individually; ``seconds`` spans the whole request
-        # (including the requeue wait the per-attempt entries exclude).
-        assert len(outcomes[0].attempt_seconds) == 3
+        assert counters["pool.timeouts"] == 1
+        assert counters["pool.retries"] == 0
+        assert outcomes[0].attempts == 1
+        # The killed attempt plus the degraded fallback rung, each
+        # timed individually; ``seconds`` spans the whole request.
+        assert len(outcomes[0].attempt_seconds) == 2
         assert all(s >= 0 for s in outcomes[0].attempt_seconds)
         assert sum(outcomes[0].attempt_seconds) <= outcomes[0].seconds + 1e-6
 
@@ -97,97 +101,78 @@ class TestPoolDegradation:
                                  config=FSAMConfig(time_budget=1e-9))
         requests = _requests(("word_count",)) + [doomed] \
             + _requests(("kmeans",))
-        outcomes = WorkerPool(workers=2).run(requests)
+        outcomes, _ = _run(requests, 2)
         assert [o.status for o in outcomes] == ["ok", "degraded", "ok"]
 
 
-class _ExitedProc:
-    """A worker process that has already exited."""
+class TestTerminalErrors:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_malformed_request_does_not_abort_the_batch(self, workers):
+        requests = _requests(("word_count",)) + [
+            AnalysisRequest(name="bad", source=BAD_SOURCE)]
+        report = run_batch(requests, workers=workers)
+        assert [o.status for o in report.outcomes] == ["ok", "error"]
+        assert report.outcomes[1].error["type"] == "ParseError"
+        assert report.outcomes[1].artifact is None
+        assert report.counters["batch.errors"] == 1
+        if workers > 1:
+            # One dispatch per request: the doomed one is not retried.
+            assert report.counters["pool.dispatched"] == 2
+            assert report.counters["pool.retries"] == 0
 
-    def is_alive(self):
-        return False
-
-    def join(self, timeout=None):
-        return None
-
-    def terminate(self):  # pragma: no cover - not reached in these tests
-        return None
-
-
-class _LateMessageConn:
-    """Reproduces the send-then-exit race deterministically: the
-    sweep's first poll sees an empty pipe (the worker had not sent
-    yet), the liveness check then finds the process dead, and only the
-    post-join drain can observe the message the worker sent in
-    between."""
-
-    def __init__(self, conn):
-        self._conn = conn
-        self._polls = 0
-
-    def poll(self, timeout=0):
-        self._polls += 1
-        if self._polls == 1:
-            return False
-        return self._conn.poll(timeout)
-
-    def recv(self):
-        return self._conn.recv()
-
-    def close(self):
-        return self._conn.close()
+    def test_worker_exception_is_dispatched_once(self):
+        outcomes, counters = _run(
+            [AnalysisRequest(name="bad", source=BAD_SOURCE)], 2)
+        assert outcomes[0].error["type"] == "ParseError"
+        assert outcomes[0].attempts == 1
+        assert counters["pool.dispatched"] == 1
+        assert counters["pool.retries"] == 0
 
 
-class TestPoolSendExitRace:
-    def test_result_sent_between_poll_and_liveness_check_is_recovered(self):
-        # Regression: a worker that sends its result and exits in the
-        # window between the parent's conn.poll(0) and proc.is_alive()
-        # used to be misclassified as a worker crash (result thrown
-        # away, request retried). The fix drains the pipe once more
-        # after joining the dead process.
+_real_run_analyze = shards._run_analyze
+
+
+def _answer_then_exit(state, msg, conn):
+    """A shard that sends its final answer and exits at once, so the
+    parent reads the message and the pipe's EOF back to back."""
+    _real_run_analyze(state, msg, conn)
+    os._exit(0)
+
+
+def _exit_without_answer(state, msg, conn):
+    os._exit(1)
+
+
+class TestShardSendExitRace:
+    def test_final_message_then_eof_yields_the_result(self, monkeypatch):
+        # The shards fork from this process, so they run the patch. A
+        # final message followed by EOF on the same pipe is an answer,
+        # not a crash: no retry, no degradation.
+        monkeypatch.setattr(shards, "_run_analyze", _answer_then_exit)
         request = _requests(("word_count",))[0]
-        artifact = run_request_inline(request).artifact
-        reader, writer = multiprocessing.Pipe(duplex=False)
-        writer.send({"status": "ok", "artifact": artifact.to_dict()})
-        writer.close()
-        pool = WorkerPool(workers=1)
-        now = time.perf_counter()
-        attempt = _Attempt(0, request, 1, _ExitedProc(),
-                           _LateMessageConn(reader), deadline=None,
-                           started_at=now)
-        outcome = pool._sweep(attempt, deque(), {0: now}, {})
-        assert outcome is not _PENDING and outcome is not None
-        assert outcome.status == "ok"
-        assert outcome.artifact.payload_digest() == artifact.payload_digest()
-        assert pool.worker_errors == 0
-        assert pool.retried == 0
-        assert len(outcome.attempt_seconds) == 1
+        outcomes, counters = _run([request], 2)
+        assert outcomes[0].status == "ok"
+        assert outcomes[0].artifact.payload_digest() == \
+            run_request_inline(request).artifact.payload_digest()
+        assert outcomes[0].attempts == 1
+        assert counters["pool.retries"] == 0
+        assert counters["pool.worker_errors"] == 0
 
-    def test_exit_without_message_is_still_a_crash(self):
-        # The drain must not mask a genuine crash: a dead worker with
-        # an empty pipe still lands on the retry/degrade ladder.
-        request = _requests(("word_count",))[0]
-        reader, writer = multiprocessing.Pipe(duplex=False)
-        writer.close()
-        pool = WorkerPool(workers=1)
-        now = time.perf_counter()
-        attempt = _Attempt(0, request, 1, _ExitedProc(),
-                           _LateMessageConn(reader), deadline=None,
-                           started_at=now)
-        pending = deque()
-        outcome = pool._sweep(attempt, pending, {0: now}, {})
-        assert outcome is None          # requeued for the retry
-        assert pool.worker_errors == 1
-        assert pool.retried == 1
-        assert pending and pending[0][2] == 2
+    def test_exit_without_message_is_a_crash(self, monkeypatch):
+        # EOF with no final message: retried once on a live shard,
+        # then degraded.
+        monkeypatch.setattr(shards, "_run_analyze", _exit_without_answer)
+        outcomes, counters = _run(_requests(("word_count",)), 2)
+        assert outcomes[0].status == "degraded"
+        assert outcomes[0].artifact.degraded_reason == "worker-crash"
+        assert outcomes[0].attempts == 2
+        assert counters["pool.retries"] == 1
+        assert counters["pool.worker_errors"] == 2
+        assert len(outcomes[0].attempt_seconds) == 3
 
 
 class TestPoolObs:
     def test_flush_obs(self):
-        from repro.obs import Observer
-        pool = WorkerPool(workers=2)
-        pool.run(_requests(("word_count",)))
-        obs = Observer(name="t")
-        pool.flush_obs(obs)
-        assert obs.counters["pool.dispatched"] == 1
-        assert obs.counters["pool.degraded"] == 0
+        _, counters = _run(_requests(("word_count",)), 2)
+        assert counters["pool.dispatched"] == 1
+        assert counters["pool.degraded"] == 0

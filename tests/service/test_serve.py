@@ -73,18 +73,19 @@ class TestServeLoop:
             degraded_reason = None
             summary = {"weird": object()}
 
-        def fake_run(request):
+        def fake_run(request, timeout=None, funcstore=None):
             return RequestOutcome(name=request.name, digest="d0",
                                   artifact=_Artifact(), cache="miss",
                                   seconds=0.0, attempts=1)
 
-        monkeypatch.setattr(serve_mod, "run_request_inline", fake_run)
+        monkeypatch.setattr(serve_mod, "run_inline", fake_run)
         served, responses = _serve([
             '{"workload": "word_count", "id": 9}',
         ])
         assert served == 0
         assert responses[0]["status"] == "error"
         assert responses[0]["error"]["type"] == "TypeError"
+        assert "JSON serializable" in responses[0]["error"]["message"]
         assert responses[0]["id"] == 9
 
     def test_blank_lines_skipped(self):
@@ -113,3 +114,27 @@ class TestServeLoop:
             '"config": {"time_budget": 1e-9}}'])
         assert responses[0]["status"] == "degraded"
         assert responses[0]["degraded_reason"] == "budget-exhausted"
+
+
+class TestServeDispatch:
+    def test_inline_timeout_becomes_budget(self):
+        # workers=1 has no process to kill: --timeout becomes the
+        # cooperative budget, as in an inline batch.
+        served, responses = _serve(['{"workload": "raytrace"}'],
+                                   timeout=1e-6)
+        assert served == 1
+        assert responses[0]["status"] == "degraded"
+        assert responses[0]["degraded_reason"] == "budget-exhausted"
+
+    def test_analysis_error_type_same_inline_and_pooled(self):
+        bad = '{"source": "int main( { return 0; }", "name": "bad", "id": 4}'
+        for workers in (1, 2):
+            obs = Observer(name="t")
+            served, responses = _serve([bad, '{"workload": "word_count"}'],
+                                       workers=workers, obs=obs)
+            assert served == 1
+            assert responses[0]["status"] == "error"
+            assert responses[0]["error"]["type"] == "ParseError"
+            assert responses[0]["id"] == 4
+            assert responses[1]["status"] == "ok"
+            assert obs.counters["serve.errors"] == 1

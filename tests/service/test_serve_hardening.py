@@ -144,6 +144,32 @@ class TestSignalSubprocess:
     def test_sigint_drains_and_exits_zero(self):
         self._drain_and_signal(self._spawn(), signal.SIGINT)
 
+    def test_pooled_deadline_kill_answers_degraded(self):
+        """``serve --workers 2`` installs its SIGTERM drain handler
+        before it forks shards; the deadline's terminate() must still
+        kill the shard, and the request must answer degraded."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--workers", "2"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, env=env, text=True)
+        lines = ('{"workload": "word_count", "id": 1}\n'
+                 '{"workload": "raytrace", "scale": 4, "timeout": 0.2, '
+                 '"id": 2}\n')
+        try:
+            out, err = proc.communicate(lines, timeout=60)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.communicate()
+            raise
+        assert proc.returncode == 0, err
+        ok, late = [json.loads(line) for line in out.splitlines()]
+        assert ok["status"] == "ok"
+        assert late["status"] == "degraded"
+        assert late["degraded_reason"] == "wall-clock-timeout"
+        assert late["attempts"] == 1
+
     def test_in_process_serve_restores_dispositions(self, monkeypatch,
                                                     capsys):
         """``main(["serve"])`` must leave SIGINT/SIGTERM exactly as it

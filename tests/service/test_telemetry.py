@@ -11,9 +11,9 @@ from repro.harness.report import TelemetrySource, render_telemetry_report
 from repro.obs import validate_metrics, validate_metrics_stream
 from repro.service.batch import run_batch
 from repro.service.cache import ArtifactCache
-from repro.service.pool import WorkerPool
 from repro.service.requests import AnalysisRequest
 from repro.service.serve import serve_loop
+from repro.service.shards import run_requests
 from repro.workloads import get_workload
 
 SMALL = ("word_count", "kmeans", "automount")
@@ -110,8 +110,7 @@ class TestQueueWait:
         # the first, and that wait lands in queue_seconds, not in the
         # per-attempt run times.
         requests = _requests(("word_count", "kmeans"))
-        pool = WorkerPool(workers=1)
-        outcomes = pool.run(requests)
+        outcomes = run_requests(requests, 1)
         assert outcomes[0].queue_seconds >= 0.0
         assert outcomes[1].queue_seconds > 0.0
         # The follower waited at least as long as the leader's run.
@@ -124,8 +123,7 @@ class TestQueueWait:
 
 class TestWorkerSnapshots:
     def test_snapshot_shipped_with_profile(self):
-        outcomes = WorkerPool(workers=2).run(
-            _requests(("word_count",), profile=True))
+        outcomes = run_requests(_requests(("word_count",), profile=True), 2)
         snapshot = outcomes[0].obs_snapshot
         assert snapshot is not None
         validate_metrics(snapshot)
