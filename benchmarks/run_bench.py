@@ -2,24 +2,17 @@
 
 Runs every workload under both solver engines (the optimised delta/
 topological engine and the retained naive reference engine) and
-emits one ``repro.bench/1`` JSON document per run with:
+emits one ``repro.bench/1`` JSON document per run with deterministic
+work counts and memory, no wall clocks (timings come from
+``perfbench/``):
 
-- one traced measurement per engine (wall time, solver work counters,
-  peak traced memory, points-to entry counts) — the continuity record
-  every previous snapshot carried; and
-- a **repeat-timed solve phase** per engine: ``--warmup`` discarded
-  iterations (they populate the frozen graph's schedule/topology
-  caches), then ``--reps`` timed iterations run *without* tracemalloc
-  and with a garbage collection before each, recorded per-iteration
-  with the median as the headline number. The engines share one
-  compiled+analyzed pipeline, so ``solve_speedup`` (reference median /
-  delta median) isolates exactly the code the engines disagree on; and
+- one traced measurement per engine (solver work counters, peak
+  traced memory, points-to entry counts) plus the delta/reference
+  ``iteration_ratio``; and
 - a **query section** (``--queries N``, default 4): N seeded-random +
-  N hot (most-SSA-versioned) top-level variables answered through the
-  demand engine, each median-of-``--reps`` on a *fresh* QueryEngine
-  per repetition (cold slices — no warm-answer accumulation), compared
-  against the same workload's whole-program delta solve median
-  (``median_speedup``), plus the slice-size distribution.
+  N hot (most-SSA-versioned) top-level variables, each answered once
+  by a *fresh* demand QueryEngine (a cold slice — no warm-answer
+  accumulation), recording slice sizes and solver iterations.
 
 Usage::
 
@@ -39,17 +32,15 @@ nothing must not read as a pass.
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import random
 import statistics
 import sys
-import time
 
 from repro.fsam import FSAM
 from repro.fsam.config import FSAMConfig
 from repro.frontend import compile_source
-from repro.harness.measure import Measurement, measure_fsam, time_fsam_solve
+from repro.harness.measure import Measurement, measure_fsam
 from repro.harness.scales import BENCH_SCALES, SMOKE_SCALES
 from repro.schemas import BENCH_SCHEMA as SCHEMA
 from repro.workloads import get_workload, source_loc, workload_names
@@ -66,7 +57,6 @@ def _engine_record(m: Measurement) -> dict:
     counters = (m.profile or {}).get("counters", {})
     gauges = (m.profile or {}).get("gauges", {})
     record = {
-        "seconds": round(m.seconds, 4),
         "peak_memory_mb": round(m.peak_memory_mb, 3),
         "points_to_entries": m.points_to_entries,
         "oot": m.oot,
@@ -78,17 +68,6 @@ def _engine_record(m: Measurement) -> dict:
         if name in gauges:
             record[name] = gauges[name]
     return record
-
-
-def _solve_record(result, engine: str, reps: int, warmup: int) -> dict:
-    config = FSAMConfig(solver_engine=engine)
-    iters = time_fsam_solve(result, config, reps=reps, warmup=warmup)
-    return {
-        "reps": reps,
-        "warmup": warmup,
-        "per_iteration_seconds": [round(t, 5) for t in iters],
-        "median_seconds": round(statistics.median(iters), 5),
-    }
 
 
 def _query_targets(module, count: int):
@@ -121,55 +100,32 @@ def _query_targets(module, count: int):
     return targets
 
 
-def _query_section(result, count: int, reps: int, warmup: int,
-                   solve_median: float) -> dict | None:
-    """Time ``2*count`` demand queries against the shared pipeline.
+def _query_section(result, count: int) -> dict | None:
+    """Answer ``2*count`` demand queries against the shared pipeline.
 
-    Every repetition uses a *fresh* QueryEngine so each timing is a
-    cold slice-and-solve (the engine otherwise accumulates solved
-    slices and later queries come back warm in ~0 time, which is the
-    serving win but not the number this section isolates)."""
+    Every query uses a *fresh* QueryEngine so each answer is a cold
+    slice-and-solve (the engine otherwise accumulates solved slices
+    and later queries come back warm with zero iterations, which is
+    the serving win but not the work this section records)."""
     from repro.fsam.query import QueryEngine
 
     targets = _query_targets(result.module, count)
     if not targets:
         return None
-
-    def fresh():
-        return QueryEngine(result.module, result.dug, result.builder,
-                           result.andersen, config=result.solver.config)
-
     rows = []
     for var in targets:
-        times = []
-        answer = None
-        for i in range(warmup + reps):
-            engine = fresh()
-            gc.collect()
-            start = time.perf_counter()
-            answer = engine.query(var)
-            elapsed = time.perf_counter() - start
-            if i >= warmup:
-                times.append(elapsed)
+        engine = QueryEngine(result.module, result.dug, result.builder,
+                             result.andersen, config=result.solver.config)
+        answer = engine.query(var)
         rows.append({
             "var": var,
-            "per_iteration_seconds": [round(t, 6) for t in times],
-            "median_seconds": round(statistics.median(times), 6),
             "slice_nodes": answer.slice_nodes,
             "slice_fraction": round(answer.slice_fraction, 6),
             "iterations": answer.iterations,
         })
-    medians = [row["median_seconds"] for row in rows]
     slice_sizes = [row["slice_nodes"] for row in rows]
-    median_query = statistics.median(medians)
     return {
-        "reps": reps,
-        "warmup": warmup,
         "count": len(rows),
-        "delta_solve_median_seconds": solve_median,
-        "median_query_seconds": round(median_query, 6),
-        "median_speedup": round(solve_median / median_query, 2)
-        if median_query > 0 else None,
         "slice_nodes_min": min(slice_sizes),
         "slice_nodes_p50": int(statistics.median(slice_sizes)),
         "slice_nodes_max": max(slice_sizes),
@@ -179,8 +135,8 @@ def _query_section(result, count: int, reps: int, warmup: int,
     }
 
 
-def run_snapshot(names, scales, engines=ENGINES, reps=5, warmup=2,
-                 queries=4, verbose=True) -> dict:
+def run_snapshot(names, scales, engines=ENGINES, queries=4,
+                 verbose=True) -> dict:
     workloads = {}
     for name in names:
         scale = scales[name]
@@ -193,43 +149,20 @@ def run_snapshot(names, scales, engines=ENGINES, reps=5, warmup=2,
             if verbose:
                 rec = entry["engines"][engine]
                 print(f"  {name:>14} [{engine:>9}] "
-                      f"{rec['seconds']:>8.3f}s "
                       f"iters={rec.get('solver.iterations', '-'):>7} "
                       f"revisits={rec.get('solver.node_revisits', '-'):>7} "
                       f"pts={rec['points_to_entries']}")
-        if reps > 0:
-            # One shared pipeline: both engines re-solve the identical
-            # frozen graph, so the timing difference is the solver.
+        if queries > 0:
             result = FSAM(compile_source(source, name=name)).run()
-            for engine in engines:
-                rec = _solve_record(result, engine, reps, warmup)
-                entry["engines"].setdefault(engine, {})["solve"] = rec
+            qrec = _query_section(result, queries)
+            if qrec is not None:
+                entry["query"] = qrec
                 if verbose:
-                    print(f"  {name:>14} [{engine:>9}] solve "
-                          f"median={rec['median_seconds']:.4f}s "
-                          f"over {reps} reps")
-            delta_solve = entry["engines"].get("delta", {}).get("solve")
-            if queries > 0 and delta_solve:
-                qrec = _query_section(
-                    result, queries, reps, warmup,
-                    delta_solve["median_seconds"])
-                if qrec is not None:
-                    entry["query"] = qrec
-                    if verbose:
-                        print(f"  {name:>14} [{'query':>9}] "
-                              f"median={qrec['median_query_seconds']:.5f}s "
-                              f"over {qrec['count']} queries, "
-                              f"speedup={qrec['median_speedup']}x, "
-                              f"slice p50={qrec['slice_nodes_p50']} nodes")
+                    print(f"  {name:>14} [{'query':>9}] "
+                          f"{qrec['count']} queries, "
+                          f"slice p50={qrec['slice_nodes_p50']} nodes")
         if "delta" in entry["engines"] and "reference" in entry["engines"]:
             d, r = entry["engines"]["delta"], entry["engines"]["reference"]
-            if d["seconds"] > 0:
-                entry["speedup"] = round(r["seconds"] / d["seconds"], 2)
-            if "solve" in d and "solve" in r and \
-                    d["solve"]["median_seconds"] > 0:
-                entry["solve_speedup"] = round(
-                    r["solve"]["median_seconds"]
-                    / d["solve"]["median_seconds"], 2)
             entry["iteration_ratio"] = round(
                 d["solver.iterations"] / max(r["solver.iterations"], 1), 3)
         workloads[name] = entry
@@ -280,12 +213,6 @@ def main(argv=None) -> int:
     parser.add_argument("--threshold", type=float, default=0.20,
                         help="regression threshold for --compare "
                              "(default 0.20 = +20%%)")
-    parser.add_argument("--reps", type=int, default=5,
-                        help="timed solve-phase iterations per engine "
-                             "(default 5; 0 skips solve re-timing)")
-    parser.add_argument("--warmup", type=int, default=2,
-                        help="discarded solve-phase warmup iterations "
-                             "(default 2)")
     parser.add_argument("--queries", type=int, default=4,
                         help="demand-query section size: N random + N "
                              "hot variables per workload (default 4; "
@@ -298,10 +225,8 @@ def main(argv=None) -> int:
     engines = tuple(args.engines.split(","))
 
     print(f"bench: {len(names)} workloads, scales={args.scales}, "
-          f"engines={','.join(engines)}, reps={args.reps}")
-    workloads = run_snapshot(names, scales, engines,
-                             reps=args.reps, warmup=args.warmup,
-                             queries=args.queries)
+          f"engines={','.join(engines)}")
+    workloads = run_snapshot(names, scales, engines, queries=args.queries)
     doc = {
         "schema": SCHEMA,
         "pr": args.pr,

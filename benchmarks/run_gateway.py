@@ -2,7 +2,7 @@
 
 Drives a real in-process :class:`repro.gateway.server.Gateway` (TCP,
 framed JSONL, persistent shard workers) with a seeded zipfian trace
-(:mod:`repro.gateway.trace`) whose ranks are ordered by *cold* cost —
+(``benchmarks/gateway_trace.py``) whose ranks are ordered by *cold* cost —
 the most expensive workloads are the hottest, the regime the gateway's
 consistent-hash routing + coalescing + layered caches target. Reports,
 per workload, client-observed p50/p99 latency and the speedup over the
@@ -35,8 +35,8 @@ import time
 from collections import defaultdict
 from typing import Dict, List, Optional, Tuple
 
+from gateway_trace import DEFAULT_SKEW, TraceGenerator, skew_error
 from repro.gateway.server import Gateway, GatewayOptions
-from repro.gateway.trace import DEFAULT_SKEW, TraceGenerator, skew_error
 from repro.harness.scales import BENCH_SCALES, SMOKE_SCALES
 from repro.service.requests import request_from_entry
 from repro.service.runner import run_request_inline

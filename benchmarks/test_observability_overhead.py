@@ -4,8 +4,9 @@ The obs layer keeps hot paths clean by accumulating plain int tallies
 on the analysis objects and flushing them once per run (see DESIGN.md
 "Observability"); the only per-phase work is a pair of perf_counter
 reads per pipeline stage. This benchmark pins that design down: on
-the largest registry workload, running FSAM with a live Observer must
-cost less than 5% over running with profiling disabled (NULL_OBS).
+the largest registry workload, running FSAM with its default live
+Observer must cost less than 5% over running against the explicit
+``obs=NULL_OBS`` opt-out.
 
 Methodology: the workload is compiled once (re-analysis of a module is
 deterministic — see test_pts_representation's entry-count pin), the
@@ -21,6 +22,7 @@ import time
 from repro.frontend import compile_source
 from repro.fsam import FSAM, FSAMConfig
 from repro.harness.scales import BENCH_SCALES
+from repro.obs import NULL_OBS
 from repro.workloads import get_workload
 
 WORKLOAD = "x264"
@@ -30,11 +32,12 @@ MAX_OVERHEAD = 1.05  # enabled / disabled CPU-time ratio ceiling
 _RESULT = {}
 
 
-def _one_run(module, config):
-    """CPU time of a single analysis-only run."""
+def _one_run(module, obs=None):
+    """CPU time of a single analysis-only run (``obs=None``: FSAM's
+    own fresh Observer)."""
     gc.collect()
     start = time.process_time()
-    result = FSAM(module, config).run()
+    result = FSAM(module, FSAMConfig(), obs=obs).run()
     return time.process_time() - start, result
 
 
@@ -45,10 +48,10 @@ def test_enabled_instrumentation_under_five_percent(benchmark):
     def compare():
         enabled_times, disabled_times = [], []
         for _ in range(ROUNDS):
-            seconds, result = _one_run(module, FSAMConfig())
+            seconds, result = _one_run(module)
             enabled_times.append(seconds)
             _RESULT["profiled"] = result
-            seconds, _ = _one_run(module, FSAMConfig(profile=False))
+            seconds, _ = _one_run(module, obs=NULL_OBS)
             disabled_times.append(seconds)
         return min(enabled_times), min(disabled_times)
 
@@ -95,32 +98,45 @@ BATCH_SCALE = 4  # ~0.5s of analysis per side: a 5% bound is ~25ms,
 _BATCH_RESULT = {}
 
 
-def _batch_requests(profile):
+def _batch_requests():
     from repro.service.requests import AnalysisRequest
     names = ("word_count", "kmeans", "automount")
-    config = FSAMConfig(profile=profile)
     return [AnalysisRequest(name=name,
                             source=get_workload(name).source(BATCH_SCALE),
-                            config=config)
+                            config=FSAMConfig())
             for name in names]
 
 
-def _one_batch(profile, slow_ms):
-    """CPU time of one inline (workers=1) cold batch."""
+def _one_batch():
+    """CPU time of one inline (workers=1) cold batch, telemetry on."""
     from repro.service.batch import run_batch
     gc.collect()
     start = time.process_time()
-    report = run_batch(_batch_requests(profile), workers=1,
-                       slow_ms=slow_ms)
+    report = run_batch(_batch_requests(), workers=1, slow_ms=0)
     return time.process_time() - start, report
+
+
+def _one_bare():
+    """CPU time of the same three requests analysed with no batch
+    driver and no observer: compile, FSAM against NULL_OBS, artifact."""
+    from repro.service.artifacts import artifact_from_result
+    gc.collect()
+    start = time.process_time()
+    for request in _batch_requests():
+        module = compile_source(request.source, name=request.name)
+        result = FSAM(module, request.config, obs=NULL_OBS).run()
+        artifact_from_result(request.name, result)
+    return time.process_time() - start
 
 
 def test_batch_telemetry_under_five_percent(benchmark):
     """The cross-process telemetry layer (span observers, snapshot
     merging, histogram recording, exemplar capture) must add < 5% to a
-    batch over telemetry-off runs. Inline dispatch so subprocess
-    spawn jitter cannot drown the signal — the instrumented code path
-    is identical either way.
+    batch over the same requests analysed bare (no batch driver, no
+    observer — so the batch's own bookkeeping counts against the
+    bound too). Inline dispatch so subprocess spawn jitter cannot
+    drown the signal — the instrumented code path is identical either
+    way.
 
     The statistic is the best adjacent-pair ratio, not best-of-N per
     side: shared-machine contention scales both runs of a back-to-back
@@ -130,15 +146,15 @@ def test_batch_telemetry_under_five_percent(benchmark):
     # One untimed pair first: the process's first analysis run pays
     # allocator/import warmup that would otherwise be charged to
     # whichever side runs first.
-    _one_batch(profile=True, slow_ms=0)
-    _one_batch(profile=False, slow_ms=None)
+    _one_batch()
+    _one_bare()
 
     def compare():
         ratios = []
         for _ in range(BATCH_ROUNDS):
-            on_seconds, report = _one_batch(profile=True, slow_ms=0)
+            on_seconds, report = _one_batch()
             _BATCH_RESULT["report"] = report
-            off_seconds, _ = _one_batch(profile=False, slow_ms=None)
+            off_seconds = _one_bare()
             ratios.append(on_seconds / off_seconds)
         return ratios
 

@@ -35,8 +35,9 @@ def test_simplify_impact(benchmark, name):
     plain_n, slim_n, plain, slim = benchmark.pedantic(run_both, rounds=1,
                                                       iterations=1)
     shrink = 1.0 - slim_n / plain_n
+    plain_ms = plain.obs.phase_seconds()["sparse_solve"] * 1000
+    slim_ms = slim.obs.phase_seconds()["sparse_solve"] * 1000
     print(f"\n[{name}] IR {plain_n} -> {slim_n} instructions "
           f"({shrink * 100.0:.1f}% smaller), "
-          f"solve {plain.phase_times['sparse_solve'] * 1000:.1f}ms -> "
-          f"{slim.phase_times['sparse_solve'] * 1000:.1f}ms")
+          f"solve {plain_ms:.1f}ms -> {slim_ms:.1f}ms")
     assert slim_n <= plain_n

@@ -38,12 +38,16 @@ from repro.frontend import compile_source
 from repro.fsam import FSAM, FSAMConfig
 from repro.ir import Load, print_module
 from repro.ir.values import Temp
+from repro.obs import NULL_OBS, Observer
 
 
-def _load_module(path: str):
+def _load_module(path: str, obs: Observer = NULL_OBS):
+    """Compile the MiniC file at *path*, timing the frontend as the
+    ``compile`` phase of *obs* (the phase a service span records)."""
     with open(path) as handle:
         source = handle.read()
-    return compile_source(source, name=path)
+    with obs.phase("compile"):
+        return compile_source(source, name=path)
 
 
 def _config_from(args, trace: bool = False) -> FSAMConfig:
@@ -77,11 +81,8 @@ def _maybe_write_profile(result, args) -> None:
     path = getattr(args, "profile", None)
     if not path or result is None:
         return
-    obs = getattr(result, "obs", None)
-    if obs is None or not obs.enabled:
-        return
     with open(path, "w") as handle:
-        handle.write(obs.to_json())
+        handle.write(result.obs.to_json())
         handle.write("\n")
 
 
@@ -111,17 +112,24 @@ def _traced(args, thunk):
             tracemalloc.stop()
 
 
-def _run_fsam(module, args, trace: bool = False):
-    result = _traced(args,
-                     lambda: FSAM(module, _config_from(args, trace=trace)).run())
+def _run_fsam(args, trace: bool = False):
+    """Compile ``args.file`` and run FSAM on it; the run's phase tree
+    starts with the frontend's ``compile`` phase."""
+    obs = Observer(name="fsam")
+
+    def run():
+        module = _load_module(args.file, obs)
+        return FSAM(module, _config_from(args, trace=trace), obs=obs).run()
+
+    result = _traced(args, run)
     _maybe_write_profile(result, args)
     _maybe_write_trace(result, args)
     return result
 
 
 def cmd_analyze(args) -> int:
-    module = _load_module(args.file)
-    result = _run_fsam(module, args)
+    result = _run_fsam(args)
+    module = result.module
     if args.json:
         payload = {
             "stats": _jsonable(result.stats()),
@@ -221,8 +229,7 @@ def cmd_escape(args) -> int:
 
 
 def cmd_threads(args) -> int:
-    module = _load_module(args.file)
-    result = _run_fsam(module, args)
+    result = _run_fsam(args)
     model = result.thread_model
     print(f"{len(model.threads)} abstract thread(s)")
     for thread in model.threads:
@@ -243,25 +250,24 @@ def cmd_ir(args) -> int:
 
 def cmd_dot(args) -> int:
     from repro import viz
-    module = _load_module(args.file)
-    result = _run_fsam(module, args)
+    result = _run_fsam(args)
     if args.what == "dug":
         print(viz.dug_to_dot(result.dug))
     elif args.what == "icfg":
         from repro.cfg import ICFG
-        print(viz.icfg_to_dot(ICFG(module, result.andersen.callgraph)))
+        print(viz.icfg_to_dot(ICFG(result.module,
+                                   result.andersen.callgraph)))
     else:
         print(viz.thread_tree_to_dot(result.thread_model))
     return 0
 
 
 def cmd_explain(args) -> int:
-    module = _load_module(args.file)
     if args.var is not None:
         # Recorded-provenance mode: rerun with tracing forced on and
         # walk the derivation chains the solver logged.
         from repro.fsam.explain import explain_fact
-        result = _run_fsam(module, args, trace=True)
+        result = _run_fsam(args, trace=True)
         chains = explain_fact(result, args.var, obj_name=args.obj)
         if not chains:
             wanted = f" pointing to {args.obj!r}" if args.obj else ""
@@ -275,7 +281,7 @@ def cmd_explain(args) -> int:
         return 2
     # Legacy post-hoc mode: backwards BFS, no tracing required.
     from repro.fsam.explain import explain_at_line
-    result = _run_fsam(module, args)
+    result = _run_fsam(args)
     provenances = explain_at_line(result, args.line, args.target)
     if not provenances:
         print(f"no load at line {args.line} reads {args.target!r}")
@@ -290,7 +296,6 @@ def cmd_query(args) -> int:
     abstract object, with ``--obj``) may point to by solving only the
     backward DUG slice that can reach it — bit-identical to the
     whole-program fixpoint, usually a small fraction of the work."""
-    from repro.obs import Observer
     from repro.service.cache import QueryArtifactStore
     from repro.service.requests import AnalysisRequest, QueryRequest
     from repro.service.runner import QueryRunner
@@ -337,8 +342,7 @@ def cmd_query(args) -> int:
 
 def cmd_trace(args) -> int:
     """Run FSAM with tracing on; dump the repro.trace/1 JSONL."""
-    module = _load_module(args.file)
-    result = _run_fsam(module, args, trace=True)
+    result = _run_fsam(args, trace=True)
     text = result.trace_jsonl()
     out = getattr(args, "out", None)
     if out:
@@ -414,16 +418,14 @@ def cmd_stats(args) -> int:
             doc = json.load(handle)
         validate_profile(doc)
     else:
-        module = _load_module(args.file)
         started = not tracemalloc.is_tracing()
         if started:
             tracemalloc.start()
         try:
-            result = FSAM(module, _config_from(args)).run()
+            result = _run_fsam(args)
         finally:
             if started:
                 tracemalloc.stop()
-        _maybe_write_profile(result, args)
         doc = result.profile()
     if args.chrome:
         from repro.trace import profile_to_chrome
@@ -505,7 +507,6 @@ def _cache_max_bytes(args) -> Optional[int]:
 
 def cmd_serve(args) -> int:
     """Long-lived stdin/JSONL analysis loop (one request per line)."""
-    from repro.obs import Observer
     from repro.service import ArtifactCache, serve_loop
     from repro.service.serve import ShutdownFlag
 

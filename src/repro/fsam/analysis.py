@@ -6,7 +6,6 @@ value-flow analysis -> lock analysis -> sparse flow-sensitive solve.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional, Set
 
 from repro.andersen import AndersenResult, run_andersen
@@ -35,7 +34,6 @@ class FSAMResult:
                  builder: MemorySSABuilder, model: Optional[ThreadModel],
                  mhp: Optional[MHPOracle],
                  vf_stats: Optional[ValueFlowStats],
-                 phase_times: Dict[str, float],
                  obs: Observer = NULL_OBS,
                  tracer: Tracer = NULL_TRACER) -> None:
         self.module = module
@@ -46,7 +44,6 @@ class FSAMResult:
         self.thread_model = model
         self.mhp = mhp
         self.vf_stats = vf_stats
-        self.phase_times = phase_times
         self.obs = obs
         self.tracer = tracer
         # Filled by FSAM.run() when an incremental hook participated.
@@ -189,7 +186,7 @@ class FSAMResult:
         return self.solver.points_to_entries()
 
     def total_time(self) -> float:
-        return sum(self.phase_times.values())
+        return self.obs.total_seconds()
 
     def profile(self) -> Dict[str, object]:
         """The observability document for this run (schema
@@ -213,7 +210,9 @@ class FSAMResult:
 
     def stats(self) -> Dict[str, object]:
         return {
-            "phase_times": dict(self.phase_times),
+            "phase_times": {path: seconds for path, seconds
+                            in self.obs.phase_seconds().items()
+                            if "/" not in path},
             "points_to_entries": self.points_to_entries(),
             "dug_nodes": len(self.dug.nodes),
             "dug_mem_edges": self.dug.num_mem_edges(),
@@ -254,14 +253,10 @@ class FSAM:
         # phase, with ``(module, andersen)``. Purely observational — it
         # must not mutate either argument.
         self.on_preanalysis = on_preanalysis
-        # An explicit observer wins; otherwise config.profile decides
-        # between a fresh Observer and the shared no-op one.
-        if obs is not None:
-            self.obs = obs
-        elif self.config.profile:
-            self.obs = Observer(name="fsam")
-        else:
-            self.obs = NULL_OBS
+        # An explicit observer wins (NULL_OBS opts out of recording);
+        # otherwise the run records into a fresh one. Its phase tree is
+        # the run's only timing record.
+        self.obs = obs if obs is not None else Observer(name="fsam")
         # Same shape for the tracer: explicit instance wins, otherwise
         # config.trace picks between a fresh Tracer and the no-op one.
         if tracer is not None:
@@ -275,16 +270,10 @@ class FSAM:
         deadline = Deadline(self.config.time_budget)
         obs = self.obs
         tracer = self.tracer
-        times: Dict[str, float] = {}
 
         def timed(name: str, thunk):
-            # phase_times is kept alongside the observer's phase tree:
-            # it must stay populated even with profiling off (NULL_OBS
-            # records nothing), and harness consumers read it directly.
-            start = time.perf_counter()
             with obs.phase(name):
                 value = thunk()
-            times[name] = time.perf_counter() - start
             deadline.check()
             return value
 
@@ -316,11 +305,12 @@ class FSAM:
             if self.config.solver_engine == "reference" else SparseSolver
         solver = engine(self.module, dug, builder, andersen,
                         config=self.config, deadline=deadline,
-                        tracer=tracer)
+                        tracer=tracer, obs=obs)
         # Demand mode: the pipeline up to value flow is identical, but
         # the fixpoint is deferred to per-query backward slices
-        # (FSAMResult.query). The reference engine has no sliced
-        # variant, so it keeps its whole-program solve.
+        # (FSAMResult.query), so no sparse_solve phase is recorded. The
+        # reference engine has no sliced variant, so it keeps its
+        # whole-program solve.
         demand = self.config.solver_mode == "demand" \
             and engine is SparseSolver
         plan = None
@@ -329,12 +319,10 @@ class FSAM:
             plan = timed("incremental_plan",
                          lambda: self.incremental(self.module, dug, builder,
                                                   andersen, self.config))
-        if demand:
-            times["sparse_solve"] = 0.0
-        elif plan is not None and plan.reuse is not None:
+        if plan is not None and plan.reuse is not None:
             timed("sparse_solve",
                   lambda: solver.solve_incremental(plan.reuse))
-        else:
+        elif not demand:
             timed("sparse_solve", solver.solve)
         incremental_stats: Optional[Dict[str, object]] = None
         if plan is not None:
@@ -353,8 +341,7 @@ class FSAM:
             locks.flush_obs(obs)
         solver.flush_obs(obs)
         result = FSAMResult(self.module, solver, andersen, dug, builder,
-                            model, mhp, vf_stats, times, obs=obs,
-                            tracer=tracer)
+                            model, mhp, vf_stats, obs=obs, tracer=tracer)
         result.incremental_stats = incremental_stats
         return result
 

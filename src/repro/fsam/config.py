@@ -50,16 +50,12 @@ class FSAMConfig:
     strong_updates_at_interfering_stores: bool = True
     # Wall-clock budget for the whole analysis (None = unbounded).
     time_budget: Optional[float] = None
-    # Collect observability data (phase timers, counters, gauges) in a
-    # repro.obs.Observer during the run. Cheap enough to default on;
-    # set False to run every hook against the shared no-op observer.
-    profile: bool = True
     # Record derivation provenance and typed events in a
     # repro.trace.Tracer during the run (why each points-to fact
     # holds, per-pair [THREAD-VF] verdicts, lock-span decisions).
-    # Unlike profile this defaults off: provenance touches the
-    # solver's per-fact hot path, and the overhead benchmark's budget
-    # is stated for the trace-off configuration.
+    # Off by default: provenance touches the solver's per-fact hot
+    # path, and the overhead benchmark's budget is stated for the
+    # trace-off configuration.
     trace: bool = False
     # Calling-context depth for the thread interference analyses.
     # None = full context-sensitivity (the paper's setting, recursion
@@ -90,7 +86,6 @@ class FSAMConfig:
             "lock_analysis": self.lock_analysis,
             "strong_updates_at_interfering_stores": self.strong_updates_at_interfering_stores,
             "time_budget": self.time_budget,
-            "profile": self.profile,
             "trace": self.trace,
             "max_context_depth": self.max_context_depth,
             "solver_engine": self.solver_engine,
@@ -113,7 +108,7 @@ class FSAMConfig:
         — the config part of the artifact cache key. Excluded on
         purpose: ``time_budget`` (changes whether the run finishes,
         not what it computes; degraded results are never cached),
-        ``profile``/``trace`` (observability side channels), and
+        ``trace`` (an observability side channel), and
         ``solver_engine`` (both engines compute the same fixpoint,
         pinned by the differential suite)."""
         return {

@@ -32,7 +32,7 @@ from repro.memssa.dug import (
     CallChiNode, CallMuNode, DUG, DUGNode, FormalInNode, FormalOutNode,
     MemPhiNode, StmtNode,
 )
-from repro.obs import Observer
+from repro.obs import NULL_OBS, Observer
 from repro.trace import NULL_TRACER, Tracer
 
 
@@ -49,7 +49,8 @@ class ReferenceSolver:
     def __init__(self, module: Module, dug: DUG, builder: MemorySSABuilder,
                  andersen: AndersenResult, config: Optional[FSAMConfig] = None,
                  deadline: Optional[Deadline] = None,
-                 tracer: Tracer = NULL_TRACER) -> None:
+                 tracer: Tracer = NULL_TRACER,
+                 obs: Observer = NULL_OBS) -> None:
         self.module = module
         self.dug = dug
         self.builder = builder
@@ -58,8 +59,10 @@ class ReferenceSolver:
         self.config = config or FSAMConfig()
         self.deadline = deadline
         # Accepted for interface parity; the reference engine records
-        # no provenance (use the delta engine for `repro explain`).
+        # no provenance (use the delta engine for `repro explain`) and
+        # builds no schedule to time.
         self.tracer = tracer
+        self.obs = obs
         self.provenance = None
         self.pts_top: Dict[int, object] = {}
         self.mem: Dict[Tuple[int, int], object] = {}

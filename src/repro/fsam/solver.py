@@ -80,7 +80,7 @@ from repro.memssa.dug import (
     CallChiNode, CallMuNode, DUG, DUGNode, FormalInNode, FormalOutNode,
     MemPhiNode, StmtNode,
 )
-from repro.obs import Observer
+from repro.obs import NULL_OBS, Observer
 from repro.pts import PTSet, PTUniverse
 from repro.trace import Derivation, NULL_TRACER, Tracer, mem_fact, top_fact
 
@@ -284,7 +284,8 @@ class SparseSolver:
     def __init__(self, module: Module, dug: DUG, builder: MemorySSABuilder,
                  andersen: AndersenResult, config: Optional[FSAMConfig] = None,
                  deadline: Optional[Deadline] = None,
-                 tracer: Tracer = NULL_TRACER) -> None:
+                 tracer: Tracer = NULL_TRACER,
+                 obs: Observer = NULL_OBS) -> None:
         self.module = module
         self.dug = dug
         # Direct handles on the DUG's adjacency dicts — the per-update
@@ -300,6 +301,9 @@ class SparseSolver:
         self.config = config or FSAMConfig()
         self.deadline = deadline
         self.tracer = tracer
+        # Times the whole-program schedule build (solve() only: demand
+        # slices are solved per query and would grow the phase tree).
+        self.obs = obs
         # Fact key -> Derivation; None when tracing is off so the hot
         # path's guard is a single identity test.
         self.provenance: Optional[Dict[Tuple, Derivation]] = \
@@ -535,7 +539,8 @@ class SparseSolver:
         self._heap = []
 
     def solve(self) -> None:
-        self._prepare()
+        with self.obs.phase("schedule"):
+            self._prepare()
         self._solve_prepared()
 
     def solve_demand(self, node_uids: Set[int], temp_ids: Set[int]) -> None:

@@ -14,9 +14,10 @@ minimal HTTP/1.1, backed by the persistent warm shard workers of
 - :mod:`repro.gateway.admission` — per-tenant token buckets and
   bounded priority queues;
 - :mod:`repro.gateway.server` — the :class:`~repro.gateway.server.Gateway`
-  tying it all together (the shard pool included);
-- :mod:`repro.gateway.trace` — deterministic zipfian request traces
-  for the load-test harness and CI smoke job.
+  tying it all together (the shard pool included).
+
+The load test's zipfian request traces live with the load test, in
+``benchmarks/gateway_trace.py``.
 
 Importing the package imports none of its modules, so ``repro serve``
 can share :mod:`repro.gateway.protocol`'s input hardening without

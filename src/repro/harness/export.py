@@ -9,7 +9,7 @@ import json
 from typing import Dict, List
 
 from repro.harness.measure import Measurement
-from repro.harness.tables import ABLATIONS
+from repro.harness.tables import ABLATIONS, resolution_seconds
 
 
 def _measurement_dict(m: Measurement) -> Dict[str, object]:
@@ -127,11 +127,10 @@ def figure12_to_csv(rows: List[Dict[str, object]]) -> str:
     writer.writerow(header)
     for row in rows:
         base: Measurement = row["base"]
-        base_solve = (base.phase_times or {}).get("sparse_solve", base.seconds)
-        record = [row["benchmark"], f"{base_solve:.5f}", base.thread_edges]
+        record = [row["benchmark"], f"{resolution_seconds(base):.5f}",
+                  base.thread_edges]
         for label, _phase in ABLATIONS:
             m: Measurement = row[label]
-            solve = (m.phase_times or {}).get("sparse_solve", m.seconds)
-            record += [f"{solve:.5f}", m.thread_edges]
+            record += [f"{resolution_seconds(m):.5f}", m.thread_edges]
         writer.writerow(record)
     return buffer.getvalue()

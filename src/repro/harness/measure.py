@@ -1,9 +1,9 @@
 """Measurement wrappers: wall-clock time, peak memory, OOT handling.
 
 Each wrapper runs one analysis under a fresh :class:`repro.obs.Observer`
-and attaches the resulting profile document to the measurement, so the
+and attaches the resulting profile document to the measurement: the
 table/figure layer (and ``repro bench --profile``) reads per-phase
-times and counters from one source.
+times and counters from that one record.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ class Measurement:
     peak_memory_mb: float            # tracemalloc peak during the run
     points_to_entries: int           # state-size proxy (see DESIGN.md)
     oot: bool = False
-    phase_times: Optional[Dict[str, float]] = None
     thread_edges: int = 0            # [THREAD-VF] def-use edges added
     profile: Optional[Dict[str, object]] = None   # repro.obs/1 document
 
@@ -67,12 +66,10 @@ def _measured(name: str, analysis: str, thunk,
         # skews subsequent measurements).
         tracemalloc.stop()
     entries = 0
-    phase_times = None
     thread_edges = 0
     profile = None
     if result is not None:
         entries = result.points_to_entries()
-        phase_times = getattr(result, "phase_times", None)
         dug = getattr(result, "dug", None)
         if dug is not None:
             thread_edges = len(dug.thread_edges)
@@ -85,8 +82,7 @@ def _measured(name: str, analysis: str, thunk,
     return Measurement(name=name, analysis=analysis, seconds=seconds,
                        peak_memory_mb=peak / (1024.0 * 1024.0),
                        points_to_entries=entries, oot=oot,
-                       phase_times=phase_times, thread_edges=thread_edges,
-                       profile=profile)
+                       thread_edges=thread_edges, profile=profile)
 
 
 def measure_fsam(name: str, source: str, config: Optional[FSAMConfig] = None) -> Measurement:
@@ -95,37 +91,6 @@ def measure_fsam(name: str, source: str, config: Optional[FSAMConfig] = None) ->
     obs = Observer(name=name)
     return _measured(name, "fsam",
                      lambda: FSAM(module, config, obs=obs).run(), obs=obs)
-
-
-def time_fsam_solve(result, config: FSAMConfig, reps: int = 5,
-                    warmup: int = 2) -> list:
-    """Per-iteration wall-clock of just the solve phase, re-run on an
-    already-analyzed pipeline (*result* is an ``FSAMResult``).
-
-    Unlike :func:`measure_fsam` this never runs under tracemalloc —
-    allocation tracing taxes every solver allocation and distorts
-    engine comparisons — and it collects garbage before each timed
-    iteration so another run's cycles are not billed to this one.
-    A fresh solver is constructed per iteration (construction is part
-    of the engine's cost); *warmup* iterations populate the DUG's
-    schedule/topology caches and are discarded.
-    """
-    from repro.fsam.reference import ReferenceSolver
-    from repro.fsam.solver import SparseSolver
-    engine = ReferenceSolver \
-        if config.solver_engine == "reference" else SparseSolver
-
-    def one() -> float:
-        solver = engine(result.module, result.dug, result.builder,
-                        result.andersen, config=config)
-        gc.collect()
-        start = time.perf_counter()
-        solver.solve()
-        return time.perf_counter() - start
-
-    for _ in range(warmup):
-        one()
-    return [one() for _ in range(reps)]
 
 
 def measure_nonsparse(name: str, source: str,

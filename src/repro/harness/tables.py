@@ -133,16 +133,14 @@ def run_figure12(scales: Optional[Dict[str, int]] = None,
     return rows
 
 
-def _resolution_time(m: Measurement) -> float:
-    """The paper measures the impact on sparse points-to *resolution*
-    (the final solve over the def-use graph). Prefers the profile
-    document's phase tree; falls back to the legacy phase_times dict."""
-    if m.profile:
-        for phase in m.profile.get("phases", []):
-            if phase.get("name") == "sparse_solve":
-                return float(phase["seconds"])
-    if m.phase_times:
-        return m.phase_times.get("sparse_solve", m.seconds)
+def resolution_seconds(m: Measurement) -> float:
+    """Figure 12's time: the paper measures the impact on sparse
+    points-to *resolution* (the final solve over the def-use graph),
+    read from the profile's ``sparse_solve`` phase. A run that never
+    reached the solve (out of time) falls back to its whole time."""
+    for phase in (m.profile or {}).get("phases", []):
+        if phase["name"] == "sparse_solve":
+            return float(phase["seconds"])
     return m.seconds
 
 
@@ -153,11 +151,11 @@ def render_figure12(rows: List[Dict[str, object]]) -> str:
     sums = {label: 0.0 for label, _ in ABLATIONS}
     for row in rows:
         base: Measurement = row["base"]
-        base_time = _resolution_time(base)
+        base_time = resolution_seconds(base)
         cells = []
         for label, _phase in ABLATIONS:
             m: Measurement = row[label]
-            slowdown = _resolution_time(m) / max(base_time, 1e-9)
+            slowdown = resolution_seconds(m) / max(base_time, 1e-9)
             sums[label] += slowdown
             bar = "#" * min(24, int(round(slowdown * 2)))
             cells.append(f"{slowdown:>6.2f}x {bar:<8}")

@@ -1,11 +1,10 @@
 """Unified observability layer for the analysis pipeline.
 
-Every stage of the pipeline used to report on itself through a
-different side channel — ``FSAMResult.phase_times`` for wall-clock,
-``ValueFlowStats`` for [THREAD-VF] counters, ad-hoc ``stats()`` dicts
-elsewhere — which made "why is this phase slow?" unanswerable. This
-module replaces the patchwork with one :class:`Observer` that the
-whole pipeline shares:
+One :class:`Observer` is shared by the whole pipeline, and its phase
+tree is the only timing record of a run: ``FSAMResult.stats()`` /
+``total_time()``, the CLI, the measurement harness, batch reports and
+service metrics all read their times from it (or from a request
+span's ``repro.metrics/1`` snapshot of it). It collects:
 
 - **hierarchical timers** — ``with obs.phase("sparse_solve"): ...``
   scopes nest, producing a tree of per-phase (and sub-phase) wall
@@ -36,9 +35,10 @@ whole pipeline shares:
   check the documents.
 
 Stages that sit on hot paths accumulate plain integer tallies locally
-and flush them into the observer once per phase, so the instrumented
-pipeline stays within a few percent of the uninstrumented one
-(guarded by ``benchmarks/test_observability_overhead.py``).
+and flush them into the observer once per phase, so a run with a live
+observer stays within a few percent of one against :data:`NULL_OBS`,
+the explicit opt-out that records nothing (guarded by
+``benchmarks/test_observability_overhead.py``).
 
 This module is a leaf: apart from the :mod:`repro.schemas` constants
 module (itself a pure leaf), it imports nothing from the rest of
@@ -478,7 +478,8 @@ class NullObserver(Observer):
         return _NULL_SCOPE
 
 
-#: Shared no-op instance; stages default to it when no observer is given.
+#: Shared no-op instance: the explicit opt-out (pass ``obs=NULL_OBS``),
+#: and the default of standalone stage calls.
 NULL_OBS = NullObserver()
 
 

@@ -3,7 +3,7 @@
 An artifact is the serializable residue of one analysis run: the
 points-to fixpoint (top-level and per-definition memory states), the
 store update classification, the object table, and the run's summary
-statistics/profile. It is what the content-addressed cache stores and
+statistics. It is what the content-addressed cache stores and
 what the batch report aggregates.
 
 The representation problem: every id in the live solver state —
@@ -57,7 +57,6 @@ class AnalysisArtifact:
     mem: Dict[str, str] = field(default_factory=dict)
     store_classes: Dict[str, str] = field(default_factory=dict)
     summary: Dict[str, object] = field(default_factory=dict)
-    profile: Optional[Dict[str, object]] = None
     code_version: str = CODE_VERSION
 
     def to_dict(self) -> Dict[str, object]:
@@ -72,7 +71,6 @@ class AnalysisArtifact:
             "mem": self.mem,
             "store_classes": self.store_classes,
             "summary": self.summary,
-            "profile": self.profile,
         }
 
     @classmethod
@@ -87,13 +85,12 @@ class AnalysisArtifact:
             mem=doc["mem"],                                # type: ignore[arg-type]
             store_classes=doc["store_classes"],            # type: ignore[arg-type]
             summary=doc["summary"],                        # type: ignore[arg-type]
-            profile=doc.get("profile"),                    # type: ignore[arg-type]
             code_version=doc["code_version"],              # type: ignore[arg-type]
         )
 
     def payload_digest(self) -> str:
         """SHA-256 over the *semantic* payload only — the fixpoint
-        maps and object table, not timings or profiles. Equal digests
+        maps and object table, not the name or summary. Equal digests
         mean bit-identical analysis results; the determinism guard
         asserts this is stable across interpreter processes."""
         payload = {
@@ -145,7 +142,6 @@ def artifact_from_result(name: str, result) -> AnalysisArtifact:
         # Rides in the summary, which payload_digest() excludes: a
         # warm run's artifact stays bit-identical to a cold run's.
         summary["incremental"] = incremental
-    profile = result.profile() if result.obs.enabled else None
     return AnalysisArtifact(
         name=name,
         objects=universe.object_table(),
@@ -153,7 +149,6 @@ def artifact_from_result(name: str, result) -> AnalysisArtifact:
         mem=mem,
         store_classes=store_classes,
         summary=summary,
-        profile=profile,
     )
 
 
@@ -274,9 +269,6 @@ def validate_artifact(doc: object) -> Dict[str, object]:
         _check(cls in _STORE_CLASSES,
                f"store_classes[{key}] has unknown class {cls!r}")
     _check(isinstance(doc.get("summary"), dict), "summary is not an object")
-    profile = doc.get("profile")
-    _check(profile is None or isinstance(profile, dict),
-           "profile is neither null nor an object")
     return doc
 
 

@@ -17,15 +17,14 @@ Execution plan for a batch of requests:
    (say, a ``ParseError``) gets an ``error`` row instead of an
    artifact; the rest of the batch is unaffected;
 4. **report** — per-request rows plus aggregated counters and phase
-   times, as one ``repro.batch/1`` document. Per-request
-   ``repro.obs/1`` profiles ride along inside the artifacts; their
-   phase trees are summed into ``aggregate.phase_seconds``.
+   times, as one ``repro.batch/1`` document. The top-level phases of
+   the miss spans (below) are summed into ``aggregate.phase_seconds``.
 
 Telemetry: every dispatched request carries a span id (``rNNNN`` in
-request order) and, when it profiles, runs under its own Observer — in
-the shard for pooled dispatch, in-process for inline — whose
-``repro.metrics/1`` snapshot comes back on the outcome. The driver
-merges miss snapshots into the batch observer (cross-request
+request order) and runs under its own Observer — in the shard for
+pooled dispatch, in-process for inline — whose ``repro.metrics/1``
+snapshot comes back on the outcome. The driver merges miss
+snapshots into the batch observer (cross-request
 ``phase.*`` latency distributions, worker-side counters; the shards'
 FuncArtifactStore tallies arrive with their shutdown), records
 ``pool.run_seconds`` /
@@ -133,21 +132,19 @@ class BatchReport:
         }
 
     def _aggregate_phase_seconds(self) -> Dict[str, float]:
-        """Sum each top-level pipeline phase across the per-request
-        profiles that workers shipped back inside their artifacts.
-        Cache hits are skipped — a served artifact carries the *cold*
-        run's profile, not work done by this batch."""
+        """Sum each top-level phase across the cache-miss spans — the
+        same snapshots, in the same order, that the ``metrics`` rollup
+        merges, so the two totals agree. A degraded request's span
+        holds its budget-exhausted attempt's partial work; hits and
+        dedup followers did no work in this batch."""
         total: Dict[str, float] = {}
         for outcome in self.outcomes:
-            if outcome.cache != "miss" or outcome.error is not None:
+            if outcome.cache != "miss" or outcome.obs_snapshot is None:
                 continue
-            profile = outcome.artifact.profile
-            if not profile:
-                continue
-            for phase in profile.get("phases", []):
-                name = str(phase.get("name"))
-                total[name] = total.get(name, 0.0) \
-                    + float(phase.get("seconds", 0.0))
+            for path, seconds in \
+                    outcome.obs_snapshot["phase_seconds"].items():
+                if "/" not in path:
+                    total[path] = total.get(path, 0.0) + float(seconds)
         return {name: round(seconds, 6)
                 for name, seconds in sorted(total.items())}
 

@@ -67,8 +67,10 @@ class RequestOutcome:
     request_id: Optional[str] = None
     #: The request's ``repro.metrics/1`` telemetry span — recorded by
     #: the worker-side Observer and shipped back through the shard
-    #: pipe (pooled) or captured in-process (inline). None when the
-    #: request does not profile.
+    #: pipe (pooled) or captured in-process (inline). Every miss runs
+    #: under one; None for cache hits, dedup followers, requests that
+    #: raised, and requests whose shard died under them (the span
+    #: died with it).
     obs_snapshot: Optional[Dict[str, object]] = None
     #: ``{"type", "message"}`` of the exception that failed the
     #: request; terminal, never retried.
@@ -86,9 +88,8 @@ def error_record(exc: BaseException) -> Dict[str, str]:
     return {"type": type(exc).__name__, "message": str(exc)}
 
 
-def run_full(request: AnalysisRequest,
-             funcstore=None, obs: Optional[Observer] = None,
-             on_preanalysis=None) -> AnalysisArtifact:
+def run_full(request: AnalysisRequest, obs: Observer,
+             funcstore=None, on_preanalysis=None) -> AnalysisArtifact:
     """Rung 1: the whole pipeline. Raises
     :class:`~repro.fsam.config.AnalysisTimeout` on budget exhaustion.
 
@@ -99,10 +100,10 @@ def run_full(request: AnalysisRequest,
     fresh per-function facts are harvested back into the store. Results
     are bit-identical either way.
 
-    When *obs* is given it becomes the request's span: the compile and
-    every FSAM phase are timed under it (instead of a run-private
-    observer), so its ``repro.metrics/1`` snapshot captures the whole
-    attempt for shipping back to the dispatcher.
+    *obs* is the request's span: the compile and every FSAM phase are
+    timed under it, so its ``repro.metrics/1`` snapshot captures the
+    whole attempt — a budget-exhausted one's partial work included —
+    for shipping back to the dispatcher.
 
     *on_preanalysis* is handed to :class:`~repro.fsam.FSAM`: a hook
     called with ``(module, andersen)`` right after the pre-analysis
@@ -115,13 +116,9 @@ def run_full(request: AnalysisRequest,
         kwargs["incremental"] = incremental_hook(request, funcstore)
     if on_preanalysis is not None:
         kwargs["on_preanalysis"] = on_preanalysis
-    if obs is not None:
-        with obs.phase("compile"):
-            module = compile_source(request.source, name=request.name)
-        kwargs["obs"] = obs
-    else:
+    with obs.phase("compile"):
         module = compile_source(request.source, name=request.name)
-    fsam = FSAM(module, request.config, **kwargs)
+    fsam = FSAM(module, request.config, obs=obs, **kwargs)
     result = fsam.run()
     return artifact_from_result(request.name, result)
 
@@ -153,20 +150,19 @@ def run_request_inline(request: AnalysisRequest,
     exhaustion. No retry — re-running the same deterministic analysis
     under the same in-process budget exhausts it again.
 
-    When the request profiles (``config.profile``), the whole attempt
-    runs under a per-request span Observer whose ``repro.metrics/1``
-    snapshot lands on ``outcome.obs_snapshot`` — the same shape a shard
-    worker ships back, so batch/serve aggregation is dispatch-agnostic.
-    (The shared inline *funcstore* is deliberately not flushed here:
-    its counters span the whole batch and are flushed once by the
-    dispatcher, not once per request.)"""
-    obs = Observer(name=request.request_id or request.name) \
-        if request.config.profile else None
+    The attempt runs under a per-request span Observer whose
+    ``repro.metrics/1`` snapshot lands on ``outcome.obs_snapshot`` —
+    the same shape a shard worker ships back, so batch/serve
+    aggregation is dispatch-agnostic. (The shared inline *funcstore*
+    is deliberately not flushed here: its counters span the whole
+    batch and are flushed once by the dispatcher, not once per
+    request.)"""
+    obs = Observer(name=request.request_id or request.name)
     start = time.perf_counter()
     attempts = 1
     attempt_seconds = []
     try:
-        artifact = run_full(request, funcstore=funcstore, obs=obs)
+        artifact = run_full(request, obs, funcstore=funcstore)
         attempt_seconds.append(time.perf_counter() - start)
     except AnalysisTimeout:
         attempt_seconds.append(time.perf_counter() - start)
@@ -182,7 +178,7 @@ def run_request_inline(request: AnalysisRequest,
         attempts=attempts,
         attempt_seconds=attempt_seconds,
         request_id=request.request_id,
-        obs_snapshot=obs.to_metrics_dict() if obs is not None else None,
+        obs_snapshot=obs.to_metrics_dict(),
     )
 
 

@@ -197,13 +197,10 @@ def _run_analyze(state: _ShardState, msg: Dict[str, object], conn) -> None:
         conn.send({"jid": jid, "kind": "andersen", "final": False,
                    "body": body})
 
-    span = request.request_id or request.name
-    if not ship:
-        obs = Observer(name=span, track_memory=False)
-    else:
-        obs = Observer(name=span) if request.config.profile else None
+    obs = Observer(name=request.request_id or request.name,
+                   track_memory=False)
     try:
-        artifact = run_full(request, funcstore=state.funcstore, obs=obs,
+        artifact = run_full(request, obs, funcstore=state.funcstore,
                             on_preanalysis=on_preanalysis
                             if msg.get("stream") else None)
     except AnalysisTimeout:
@@ -221,11 +218,8 @@ def _run_analyze(state: _ShardState, msg: Dict[str, object], conn) -> None:
             state.keep_hot(digest, artifact)
         body = _response_body(request, digest, artifact, "miss",
                               time.perf_counter() - start)
-    message: Dict[str, object] = {
-        "jid": jid, "kind": "result", "final": True, "body": body}
-    if obs is not None:
-        message["obs"] = obs.to_metrics_dict()
-    conn.send(message)
+    conn.send({"jid": jid, "kind": "result", "final": True, "body": body,
+               "obs": obs.to_metrics_dict()})
 
 
 def _run_query(state: _ShardState, msg: Dict[str, object], conn) -> None:

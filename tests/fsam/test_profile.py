@@ -79,14 +79,53 @@ class TestProfileDocument:
         doc = json.loads(run_profiled().profile_json())
         validate_profile(doc)
 
-    def test_phase_times_match_observer(self):
+    def test_schedule_nested_under_sparse_solve(self):
+        doc = run_profiled().profile()
+        solve = doc["phases"][-1]
+        assert solve["name"] == "sparse_solve"
+        assert [c["name"] for c in solve["children"]] == ["schedule"]
+        assert solve["children"][0]["seconds"] <= solve["seconds"]
+
+
+class TestOneTimingRecord:
+    """The observer's phase tree is the run's only timing record."""
+
+    def test_default_run_records_into_fresh_observer(self):
+        fsam = FSAM(compile_source(SRC))
+        assert fsam.obs is not NULL_OBS and fsam.obs.enabled
+        assert fsam.obs.name == "fsam"
+        assert FSAM(compile_source(SRC)).obs is not fsam.obs
+
+    def test_stats_and_total_time_read_the_tree(self):
         result = run_profiled()
-        assert set(result.phase_times) == set(PIPELINE_PHASES)
-        for name, seconds in result.obs.phase_seconds().items():
-            if "/" not in name:
-                # timed() wraps the obs scope, so its reading is the
-                # outer (slightly larger) one.
-                assert result.phase_times[name] >= seconds
+        tree = result.obs.phase_seconds()
+        times = result.stats()["phase_times"]
+        assert list(times) == PIPELINE_PHASES
+        assert times == {path: tree[path] for path in PIPELINE_PHASES}
+        assert result.total_time() == result.obs.total_seconds() > 0
+        assert not hasattr(result, "phase_times")
+
+    def test_profile_knob_rejected(self):
+        assert "profile" not in FSAMConfig().to_dict()
+        with pytest.raises(ValueError, match="profile"):
+            FSAMConfig.from_dict({"profile": True})
+
+    def test_demand_mode_records_no_solve_phase(self):
+        result = FSAM(compile_source(SRC),
+                      FSAMConfig(solver_mode="demand")).run()
+        names = [record.name for record in result.obs.phases]
+        assert names == PIPELINE_PHASES[:-1]
+
+    def test_demand_queries_open_no_phases(self):
+        """query_stream sends ~10^6 queries into one pipeline's
+        observer: a phase per query would grow it without bound."""
+        result = FSAM(compile_source(SRC),
+                      FSAMConfig(solver_mode="demand")).run()
+        before = result.obs.phase_seconds()
+        for i in range(100):
+            result.query("pq"[i % 2], obj=True)
+        assert result.obs.counter("query.requests") == 100
+        assert result.obs.phase_seconds() == before
 
 
 class TestValueFlowShim:
@@ -102,25 +141,23 @@ class TestValueFlowShim:
 
 class TestProfileToggle:
     def test_profile_off_uses_null_observer(self):
+        # NULL_OBS is the explicit opt-out: nothing is recorded, so
+        # there are no times either.
         module = compile_source(SRC)
-        fsam = FSAM(module, FSAMConfig(profile=False))
+        fsam = FSAM(module, obs=NULL_OBS)
         assert fsam.obs is NULL_OBS
         result = fsam.run()
         assert result.obs is NULL_OBS
         assert result.profile()["phases"] == []
-        # phase_times stays populated regardless (harness compat).
-        assert set(result.phase_times) == set(PIPELINE_PHASES)
+        assert result.stats()["phase_times"] == {}
+        assert result.total_time() == 0.0
 
     def test_explicit_observer_wins(self):
         module = compile_source(SRC)
         obs = Observer(name="mine")
-        result = FSAM(module, FSAMConfig(profile=False), obs=obs).run()
+        result = FSAM(module, FSAMConfig(), obs=obs).run()
         assert result.obs is obs
         assert obs.counter("solver.iterations") > 0
-
-    def test_ablated_preserves_profile_flag(self):
-        config = FSAMConfig(profile=False)
-        assert config.ablated("value_flow").profile is False
 
     def test_stats_includes_counters_and_gauges(self):
         stats = run_profiled().stats()

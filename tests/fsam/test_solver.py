@@ -206,8 +206,9 @@ class TestStats:
 
     def test_phase_times_recorded(self):
         r = analyze_source("int main() { return 0; }")
-        assert set(r.phase_times) >= {"pre_analysis", "thread_oblivious_dug",
-                                      "interleaving", "sparse_solve"}
+        assert set(r.stats()["phase_times"]) >= {
+            "pre_analysis", "thread_oblivious_dug", "interleaving",
+            "sparse_solve"}
         assert r.total_time() > 0
 
 

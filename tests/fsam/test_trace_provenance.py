@@ -159,11 +159,8 @@ class TestEvents:
         assert kinds.get("lock.span", 0) >= 2
 
     def test_provenance_gauge_flushed(self):
+        # flush_obs reports into the run's default (enabled) observer.
         result = run_traced(FIG1A)
-        # flush_obs only reports when an enabled observer is attached;
-        # rerun with profiling too.
-        result = FSAM(compile_source(FIG1A),
-                      FSAMConfig(trace=True, profile=True)).run()
         gauge = result.obs.gauges.get("trace.provenance_facts")
         assert gauge == len(result.provenance)
 

@@ -1,4 +1,4 @@
-"""Zipfian trace generator tests (repro.gateway.trace).
+"""Zipfian trace generator tests (benchmarks/gateway_trace.py).
 
 The satellite requirements: byte-identical traces under a fixed seed,
 and observed skew within tolerance of the ideal zipf weights.
@@ -6,7 +6,7 @@ and observed skew within tolerance of the ideal zipf weights.
 
 import pytest
 
-from repro.gateway.trace import (
+from benchmarks.gateway_trace import (
     TraceGenerator, catalogue_from_workloads, skew_error, zipf_weights,
 )
 

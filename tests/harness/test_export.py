@@ -9,10 +9,11 @@ from repro.harness.measure import Measurement
 
 
 def m(analysis, seconds, entries, oot=False, edges=3):
+    profile = {"phases": [{"name": "sparse_solve", "seconds": seconds / 2,
+                           "children": []}]}
     return Measurement(name="p", analysis=analysis, seconds=seconds,
                        peak_memory_mb=1.0, points_to_entries=entries,
-                       oot=oot, phase_times={"sparse_solve": seconds / 2},
-                       thread_edges=edges)
+                       oot=oot, thread_edges=edges, profile=profile)
 
 
 ROWS = [
@@ -55,3 +56,21 @@ class TestFigure12Export:
         row = dict(zip(records[0], records[1]))
         assert row["base_edges"] == "7"
         assert row["no_value_flow_edges"] == "90"
+        # Solve times come from the profile's sparse_solve phase, the
+        # same reading the rendered figure uses.
+        assert row["base_solve_s"] == "0.50000"
+        assert row["no_value_flow_solve_s"] == "1.50000"
+
+    def test_csv_and_figure_share_resolution_time(self):
+        from repro.harness.tables import render_figure12, resolution_seconds
+        no_solve = m("fsam", 4.0, 10)
+        no_solve.profile = {"phases": []}   # out of time before the solve
+        rows = [{"benchmark": "alpha", "base": m("fsam", 1.0, 10),
+                 "No-Interleaving": no_solve,
+                 "No-Value-Flow": m("fsam", 3.0, 10),
+                 "No-Lock": m("fsam", 1.0, 10)}]
+        assert resolution_seconds(rows[0]["base"]) == 0.5
+        assert resolution_seconds(no_solve) == 4.0
+        row = dict(zip(*csv.reader(io.StringIO(figure12_to_csv(rows)))))
+        assert row["no_interleaving_solve_s"] == "4.00000"
+        assert "8.00x" in render_figure12(rows)   # 4.0 / 0.5

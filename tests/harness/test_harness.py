@@ -19,7 +19,8 @@ class TestMeasure:
         assert m.seconds > 0
         assert m.points_to_entries > 0
         assert not m.oot
-        assert m.phase_times and "sparse_solve" in m.phase_times
+        names = [phase["name"] for phase in m.profile["phases"]]
+        assert "sparse_solve" in names
 
     def test_nonsparse_measurement(self):
         src = get_workload("kmeans").source(1)

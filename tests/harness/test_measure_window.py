@@ -18,7 +18,6 @@ class SlowStatsResult:
     """A fake analysis result whose stats extraction is slow."""
 
     def __init__(self):
-        self.phase_times = {"sparse_solve": 0.001}
         self.dug = None
 
     def points_to_entries(self):

@@ -5,11 +5,14 @@ from repro.harness.tables import render_figure12, render_table2
 
 
 def m(name, analysis, seconds, entries, oot=False, solve=0.01, edges=0):
+    profile = {"phases": [
+        {"name": "value_flow", "seconds": 0.0, "children": []},
+        {"name": "sparse_solve", "seconds": solve, "children": []},
+    ]}
     return Measurement(name=name, analysis=analysis, seconds=seconds,
                        peak_memory_mb=seconds * 10.0,
                        points_to_entries=entries, oot=oot,
-                       phase_times={"sparse_solve": solve, "value_flow": 0.0},
-                       thread_edges=edges)
+                       thread_edges=edges, profile=profile)
 
 
 class TestTable2Renderer:

@@ -16,7 +16,7 @@ from repro.workloads import get_workload
 def _batch_report(**kwargs):
     request = AnalysisRequest(name="word_count",
                               source=get_workload("word_count").source(1),
-                              config=FSAMConfig(profile=True))
+                              config=FSAMConfig())
     return run_batch([request], workers=1, slow_ms=0, **kwargs)
 
 

@@ -104,6 +104,25 @@ class TestCLI:
     def test_ablation_flags(self, sample, capsys):
         assert main(["analyze", sample, "--no-lock", "--no-interleaving"]) == 0
 
+    def test_analyze_profile_times_every_layer_group(self, sample,
+                                                     tmp_path, capsys):
+        # The frontend is the same compile phase a service span
+        # records; the schedule build nests under the solve.
+        out = tmp_path / "profile.json"
+        assert main(["analyze", sample, "--profile", str(out)]) == 0
+        phases = json.loads(out.read_text())["phases"]
+        assert [p["name"] for p in phases] == [
+            "compile", "pre_analysis", "icfg", "thread_oblivious_dug",
+            "thread_model", "interleaving", "lock_analysis", "value_flow",
+            "sparse_solve"]
+        assert [c["name"] for c in phases[-1]["children"]] == ["schedule"]
+
+    def test_analyze_json_phase_times_from_tree(self, sample, capsys):
+        assert main(["analyze", sample, "--json"]) == 0
+        times = json.loads(capsys.readouterr().out)["stats"]["phase_times"]
+        assert list(times)[0] == "compile"
+        assert "sparse_solve" in times and "schedule" not in times
+
 
 FIG1A = """
 int x; int y; int z;
@@ -263,7 +282,9 @@ class TestSubcommandSmoke:
 
     def test_stats(self, sample, capsys):
         assert main(["stats", sample]) == 0
-        assert "sparse_solve" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "sparse_solve" in out
+        assert "compile" in out and "schedule" in out
 
     def test_bench(self, capsys):
         assert main(["bench", "--table", "1"]) == 0
@@ -289,8 +310,7 @@ class TestSubcommandSmoke:
     def test_report(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(
-            {"requests": [{"workload": "word_count",
-                           "config": {"profile": True}}]}))
+            {"requests": [{"workload": "word_count"}]}))
         out_path = tmp_path / "batch.json"
         assert main(["batch", str(spec), "--out", str(out_path)]) == 0
         capsys.readouterr()

@@ -32,7 +32,7 @@ class TestEndToEnd:
     def test_ablations_drop_their_phase(self):
         src = "int main() { return 0; }"
         r = analyze_source(src, FSAMConfig(lock_analysis=False))
-        assert "lock_analysis" not in r.phase_times
+        assert "lock_analysis" not in r.stats()["phase_times"]
 
     def test_workload_through_everything(self):
         src = get_workload("word_count").source(1)

@@ -57,7 +57,6 @@ class TestArtifactFromResult:
     def test_digest_ignores_profile_and_name(self, artifact):
         doc = artifact.to_dict()
         stripped = AnalysisArtifact.from_dict(doc)
-        stripped.profile = None
         stripped.name = "other"
         assert stripped.payload_digest() == artifact.payload_digest()
 

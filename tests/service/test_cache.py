@@ -36,6 +36,21 @@ class TestCacheRoundTrip:
         assert cache.stats() == {"hits": 1, "misses": 1, "stores": 1,
                                  "corrupt": 0, "stale": 0, "evicted": 0}
 
+    def test_entry_with_profile_copy_is_a_hit(self, tmp_path):
+        # Artifacts once carried a copy of the run's repro.obs/1
+        # profile; such entries stay valid hits (same CODE_VERSION,
+        # same payload), and the copy is dropped on load.
+        cache = ArtifactCache(tmp_path)
+        artifact = _artifact()
+        cache.put(DIGEST, artifact)
+        doc = json.loads(cache.path(DIGEST).read_text())
+        doc["profile"] = Observer(name="word_count").to_dict()
+        cache.path(DIGEST).write_text(json.dumps(doc))
+        back = cache.get(DIGEST)
+        assert back is not None and cache.hits == 1
+        assert back.payload_digest() == artifact.payload_digest()
+        assert "profile" not in back.to_dict()
+
     def test_fanout_layout(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         path = cache.path(DIGEST)

@@ -32,7 +32,6 @@ class TestRequestDigest:
         # Budget, observability, and engine selection change how a run
         # executes, never what fixpoint it computes.
         assert base == request_digest(SOURCE, FSAMConfig(time_budget=1.0))
-        assert base == request_digest(SOURCE, FSAMConfig(profile=False))
         assert base == request_digest(SOURCE, FSAMConfig(trace=True))
         assert base == request_digest(
             SOURCE, FSAMConfig(solver_engine="reference"))

@@ -6,6 +6,8 @@ import io
 import json
 import shutil
 
+import pytest
+
 from repro.fsam.config import FSAMConfig
 from repro.harness.report import TelemetrySource, render_telemetry_report
 from repro.obs import validate_metrics, validate_metrics_stream
@@ -33,7 +35,7 @@ class TestBatchRollup:
         three smallest workloads yields a validated metrics rollup
         with dispatch histograms, worker-merged phase distributions,
         and cache hit-rate gauges."""
-        report = run_batch(_requests(profile=True), workers=2,
+        report = run_batch(_requests(), workers=2,
                            cache=ArtifactCache(tmp_path), slow_ms=0)
         metrics = report.metrics
         validate_metrics(metrics)
@@ -80,10 +82,10 @@ class TestBatchRollup:
 
     def test_warm_batch_metrics_bit_deterministic(self, tmp_path):
         cache = ArtifactCache(tmp_path)
-        run_batch(_requests(profile=True), workers=2, cache=cache)
-        warm1 = run_batch(_requests(profile=True), workers=2,
+        run_batch(_requests(), workers=2, cache=cache)
+        warm1 = run_batch(_requests(), workers=2,
                           cache=ArtifactCache(tmp_path))
-        warm2 = run_batch(_requests(profile=True), workers=2,
+        warm2 = run_batch(_requests(), workers=2,
                           cache=ArtifactCache(tmp_path))
         assert json.dumps(warm1.metrics, sort_keys=True) == \
             json.dumps(warm2.metrics, sort_keys=True)
@@ -95,13 +97,57 @@ class TestBatchRollup:
     def test_inline_batch_rollup_matches_pooled_shape(self):
         # workers=1 runs in-process; the rollup must still carry the
         # same histogram set (no pool, so queue waits are zero).
-        report = run_batch(_requests(("word_count",), profile=True),
+        report = run_batch(_requests(("word_count",)),
                            workers=1)
         metrics = report.metrics
         validate_metrics(metrics)
         assert metrics["histograms"]["pool.run_seconds"]["count"] == 1
         assert metrics["histograms"]["phase.sparse_solve"]["count"] == 1
         assert metrics["counters"]["solver.iterations"] > 0
+
+
+class TestAggregateMatchesRollup:
+    """The report's ``aggregate.phase_seconds`` and its rollup's
+    top-level ``phase_seconds`` are one record, read from the same
+    miss spans — a degraded request's partial work included."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_degraded_attempt_counted(self, workers):
+        requests = [
+            AnalysisRequest("rt", get_workload("raytrace").source(4),
+                            FSAMConfig(time_budget=0.05)),
+            AnalysisRequest("wc", get_workload("word_count").source(1)),
+        ]
+        report = run_batch(requests, workers=workers)
+        assert [o.status for o in report.outcomes] == ["degraded", "ok"]
+        spans = [o.obs_snapshot["phase_seconds"] for o in report.outcomes]
+        assert spans[0]["compile"] > 0.0
+        top_level = {path: round(seconds, 6) for path, seconds
+                     in report.metrics["phase_seconds"].items()
+                     if "/" not in path}
+        aggregate = report.to_dict()["aggregate"]["phase_seconds"]
+        assert aggregate == top_level
+        assert aggregate["compile"] == \
+            round(spans[0]["compile"] + spans[1]["compile"], 6)
+
+
+class TestEveryMissHasASpan:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_span_times_compile_and_schedule(self, workers):
+        report = run_batch(_requests(("word_count", "kmeans")),
+                           workers=workers)
+        for outcome in report.outcomes:
+            phases = outcome.obs_snapshot["phase_seconds"]
+            assert phases["compile"] > 0.0
+            assert "sparse_solve/schedule" in phases
+
+    def test_no_span_for_hits_and_dedup_followers(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        run_batch(_requests(("word_count",)), workers=1, cache=cache)
+        report = run_batch(_requests(("word_count", "word_count")),
+                           workers=1, cache=cache)
+        assert [o.cache for o in report.outcomes] == ["hit", "dedup"]
+        assert all(o.obs_snapshot is None for o in report.outcomes)
 
 
 class TestQueueWait:
@@ -123,7 +169,7 @@ class TestQueueWait:
 
 class TestWorkerSnapshots:
     def test_snapshot_shipped_with_profile(self):
-        outcomes = run_requests(_requests(("word_count",), profile=True), 2)
+        outcomes = run_requests(_requests(("word_count",)), 2)
         snapshot = outcomes[0].obs_snapshot
         assert snapshot is not None
         validate_metrics(snapshot)
