@@ -17,7 +17,7 @@
     python -m repro trace     prog.mc        # repro.trace/1 JSONL dump
     python -m repro diff-profile A.json B.json   # profile regression diff
     python -m repro batch     spec.json --workers 4 --cache .repro-cache
-    python -m repro serve     --workers 4    # stdin/JSONL request loop
+    python -m repro serve     --workers 4    # the gateway over stdin/stdout
     python -m repro gateway   --port 8377    # TCP gateway (JSONL + HTTP)
 
 Reports can also be emitted as JSON (``--json``) for downstream
@@ -36,6 +36,7 @@ from typing import List, Optional
 from repro.baseline import NonSparseAnalysis
 from repro.frontend import compile_source
 from repro.fsam import FSAM, FSAMConfig
+from repro.gateway.protocol import DEFAULT_MAX_REQUEST_BYTES
 from repro.ir import Load, print_module
 from repro.ir.values import Temp
 from repro.obs import NULL_OBS, Observer
@@ -505,85 +506,75 @@ def _cache_max_bytes(args) -> Optional[int]:
     return int(mb * 1024 * 1024) if mb is not None else None
 
 
-def cmd_serve(args) -> int:
-    """Long-lived stdin/JSONL analysis loop (one request per line)."""
-    from repro.service import ArtifactCache, serve_loop
-    from repro.service.serve import ShutdownFlag
+def _run_gateway(args, stdio: bool, **transport) -> int:
+    """Run the gateway until it shuts down: over TCP (``repro
+    gateway``), or as one framed-JSONL session over stdin/stdout
+    (``repro serve``). Both build their options here from the flags
+    they share. SIGINT/SIGTERM drain in-flight work, write the final
+    metrics snapshot, and exit 0; the dispositions the command found
+    are restored afterwards."""
+    import asyncio
+    import signal
 
-    cache = ArtifactCache(args.cache, max_bytes=_cache_max_bytes(args)) \
-        if args.cache else None
-    # Live telemetry: periodic repro.metrics/1 snapshots to --metrics-out
-    # (or stderr, keeping stdout pure response JSONL).
+    from repro.gateway.server import Gateway, GatewayOptions
+
+    # Live telemetry: repro.metrics/1 snapshots to --metrics-out, or to
+    # stderr, keeping stdout pure frames.
     metrics_stream = None
     if args.metrics_out:
         metrics_stream = open(args.metrics_out, "w")
     elif args.metrics_interval is not None:
         metrics_stream = sys.stderr
-    # SIGINT/SIGTERM drain the in-flight request, flush the final
-    # metrics snapshot, and exit 0.
-    shutdown = ShutdownFlag()
-    previous_handlers = shutdown.install()
+    options = GatewayOptions(
+        workers=args.workers, cache_root=args.cache,
+        cache_max_bytes=_cache_max_bytes(args), timeout=args.timeout,
+        max_request_bytes=args.max_request_bytes,
+        metrics_interval=args.metrics_interval,
+        metrics_stream=metrics_stream, base_dir=args.base_dir,
+        incremental=not args.no_incremental, **transport)
+    in_fd = sys.stdin.fileno() if stdio else None
+
+    async def _main() -> None:
+        gateway = Gateway(options)
+        if stdio:
+            gateway.install_signal_handlers()
+            await gateway.serve_stdio(in_fd, sys.stdout)
+            return
+        await gateway.start()
+        print(f"gateway listening on {options.host}:{gateway.port} "
+              f"({options.workers} shard(s))", file=sys.stderr, flush=True)
+        gateway.install_signal_handlers()
+        await gateway.serve_forever()
+
+    previous = {sig: signal.getsignal(sig)
+                for sig in (signal.SIGINT, signal.SIGTERM)}
     try:
-        serve_loop(sys.stdin, sys.stdout,
-                   workers=args.workers,
-                   cache=cache,
-                   timeout=args.timeout,
-                   base_dir=args.base_dir,
-                   obs=Observer(name="serve", track_memory=False),
-                   incremental=not args.no_incremental,
-                   metrics_interval=args.metrics_interval,
-                   metrics_stream=metrics_stream,
-                   max_request_bytes=args.max_request_bytes,
-                   shutdown=shutdown)
+        asyncio.run(_main())
     finally:
-        ShutdownFlag.restore(previous_handlers)
+        for sig, handler in previous.items():
+            if handler is not None:
+                signal.signal(sig, handler)
         if args.metrics_out and metrics_stream is not None:
             metrics_stream.close()
     return 0
+
+
+def cmd_serve(args) -> int:
+    """The gateway's framed-JSONL session over stdin/stdout."""
+    return _run_gateway(args, stdio=True)
 
 
 def cmd_gateway(args) -> int:
     """The asyncio multi-tenant analysis gateway (JSONL + HTTP on one
     TCP port; see :mod:`repro.gateway`)."""
-    import asyncio
-
     from repro.gateway.admission import policies_from_config
-    from repro.gateway.server import Gateway, GatewayOptions
 
     tenants = None
     if args.tenants_config:
         with open(args.tenants_config) as handle:
             tenants = policies_from_config(json.load(handle))
-    metrics_stream = None
-    if args.metrics_out:
-        metrics_stream = open(args.metrics_out, "w")
-    elif args.metrics_interval is not None:
-        metrics_stream = sys.stderr
-
-    async def _main() -> None:
-        gateway = Gateway(GatewayOptions(
-            host=args.host, port=args.port, workers=args.workers,
-            max_queue=args.max_queue, tenants=tenants,
-            cache_root=args.cache,
-            cache_max_bytes=_cache_max_bytes(args),
-            timeout=args.timeout,
-            max_request_bytes=args.max_request_bytes,
-            metrics_interval=args.metrics_interval,
-            metrics_stream=metrics_stream,
-            base_dir=args.base_dir,
-            incremental=not args.no_incremental))
-        await gateway.start()
-        print(f"gateway listening on {args.host}:{gateway.port} "
-              f"({args.workers} shard(s))", file=sys.stderr, flush=True)
-        gateway.install_signal_handlers()
-        await gateway.serve_forever()
-
-    try:
-        asyncio.run(_main())
-    finally:
-        if args.metrics_out and metrics_stream is not None:
-            metrics_stream.close()
-    return 0
+    return _run_gateway(args, stdio=False, host=args.host, port=args.port,
+                        max_queue=args.max_queue, tenants=tenants)
 
 
 def cmd_report(args) -> int:
@@ -597,6 +588,20 @@ def cmd_report(args) -> int:
     else:
         print(render_telemetry_report(source, top=args.top))
     return 0
+
+
+def _add_metrics_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--metrics-interval", type=float, default=None,
+                   metavar="N",
+                   help="after an answered request, emit a cumulative "
+                        "repro.metrics/1 JSONL snapshot once N seconds "
+                        "have passed since the last (0 = after every "
+                        "request); goes to stderr unless --metrics-out "
+                        "is given")
+    p.add_argument("--metrics-out", metavar="OUT", default=None,
+                   help="write the metrics JSONL stream to this file "
+                        "(final snapshot at shutdown even without "
+                        "--metrics-interval)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -723,10 +728,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_batch)
 
     p = sub.add_parser("serve",
-                       help="serve analysis requests from stdin "
-                            "(one JSON per line, responses on stdout)")
+                       help="serve analysis requests from stdin (one "
+                            "JSON per line; repro.gwframe/1 frames on "
+                            "stdout, matched by id)")
     p.add_argument("--workers", type=int, default=1,
-                   help="worker processes (1 = inline)")
+                   help="shard worker processes (default 1)")
     p.add_argument("--cache", default=None,
                    help="artifact cache directory")
     p.add_argument("--timeout", type=float, default=None,
@@ -735,18 +741,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="base directory for 'file' request entries")
     p.add_argument("--no-incremental", action="store_true",
                    help="disable per-function incremental reuse")
-    p.add_argument("--metrics-interval", type=float, default=None,
-                   metavar="N",
-                   help="emit a cumulative repro.metrics/1 JSONL "
-                        "snapshot at least N seconds apart (0 = after "
-                        "every request); goes to stderr unless "
-                        "--metrics-out is given")
-    p.add_argument("--metrics-out", metavar="OUT", default=None,
-                   help="write the metrics JSONL stream to this file "
-                        "(final snapshot at EOF even without "
-                        "--metrics-interval)")
+    _add_metrics_flags(p)
     p.add_argument("--max-request-bytes", type=int,
-                   default=1 << 20,
+                   default=DEFAULT_MAX_REQUEST_BYTES,
                    help="refuse request lines larger than this "
                         "(default 1 MiB)")
     p.add_argument("--cache-max-mb", type=float, default=None,
@@ -781,7 +778,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="default per-request wall-clock seconds "
                         "(mid-stream expiry degrades to the already-"
                         "streamed Andersen frame)")
-    p.add_argument("--max-request-bytes", type=int, default=1 << 20,
+    p.add_argument("--max-request-bytes", type=int,
+                   default=DEFAULT_MAX_REQUEST_BYTES,
                    help="refuse request lines/bodies larger than this "
                         "(default 1 MiB)")
     p.add_argument("--base-dir", default=".",
@@ -789,14 +787,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-incremental", action="store_true",
                    help="disable per-function incremental reuse in "
                         "the shard workers")
-    p.add_argument("--metrics-interval", type=float, default=None,
-                   metavar="N",
-                   help="emit a cumulative repro.metrics/1 JSONL "
-                        "snapshot every N seconds (stderr unless "
-                        "--metrics-out)")
-    p.add_argument("--metrics-out", metavar="OUT", default=None,
-                   help="write the metrics JSONL stream to this file "
-                        "(final snapshot on shutdown regardless)")
+    _add_metrics_flags(p)
     p.set_defaults(handler=cmd_gateway)
 
     p = sub.add_parser("report",

@@ -1,12 +1,13 @@
 """repro.gateway — the asyncio multi-tenant analysis gateway.
 
-The front end that turns the batch/serve analysis service into a
-long-running network service: one TCP port speaking framed JSONL and
-minimal HTTP/1.1, backed by the persistent warm shard workers of
+The front end that turns the analysis service into a long-running
+service: framed JSONL and minimal HTTP/1.1 on one TCP port
+(``repro gateway``), or framed JSONL over stdin/stdout
+(``repro serve``), backed by the persistent warm shard workers of
 :mod:`repro.service.shards`.
 
-- :mod:`repro.gateway.protocol` — ``repro.gwframe/1`` frames, input
-  hardening (size/depth caps), the stdlib HTTP/1.1 surface;
+- :mod:`repro.gateway.protocol` — ``repro.gwframe/1`` frames, the
+  JSONL input limits (size/depth caps), the stdlib HTTP/1.1 surface;
 - :mod:`repro.gateway.routing` — consistent-hash placement of program
   digests onto shards;
 - :mod:`repro.gateway.coalesce` — identical in-flight requests share
@@ -14,12 +15,13 @@ minimal HTTP/1.1, backed by the persistent warm shard workers of
 - :mod:`repro.gateway.admission` — per-tenant token buckets and
   bounded priority queues;
 - :mod:`repro.gateway.server` — the :class:`~repro.gateway.server.Gateway`
-  tying it all together (the shard pool included).
+  tying it all together (the shard pool and both transports
+  included).
 
 The load test's zipfian request traces live with the load test, in
 ``benchmarks/gateway_trace.py``.
 
-Importing the package imports none of its modules, so ``repro serve``
-can share :mod:`repro.gateway.protocol`'s input hardening without
-loading asyncio or the server.
+Importing the package imports none of its modules, so the CLI can
+read :mod:`repro.gateway.protocol`'s limits without loading asyncio or
+the server.
 """

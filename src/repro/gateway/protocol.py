@@ -1,12 +1,13 @@
 """Gateway wire format: streaming frames, input hardening, and the
 minimal HTTP/1.1 surface.
 
-The gateway speaks two transports over one TCP port (auto-detected
-from the first request line):
+The gateway speaks two protocols over one TCP port (auto-detected
+from the first request line); ``repro serve`` speaks the first over
+stdin/stdout:
 
 - **framed JSONL** — one JSON request object per line, one or more
-  ``repro.gwframe/1`` frame objects per line back.  The same entry
-  forms as ``repro serve`` (see :mod:`repro.service.requests`), plus
+  ``repro.gwframe/1`` frame objects per line back.  The batch spec's
+  entry forms (see :mod:`repro.service.requests`), plus
   ``tenant`` (admission-control bucket), ``stream`` (progressive
   frames), and ``id`` (echoed on every frame of the response);
 - **HTTP/1.1** — stdlib-only parsing of ``POST /analyze``,
@@ -21,14 +22,14 @@ request's ``id``::
     {"schema": "repro.gwframe/1", "seq": 0, "kind": "andersen",
      "final": false, "body": {...degraded-shape Andersen facts...}}
     {"schema": "repro.gwframe/1", "seq": 1, "kind": "result",
-     "final": true, "body": {...the ordinary serve response...}}
+     "final": true, "body": {...the result record...}}
 
 Non-streamed responses are a single ``final`` frame.  Errors —
 including the 429-style admission-control records — are ``kind:
-"error"`` frames whose body matches the serve loop's structured error
-shape, extended with a numeric ``code``.
+"error"`` frames whose body is the structured error record
+``{"status": "error", "error": {"type", "message", "code"}}``.
 
-Input hardening (shared with ``repro serve``): request lines larger
+Input hardening: request lines larger
 than ``max_request_bytes`` (default 1 MiB) and JSON nested deeper
 than ``max_depth`` are rejected with a structured error record
 *before* any unbounded ``json.loads`` work happens — the depth check
@@ -44,7 +45,7 @@ from urllib.parse import parse_qsl, urlsplit
 
 from repro.schemas import GWFRAME_SCHEMA
 
-#: Hardening defaults, shared by the gateway and ``repro serve``.
+#: The JSONL input limits (and the CLI flags' defaults).
 DEFAULT_MAX_REQUEST_BYTES = 1 << 20     # 1 MiB per request line/body
 DEFAULT_MAX_JSON_DEPTH = 64
 
@@ -171,8 +172,8 @@ def make_frame(kind: str, body: Dict[str, object], *, seq: int,
 
 def error_body(exc: BaseException,
                request_id: object = None) -> Dict[str, object]:
-    """The serve-compatible structured error record, extended with the
-    gateway's numeric code (429 for admission sheds, etc.)."""
+    """The structured error record: type, message, and an HTTP-style
+    numeric code (429 for admission sheds, etc.)."""
     error: Dict[str, object] = {
         "type": exc.kind if isinstance(exc, RequestError)
         else type(exc).__name__,

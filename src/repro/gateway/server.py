@@ -1,12 +1,15 @@
 """The asyncio analysis gateway.
 
-One TCP port, two transports (auto-detected from the first request
-line): framed JSONL — the ``repro serve`` entry format plus
-``tenant`` / ``stream`` / ``id`` fields, answered with
-``repro.gwframe/1`` frames — and a minimal stdlib HTTP/1.1 surface
+Two transports share one framed-JSONL request path: a TCP port
+(``repro gateway``), where each connection is detected from its first
+line as framed JSONL or a minimal stdlib HTTP/1.1 surface
 (``POST /analyze``, ``POST /query``, ``GET /metrics``,
-``GET /healthz``), where streamed responses arrive as chunked
-``application/x-ndjson``.
+``GET /healthz``; streamed responses arrive as chunked
+``application/x-ndjson``), and stdin/stdout (``repro serve``), one
+JSONL session without a listener. A JSONL request is one line: a
+batch-spec entry plus ``tenant`` / ``stream`` / ``id`` fields,
+answered with ``repro.gwframe/1`` frames that echo the ``id``.
+Answers may arrive out of order.
 
 Request path, in order:
 
@@ -34,18 +37,20 @@ Request path, in order:
 
 Worker death reroutes only the dead shard's keys (ring arc); what
 happens to its in-flight job is :func:`repro.service.runner.retry_lost`
-— the same ladder batch and serve walk, at gateway scale.
+— the same ladder batch walks, at gateway scale.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import os
 import signal
+import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, TextIO, Tuple
 
 from repro.gateway import protocol
 from repro.gateway.admission import (
@@ -84,7 +89,7 @@ class GatewayOptions:
     timeout: Optional[float] = None     # default per-request wall clock
     max_request_bytes: int = protocol.DEFAULT_MAX_REQUEST_BYTES
     max_json_depth: int = protocol.DEFAULT_MAX_JSON_DEPTH
-    metrics_interval: Optional[float] = None
+    metrics_interval: Optional[float] = None  # see _request_answered
     metrics_stream: Optional[object] = None   # writable text stream
     base_dir: str = "."
     incremental: bool = True
@@ -111,7 +116,8 @@ class _Job:
 
 class Gateway:
     """The server object; create, ``await start()``, then either
-    ``await serve_forever()`` (CLI) or talk to ``gw.port`` (tests)."""
+    ``await serve_forever()`` (CLI) or talk to ``gw.port`` (tests) —
+    or, for ``repro serve``, just ``await serve_stdio(...)``."""
 
     def __init__(self, options: Optional[GatewayOptions] = None) -> None:
         self.options = options or GatewayOptions()
@@ -140,7 +146,7 @@ class Gateway:
         self._server: Optional[asyncio.AbstractServer] = None
         self._writers: set = set()       # open client connections
         self._conn_tasks: set = set()    # their handler tasks
-        self._metrics_task: Optional[asyncio.Task] = None
+        self._metrics_at = time.monotonic()   # last snapshot written
         self._degrading = 0              # fallbacks running off-loop
         self._closing = False
         self._drained = asyncio.Event()
@@ -148,14 +154,20 @@ class Gateway:
 
     # -- lifecycle ---------------------------------------------------------
 
+    @property
+    def _line_limit(self) -> int:
+        """The JSONL reader's buffer limit: a line longer than this is
+        refused and discarded unread (see :func:`_read_line`); shorter
+        lines over ``max_request_bytes`` are refused after reading."""
+        return self.options.max_request_bytes + 65536
+
     async def start(self) -> None:
+        """Start the shards and the TCP listener."""
         await self.pool.start()
         self._server = await asyncio.start_server(
             self._on_connection, self.options.host, self.options.port,
-            limit=self.options.max_request_bytes + 65536)
+            limit=self._line_limit)
         self.port = self._server.sockets[0].getsockname()[1]
-        if self.options.metrics_interval and self.options.metrics_stream:
-            self._metrics_task = asyncio.ensure_future(self._metrics_loop())
 
     def install_signal_handlers(self) -> None:
         loop = asyncio.get_event_loop()
@@ -179,6 +191,24 @@ class Gateway:
         await self._drained.wait()
         await self.shutdown()
 
+    async def serve_stdio(self, in_fd: int, out: TextIO) -> None:
+        """``repro serve``, in place of :meth:`start`: start the shards
+        and run one framed-JSONL session reading *in_fd* (stdin) and
+        writing *out* (stdout), until EOF with every request answered,
+        or until :meth:`begin_shutdown` has drained in-flight work,
+        which ends the input (lines already read are still answered).
+        Then :meth:`shutdown`."""
+        await self.pool.start()
+        stdio = _Stdio(in_fd, out, self._line_limit)
+        session = asyncio.ensure_future(self._jsonl(stdio.reader, stdio))
+        drained = asyncio.ensure_future(self._drained.wait())
+        await asyncio.wait((session, drained),
+                           return_when=asyncio.FIRST_COMPLETED)
+        drained.cancel()
+        stdio.close()
+        await session
+        await self.shutdown()
+
     async def shutdown(self) -> None:
         self._closing = True
         if self._server is not None:
@@ -200,15 +230,10 @@ class Gateway:
                     timeout=5.0)
             except asyncio.TimeoutError:  # pragma: no cover
                 pass
-        if self._metrics_task is not None:
-            self._metrics_task.cancel()
         for snapshot in await self.pool.shutdown():
             self.obs.merge_metrics(snapshot)
-        stream = self.options.metrics_stream
-        if stream is not None:
-            json.dump(self.metrics(), stream, sort_keys=True)
-            stream.write("\n")
-            stream.flush()
+        if self.options.metrics_stream is not None:
+            self._write_metrics()
 
     def _maybe_drained(self) -> None:
         if self._closing and not self._jobs and not self._degrading \
@@ -234,13 +259,22 @@ class Gateway:
         self.obs.gauge("gateway.shards", len(self.ring))
         return self.obs.to_metrics_dict()
 
-    async def _metrics_loop(self) -> None:
+    def _write_metrics(self) -> None:
         stream = self.options.metrics_stream
-        while True:
-            await asyncio.sleep(self.options.metrics_interval)
-            json.dump(self.metrics(), stream, sort_keys=True)
-            stream.write("\n")
-            stream.flush()
+        json.dump(self.metrics(), stream, sort_keys=True)
+        stream.write("\n")
+        stream.flush()
+        self._metrics_at = time.monotonic()
+
+    def _request_answered(self) -> None:
+        """The one ``--metrics-interval N`` rule, for both transports:
+        after an answered request, write a snapshot once N seconds have
+        passed since the last one (0 = after every request).
+        :meth:`shutdown` writes the final one."""
+        interval = self.options.metrics_interval
+        if interval is not None and self.options.metrics_stream is not None \
+                and time.monotonic() - self._metrics_at >= interval:
+            self._write_metrics()
 
     # -- request intake ----------------------------------------------------
 
@@ -248,26 +282,29 @@ class Gateway:
                  ) -> Tuple[str, Dict[str, object], str,
                             Optional[Tuple[str, Optional[int], bool]]]:
         """Entry -> ``(op, request payload, program digest, query)``.
-        Program resolution (workload source generation, file reads,
-        config parsing, digesting) runs once per distinct program via
-        the entry memo."""
+        Program resolution (workload source generation, config parsing,
+        digesting) runs once per distinct program via the entry memo.
+        A ``file`` entry bypasses the memo and is read on every request,
+        so an edited file is analysed as it is now."""
         op = entry.get("op", "analyze")
         if op not in ("analyze", "query"):
             raise BadRequest(f"unknown request op: {op!r}")
         program_entry = {key: value for key, value in entry.items()
                          if key not in _CONTROL_KEYS}
-        memo_key = json.dumps(program_entry, sort_keys=True, default=str)
+        memo_key = None if "file" in program_entry \
+            else json.dumps(program_entry, sort_keys=True, default=str)
         cached = self._entry_memo.get(memo_key)
         if cached is None:
             try:
                 request = request_from_entry(program_entry,
                                              base_dir=self.options.base_dir)
-            except (ValueError, OSError, KeyError) as exc:
+            except (TypeError, ValueError, OSError, KeyError) as exc:
                 raise BadRequest(str(exc)) from exc
             cached = (request.to_payload(), request.digest())
-            self._entry_memo[memo_key] = cached
-            while len(self._entry_memo) > ENTRY_MEMO:
-                self._entry_memo.popitem(last=False)
+            if memo_key is not None:
+                self._entry_memo[memo_key] = cached
+                while len(self._entry_memo) > ENTRY_MEMO:
+                    self._entry_memo.popitem(last=False)
         else:
             self._entry_memo.move_to_end(memo_key)
             self.obs.count("gateway.entry_memo_hits", 1)
@@ -540,20 +577,14 @@ class Gateway:
             self._conn_tasks.add(task)
             task.add_done_callback(self._conn_tasks.discard)
         try:
-            try:
-                first = await reader.readline()
-            except ValueError:
-                writer.write((json.dumps(protocol.error_frame(
-                    RequestTooLarge("request line over the size limit")),
-                    sort_keys=True) + "\n").encode("utf-8"))
-                await writer.drain()
+            first = await _read_line(reader)
+            if first == (b"", False):
                 return
-            if not first:
-                return
-            if protocol.looks_like_http(first):
-                await self._http(first, reader, writer)
+            line, oversized = first
+            if not oversized and protocol.looks_like_http(line):
+                await self._http(line, reader, writer)
             else:
-                await self._jsonl(first, reader, writer)
+                await self._jsonl(reader, writer, first)
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
@@ -566,60 +597,90 @@ class Gateway:
 
     # -- framed JSONL ------------------------------------------------------
 
-    async def _jsonl(self, first: bytes, reader: asyncio.StreamReader,
-                     writer: asyncio.StreamWriter) -> None:
+    async def _jsonl(self, reader: asyncio.StreamReader, writer,
+                     first: Optional[Tuple[bytes, bool]] = None) -> None:
+        """One framed-JSONL session: a TCP connection (*first* is the
+        line the transport detection read) or ``repro serve``'s stdio.
+        Every line runs as its own task, so answers may arrive out of
+        order. While ``max_queue`` of the session's requests are
+        unanswered, reading pauses: a pipelining client is paced, never
+        shed by its own backlog."""
         lock = asyncio.Lock()
-        tasks: List[asyncio.Task] = []
-        line: Optional[bytes] = first
-        while line:
+        unanswered: set = set()
+        line, oversized = first if first is not None \
+            else await _read_line(reader)
+        while line or oversized:
             text = line.decode("utf-8", errors="replace").strip()
-            if text:
-                tasks.append(asyncio.ensure_future(
-                    self._jsonl_request(text, writer, lock)))
-            try:
-                line = await reader.readline()
-            except ValueError:
-                await self._write_frame(writer, lock, protocol.error_frame(
-                    RequestTooLarge("request line over the size limit")))
-                break
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
+            if text or oversized:
+                task = asyncio.ensure_future(self._jsonl_request(
+                    None if oversized else text, writer, lock))
+                unanswered.add(task)
+                task.add_done_callback(unanswered.discard)
+                if len(unanswered) >= self.options.max_queue:
+                    await asyncio.wait(unanswered,
+                                       return_when=asyncio.FIRST_COMPLETED)
+            line, oversized = await _read_line(reader)
+        if unanswered:
+            await asyncio.gather(*unanswered, return_exceptions=True)
 
-    async def _write_frame(self, writer: asyncio.StreamWriter,
-                           lock: asyncio.Lock,
-                           frame: Dict[str, object]) -> None:
-        data = (json.dumps(frame, sort_keys=True) + "\n").encode("utf-8")
+    async def _write_frame(self, writer, lock: asyncio.Lock,
+                           frame: Dict[str, object]) -> bool:
+        """Write one frame; False when its body would not serialise and
+        a final error frame with the same ``seq`` and ``id`` went out
+        instead."""
+        written = True
+        try:
+            text = json.dumps(frame, sort_keys=True)
+        except (TypeError, ValueError) as exc:
+            self.obs.count("gateway.errors", 1)
+            text = json.dumps(protocol.error_frame(
+                exc, seq=frame["seq"], request_id=frame.get("id")),
+                sort_keys=True)
+            written = False
         async with lock:
-            writer.write(data)
+            writer.write((text + "\n").encode("utf-8"))
             await writer.drain()
+        return written
 
-    async def _jsonl_request(self, text: str,
-                             writer: asyncio.StreamWriter,
+    async def _jsonl_request(self, text: Optional[str], writer,
                              lock: asyncio.Lock) -> None:
+        """Answer one line (None: a line over the reader's limit)."""
         request_id: object = None
         try:
-            entry = protocol.parse_request_text(
-                text, max_request_bytes=self.options.max_request_bytes,
-                max_depth=self.options.max_json_depth)
-            request_id = entry.get("id")
-            stream = bool(entry.get("stream", False))
-            events = self.submit(entry)
-        except RequestError as exc:
-            self.obs.count("gateway.refused", 1)
-            await self._write_frame(
-                writer, lock,
-                protocol.error_frame(exc, request_id=request_id))
-            return
-        seq = 0
-        while True:
-            kind, body, final = await events.get()
-            if not final and not stream:
-                continue
-            await self._write_frame(writer, lock, protocol.make_frame(
-                kind, body, seq=seq, final=final, request_id=request_id))
-            seq += 1
-            if final:
+            try:
+                if text is None:
+                    raise RequestTooLarge(
+                        "request line is over "
+                        f"{self.options.max_request_bytes} bytes; raise "
+                        "--max-request-bytes to accept it")
+                entry = protocol.parse_request_text(
+                    text, max_request_bytes=self.options.max_request_bytes,
+                    max_depth=self.options.max_json_depth)
+                request_id = entry.get("id")
+                stream = bool(entry.get("stream", False))
+                events = self.submit(entry)
+            except Exception as exc:  # noqa: BLE001 - one final frame a line
+                self.obs.count("gateway.refused" if isinstance(
+                    exc, RequestError) else "gateway.errors", 1)
+                await self._write_frame(
+                    writer, lock,
+                    protocol.error_frame(exc, request_id=request_id))
                 return
+            seq = 0
+            while True:
+                kind, body, final = await events.get()
+                if not final and not stream:
+                    continue
+                if not await self._write_frame(
+                        writer, lock, protocol.make_frame(
+                            kind, body, seq=seq, final=final,
+                            request_id=request_id)) or final:
+                    return
+                seq += 1
+        except (ConnectionResetError, BrokenPipeError):
+            pass                         # the client left
+        finally:
+            self._request_answered()
 
     # -- HTTP --------------------------------------------------------------
 
@@ -669,7 +730,11 @@ class Gateway:
                 405, b'{"error": "use POST"}'))
             await writer.drain()
             return
-        await self._http_request(path, query, header_map, reader, writer)
+        try:
+            await self._http_request(path, query, header_map, reader,
+                                     writer)
+        finally:
+            self._request_answered()
 
     async def _http_request(self, path: str, query: Dict[str, str],
                             headers: Dict[str, str],
@@ -743,11 +808,94 @@ class Gateway:
         await writer.drain()
 
 
-async def run_gateway(options: GatewayOptions) -> Dict[str, object]:
-    """CLI entry: start, serve until a signal, drain, and return the
-    final metrics snapshot."""
-    gateway = Gateway(options)
-    await gateway.start()
-    gateway.install_signal_handlers()
-    await gateway.serve_forever()
-    return gateway.metrics()
+async def _read_line(reader: asyncio.StreamReader) -> Tuple[bytes, bool]:
+    """The next JSONL line and whether it was over the reader's limit
+    (``(b"", False)`` at EOF). An oversized line is discarded through
+    its newline, a buffer at a time, so the session keeps its place in
+    the stream without ever holding the whole line."""
+    try:
+        return await reader.readuntil(b"\n"), False
+    except asyncio.IncompleteReadError as exc:
+        return exc.partial, False        # the last line had no newline
+    except asyncio.LimitOverrunError as exc:
+        consumed = exc.consumed
+    while True:
+        await reader.readexactly(consumed)
+        try:
+            await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError:
+            pass
+        except asyncio.LimitOverrunError as exc:
+            consumed = exc.consumed
+            continue
+        return b"", True
+
+
+class _Stdio:
+    """``repro serve``'s stdin and stdout as one JSONL session: the
+    writer surface :meth:`Gateway._jsonl` writes frames to, and the
+    transport of the :class:`asyncio.StreamReader` it reads lines from.
+
+    A daemon thread reads the input descriptor with ``os.read`` and
+    hands each chunk to the loop, then waits until the reader wants
+    more (its buffer is back under the limit), so at most one chunk is
+    in flight. It never reads through ``sys.stdin``: a shard forked while
+    a thread is blocked in ``sys.stdin.readline()`` hangs in the
+    child-side ``sys.stdin.close()``, and would never serve; a blocked
+    ``os.read`` holds no lock the child needs."""
+
+    def __init__(self, in_fd: int, out: TextIO, limit: int) -> None:
+        self._loop = asyncio.get_running_loop()
+        self._out = out
+        self._paused = False
+        self._closed = False
+        self._wanted = threading.Event()
+        self.reader = asyncio.StreamReader(limit=limit)
+        self.reader.set_transport(self)
+        threading.Thread(target=self._pump, args=(in_fd,),
+                         name="stdin-reader", daemon=True).start()
+
+    def _pump(self, in_fd: int) -> None:
+        chunk = b"\n"
+        while chunk and not self._closed:
+            try:
+                chunk = os.read(in_fd, 1 << 16)
+            except OSError:
+                chunk = b""
+            self._wanted.clear()
+            try:
+                self._loop.call_soon_threadsafe(self._deliver, chunk)
+            except RuntimeError:        # the loop is gone
+                return
+            self._wanted.wait()
+
+    def _deliver(self, chunk: bytes) -> None:
+        if not self._closed:
+            if chunk:
+                self.reader.feed_data(chunk)
+            else:
+                self.close()
+        if not self._paused:
+            self._wanted.set()
+
+    # StreamReader flow control (its buffer over twice the limit).
+    def pause_reading(self) -> None:
+        self._paused = True
+
+    def resume_reading(self) -> None:
+        self._paused = False
+        self._wanted.set()
+
+    # The StreamWriter surface.
+    def write(self, data: bytes) -> None:
+        self._out.write(data.decode("utf-8"))
+
+    async def drain(self) -> None:
+        self._out.flush()
+
+    def close(self) -> None:
+        """End the input: lines already buffered are still read."""
+        if not self._closed:
+            self._closed = True
+            self.reader.feed_eof()
+        self._wanted.set()

@@ -7,7 +7,8 @@ three artifact shapes the serving stack emits:
   embedded ``repro.metrics/1`` rollup plus the per-request rows and
   slow-request exemplars;
 - a single ``repro.metrics/1`` snapshot (one JSON object);
-- a metrics JSONL stream (``repro serve --metrics-interval``) — the
+- a metrics JSONL stream (``repro serve`` / ``repro gateway
+  --metrics-interval``) — the
   stream is validated (including cross-snapshot counter monotonicity,
   see :func:`repro.obs.validate_metrics_stream`) and the final,
   cumulative snapshot is rendered.
@@ -113,15 +114,18 @@ def render_telemetry_report(source: TelemetrySource, top: int = 5) -> str:
     if source.snapshots > 1:
         lines[0] += f"  (final of {source.snapshots} snapshots)"
 
-    requests = counters.get("batch.requests", counters.get("serve.requests"))
-    degraded = counters.get("batch.degraded", counters.get("serve.degraded",
-                                                           0))
+    # A batch rollup counts batch.* and pool.*; a gateway stream (repro
+    # serve or repro gateway) counts gateway.*.
+    prefix = "gateway" if "gateway.requests" in counters else "batch"
+    requests = counters.get(f"{prefix}.requests")
+    retried, timed_out = ("gateway.retries", "gateway.deadline_kills") \
+        if prefix == "gateway" else ("pool.retries", "pool.timeouts")
     summary = []
     if requests is not None:
         summary.append(f"{requests} request(s)")
-    summary.append(f"{degraded} degraded")
-    summary.append(f"{counters.get('pool.retries', 0)} retried")
-    summary.append(f"{counters.get('pool.timeouts', 0)} timed out")
+    summary.append(f"{counters.get(f'{prefix}.degraded', 0)} degraded")
+    summary.append(f"{counters.get(retried, 0)} retried")
+    summary.append(f"{counters.get(timed_out, 0)} timed out")
     lines.append("  " + ", ".join(summary))
 
     hits = counters.get("cache.hits", 0)

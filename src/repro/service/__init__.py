@@ -12,13 +12,11 @@ Turns the single-shot FSAM pipeline into a servable system:
   result) that every front end walks;
 - :mod:`repro.service.shards` — the shard workers, the only code that
   spawns analysis processes: per-job wall-clock deadlines, crash
-  retry and respawn, for batch and serve (:func:`run_requests`) and
-  for the gateway (:class:`ShardPool`);
+  retry and respawn, for batch (:func:`run_requests`) and for the
+  gateway and ``repro serve`` (:class:`ShardPool`);
 - :mod:`repro.service.batch` — the batch driver: request dedup,
   cache consultation, shard dispatch, and one aggregated
   ``repro.batch/1`` report;
-- :mod:`repro.service.serve` — a long-lived stdin/JSONL request loop
-  (``repro serve``);
 - :mod:`repro.service.incremental` — function-granular incremental
   analysis over the cache's per-function artifact store
   (``repro.funcartifact/1``): warm requests whose program digest
@@ -36,8 +34,8 @@ own Observer in the shard); cache-miss span snapshots merge
 back into a ``repro.metrics/1`` rollup — mergeable latency
 histograms, cross-request per-phase distributions, cache hit-rate
 gauges — embedded in batch reports and streamed live by
-``repro serve --metrics-interval`` (see DESIGN.md "Service
-telemetry"; rendered by ``repro report``).
+``repro serve`` / ``repro gateway --metrics-interval`` (see DESIGN.md
+"Service telemetry"; rendered by ``repro report``).
 """
 
 from repro.service.artifacts import (
@@ -58,7 +56,6 @@ from repro.service.requests import (
 from repro.service.runner import (
     QueryRunner, RequestOutcome, run_request_inline,
 )
-from repro.service.serve import serve_loop
 from repro.service.shards import ShardPool, run_requests
 
 __all__ = [
@@ -72,5 +69,4 @@ __all__ = [
     "ShardPool", "run_requests",
     "BatchReport", "run_batch", "render_batch_report",
     "validate_batch_report",
-    "serve_loop",
 ]

@@ -81,7 +81,7 @@ class AnalysisRequest:
     config: FSAMConfig = field(default_factory=FSAMConfig)
     timeout: Optional[float] = None
     #: Span identifier assigned by the dispatcher (batch: ``rNNNN`` in
-    #: request order, serve: ``sNNNN`` in arrival order). Names the
+    #: request order, the gateway and serve: ``gNNNN`` per job). Names the
     #: worker-side Observer so its telemetry snapshot can be tied back
     #: to the request; like ``name``/``timeout``, it never enters the
     #: content digest.
@@ -127,7 +127,7 @@ class QueryRequest:
 
 def query_from_entry(entry: Dict[str, object],
                      base_dir: str = ".") -> QueryRequest:
-    """An ``{"op": "query", ...}`` spec/serve entry -> QueryRequest.
+    """An ``{"op": "query", ...}`` spec entry -> QueryRequest.
 
     The program half uses the same keys as an analysis entry
     (workload | file | source, config, timeout); the query half is
@@ -152,7 +152,7 @@ def query_from_entry(entry: Dict[str, object],
 
 def request_from_entry(entry: Dict[str, object],
                        base_dir: str = ".") -> AnalysisRequest:
-    """One spec/serve request entry -> :class:`AnalysisRequest` (see
+    """One spec or JSONL request entry -> :class:`AnalysisRequest` (see
     the module docstring for the entry forms)."""
     if not isinstance(entry, dict):
         raise ValueError(f"request entry is not an object: {entry!r}")

@@ -1,7 +1,8 @@
 """Executing one analysis request end to end.
 
-The degradation ladder (the availability contract of batch, serve and
-the gateway — every request gets an answer, never a crashed batch):
+The degradation ladder (the availability contract of batch and the
+gateway, ``repro serve`` included — every request gets an answer,
+never a crashed batch):
 
 1. the full FSAM pipeline, under ``config.time_budget`` if set;
 2. cooperative budget exhaustion (``AnalysisTimeout``) degrades where
@@ -18,7 +19,7 @@ An exception the analysis itself raises (a ``ParseError``, say) is
 terminal: it repeats on every attempt, so it is never retried and the
 request's outcome carries the error instead of an artifact.
 
-:func:`run_inline` is the ``workers <= 1`` arm of batch and serve;
+:func:`run_inline` is the ``workers <= 1`` arm of batch;
 :func:`repro.service.shards.run_requests` is the pooled arm.
 """
 
@@ -152,8 +153,8 @@ def run_request_inline(request: AnalysisRequest,
 
     The attempt runs under a per-request span Observer whose
     ``repro.metrics/1`` snapshot lands on ``outcome.obs_snapshot`` —
-    the same shape a shard worker ships back, so batch/serve
-    aggregation is dispatch-agnostic. (The shared inline *funcstore*
+    the same shape a shard worker ships back, so batch aggregation
+    is dispatch-agnostic. (The shared inline *funcstore*
     is deliberately not flushed here: its counters span the whole
     batch and are flushed once by the dispatcher, not once per
     request.)"""
@@ -184,7 +185,7 @@ def run_request_inline(request: AnalysisRequest,
 
 def run_inline(request: AnalysisRequest, timeout: Optional[float] = None,
                funcstore=None) -> RequestOutcome:
-    """The ``workers <= 1`` arm of batch and serve. There is no process
+    """The ``workers <= 1`` arm of batch. There is no process
     to kill inline, so the request's wall-clock timeout (else
     *timeout*) becomes its cooperative budget; an exception the
     analysis raises becomes the outcome's terminal ``error``."""
@@ -208,7 +209,8 @@ def run_inline(request: AnalysisRequest, timeout: Optional[float] = None,
 
 
 class QueryRunner:
-    """Executes demand queries for the batch and serve front ends.
+    """Executes demand queries for batch, the gateway's shards and
+    ``repro query``.
 
     Three rungs, cheapest first:
 
@@ -242,6 +244,13 @@ class QueryRunner:
         if result is not None:
             self._order.remove(digest)
             self._order.append(digest)
+            if getattr(self.obs, "enabled", False):
+                # A warm pipeline records into the runner's current
+                # observer (a shard sets one per job), not the one it
+                # was built under.
+                result.obs = self.obs
+                if result._query_engine is not None:
+                    result._query_engine.obs = self.obs
             return result
         config_fields = request.config.to_dict()
         config_fields["solver_mode"] = "demand"

@@ -1,5 +1,5 @@
-"""Shard workers: the one execution core of batch, serve and the
-gateway.
+"""Shard workers: the one execution core of batch and the gateway
+(which ``repro serve`` runs too).
 
 A **shard** is a worker process that serves analysis jobs over one
 duplex pipe until it is told to stop. It is the only code that spawns
@@ -27,8 +27,8 @@ Two parents drive the pool:
 
 - the gateway (:mod:`repro.gateway.server`), which routes by program
   digest on a consistent-hash ring so per-program state stays warm;
-- :func:`run_requests`, the synchronous entry of batch and serve,
-  which hands a list of requests FIFO to whichever shard is idle. Its
+- :func:`run_requests`, the synchronous entry of batch, which hands
+  a list of requests FIFO to whichever shard is idle. Its
   jobs bypass the shard's whole-program cache and hot LRU (the caller
   owns lookups, dedup and puts) and ship the artifact back.
 
@@ -73,10 +73,10 @@ _PARENT_SIGNALS = {signal.SIGINT, signal.SIGTERM}
 def _response_body(request: AnalysisRequest, digest: str, artifact,
                    cache_state: str, seconds: float,
                    attempts: int = 1) -> Dict[str, object]:
-    """The serve-compatible response record for one analyze answer,
-    extended with the artifact payload digest so clients (and the
-    load-test harness) can check bit-identity against batch oracles
-    without shipping the whole artifact."""
+    """The response body for one analyze answer. It carries the
+    artifact payload digest, so clients (and the load-test harness)
+    can check bit-identity against batch oracles without shipping the
+    whole artifact."""
     body: Dict[str, object] = {
         "name": request.name,
         "digest": digest,
@@ -106,8 +106,8 @@ class _ShardState:
         self.funcstore = FuncArtifactStore(cache_root) \
             if cache_root and options.get("incremental", True) else None
         self.cache_root = cache_root
-        # Built by the first query job, as in the serve loop, so a
-        # shard that answers no queries reports no query-store tallies.
+        # Built by the first query job, so a shard that answers no
+        # queries reports no query-store tallies.
         self.queryrunner: Optional[QueryRunner] = None
         self.querystore: Optional[QueryArtifactStore] = None
         # digest -> AnalysisRequest (so ref payloads need no source).
@@ -234,10 +234,15 @@ def _run_query(state: _ShardState, msg: Dict[str, object], conn) -> None:
         if state.cache_root:
             state.querystore = QueryArtifactStore(state.cache_root)
         state.queryrunner = QueryRunner(querystore=state.querystore)
+    # The job's span, shipped back as an analyze job's is.
+    obs = Observer(name=request.request_id or request.name,
+                   track_memory=False)
+    state.queryrunner.obs = obs
     body = state.queryrunner.run(query)
     if request.request_id is not None:
         body["span"] = request.request_id
-    conn.send({"jid": jid, "kind": "result", "final": True, "body": body})
+    conn.send({"jid": jid, "kind": "result", "final": True, "body": body,
+               "obs": obs.to_metrics_dict()})
 
 
 def _close_inherited_sockets(keep_fd: int) -> None:
@@ -267,8 +272,8 @@ def shard_worker_main(conn, shard_id: int,
     """Worker-process entry: serve jobs from the pipe until shutdown
     (or pipe EOF — a vanished parent must not leave orphans).
 
-    Whatever handlers the parent had when it forked (serve's shutdown
-    flag, an asyncio loop's ``add_signal_handler``), a shard dies on
+    Whatever handlers the parent had when it forked (an asyncio loop's
+    ``add_signal_handler``, say), a shard dies on
     SIGTERM — the deadline kill — and ignores SIGINT: the parent owns
     the graceful drain. The parent blocks both signals across the fork,
     so a kill sent before this reset stays pending until it is done."""
@@ -559,7 +564,7 @@ class ShardPool:
         return list(self._bye_obs)
 
 
-# -- batch and serve: a list of requests on fresh shards ---------------------
+# -- batch: a list of requests on fresh shards --------------------------------
 
 
 @dataclass
@@ -708,7 +713,7 @@ def run_requests(requests: List[AnalysisRequest], workers: int,
                  obs: Optional[Observer] = None) -> List[RequestOutcome]:
     """Run *requests* to terminal outcomes on ``min(workers,
     len(requests))`` fresh shards; the outcomes come back in request
-    order.  The pooled arm of batch and serve.
+    order.  The pooled arm of batch.
 
     Requests go FIFO to whichever shard is idle — there is no hash
     ring, since a batch wants any free worker.  Each job runs under its

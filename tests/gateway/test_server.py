@@ -9,7 +9,7 @@ import pytest
 from repro.gateway.admission import TenantPolicy
 from repro.gateway.protocol import validate_gwframe_stream
 from repro.gateway.server import Gateway, GatewayOptions
-from repro.obs import validate_metrics
+from repro.obs import validate_metrics, validate_metrics_stream
 from repro.service.requests import request_from_entry
 from repro.service.runner import run_request_inline
 
@@ -55,6 +55,11 @@ async def _http(port, raw):
 def _frames_for(frames, request_id):
     return sorted((f for f in frames if f.get("id") == request_id),
                   key=lambda f: f["seq"])
+
+
+def _tiny(n):
+    return {"source": f"int main() {{ return {n}; }}", "name": f"t{n}",
+            "id": n}
 
 
 class TestTransports:
@@ -226,6 +231,29 @@ class TestHardening:
         finally:
             await gateway.shutdown()
 
+    def test_oversized_line_keeps_the_connection(self, tmp_path):
+        _run(self._oversized(tmp_path))
+
+    async def _oversized(self, tmp_path):
+        # A line past the reader's buffer limit is refused and skipped;
+        # the connection goes on, whether or not it is the first line.
+        gateway = Gateway(GatewayOptions(
+            workers=1, max_request_bytes=512,
+            cache_root=str(tmp_path / "cache")))
+        await gateway.start()
+        try:
+            huge = json.dumps({"source": "x" * 200_000, "name": "huge"})
+            frames = await _jsonl(gateway.port, [
+                huge, {"workload": "kmeans", "id": "c"}, huge,
+                {"workload": "word_count", "id": "d"}])
+            refused = [frame for frame in frames if "id" not in frame]
+            assert [frame["body"]["error"]["type"] for frame in refused] \
+                == ["RequestTooLarge", "RequestTooLarge"]
+            assert _frames_for(frames, "c")[-1]["body"]["status"] == "ok"
+            assert _frames_for(frames, "d")[-1]["body"]["status"] == "ok"
+        finally:
+            await gateway.shutdown()
+
 
 class TestAdmission:
     def test_rate_limited_tenant_gets_429(self, tmp_path):
@@ -314,6 +342,70 @@ class TestAdmission:
                 import signal
                 os.kill(paused, signal.SIGCONT)
             await gateway.shutdown()
+
+
+    def test_pipelined_connection_is_paced_not_shed(self, tmp_path):
+        _run(self._paced(tmp_path))
+
+    async def _paced(self, tmp_path):
+        # One connection pipelines more distinct requests than the
+        # queue holds: reading pauses instead of shedding its own work.
+        gateway = Gateway(GatewayOptions(
+            workers=1, max_queue=2, cache_root=str(tmp_path / "cache")))
+        await gateway.start()
+        try:
+            frames = await asyncio.wait_for(
+                _jsonl(gateway.port, [_tiny(n) for n in range(6)]),
+                timeout=60)
+            assert sorted(frame["id"] for frame in frames) == list(range(6))
+            assert all(frame["body"]["status"] == "ok" for frame in frames)
+            assert gateway.metrics()["counters"].get("gateway.shed", 0) == 0
+        finally:
+            await gateway.shutdown()
+
+
+class TestTelemetry:
+    def test_query_jobs_ship_their_span(self, tmp_path):
+        _run(self._query_span(tmp_path))
+
+    async def _query_span(self, tmp_path):
+        gateway = Gateway(GatewayOptions(workers=1))
+        await gateway.start()
+        try:
+            # Two objects of one program: the second query runs on the
+            # warm pipeline the first one built, under its own span.
+            for n, var in enumerate(("bucket_0", "bucket_1")):
+                frames = await _jsonl(gateway.port, [
+                    {"op": "query", "workload": "word_count", "var": var,
+                     "obj": True, "id": n}])
+                assert frames[0]["body"]["status"] == "ok"
+            metrics = gateway.metrics()
+            assert metrics["counters"]["query.requests"] == 2
+            assert metrics["histograms"]["query.request_seconds"][
+                "count"] == 2
+        finally:
+            await gateway.shutdown()
+
+    def test_metrics_interval_rule(self, tmp_path):
+        for interval, snapshots in ((0, 3), (3600, 1)):
+            assert len(_run(self._interval(interval))) == snapshots
+
+    async def _interval(self, interval):
+        # After an answered request, a snapshot once the interval has
+        # passed since the last; the final one at shutdown.
+        import io
+        stream = io.StringIO()
+        gateway = Gateway(GatewayOptions(
+            workers=1, metrics_interval=interval, metrics_stream=stream))
+        await gateway.start()
+        try:
+            await _jsonl(gateway.port, [_tiny(0), _tiny(1)])
+        finally:
+            await gateway.shutdown()
+        docs = [json.loads(line) for line in stream.getvalue().splitlines()]
+        validate_metrics_stream(docs)
+        assert docs[-1]["counters"]["gateway.requests"] == 2
+        return docs
 
 
 class TestResilience:

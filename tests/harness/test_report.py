@@ -54,16 +54,16 @@ class TestLoad:
         assert source.snapshots == 1
 
     def test_jsonl_stream_takes_final_snapshot(self, tmp_path):
-        obs = Observer(name="serve", track_memory=False)
+        obs = Observer(name="gateway", track_memory=False)
         lines = []
         for _ in range(3):
-            obs.count("serve.requests")
+            obs.count("gateway.requests")
             lines.append(json.dumps(obs.to_metrics_dict()))
         path = tmp_path / "metrics.jsonl"
         path.write_text("\n".join(lines) + "\n")
         source = load_telemetry(str(path))
         assert source.snapshots == 3
-        assert source.metrics["counters"]["serve.requests"] == 3
+        assert source.metrics["counters"]["gateway.requests"] == 3
 
     def test_jsonl_stream_counter_regression_rejected(self, tmp_path):
         first = _metrics_doc()
@@ -108,6 +108,18 @@ class TestRender:
         assert "final of 2 snapshots" in text
         assert "pool.run_seconds" in text
 
+    def test_gateway_stream_counts(self, tmp_path):
+        # repro serve and repro gateway count gateway.*, not batch.*.
+        obs = Observer(name="gateway", track_memory=False)
+        obs.count("gateway.requests", 5)
+        obs.count("gateway.degraded", 2)
+        obs.count("gateway.retries", 1)
+        obs.count("gateway.deadline_kills", 1)
+        path = tmp_path / "metrics.jsonl"
+        path.write_text(json.dumps(obs.to_metrics_dict()) + "\n")
+        text = render_telemetry_report(load_telemetry(str(path)))
+        assert "5 request(s), 2 degraded, 1 retried, 1 timed out" in text
+
     def test_top_limits_slowest_rows(self, tmp_path):
         report = _batch_report()
         path = tmp_path / "batch.json"
@@ -119,7 +131,7 @@ class TestRender:
 class TestQuerySummary:
     def _query_metrics(self):
         obs = Observer(name="q", track_memory=False)
-        obs.count("serve.requests", 3)
+        obs.count("gateway.requests", 3)
         obs.count("query.requests", 2)
         obs.count("query.cache_hits", 1)
         obs.count("query.cache_misses", 1)

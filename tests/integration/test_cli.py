@@ -35,6 +35,16 @@ int main() {
 """
 
 
+def _serve(tmp_path, monkeypatch, lines, *flags):
+    """``main(["serve", *flags])`` with *lines* on stdin (a real file:
+    serve reads its descriptor)."""
+    path = tmp_path / "stdin.jsonl"
+    path.write_text(lines)
+    with path.open() as stdin:
+        monkeypatch.setattr("sys.stdin", stdin)
+        return main(["serve", *flags])
+
+
 @pytest.fixture
 def sample(tmp_path):
     path = tmp_path / "sample.mc"
@@ -299,13 +309,11 @@ class TestSubcommandSmoke:
         assert "batch spec.json" in out
         assert "word_count" in out
 
-    def test_serve(self, monkeypatch, capsys):
-        import io
-        monkeypatch.setattr(
-            "sys.stdin", io.StringIO('{"workload": "word_count"}\n'))
-        assert main(["serve"]) == 0
-        response = json.loads(capsys.readouterr().out)
-        assert response["status"] == "ok"
+    def test_serve(self, tmp_path, monkeypatch, capsys):
+        assert _serve(tmp_path, monkeypatch,
+                      '{"workload": "word_count"}\n') == 0
+        frame = json.loads(capsys.readouterr().out)
+        assert frame["body"]["status"] == "ok"
 
     def test_report(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
@@ -382,14 +390,17 @@ class TestBatchServeCLI:
         assert "tiny.mc" in capsys.readouterr().out
 
     def test_serve_with_cache(self, tmp_path, monkeypatch, capsys):
-        import io
-        lines = '{"workload": "word_count", "id": 1}\n' \
-                '{"workload": "word_count", "id": 2}\n'
-        monkeypatch.setattr("sys.stdin", io.StringIO(lines))
-        assert main(["serve", "--cache", str(tmp_path / "c")]) == 0
-        responses = [json.loads(line)
-                     for line in capsys.readouterr().out.splitlines()]
-        assert [r["cache"] for r in responses] == ["miss", "hit"]
+        # A second session on the same cache answers from disk.
+        caches = []
+        for request_id in (1, 2):
+            assert _serve(tmp_path, monkeypatch,
+                          '{"workload": "word_count", "id": %d}\n'
+                          % request_id,
+                          "--cache", str(tmp_path / "c")) == 0
+            frame = json.loads(capsys.readouterr().out)
+            assert frame["id"] == request_id
+            caches.append(frame["body"]["cache"])
+        assert caches == ["miss", "hit"]
 
     def test_batch_slow_ms_captures_exemplars(self, spec, capsys):
         assert main(["batch", spec, "--slow-ms", "0"]) == 0
@@ -398,21 +409,19 @@ class TestBatchServeCLI:
         assert "r0000" in out
 
     def test_serve_metrics_stream(self, tmp_path, monkeypatch, capsys):
-        import io
         from repro.obs import validate_metrics_stream
-        monkeypatch.setattr(
-            "sys.stdin",
-            io.StringIO('{"workload": "word_count"}\n'
-                        '{"workload": "word_count"}\n'))
         metrics_path = tmp_path / "metrics.jsonl"
-        assert main(["serve", "--cache", str(tmp_path / "c"),
-                     "--metrics-interval", "0",
-                     "--metrics-out", str(metrics_path)]) == 0
+        assert _serve(tmp_path, monkeypatch,
+                      '{"workload": "word_count"}\n'
+                      '{"workload": "word_count"}\n',
+                      "--cache", str(tmp_path / "c"),
+                      "--metrics-interval", "0",
+                      "--metrics-out", str(metrics_path)) == 0
         docs = [json.loads(line)
                 for line in metrics_path.read_text().splitlines()]
         validate_metrics_stream(docs)
         assert len(docs) >= 2
-        assert docs[-1]["counters"]["serve.requests"] == 2
+        assert docs[-1]["counters"]["gateway.requests"] == 2
         capsys.readouterr()
         assert main(["report", str(metrics_path)]) == 0
         assert "telemetry report" in capsys.readouterr().out

@@ -1,5 +1,5 @@
 """The service-layer query path: artifact store, runner, batch rows,
-serve loop, and spec parsing for ``"op": "query"`` entries.
+``repro serve``, and spec parsing for ``"op": "query"`` entries.
 
 The fsam-level differential contract (demand answer == whole-program
 fixpoint) lives in ``tests/fsam/test_query.py``; here we only care
@@ -11,7 +11,6 @@ batch or the loop.
 
 from __future__ import annotations
 
-import io
 import json
 
 import pytest
@@ -24,8 +23,8 @@ from repro.service.cache import ArtifactCache, QueryArtifactStore
 from repro.service.requests import (AnalysisRequest, QueryRequest,
                                     query_from_entry, requests_from_spec)
 from repro.service.runner import QueryRunner
-from repro.service.serve import serve_loop
 from repro.workloads import get_workload
+from tests.service.serving import serve
 
 VAR = "insert_entry_0.key"          # a word_count function parameter
 GLOBAL = "bucket_0"                 # a word_count global object
@@ -151,46 +150,36 @@ class TestBatchQueries:
 
 
 class TestServeQueries:
-    def _serve(self, lines, **kwargs):
-        out = io.StringIO()
-        served = serve_loop(io.StringIO("\n".join(lines) + "\n"), out,
-                            **kwargs)
-        return served, [json.loads(line) for line in out.getvalue().splitlines()]
+    ENTRY = json.dumps({"op": "query", "workload": "word_count",
+                        "var": VAR, "id": 7})
 
     def test_query_entry(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        entry = json.dumps({"op": "query", "workload": "word_count",
-                            "var": VAR, "id": 7})
-        served, responses = self._serve([entry, entry], cache=cache)
-        assert served == 2
-        first, second = responses
+        # A second session on the same cache answers from the store.
+        cache_root = str(tmp_path / "cache")
+        first = serve([self.ENTRY], cache_root=cache_root).answer(7)
+        second = serve([self.ENTRY], cache_root=cache_root).answer(7)
         assert first["op"] == "query" and first["status"] == "ok"
-        assert first["id"] == 7
         assert first["cache"] == "miss"
         assert second["cache"] == "hit"
         assert second["pts"] == first["pts"]
 
     def test_bad_query_is_structured_error(self):
-        served, responses = self._serve([
+        session = serve([
             json.dumps({"op": "query", "workload": "word_count",
                         "var": "missing_var", "id": "bad"}),
-            json.dumps({"workload": "word_count"}),
+            json.dumps({"workload": "word_count", "id": "ok"}),
         ])
-        assert served == 1
-        assert responses[0]["status"] == "error"
-        assert responses[0]["id"] == "bad"
-        assert responses[1]["status"] == "ok"
+        assert session.answer("bad")["status"] == "error"
+        assert session.answer("ok")["status"] == "ok"
 
     def test_query_counters(self, tmp_path):
-        obs = Observer(name="serve", track_memory=False)
-        cache = ArtifactCache(tmp_path)
-        entry = json.dumps({"op": "query", "workload": "word_count",
-                            "var": VAR})
-        self._serve([entry, entry], cache=cache, obs=obs)
-        counters = obs.to_metrics_dict()["counters"]
-        assert counters["query.requests"] == 2
-        assert counters["query.cache_hits"] == 1
-        assert counters["query.cache_stores"] == 1
+        cache_root = str(tmp_path / "cache")
+        cold = serve([self.ENTRY], cache_root=cache_root)
+        assert cold.counters["query.requests"] == 1
+        assert cold.counters["query.cache_stores"] == 1
+        warm = serve([self.ENTRY], cache_root=cache_root)
+        assert warm.counters["query.requests"] == 1
+        assert warm.counters["query.cache_hits"] == 1
 
 
 class TestSpecParsing:

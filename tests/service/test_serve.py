@@ -1,140 +1,230 @@
-"""The stdin/JSONL serve loop."""
+"""``repro serve``: the gateway's framed-JSONL session over
+stdin/stdout."""
 
-import io
+import asyncio
 import json
 
-from repro.obs import Observer
-from repro.service.cache import ArtifactCache
-from repro.service.serve import serve_loop
+from repro.gateway.server import Gateway
+from tests.service.serving import frame_reader, serve, spawn
 
 
-def _serve(lines, **kwargs):
-    out = io.StringIO()
-    served = serve_loop(io.StringIO("\n".join(lines) + "\n"), out, **kwargs)
-    responses = [json.loads(line) for line in out.getvalue().splitlines()]
-    return served, responses
+def _tiny(n: int, request_id=None) -> str:
+    entry = {"source": f"int main() {{ return {n}; }}", "name": f"t{n}"}
+    if request_id is not None:
+        entry["id"] = request_id
+    return json.dumps(entry)
 
 
 class TestServeLoop:
     def test_workload_request(self):
-        served, responses = _serve(['{"workload": "word_count"}'])
-        assert served == 1
-        assert responses[0]["name"] == "word_count"
-        assert responses[0]["status"] == "ok"
-        assert responses[0]["cache"] == "miss"
-        assert responses[0]["summary"]["points_to_entries"] > 0
+        session = serve(['{"workload": "word_count", "id": 1}'])
+        body = session.answer(1)
+        assert body["name"] == "word_count"
+        assert body["status"] == "ok"
+        assert body["cache"] == "miss"
+        assert body["summary"]["points_to_entries"] > 0
+        assert all(frame["schema"] == "repro.gwframe/1"
+                   for frame in session.frames)
 
     def test_id_echoed_back(self):
-        _, responses = _serve(['{"workload": "word_count", "id": 42}'])
-        assert responses[0]["id"] == 42
+        session = serve(['{"workload": "word_count", "id": 42}'])
+        assert [frame["id"] for frame in session.frames] == [42]
 
     def test_second_request_hits_cache(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        _, responses = _serve(['{"workload": "word_count"}'] * 2,
-                              cache=cache)
-        assert [r["cache"] for r in responses] == ["miss", "hit"]
-        assert responses[0]["digest"] == responses[1]["digest"]
+        # A second session on the same cache answers from disk.
+        cache_root = str(tmp_path / "cache")
+        first = serve(['{"workload": "word_count", "id": 1}'],
+                      cache_root=cache_root).answer(1)
+        second = serve(['{"workload": "word_count", "id": 2}'],
+                       cache_root=cache_root).answer(2)
+        assert [first["cache"], second["cache"]] == ["miss", "hit"]
+        assert first["digest"] == second["digest"]
+        assert first["payload_digest"] == second["payload_digest"]
 
     def test_malformed_line_does_not_kill_the_loop(self):
-        served, responses = _serve([
+        session = serve([
             'this is not json',
             '{"no_program": true, "id": "after"}',
-            '{"workload": "word_count"}',
+            '{"workload": "word_count", "id": "ok"}',
         ])
-        assert served == 1
-        assert "error" in responses[0]
-        assert "error" in responses[1]
-        assert responses[1]["id"] == "after"
-        assert responses[2]["status"] == "ok"
+        assert len(session.finals) == 3
+        (garbage,) = [frame for frame in session.finals
+                      if "id" not in frame]
+        assert garbage["kind"] == "error"
+        assert session.answer("after")["status"] == "error"
+        assert session.answer("ok")["status"] == "ok"
+
+    def test_badly_typed_entries_answer_bad_request(self):
+        # A field of the wrong type (int(None), set(5)) is a malformed
+        # entry like any other: a typed error frame echoing the id.
+        session = serve([
+            '{"workload": "kmeans", "scale": null, "id": 1}',
+            '{"workload": "kmeans", "config": 5, "id": 2}',
+            '{"workload": "word_count", "id": 3}',
+        ])
+        assert len(session.finals) == 3
+        for request_id in (1, 2):
+            assert session.answer(request_id)["status"] == "error"
+            assert session.answer(request_id)["error"]["type"] \
+                == "BadRequest"
+        assert session.answer(3)["status"] == "ok"
+
+    def test_intake_failure_still_answers_its_line(self, monkeypatch):
+        """An exception intake does not expect still ends the line
+        with one final error frame echoing its id."""
+        resolve = Gateway._resolve
+
+        def broken_resolve(self, entry):
+            if entry.get("id") == "boom":
+                raise RuntimeError("intake bug")
+            return resolve(self, entry)
+
+        monkeypatch.setattr(Gateway, "_resolve", broken_resolve)
+        session = serve(['{"workload": "word_count", "id": "boom"}',
+                         '{"workload": "word_count", "id": "ok"}'])
+        assert session.answer("boom")["error"] == {
+            "type": "RuntimeError", "message": "intake bug", "code": 500}
+        assert session.answer("ok")["status"] == "ok"
+        assert session.counters["gateway.errors"] == 1
 
     def test_error_record_is_structured(self):
         """Garbage then a valid request: the garbage line yields a
-        typed error record, the valid line is still served."""
-        served, responses = _serve([
+        typed error frame, the valid line is still served."""
+        session = serve([
             '<<< not json >>>',
             '{"workload": "word_count", "id": 3}',
         ])
-        assert served == 1
-        err = responses[0]
+        (err,) = [frame["body"] for frame in session.finals
+                  if "id" not in frame]
         assert err["status"] == "error"
-        assert err["error"]["type"] == "JSONDecodeError"
-        assert err["error"]["message"]
-        assert responses[1]["id"] == 3
-        assert responses[1]["status"] == "ok"
+        assert err["error"]["type"] == "BadRequest"
+        assert err["error"]["code"] == 400
+        assert "not valid JSON" in err["error"]["message"]
+        assert session.answer(3)["status"] == "ok"
 
     def test_unserializable_response_degrades_to_error_record(
             self, monkeypatch):
-        """A response json cannot encode must not tear down the loop."""
-        import repro.service.serve as serve_mod
-        from repro.service.runner import RequestOutcome
+        """A body json cannot encode still answers its request, as an
+        error frame with the same id."""
+        def fake_submit(self, entry):
+            events = asyncio.Queue()
+            events.put_nowait(("result", {"weird": object()}, True))
+            return events
 
-        class _Artifact:
-            degraded = False
-            degraded_reason = None
-            summary = {"weird": object()}
-
-        def fake_run(request, timeout=None, funcstore=None):
-            return RequestOutcome(name=request.name, digest="d0",
-                                  artifact=_Artifact(), cache="miss",
-                                  seconds=0.0, attempts=1)
-
-        monkeypatch.setattr(serve_mod, "run_inline", fake_run)
-        served, responses = _serve([
-            '{"workload": "word_count", "id": 9}',
-        ])
-        assert served == 0
-        assert responses[0]["status"] == "error"
-        assert responses[0]["error"]["type"] == "TypeError"
-        assert "JSON serializable" in responses[0]["error"]["message"]
-        assert responses[0]["id"] == 9
+        monkeypatch.setattr(Gateway, "submit", fake_submit)
+        session = serve(['{"workload": "word_count", "id": 9}'])
+        (frame,) = session.frames
+        assert frame["id"] == 9 and frame["final"]
+        assert frame["kind"] == "error"
+        assert frame["body"]["error"]["type"] == "TypeError"
+        assert "JSON serializable" in frame["body"]["error"]["message"]
+        assert session.counters["gateway.errors"] == 1
 
     def test_blank_lines_skipped(self):
-        served, responses = _serve(["", '{"workload": "word_count"}', ""])
-        assert served == 1
-        assert len(responses) == 1
+        session = serve(["", '{"workload": "word_count", "id": 1}', ""])
+        assert len(session.frames) == 1
 
     def test_file_entry_uses_base_dir(self, tmp_path):
         (tmp_path / "tiny.mc").write_text("int main() { return 0; }")
-        _, responses = _serve(['{"file": "tiny.mc"}'],
-                              base_dir=str(tmp_path))
-        assert responses[0]["name"] == "tiny.mc"
-        assert responses[0]["status"] == "ok"
+        session = serve(['{"file": "tiny.mc", "id": 1}'],
+                        base_dir=str(tmp_path))
+        assert session.answer(1)["name"] == "tiny.mc"
+        assert session.answer(1)["status"] == "ok"
+
+    def test_edited_file_is_read_afresh(self, tmp_path):
+        """A ``file`` entry is read on every request: after an edit, the
+        same entry analyses the new program, not the hot answer for the
+        old one."""
+        program = tmp_path / "p.mc"
+        program.write_text("int main() { return 0; }")
+        proc = spawn("--base-dir", str(tmp_path))
+        next_frame = frame_reader(proc)
+        try:
+            proc.stdin.write('{"file": "p.mc", "id": 1}\n')
+            proc.stdin.flush()
+            before = next_frame()
+            program.write_text("int main() { int x; x = 1; return x; }")
+            proc.stdin.write('{"file": "p.mc", "id": 2}\n')
+            proc.stdin.flush()
+            after = next_frame()
+            proc.stdin.close()
+            assert proc.wait(timeout=30) == 0
+        finally:
+            proc.kill()
+            proc.stdin.close()
+            proc.stderr.close()
+        assert [before["id"], after["id"]] == [1, 2]
+        before, after = before["body"], after["body"]
+        assert [before["cache"], after["cache"]] == ["miss", "miss"]
+        assert before["digest"] != after["digest"]
 
     def test_obs_counters(self, tmp_path):
-        obs = Observer(name="serve")
-        _serve(['{"workload": "word_count"}', 'garbage'],
-               cache=ArtifactCache(tmp_path), obs=obs)
-        assert obs.counters["serve.requests"] == 1
-        assert obs.counters["serve.errors"] == 1
-        assert obs.counters["cache.stores"] == 1
+        session = serve(['{"workload": "word_count", "id": 1}', 'garbage'],
+                        cache_root=str(tmp_path / "cache"))
+        assert session.counters["gateway.requests"] == 1
+        assert session.counters["gateway.refused"] == 1
+        # The shard's store tallies arrive with its shutdown.
+        assert session.counters["cache.stores"] == 1
 
     def test_degraded_request_served(self):
-        _, responses = _serve([
-            '{"workload": "raytrace", '
-            '"config": {"time_budget": 1e-9}}'])
-        assert responses[0]["status"] == "degraded"
-        assert responses[0]["degraded_reason"] == "budget-exhausted"
+        session = serve(['{"workload": "raytrace", "id": 1, '
+                         '"config": {"time_budget": 1e-9}}'])
+        assert session.answer(1)["status"] == "degraded"
+        assert session.answer(1)["degraded_reason"] == "budget-exhausted"
 
 
 class TestServeDispatch:
-    def test_inline_timeout_becomes_budget(self):
-        # workers=1 has no process to kill: --timeout becomes the
-        # cooperative budget, as in an inline batch.
-        served, responses = _serve(['{"workload": "raytrace"}'],
-                                   timeout=1e-6)
-        assert served == 1
-        assert responses[0]["status"] == "degraded"
-        assert responses[0]["degraded_reason"] == "budget-exhausted"
+    def test_timeout_degrades_with_wall_clock_timeout(self):
+        # --workers 1 is one shard process, so --timeout is a
+        # wall-clock deadline there too: the shard is killed.
+        session = serve(['{"workload": "raytrace", "id": 1}'],
+                        timeout=1e-6)
+        body = session.answer(1)
+        assert body["status"] == "degraded"
+        assert body["degraded_reason"] == "wall-clock-timeout"
+        assert session.counters["gateway.deadline_kills"] == 1
 
     def test_analysis_error_type_same_inline_and_pooled(self):
+        # One shard or two: a program that does not parse answers the
+        # same typed error, and the session goes on.
         bad = '{"source": "int main( { return 0; }", "name": "bad", "id": 4}'
         for workers in (1, 2):
-            obs = Observer(name="t")
-            served, responses = _serve([bad, '{"workload": "word_count"}'],
-                                       workers=workers, obs=obs)
-            assert served == 1
-            assert responses[0]["status"] == "error"
-            assert responses[0]["error"]["type"] == "ParseError"
-            assert responses[0]["id"] == 4
-            assert responses[1]["status"] == "ok"
-            assert obs.counters["serve.errors"] == 1
+            session = serve([bad, '{"workload": "word_count", "id": 5}'],
+                            workers=workers)
+            assert session.answer(4)["status"] == "error"
+            assert session.answer(4)["error"]["type"] == "ParseError"
+            assert session.answer(5)["status"] == "ok"
+            assert session.counters["gateway.errors"] == 1
+
+
+class TestOneGatewaySession:
+    def test_session_starts_its_shards_once(self):
+        session = serve([_tiny(n, n) for n in range(5)], workers=2)
+        assert all(session.answer(n)["status"] == "ok" for n in range(5))
+        handles = session.gateway.pool.handles.values()
+        assert [handle.generation for handle in handles] == [1, 1]
+        assert session.gateway.pool.respawns == 0
+
+    def test_answers_may_arrive_out_of_order(self):
+        session = serve(['{"workload": "raytrace", "scale": 2, '
+                         '"id": "slow"}', 'garbage'])
+        assert [frame.get("id") for frame in session.frames] \
+            == [None, "slow"]
+
+    def test_identical_requests_in_flight_run_once(self):
+        session = serve(['{"workload": "word_count", "id": "a"}',
+                         '{"workload": "word_count", "id": "b"}'])
+        assert session.answer("a") == session.answer("b")
+        assert session.counters["gateway.coalesced"] == 1
+        assert session.counters["gateway.dispatched"] == 1
+
+    def test_repeat_answers_hot(self):
+        # max_queue=1 reads the next line only once the last is
+        # answered, so the repeat finds the first answer hot.
+        session = serve(['{"workload": "word_count", "id": "a"}',
+                         '{"workload": "word_count", "id": "b"}'],
+                        max_queue=1)
+        assert session.answer("a")["cache"] == "miss"
+        assert session.answer("b")["cache"] == "hot"
+        assert session.answer("b")["payload_digest"] \
+            == session.answer("a")["payload_digest"]

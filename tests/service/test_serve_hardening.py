@@ -1,159 +1,112 @@
-"""Input hardening and graceful shutdown for the serve loop."""
+"""Input hardening, graceful shutdown and shard respawn for
+``repro serve``."""
 
-import io
 import json
 import os
 import signal
 import subprocess
-import sys
-import time
 
-from repro.service.serve import ShutdownFlag, serve_loop
-
-SRC = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
-
-
-def _serve(lines, **kwargs):
-    out = io.StringIO()
-    served = serve_loop(io.StringIO("\n".join(lines) + "\n"), out, **kwargs)
-    responses = [json.loads(line) for line in out.getvalue().splitlines()]
-    return served, responses
+from tests.service.serving import frame_reader, serve, spawn
 
 
 class TestHardening:
     def test_oversized_line_refused_and_loop_survives(self):
-        huge = json.dumps({"source": "x" * 4096, "name": "huge"})
-        served, responses = _serve(
-            [huge, '{"workload": "word_count", "id": 2}'],
-            max_request_bytes=1024)
-        assert served == 1
-        assert responses[0]["status"] == "error"
-        assert responses[0]["error"]["type"] == "RequestTooLarge"
-        assert responses[1]["status"] == "ok"
-        assert responses[1]["id"] == 2
+        # One line over --max-request-bytes, one also over the
+        # reader's buffer limit (discarded unread), then a request.
+        over = json.dumps({"source": "x" * 4096, "name": "over"})
+        huge = json.dumps({"source": "x" * 200_000, "name": "huge"})
+        session = serve([over, huge, '{"workload": "word_count", "id": 2}'],
+                        max_request_bytes=1024)
+        errors = [frame["body"]["error"] for frame in session.finals
+                  if "id" not in frame]
+        assert [error["type"] for error in errors] \
+            == ["RequestTooLarge", "RequestTooLarge"]
+        assert all(error["code"] == 413 for error in errors)
+        assert session.answer(2)["status"] == "ok"
 
     def test_oversized_line_without_newline_at_eof(self):
-        out = io.StringIO()
-        served = serve_loop(io.StringIO("{" + "a" * 4096), out,
-                            max_request_bytes=256)
-        assert served == 0
-        record = json.loads(out.getvalue().splitlines()[0])
-        assert record["error"]["type"] == "RequestTooLarge"
+        for size in (4096, 100_000):
+            session = serve(data=b"{" + b"a" * size, max_request_bytes=256)
+            (frame,) = session.frames
+            assert frame["body"]["error"]["type"] == "RequestTooLarge"
 
     def test_deep_nesting_refused_before_parse(self):
         hostile = "[" * 200 + "]" * 200
-        served, responses = _serve(
-            [hostile, '{"workload": "word_count"}'], max_json_depth=32)
-        assert served == 1
-        assert responses[0]["error"]["type"] == "RequestTooDeep"
-        assert responses[1]["status"] == "ok"
+        session = serve([hostile, '{"workload": "word_count", "id": 1}'],
+                        max_json_depth=32)
+        (refused,) = [frame for frame in session.finals
+                      if "id" not in frame]
+        assert refused["body"]["error"]["type"] == "RequestTooDeep"
+        assert session.answer(1)["status"] == "ok"
 
     def test_depth_limit_allows_reasonable_nesting(self):
-        entry = json.dumps(
-            {"workload": "word_count", "config": {"value_flow": True}})
-        served, responses = _serve([entry], max_json_depth=32)
-        assert served == 1
-        assert responses[0]["status"] == "ok"
+        entry = json.dumps({"workload": "word_count", "id": 1,
+                            "config": {"value_flow": True}})
+        session = serve([entry], max_json_depth=32)
+        assert session.answer(1)["status"] == "ok"
 
     def test_invalid_json_error_type_is_preserved(self):
-        # The pre-scan must not change what malformed-but-small lines
-        # report: clients match on JSONDecodeError.
-        _, responses = _serve(["{nope", '{"workload": "word_count"}'])
-        assert responses[0]["error"]["type"] == "JSONDecodeError"
+        # The size and depth pre-scans must not change what a small
+        # malformed line reports: a JSON error, typed BadRequest.
+        session = serve(["{nope", '{"workload": "word_count", "id": 1}'])
+        (refused,) = [frame for frame in session.finals
+                      if "id" not in frame]
+        assert refused["body"]["error"]["type"] == "BadRequest"
+        assert "not valid JSON" in refused["body"]["error"]["message"]
+        assert session.answer(1)["status"] == "ok"
 
     def test_deeply_nested_source_is_a_parse_error(self):
         source = ("int main() { int x; x = " + "(" * 5000 + "1"
                   + ")" * 5000 + "; return 0; }")
-        entry = json.dumps({"source": source, "name": "deep"})
-        _, responses = _serve([entry, '{"workload": "word_count"}'])
-        assert responses[0]["status"] == "error"
-        assert responses[0]["error"]["type"] == "ParseError"
-        assert responses[1]["status"] == "ok"
-
-    def test_no_limit_accepts_large_lines(self):
-        big = json.dumps({"workload": "word_count",
-                          "name": "n" * 4096, "id": 1})
-        served, responses = _serve([big], max_request_bytes=None)
-        assert served == 1
-        assert responses[0]["status"] == "ok"
-
-
-class TestShutdownFlag:
-    def test_requested_flag_breaks_loop_between_requests(self):
-        shutdown = ShutdownFlag()
-        shutdown.requested = True
-        served, responses = _serve(['{"workload": "word_count"}'],
-                                   shutdown=shutdown)
-        assert served == 0 and responses == []
-
-    def test_trigger_while_reading_interrupts(self):
-        class Hanging(io.StringIO):
-            def __init__(self, flag):
-                super().__init__()
-                self.flag = flag
-
-            def readline(self, *args):
-                # Simulate a signal arriving while blocked in the read.
-                self.flag.trigger()
-                raise AssertionError("trigger should have interrupted")
-
-        shutdown = ShutdownFlag()
-        out = io.StringIO()
-        metrics = io.StringIO()
-        served = serve_loop(Hanging(shutdown), out, shutdown=shutdown,
-                            metrics_stream=metrics)
-        assert served == 0
-        assert shutdown.requested
-        # The final metrics snapshot still went out.
-        final = json.loads(metrics.getvalue().splitlines()[-1])
-        assert final["schema"] == "repro.metrics/1"
-
-    def test_trigger_outside_read_defers(self):
-        shutdown = ShutdownFlag()
-        shutdown.trigger()  # not reading: must not raise
-        assert shutdown.requested
+        entry = json.dumps({"source": source, "name": "deep", "id": 1})
+        session = serve([entry, '{"workload": "word_count", "id": 2}'])
+        assert session.answer(1)["status"] == "error"
+        assert session.answer(1)["error"]["type"] == "ParseError"
+        assert session.answer(2)["status"] == "ok"
 
 
 class TestSignalSubprocess:
-    def _spawn(self):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-        return subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve",
-             "--metrics-interval", "0"],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE, env=env, text=True)
-
-    def _drain_and_signal(self, proc, signum):
-        proc.stdin.write('{"workload": "word_count", "id": 1}\n')
-        proc.stdin.flush()
-        line = proc.stdout.readline()
-        assert json.loads(line)["status"] == "ok"
-        proc.send_signal(signum)
-        out, err = proc.communicate(timeout=30)
-        assert proc.returncode == 0, err
+    def _drain_and_signal(self, signum):
+        # The signal lands while the request is in flight (its Andersen
+        # preview is out, the solve is not) and stdin is still open:
+        # the request must finish, and the session must end without
+        # waiting for EOF.
+        proc = spawn("--metrics-interval", "0")
+        next_frame = frame_reader(proc)
+        try:
+            proc.stdin.write('{"workload": "raytrace", "scale": 3, '
+                             '"stream": true, "id": 1}\n')
+            proc.stdin.flush()
+            preview = next_frame()
+            assert preview["kind"] == "andersen" and not preview["final"]
+            proc.send_signal(signum)
+            frame = next_frame()
+            assert frame["id"] == 1 and frame["final"]
+            assert frame["body"]["status"] == "ok"
+            assert proc.wait(timeout=30) == 0
+            err = proc.stderr.read()
+        finally:
+            proc.kill()
+            proc.stdin.close()
+            proc.stderr.close()
         # Final repro.metrics/1 snapshot flushed to stderr on the way out.
         snapshots = [json.loads(text) for text in err.splitlines()
                      if text.startswith("{")]
         assert snapshots and snapshots[-1]["schema"] == "repro.metrics/1"
-        assert snapshots[-1]["counters"]["serve.requests"] == 1
+        assert snapshots[-1]["counters"]["gateway.requests"] == 1
 
     def test_sigterm_drains_and_exits_zero(self):
-        self._drain_and_signal(self._spawn(), signal.SIGTERM)
+        self._drain_and_signal(signal.SIGTERM)
 
     def test_sigint_drains_and_exits_zero(self):
-        self._drain_and_signal(self._spawn(), signal.SIGINT)
+        self._drain_and_signal(signal.SIGINT)
 
     def test_pooled_deadline_kill_answers_degraded(self):
         """``serve --workers 2`` installs its SIGTERM drain handler
-        before it forks shards; the deadline's terminate() must still
-        kill the shard, and the request must answer degraded."""
-        env = dict(os.environ)
-        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--workers", "2"],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE, env=env, text=True)
+        before a shard's deadline fires; the deadline's terminate()
+        must still kill the shard, and the request must answer
+        degraded."""
+        proc = spawn("--workers", "2")
         lines = ('{"workload": "word_count", "id": 1}\n'
                  '{"workload": "raytrace", "scale": 4, "timeout": 0.2, '
                  '"id": 2}\n')
@@ -164,27 +117,51 @@ class TestSignalSubprocess:
             proc.communicate()
             raise
         assert proc.returncode == 0, err
-        ok, late = [json.loads(line) for line in out.splitlines()]
-        assert ok["status"] == "ok"
-        assert late["status"] == "degraded"
-        assert late["degraded_reason"] == "wall-clock-timeout"
-        assert late["attempts"] == 1
+        frames = {frame["id"]: frame["body"]
+                  for frame in map(json.loads, out.splitlines())}
+        assert frames[1]["status"] == "ok"
+        assert frames[2]["status"] == "degraded"
+        assert frames[2]["degraded_reason"] == "wall-clock-timeout"
+        assert frames[2]["attempts"] == 1
+
+    def test_respawned_shard_answers_while_stdin_idles(self):
+        """The deadline kill respawns the one shard while the session
+        is blocked reading an idle stdin; the new shard must serve. (A
+        shard forked while a thread blocks in ``sys.stdin.readline()``
+        hangs in its child-side ``sys.stdin.close()``.)"""
+        proc = spawn("--workers", "1")
+        next_frame = frame_reader(proc)
+        try:
+            proc.stdin.write('{"workload": "raytrace", "scale": 4, '
+                             '"timeout": 0.2, "id": "late"}\n')
+            proc.stdin.flush()
+            late = next_frame()
+            assert late["id"] == "late"
+            assert late["body"]["degraded_reason"] == "wall-clock-timeout"
+            proc.stdin.write('{"workload": "word_count", "id": "next"}\n')
+            proc.stdin.flush()
+            following = next_frame()
+            assert following["id"] == "next"
+            assert following["body"]["status"] == "ok"
+            proc.stdin.close()
+            assert proc.wait(timeout=30) == 0
+        finally:
+            proc.kill()
+            proc.stdin.close()
+            proc.stderr.close()
 
     def test_in_process_serve_restores_dispositions(self, monkeypatch,
                                                     capsys):
         """``main(["serve"])`` must leave SIGINT/SIGTERM exactly as it
-        found them.  A leaked cooperative handler is inherited by every
-        process forked afterwards in the same interpreter, where it
-        turns ``Process.terminate()`` into a no-op — the worker pool
-        then joins a child that will never die."""
-        import io
-
+        found them.  A leaked handler is inherited by every process
+        forked afterwards in the same interpreter."""
         from repro.cli import main
 
         before = (signal.getsignal(signal.SIGINT),
                   signal.getsignal(signal.SIGTERM))
-        monkeypatch.setattr("sys.stdin", io.StringIO(""))
-        assert main(["serve"]) == 0
+        with open(os.devnull) as stdin:
+            monkeypatch.setattr("sys.stdin", stdin)
+            assert main(["serve"]) == 0
         capsys.readouterr()
         after = (signal.getsignal(signal.SIGINT),
                  signal.getsignal(signal.SIGTERM))

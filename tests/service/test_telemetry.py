@@ -1,8 +1,7 @@
 """Cross-process service telemetry: worker span snapshots, the batch
 ``repro.metrics/1`` rollup, queue-wait attribution, determinism of
-warm-batch metrics, and the serve-loop metrics stream."""
+warm-batch metrics, and the ``repro serve`` metrics stream."""
 
-import io
 import json
 import shutil
 
@@ -14,9 +13,9 @@ from repro.obs import validate_metrics, validate_metrics_stream
 from repro.service.batch import run_batch
 from repro.service.cache import ArtifactCache
 from repro.service.requests import AnalysisRequest
-from repro.service.serve import serve_loop
 from repro.service.shards import run_requests
 from repro.workloads import get_workload
+from tests.service.serving import serve
 
 SMALL = ("word_count", "kmeans", "automount")
 
@@ -201,28 +200,29 @@ class TestWorkerSnapshots:
 
 
 class TestServeMetricsStream:
-    def test_stream_validates_and_accumulates(self, tmp_path):
-        stream = io.StringIO()
-        out = io.StringIO()
-        lines = "\n".join(['{"workload": "word_count"}'] * 2) + "\n"
-        served = serve_loop(io.StringIO(lines), out,
-                            cache=ArtifactCache(tmp_path),
-                            metrics_interval=0.0, metrics_stream=stream)
-        assert served == 2
-        docs = [json.loads(line)
-                for line in stream.getvalue().splitlines()]
-        assert len(docs) >= 2          # per-request snapshots + final
-        validate_metrics_stream(docs)
-        final = docs[-1]
-        assert final["counters"]["serve.requests"] == 2
-        assert final["counters"]["cache.hits"] == 1
-        assert final["gauges"]["cache.hit_rate"] == 0.5
-        assert final["histograms"]["request.seconds"]["count"] == 1
+    LINES = ['{"workload": "word_count", "id": 1}',
+             '{"workload": "kmeans", "id": 2}']
 
-    def test_responses_carry_span_and_queue(self, tmp_path):
-        out = io.StringIO()
-        serve_loop(io.StringIO('{"workload": "word_count"}\n'), out,
-                   cache=ArtifactCache(tmp_path))
-        response = json.loads(out.getvalue().splitlines()[0])
-        assert response["span"] == "s0000"
-        assert response["queue_seconds"] >= 0.0
+    def test_stream_validates_and_accumulates(self, tmp_path):
+        cache_root = str(tmp_path / "cache")
+        cold = serve(self.LINES, cache_root=cache_root, metrics_interval=0)
+        # One snapshot per answered request, then the final one.
+        assert len(cold.metrics) == 3
+        validate_metrics_stream(cold.metrics)
+        final = cold.metrics[-1]
+        assert final["counters"]["gateway.requests"] == 2
+        assert final["counters"]["cache.misses"] == 2
+        assert final["histograms"]["gateway.request_seconds"]["count"] == 2
+        assert final["histograms"]["phase.sparse_solve"]["count"] == 2
+        warm = serve(self.LINES, cache_root=cache_root, metrics_interval=0)
+        validate_metrics_stream(warm.metrics)
+        assert warm.counters["cache.hits"] == 2
+        assert "phase.sparse_solve" not in warm.metrics[-1]["histograms"]
+
+    def test_responses_carry_span_and_payload_digest(self, tmp_path):
+        session = serve(['{"workload": "word_count", "id": 1}'],
+                        cache_root=str(tmp_path / "cache"))
+        body = session.answer(1)
+        assert body["span"] == "g0001"
+        assert len(body["payload_digest"]) == 64
+        assert "queue_seconds" not in body
