@@ -21,6 +21,7 @@ from repro.ir.instructions import Lock
 from repro.ir.module import Module
 from repro.ir.values import MemObject
 from repro.mt.locks import LockAnalysis
+from repro.mt.threads import singleton_lock
 
 
 @dataclass
@@ -70,7 +71,7 @@ class DeadlockDetector:
                 _ctx, node = graph.state(sid)
                 if not isinstance(node.instr, Lock):
                     continue
-                l2 = locks._lock_object(node.instr.ptr)
+                l2 = singleton_lock(result.andersen, node.instr.ptr)
                 if l2 is None or l2 is l1:
                     continue
                 self.lock_objects[l2.id] = l2

@@ -284,9 +284,10 @@ class FSAM:
         icfg = timed("icfg", lambda: ICFG(self.module, andersen.callgraph))
         dug, builder = timed("thread_oblivious_dug",
                              lambda: build_dug(self.module, andersen, obs=obs))
-        model = timed("thread_model", lambda: ThreadModel(
-            self.module, andersen, icfg,
-            max_context_depth=self.config.max_context_depth))
+        model = timed("thread_model",
+                      lambda: ThreadModel(self.module, andersen, icfg))
+        obs.gauge("mt.threads", len(model.threads))
+        obs.gauge("mt.states", model.state_count())
         if self.config.interleaving:
             mhp: MHPOracle = timed(
                 "interleaving",

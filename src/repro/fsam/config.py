@@ -57,11 +57,6 @@ class FSAMConfig:
     # path, and the overhead benchmark's budget is stated for the
     # trace-off configuration.
     trace: bool = False
-    # Calling-context depth for the thread interference analyses.
-    # None = full context-sensitivity (the paper's setting, recursion
-    # collapsed); an integer k caps the callsite stack — coarser MHP
-    # and lock spans, but cheaper on deep call chains.
-    max_context_depth: Optional[int] = None
     # Which sparse solver engine to run: "delta" (default; delta
     # propagation over an SCC-condensed topological worklist) or
     # "reference" (the retained naive FIFO recompute-from-preds
@@ -87,7 +82,6 @@ class FSAMConfig:
             "strong_updates_at_interfering_stores": self.strong_updates_at_interfering_stores,
             "time_budget": self.time_budget,
             "trace": self.trace,
-            "max_context_depth": self.max_context_depth,
             "solver_engine": self.solver_engine,
             "solver_mode": self.solver_mode,
         }
@@ -116,7 +110,6 @@ class FSAMConfig:
             "value_flow": self.value_flow,
             "lock_analysis": self.lock_analysis,
             "strong_updates_at_interfering_stores": self.strong_updates_at_interfering_stores,
-            "max_context_depth": self.max_context_depth,
         }
 
     def ablated(self, phase: str) -> "FSAMConfig":

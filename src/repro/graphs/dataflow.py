@@ -1,9 +1,11 @@
 """A generic forward worklist data-flow framework.
 
 FSAM's interleaving analysis is formulated as a forward data-flow
-problem (V, meet, F) over ICFGs (paper Section 3.3.1); the NONSPARSE
-baseline is an iterative data-flow pointer analysis. Both reuse this
-engine so their fixpoint machinery is shared and separately tested.
+problem (V, meet, F) over ICFGs (paper Section 3.3.1). This engine
+solves it, and the thread model's must-join analysis, over each
+thread's state graph, so that fixpoint machinery is shared and
+separately tested. (The NONSPARSE baseline runs its own per-point
+worklist.)
 """
 
 from __future__ import annotations

@@ -3,12 +3,15 @@
 - :mod:`repro.mt.context`  — calling-context stacks.
 - :mod:`repro.mt.threads`  — the static thread model: abstract threads
   ([T-FORK]/[T-JOIN]/[T-SIBLING]), multi-forked threads
-  (Definition 1), per-thread context-expanded state graphs, must-join
-  analysis, happens-before (Definition 2).
+  (Definition 1), per-thread state graphs (contexts expanded into
+  sync-reaching callees, span-keyed copies of sync-free ones) with
+  their lock-release spans, must-join analysis, happens-before
+  (Definition 2).
 - :mod:`repro.mt.mhp`      — the interleaving analysis (Figure 7) and
   MHP pair queries.
-- :mod:`repro.mt.locks`    — lock-release spans, span heads/tails,
-  non-interference lock pairs (Definitions 3-6).
+- :mod:`repro.mt.locks`    — lock-release spans (from the state
+  graphs), span heads/tails, non-interference lock pairs
+  (Definitions 3-6).
 - :mod:`repro.mt.valueflow`— [THREAD-VF]: thread-aware def-use edges.
 - :mod:`repro.mt.symmetry` — the symmetric fork/join loop matcher
   standing in for the paper's SCEV-based correlation (Figure 11).

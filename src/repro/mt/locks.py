@@ -1,10 +1,12 @@
 """Lock analysis (paper Section 3.3.3, Definitions 3-6).
 
-Computes lock-release spans flow- and context-sensitively over each
-thread's state graph, derives per-object span heads and tails from
-the thread-oblivious def-use graph, and decides which MHP aliased
-pairs are non-interference lock pairs — those [THREAD-VF] edges are
-spurious and get filtered (Figure 9's s2 -o-> s4).
+Takes the lock-release spans each thread's state graph traced while it
+was built (flow- and context-sensitively, with the copies of sync-free
+callees attached to every span open at their call sites), derives
+per-object span heads and tails from the thread-oblivious def-use
+graph, and decides which MHP aliased pairs are non-interference lock
+pairs — those [THREAD-VF] edges are spurious and get filtered
+(Figure 9's s2 -o-> s4).
 """
 
 from __future__ import annotations
@@ -12,9 +14,8 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.andersen import AndersenResult
-from repro.cfg.icfg import NodeKind
-from repro.ir.instructions import Instruction, Load, Lock, Store, Unlock, Wait
-from repro.ir.values import MemObject, Temp
+from repro.ir.instructions import Instruction, Load, Store
+from repro.ir.values import MemObject
 from repro.memssa.builder import MemorySSABuilder
 from repro.memssa.dug import DUG, StmtNode
 from repro.mt.mhp import MHPOracle
@@ -67,78 +68,25 @@ class LockAnalysis:
 
     # -- span construction ------------------------------------------------
 
-    def _lock_object(self, ptr) -> Optional[MemObject]:
-        """The singleton lock object *ptr* must point to, or None.
-        Must-alias is required: l == l' only when both resolve to the
-        same unique runtime lock (paper: "point to the same singleton
-        lock object")."""
-        if not isinstance(ptr, Temp):
-            return None
-        pts = self.andersen.pts(ptr)
-        if len(pts) != 1:
-            return None
-        obj = next(iter(pts))
-        return obj if obj.is_singleton else None
-
     def _build(self) -> None:
         for thread in self.model.threads:
             graph = self.model.state_graphs[thread.id]
-            for sid, (ctx, node) in enumerate(graph.state_info):
-                if node.kind is not NodeKind.STMT:
-                    continue
-                # A span begins at a lock acquisition — or at a
-                # condition wait, which re-acquires the mutex on
-                # return (extension: pthread_cond_wait modelling).
-                if isinstance(node.instr, Lock):
-                    lock_obj = self._lock_object(node.instr.ptr)
-                elif isinstance(node.instr, Wait):
-                    lock_obj = self._lock_object(node.instr.mutex_ptr)
-                else:
-                    continue
-                if lock_obj is None:
-                    continue
-                span = self._trace_span(thread, graph, sid, lock_obj)
+            for lock_sid, (lock_obj, members) in graph.spans.items():
+                instrs = set()
+                for sid in members:
+                    instr = graph.state_info[sid][1].instr
+                    if instr is not None:
+                        instrs.add(instr.id)
+                span = LockSpan(thread, lock_obj, lock_sid, members, instrs)
                 index = len(self.spans)
                 self.spans.append(span)
-                for member in span.members:
+                for member in members:
                     self._spans_by_state.setdefault((thread.id, member), []).append(index)
                 if self.tracer.enabled:
                     self.tracer.emit(
                         "lock.span", lock=lock_obj.name, thread=thread.id,
-                        acquire_line=node.instr.line, states=len(span.members),
-                        instrs=len(span.member_instrs))
-
-    def _trace_span(self, thread: AbstractThread, graph, lock_sid: int,
-                    lock_obj: MemObject) -> LockSpan:
-        """Forward reachability from the lock site, stopping at matching
-        unlocks; calls/returns are already matched by the state graph."""
-        members: Set[int] = {lock_sid}
-        instrs: Set[int] = set()
-        work = [lock_sid]
-        while work:
-            sid = work.pop()
-            _ctx, node = graph.state(sid)
-            if node.instr is not None:
-                instrs.add(node.instr.id)
-            if sid != lock_sid and node.kind is NodeKind.STMT:
-                released = None
-                if isinstance(node.instr, Unlock):
-                    released = self._lock_object(node.instr.ptr)
-                elif isinstance(node.instr, Wait):
-                    # cond_wait releases the mutex: the span ends here
-                    # (a fresh span is seeded at the wait itself).
-                    released = self._lock_object(node.instr.mutex_ptr)
-                # MemObjects are compared by allocation-site id, not
-                # Python identity: distinct MemObject instances can
-                # denote the same abstract object (e.g. after field
-                # derivation or re-materialisation).
-                if released is not None and released.id == lock_obj.id:
-                    continue  # the span ends here (release included)
-            for succ in graph.graph.successors(sid):
-                if succ not in members:
-                    members.add(succ)
-                    work.append(succ)
-        return LockSpan(thread, lock_obj, lock_sid, members, instrs)
+                        acquire_line=graph.state_info[lock_sid][1].instr.line,
+                        states=len(members), instrs=len(instrs))
 
     # -- span heads and tails ------------------------------------------------
 

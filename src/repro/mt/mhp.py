@@ -1,8 +1,13 @@
 """The interleaving (may-happen-in-parallel) analysis — paper 3.3.1.
 
-A forward data-flow problem per thread over its context-expanded
-state graph, computing I(t, c, s): the set of threads that may run
-concurrently when thread t executes statement s under context c.
+A forward data-flow problem per thread over its state graph,
+computing I(t, c, s): the set of threads that may run concurrently
+when thread t executes statement s under context c. A statement in a
+sync-free callee has one state per copy of that callee (see
+:class:`~repro.mt.threads.ThreadStateGraph`), whose I-set is the union
+of the I-sets of the calling-context instances it stands for; MHP
+verdicts are existential over instances, so the union answers them
+exactly.
 
 Rule correspondence (Figure 7):
 
@@ -14,8 +19,9 @@ Rule correspondence (Figure 7):
 - [I-JOIN]       — the transfer at a join state (or at a symmetric
   join loop's exits) removes the certainly-joined closure.
 - [I-INTRA]/[I-CALL]/[I-RET] — the state graph's edges already match
-  calls and returns context-sensitively, so plain forward propagation
-  over it realises all three.
+  calls and returns context-sensitively (a call to a sync-free callee
+  steps straight to its return site, since the callee cannot change
+  the fact), so plain forward propagation over it realises all three.
 
 Two statements are MHP when each one's I-set contains the other's
 thread — or when they belong to the same multi-forked thread.
@@ -212,7 +218,9 @@ class InterleavingAnalysis(MHPOracle):
         """Instances collapsed to (thread, multi-forked, I-set)
         triples: the MHP verdict formula — same multi-forked thread,
         or mutual I-set membership — reads nothing else about the
-        statement, so equal keys guarantee equal verdicts."""
+        statement, so equal keys guarantee equal verdicts. (An
+        instance in a copy of a sync-free callee carries the union of
+        its call sites' I-sets, which keeps that guarantee.)"""
         entries = []
         for thread, sid in self._instances(instr):
             iset = self.interleaving[thread.id].get(sid, frozenset())

@@ -1,9 +1,12 @@
 """The static thread model (paper Section 3.1).
 
 Abstract threads are context-sensitive fork sites; the main thread
-roots the spawn tree. Each thread owns a *state graph*: its ICFG
-expanded with calling contexts (callsites in call-graph cycles are
-not pushed). On top of these the model computes:
+roots the spawn tree. Each thread owns a *state graph*: its ICFG with
+calling contexts expanded into the callees that can reach a
+synchronisation operation (callsites in call-graph cycles are not
+pushed), and one context-free copy of every other callee per set of
+lock spans open at its call sites (see :class:`ThreadStateGraph`). On
+top of these the model computes:
 
 - the spawn relation (direct and transitive, [T-FORK]),
 - multi-forked threads (Definition 1),
@@ -11,12 +14,16 @@ not pushed). On top of these the model computes:
   fork/join loop correlation of Figure 11),
 - a forward *must-join* data-flow per thread, from which full joins
   and the happens-before relation for siblings (Definition 2) derive.
+
+Lock-release spans (Definition 3) are traced here too, while each
+graph is built, because they key the copies; :mod:`repro.mt.locks`
+derives span heads and tails from them.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.andersen import AndersenResult
 from repro.cfg.callgraph import CallGraph
@@ -24,11 +31,31 @@ from repro.cfg.cfg import CFG
 from repro.cfg.icfg import ICFG, ICFGNode, NodeKind
 from repro.graphs.dataflow import DataflowProblem, solve_forward
 from repro.graphs.digraph import DiGraph
-from repro.ir.instructions import Call, Fork, Instruction, Join
+from repro.ir.instructions import (
+    BarrierWait, Call, Fork, Instruction, Join, Lock, Signal, Unlock, Wait,
+)
 from repro.ir.module import Module
-from repro.ir.values import Function
+from repro.ir.values import Function, MemObject, Temp, Value
 from repro.mt.context import Context
 from repro.mt.symmetry import SymmetricPair, find_symmetric_pairs
+
+#: A state's key: its calling context, or, for a state in a copy of a
+#: sync-free callee, the ids of the lock spans open at its call sites.
+StateKey = Union[Context, FrozenSet[int]]
+
+
+def singleton_lock(andersen: AndersenResult, ptr: Value) -> Optional[MemObject]:
+    """The singleton lock object *ptr* must point to, or None.
+    Must-alias is required: l == l' only when both resolve to the
+    same unique runtime lock (paper: "point to the same singleton
+    lock object")."""
+    if not isinstance(ptr, Temp):
+        return None
+    pts = andersen.pts(ptr)
+    if len(pts) != 1:
+        return None
+    obj = next(iter(pts))
+    return obj if obj.is_singleton else None
 
 
 class AbstractThread:
@@ -73,105 +100,216 @@ class AbstractThread:
         return f"<thread t{self.id}{star} {self.routine.name} @ ctx{self.spawn_ctx!r}>"
 
 
-class ThreadStateGraph:
-    """A thread's context-expanded ICFG.
+#: Instructions that change a thread's facts (fork, join) or open and
+#: close lock spans (lock, unlock, condition wait), plus the remaining
+#: synchronisation operations. A function that reaches none of them
+#: over call edges is *sync-free*.
+SYNC_INSTRUCTIONS = (Fork, Join, Lock, Unlock, Wait, Signal, BarrierWait)
 
-    States are (context, ICFG node) pairs; edges follow intra edges,
-    descend into callee bodies at call nodes (pushing the callsite
-    unless it is cycle-collapsed), and return to the matching
-    return-site at function exits.
+
+def sync_reaching_functions(module: Module, callgraph: CallGraph) -> Set[Function]:
+    """The functions that transitively, over the call graph, contain
+    a synchronisation instruction: the callers-closure of the
+    functions that contain one."""
+    reaching = {fn for fn in module.functions.values()
+                if any(isinstance(instr, SYNC_INSTRUCTIONS)
+                       for instr in fn.instructions())}
+    work = list(reaching)
+    while work:
+        fn = work.pop()
+        for site in callgraph.callsites_of(fn):
+            caller = site.function
+            if caller is not None and caller not in reaching:
+                reaching.add(caller)
+                work.append(caller)
+    return reaching
+
+
+def returning_functions(icfg: ICFG, callgraph: CallGraph,
+                        functions: List[Function]) -> Set[Function]:
+    """The functions among *functions* (a set closed under calls)
+    whose exit is reachable from their entry, where a call steps to
+    its return site only if some callee returns or none resolves: the
+    least fixpoint, taken callees first."""
+    returning: Set[Function] = set()
+    ordered = sorted(functions, key=callgraph.scc_id)
+    changed = True
+    while changed:
+        changed = False
+        for fn in ordered:
+            if fn not in returning and \
+                    _exit_reachable(icfg, callgraph, fn, returning):
+                returning.add(fn)
+                changed = True
+    return returning
+
+
+def _exit_reachable(icfg: ICFG, callgraph: CallGraph, fn: Function,
+                    returning: Set[Function]) -> bool:
+    exit_node = icfg.exit_of(fn)
+    seen = {icfg.entry_of(fn)}
+    work = list(seen)
+    while work:
+        node = work.pop()
+        if node is exit_node:
+            return True
+        if node.kind is NodeKind.CALL:
+            callees = [callee for callee in callgraph.callees(node.instr)
+                       if callee in icfg.entries]
+            if callees and not any(c in returning for c in callees):
+                continue
+            succs = [icfg.retsite_of(node.instr)]
+        else:
+            succs = icfg.intra_successors(node)
+        for succ in succs:
+            if succ not in seen:
+                seen.add(succ)
+                work.append(succ)
+    return False
+
+
+class ThreadStateGraph:
+    """A thread's ICFG, with calling contexts expanded only where
+    synchronisation happens.
+
+    States are (key, ICFG node) pairs, numbered densely. The graph has
+    two parts:
+
+    - **Expanded states**, keyed by a :class:`Context`. They start at
+      the thread's routine and descend into *sync-reaching* callees
+      (see :func:`sync_reaching_functions`), pushing the callsite
+      unless it is cycle-collapsed; function exits return to the
+      matching return site.
+    - **Copies** of sync-free callees, keyed by the frozenset of lock
+      span ids (lock state sids) open at the call. A call to a
+      sync-free callee steps to its return site in the caller's
+      context, when the callee can return, and also enters the
+      callee's copy for its open span set. Every call site with that
+      span set, including calls from other copies, enters the same
+      copy, whose states belong to every span in its key. A copy ends
+      at its exit.
+
+    Sync-free code cannot fork, join, acquire or release, so each of
+    its instances carries its call site's must-join fact, I-set and
+    span set. A copy holds the union of the I-sets of the instances it
+    stands for, and exactly their span set; DESIGN.md ("Thread state
+    graphs") explains why no answer changes.
+
+    ``spans`` maps each lock span's acquiring state (a lock, or a
+    condition wait that re-acquires its mutex) to its singleton lock
+    object and member states (Definition 3). Spans are traced on the
+    expanded states before the copies are attached, since the copies
+    are keyed by them.
     """
 
-    def __init__(self, thread: AbstractThread, icfg: ICFG, callgraph: CallGraph,
-                 max_context_depth: Optional[int] = None) -> None:
+    def __init__(self, thread: AbstractThread, icfg: ICFG,
+                 andersen: AndersenResult, sync_reaching: Set[Function],
+                 returning: Set[Function]) -> None:
         self.thread = thread
         self.icfg = icfg
-        self.callgraph = callgraph
-        # None = full context-sensitivity (the paper's configuration,
-        # with recursion cycles collapsed). An integer k caps the
-        # callsite stack: deeper calls reuse the truncated context,
-        # and the return map fans returns out to every registered
-        # caller — coarser but sound, and much cheaper on programs
-        # with deep call chains.
-        self.max_context_depth = max_context_depth
+        self.andersen = andersen
+        self.callgraph = andersen.callgraph
+        self.sync_reaching = sync_reaching
+        self.returning = returning
         self.graph = DiGraph()                      # over state ids (ints)
-        self.state_info: List[Tuple[Context, ICFGNode]] = []
-        self._index: Dict[Tuple[Context, int], int] = {}
+        self.state_info: List[Tuple[StateKey, ICFGNode]] = []
+        self._index: Dict[Tuple[StateKey, int], int] = {}
         self.entry_sid: int = -1
         self.exit_sids: List[int] = []
         self.instr_states: Dict[int, List[int]] = {}   # instr.id -> [sid]
-        # (fn, ctx-in-callee) -> [(caller ctx, retsite node)]
+        self.spans: Dict[int, Tuple[MemObject, Set[int]]] = {}
+        # Construction only: (fn, ctx-in-callee) -> [(caller ctx,
+        # retsite node)], callee exit states, and the calls into
+        # sync-free callees waiting for their copies.
         self._ret_map: Dict[Tuple[str, Context], List[Tuple[Context, ICFGNode]]] = {}
         self._exit_states: Dict[Tuple[str, Context], int] = {}
+        self._sync_free_calls: List[Tuple[int, Function]] = []
 
     def sid_of(self, ctx: Context, node: ICFGNode) -> Optional[int]:
         return self._index.get((ctx, node.uid))
 
-    def state(self, sid: int) -> Tuple[Context, ICFGNode]:
+    def state(self, sid: int) -> Tuple[StateKey, ICFGNode]:
         return self.state_info[sid]
 
-    def _intern(self, ctx: Context, node: ICFGNode) -> Tuple[int, bool]:
-        key = (ctx, node.uid)
-        sid = self._index.get(key)
+    def _intern(self, key: StateKey, node: ICFGNode) -> Tuple[int, bool]:
+        index_key = (key, node.uid)
+        sid = self._index.get(index_key)
         if sid is not None:
             return sid, False
         sid = len(self.state_info)
-        self._index[key] = sid
-        self.state_info.append((ctx, node))
+        self._index[index_key] = sid
+        self.state_info.append((key, node))
         self.graph.add_node(sid)
         if node.instr is not None and node.kind in (NodeKind.STMT, NodeKind.CALL):
             self.instr_states.setdefault(node.instr.id, []).append(sid)
-        if node.kind is NodeKind.EXIT:
-            self._exit_states[(node.function.name, ctx)] = sid
-            if node.function is self.thread.routine and ctx == Context.EMPTY:
+        if isinstance(key, frozenset):
+            for lock_sid in key:
+                self.spans[lock_sid][1].add(sid)
+        elif node.kind is NodeKind.EXIT:
+            self._exit_states[(node.function.name, key)] = sid
+            if node.function is self.thread.routine and key == Context.EMPTY:
                 self.exit_sids.append(sid)
         return sid, True
 
     def build(self) -> None:
         entry_node = self.icfg.entry_of(self.thread.routine)
         self.entry_sid, _ = self._intern(Context.EMPTY, entry_node)
-        work = [self.entry_sid]
+        self._walk([self.entry_sid])
+        self._trace_spans()
+        self._attach_copies()
+        self._ret_map = {}
+        self._exit_states = {}
+
+    def _walk(self, work: List[int]) -> None:
         while work:
             sid = work.pop()
-            ctx, node = self.state_info[sid]
-            for succ_ctx, succ_node in self._successors(ctx, node):
-                succ_sid, fresh = self._intern(succ_ctx, succ_node)
+            key, node = self.state_info[sid]
+            for succ_key, succ_node in self._successors(sid, key, node):
+                succ_sid, fresh = self._intern(succ_key, succ_node)
                 self.graph.add_edge(sid, succ_sid)
                 if fresh:
                     work.append(succ_sid)
 
-    def _successors(self, ctx: Context, node: ICFGNode) -> Iterable[Tuple[Context, ICFGNode]]:
+    def _successors(self, sid: int, key: StateKey,
+                    node: ICFGNode) -> Iterable[Tuple[StateKey, ICFGNode]]:
         if node.kind is NodeKind.CALL:
-            call = node.instr
-            callees = [fn for fn in self.callgraph.callees(call)
-                       if fn in self.icfg.entries]
-            retsite = self.icfg.retsite_of(call)
-            if not callees:
-                # External/unresolved call: fall through.
-                yield (ctx, retsite)
-                return
-            for callee in callees:
-                if self.callgraph.site_in_cycle(call):
-                    callee_ctx = ctx
-                elif self.max_context_depth is not None \
-                        and len(ctx) >= self.max_context_depth:
-                    callee_ctx = ctx  # k-limit reached: merge contexts
-                else:
-                    callee_ctx = ctx.push(call.id)
-                self._register_return(callee, callee_ctx, ctx, retsite)
-                yield (callee_ctx, self.icfg.entry_of(callee))
+            yield from self._call_successors(sid, key, node.instr)
             return
         if node.kind is NodeKind.EXIT:
-            for caller_ctx, retsite in self._ret_map.get((node.function.name, ctx), []):
-                yield (caller_ctx, retsite)
+            if not isinstance(key, frozenset):
+                yield from self._ret_map.get((node.function.name, key), [])
             return
         # STMT / RETSITE / ENTRY: follow intra-procedural edges only.
         # (Fork and join sites have only intra successors by
         # construction of the ICFG.)
-        from repro.cfg.icfg import EdgeKind
-        for succ in self.icfg.successors(node):
-            if self.icfg.edge_kind(node, succ) is EdgeKind.INTRA:
-                yield (ctx, succ)
+        for succ in self.icfg.intra_successors(node):
+            yield (key, succ)
+
+    def _call_successors(self, sid: int, key: StateKey,
+                         call: Call) -> Iterable[Tuple[StateKey, ICFGNode]]:
+        callees = [fn for fn in self.callgraph.callees(call)
+                   if fn in self.icfg.entries]
+        retsite = self.icfg.retsite_of(call)
+        # External/unresolved calls fall through.
+        falls_through = not callees
+        for callee in callees:
+            if callee not in self.sync_reaching:
+                if isinstance(key, frozenset):
+                    yield (key, self.icfg.entry_of(callee))
+                else:
+                    self._sync_free_calls.append((sid, callee))
+                falls_through = falls_through or callee in self.returning
+                continue
+            # Only expanded states reach a sync-reaching callee: the
+            # callees of sync-free code are sync-free.
+            if self.callgraph.site_in_cycle(call):
+                callee_ctx = key
+            else:
+                callee_ctx = key.push(call.id)
+            self._register_return(callee, callee_ctx, key, retsite)
+            yield (callee_ctx, self.icfg.entry_of(callee))
+        if falls_through:
+            yield (key, retsite)
 
     def _register_return(self, callee: Function, callee_ctx: Context,
                          caller_ctx: Context, retsite: ICFGNode) -> None:
@@ -187,18 +325,67 @@ class ThreadStateGraph:
             self.graph.add_edge(exit_sid, ret_sid)
             if fresh:
                 # Freshly created return site needs expansion: walk it.
-                self._expand_from(ret_sid)
+                self._walk([ret_sid])
 
-    def _expand_from(self, sid: int) -> None:
-        work = [sid]
+    def _trace_spans(self) -> None:
+        """Lock-release spans (Definition 3) over the expanded states:
+        forward reachability from each acquisition of a singleton
+        lock, up to and including the releases of that lock. Calls
+        and returns are already matched by the graph."""
+        for sid, (_key, node) in enumerate(self.state_info):
+            if node.kind is not NodeKind.STMT:
+                continue
+            # A span begins at a lock acquisition — or at a condition
+            # wait, which re-acquires the mutex on return.
+            if isinstance(node.instr, Lock):
+                lock_obj = singleton_lock(self.andersen, node.instr.ptr)
+            elif isinstance(node.instr, Wait):
+                lock_obj = singleton_lock(self.andersen, node.instr.mutex_ptr)
+            else:
+                continue
+            if lock_obj is not None:
+                self.spans[sid] = (lock_obj, self._span_members(sid, lock_obj))
+
+    def _span_members(self, lock_sid: int, lock_obj: MemObject) -> Set[int]:
+        members: Set[int] = {lock_sid}
+        work = [lock_sid]
         while work:
-            cur = work.pop()
-            ctx, node = self.state_info[cur]
-            for succ_ctx, succ_node in self._successors(ctx, node):
-                succ_sid, fresh = self._intern(succ_ctx, succ_node)
-                self.graph.add_edge(cur, succ_sid)
-                if fresh:
-                    work.append(succ_sid)
+            sid = work.pop()
+            node = self.state_info[sid][1]
+            if sid != lock_sid and node.kind is NodeKind.STMT:
+                released = None
+                if isinstance(node.instr, Unlock):
+                    released = singleton_lock(self.andersen, node.instr.ptr)
+                elif isinstance(node.instr, Wait):
+                    # cond_wait releases the mutex: the span ends here
+                    # (a fresh span is seeded at the wait itself).
+                    released = singleton_lock(self.andersen,
+                                              node.instr.mutex_ptr)
+                # MemObjects are compared by allocation-site id, not
+                # Python identity: distinct MemObject instances can
+                # denote the same abstract object (e.g. after field
+                # derivation or re-materialisation).
+                if released is not None and released.id == lock_obj.id:
+                    continue  # the span ends here (release included)
+            for succ in self.graph.successors(sid):
+                if succ not in members:
+                    members.add(succ)
+                    work.append(succ)
+        return members
+
+    def _attach_copies(self) -> None:
+        calls = {sid for sid, _callee in self._sync_free_calls}
+        open_at: Dict[int, List[int]] = {}
+        for lock_sid, (_obj, members) in self.spans.items():
+            for sid in calls & members:
+                open_at.setdefault(sid, []).append(lock_sid)
+        for call_sid, callee in self._sync_free_calls:
+            key = frozenset(open_at.get(call_sid, ()))
+            entry_sid, fresh = self._intern(key, self.icfg.entry_of(callee))
+            self.graph.add_edge(call_sid, entry_sid)
+            if fresh:
+                self._walk([entry_sid])
+        self._sync_free_calls = []
 
     def fork_states(self) -> List[Tuple[int, Fork]]:
         result = []
@@ -223,13 +410,11 @@ class ThreadModel:
     analyses consume."""
 
     def __init__(self, module: Module, andersen: AndersenResult,
-                 icfg: Optional[ICFG] = None,
-                 max_context_depth: Optional[int] = None) -> None:
+                 icfg: Optional[ICFG] = None) -> None:
         self.module = module
         self.andersen = andersen
         self.callgraph = andersen.callgraph
         self.icfg = icfg if icfg is not None else ICFG(module, self.callgraph)
-        self.max_context_depth = max_context_depth
         self.threads: List[AbstractThread] = []
         self.state_graphs: Dict[int, ThreadStateGraph] = {}
         self.threads_by_fork: Dict[int, List[AbstractThread]] = {}
@@ -251,6 +436,10 @@ class ThreadModel:
 
     def _build(self) -> None:
         self.symmetric_pairs = find_symmetric_pairs(self.module, self.andersen)
+        sync_reaching = sync_reaching_functions(self.module, self.callgraph)
+        sync_free = [fn for fn in self.module.functions.values()
+                     if fn in self.icfg.entries and fn not in sync_reaching]
+        returning = returning_functions(self.icfg, self.callgraph, sync_free)
         counter = itertools.count()
         main = AbstractThread(next(counter), None, None, Context.EMPTY,
                               self.module.main, False)
@@ -260,8 +449,8 @@ class ThreadModel:
         queue = [main]
         while queue:
             thread = queue.pop(0)
-            graph = ThreadStateGraph(thread, self.icfg, self.callgraph,
-                                     max_context_depth=self.max_context_depth)
+            graph = ThreadStateGraph(thread, self.icfg, self.andersen,
+                                     sync_reaching, returning)
             graph.build()
             self.state_graphs[thread.id] = graph
             for sid, fork in graph.fork_states():
@@ -408,6 +597,10 @@ class ThreadModel:
             self.fully_joined[thread.id] = joined or frozenset()
         else:
             self.fully_joined[thread.id] = frozenset()
+
+    def state_count(self) -> int:
+        """States over all thread graphs, copies included."""
+        return sum(len(graph.state_info) for graph in self.state_graphs.values())
 
     # -- relations --------------------------------------------------------------
 

@@ -17,6 +17,11 @@ span's ``repro.metrics/1`` snapshot of it). It collects:
   records its own peak traced size (not just the run-wide peak), and
   each phase snapshot includes the process peak RSS where the
   ``resource`` module is available;
+- **per-phase GC time** — while a phase is open, a ``gc.callbacks``
+  hook charges each cyclic collection's duration to the innermost
+  open phase (``gc_seconds``) and counts ``gc.collections`` and
+  ``gc.gen2_collections``; the hook is removed when the outermost
+  phase closes;
 - **histograms** — ``obs.observe("pool.run_seconds", dt)`` feeds a
   mergeable log-bucketed :class:`Histogram` (count/sum/min/max plus
   p50/p95/p99 interpolated from the bucket bounds), the building
@@ -48,6 +53,7 @@ on it without cycles.
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import math
@@ -80,14 +86,18 @@ def _rss_kb() -> Optional[int]:
 
 
 class PhaseRecord:
-    """One timed phase: wall time, memory snapshots, children."""
+    """One timed phase: wall time, GC time, memory snapshots,
+    children."""
 
-    __slots__ = ("name", "seconds", "peak_traced_bytes", "rss_kb",
-                 "children", "_start")
+    __slots__ = ("name", "seconds", "gc_seconds", "peak_traced_bytes",
+                 "rss_kb", "children", "_start")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.seconds = 0.0
+        # Cyclic-GC time spent while this phase was the innermost open
+        # one (children's collections are charged to the children).
+        self.gc_seconds = 0.0
         # Peak tracemalloc traced size observed while the phase was
         # open (0 when tracemalloc was not tracing).
         self.peak_traced_bytes = 0
@@ -99,6 +109,7 @@ class PhaseRecord:
         return {
             "name": self.name,
             "seconds": self.seconds,
+            "gc_seconds": self.gc_seconds,
             "peak_traced_kb": (self.peak_traced_bytes / 1024.0
                                if self.peak_traced_bytes else 0.0),
             "rss_kb": self.rss_kb,
@@ -279,6 +290,13 @@ class Observer:
         # segments (see _fold_peak); harnesses read this instead of a
         # raw tracemalloc peak, which per-phase tracking resets.
         self.peak_traced_bytes = 0
+        # The gc.callbacks hook's state: the start of the collection
+        # in progress, and tallies folded into the counters when the
+        # outermost phase closes (a callback may fire while another
+        # frame iterates the counters, so it never inserts keys).
+        self._gc_start: Optional[float] = None
+        self._gc_collections = 0
+        self._gc_gen2_collections = 0
 
     # -- counters and gauges ----------------------------------------------
 
@@ -328,8 +346,24 @@ class Observer:
         if _HAVE_RESET_PEAK:
             tracemalloc.reset_peak()
 
+    def _on_gc(self, phase: str, info: Dict[str, int]) -> None:
+        """The ``gc.callbacks`` hook: charge one collection to the
+        innermost open phase."""
+        if phase == "start":
+            self._gc_start = time.perf_counter()
+            return
+        start, self._gc_start = self._gc_start, None
+        if start is None or not self._stack:
+            return
+        self._stack[-1].gc_seconds += time.perf_counter() - start
+        self._gc_collections += 1
+        if info.get("generation") == 2:
+            self._gc_gen2_collections += 1
+
     def _enter_phase(self, record: PhaseRecord) -> None:
         self._fold_peak()  # the preceding segment belongs to outer phases
+        if not self._stack:
+            gc.callbacks.append(self._on_gc)
         self._stack.append(record)
         record._start = time.perf_counter()
 
@@ -338,6 +372,14 @@ class Observer:
         self._fold_peak()  # this segment belongs to record too
         record.rss_kb = _rss_kb()
         popped = self._stack.pop()
+        if not self._stack:
+            gc.callbacks.remove(self._on_gc)
+            if self._gc_collections:
+                self.count("gc.collections", self._gc_collections)
+                self._gc_collections = 0
+            if self._gc_gen2_collections:
+                self.count("gc.gen2_collections", self._gc_gen2_collections)
+                self._gc_gen2_collections = 0
         assert popped is record, "mismatched phase nesting"
         if self._stack:
             self._stack[-1].children.append(record)
@@ -499,6 +541,9 @@ def _validate_phase(phase: object, path: str) -> None:
     _check(isinstance(phase.get("seconds"), (int, float))
            and phase["seconds"] >= 0,
            f"phase {phase.get('name')!r} has no non-negative seconds")
+    gc_seconds = phase.get("gc_seconds", 0.0)
+    _check(isinstance(gc_seconds, (int, float)) and gc_seconds >= 0,
+           f"phase {phase.get('name')!r} has negative gc_seconds")
     _check(isinstance(phase.get("peak_traced_kb"), (int, float)),
            f"phase {phase.get('name')!r} lacks peak_traced_kb")
     rss = phase.get("rss_kb")
@@ -712,8 +757,10 @@ def render_profile(doc: Dict[str, object]) -> str:
     def emit(phases, depth):
         for phase in phases:
             mem = ""
+            if phase.get("gc_seconds"):
+                mem += f"  gc {phase['gc_seconds']:.4f}s"
             if phase.get("peak_traced_kb"):
-                mem = f"  peak {phase['peak_traced_kb']:.0f} KiB"
+                mem += f"  peak {phase['peak_traced_kb']:.0f} KiB"
             # Clamp the name column: at depth >= 14 the shrinking
             # field width would go non-positive, and a negative width
             # is a ValueError in format().

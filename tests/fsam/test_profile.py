@@ -164,6 +164,14 @@ class TestProfileToggle:
         assert stats["counters"]["solver.iterations"] > 0
         assert stats["gauges"]["solver.dug_nodes"] > 0
 
+    def test_thread_model_gauges(self):
+        result = run_profiled()
+        model = result.thread_model
+        gauges = result.stats()["gauges"]
+        assert gauges["mt.threads"] == len(model.threads) == 2
+        assert gauges["mt.states"] == sum(
+            len(graph.state_info) for graph in model.state_graphs.values())
+
     def test_nonsparse_baseline_flushes_counters(self):
         from repro.baseline import NonSparseAnalysis
         module = compile_source(SRC)

@@ -96,7 +96,9 @@ class TestCLI:
 
     def test_threads(self, sample, capsys):
         assert main(["threads", sample]) == 0
-        assert "abstract thread" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "abstract thread" in out
+        assert "states=" in out
 
     def test_ir_dump(self, sample, capsys):
         assert main(["ir", sample]) == 0

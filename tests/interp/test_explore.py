@@ -103,3 +103,60 @@ class TestTightness:
             assert normalised <= covered_norm, (
                 f"load #{index} {load!r}: observed {sorted(observed)} "
                 f"not covered by {sorted(covered)}")
+
+
+# One sync-free callee, called by the worker once inside the lock span
+# and once after it. The protected store is a span tail, but main's
+# load is no span head (main overwrites *p first), so the lock filter
+# drops that instance pair; the unprotected instance keeps the edge.
+LOCKED_CALLEE = """
+int x; int y; int z;
+int *p = &x;
+int *q = &y;
+int *r = &z;
+int *c;
+mutex_t mu;
+void set() {
+    *p = q;
+}
+void *worker(void *arg) {
+    lock(&mu);
+    set();
+    unlock(&mu);
+    %s
+    return null;
+}
+int main() {
+    thread_t t;
+    fork(&t, worker, null);
+    lock(&mu);
+    *p = r;
+    *p = r;
+    c = *p;
+    unlock(&mu);
+    return 0;
+}
+"""
+LOCKED_CALLEE_LOAD_LINE = 24
+
+
+class TestSpanKeyedCallees:
+    @pytest.mark.parametrize("tail, expected", [
+        ("set();", {"y", "z"}),
+        ("", {"z"}),
+    ])
+    def test_unprotected_call_keeps_its_edge(self, tail, expected):
+        # A callee instance reached outside every span must not look
+        # protected just because another call site holds the lock.
+        # The interpreter keeps its state outside the module, so one
+        # compiled module serves every schedule.
+        source = LOCKED_CALLEE % tail
+        module = compile_source(source)
+        dynamic = explore_schedules(lambda: module)
+        assert dynamic.exhausted
+        observed = observed_names_for_line(module, dynamic,
+                                           LOCKED_CALLEE_LOAD_LINE)
+        assert observed == expected
+        static = analyze_source(source)
+        assert static.deref_pts_names_at_line(LOCKED_CALLEE_LOAD_LINE) \
+            == expected

@@ -14,6 +14,7 @@ from repro.frontend import compile_source
 from repro.ir import Load, Store
 from repro.memssa import build_dug
 from repro.mt import InterleavingAnalysis, LockAnalysis, ThreadModel
+from repro.mt import threads
 
 SRC = """
 int o_t1; int o_t2; int O;
@@ -49,14 +50,16 @@ def setup(monkeypatch=None, clone_lock_objects=False):
     if clone_lock_objects:
         # Make every lock-object resolution hand back a *fresh*
         # MemObject instance with the same .id — the situation the
-        # identity comparisons got wrong.
-        orig = LockAnalysis._lock_object
+        # identity comparisons got wrong. Spans are traced while the
+        # thread model builds its state graphs, which resolve locks
+        # through threads.singleton_lock.
+        orig = threads.singleton_lock
 
-        def cloning(self, ptr):
-            obj = orig(self, ptr)
+        def cloning(andersen, ptr):
+            obj = orig(andersen, ptr)
             return copy.copy(obj) if obj is not None else None
 
-        monkeypatch.setattr(LockAnalysis, "_lock_object", cloning)
+        monkeypatch.setattr(threads, "singleton_lock", cloning)
     m = compile_source(SRC)
     a = run_andersen(m)
     dug, builder = build_dug(m, a)

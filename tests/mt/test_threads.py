@@ -1,7 +1,9 @@
 """Static thread model tests (paper Section 3.1, Figure 8)."""
 
 from repro.andersen import run_andersen
+from repro.cfg.icfg import NodeKind
 from repro.frontend import compile_source
+from repro.ir import Call, Store
 from repro.mt import ThreadModel
 
 
@@ -44,6 +46,22 @@ int main() {
     join(t2);                 // jn2
     return 0;
 }
+"""
+
+SPAN_CALLS = """
+int g; int *p;
+mutex_t mu;
+void helper() { p = &g; }
+void locked_helper() { lock(&mu); p = &g; unlock(&mu); }
+void *w(void *a) {
+    helper();
+    helper();
+    lock(&mu);
+    helper();
+    unlock(&mu);
+    return null;
+}
+int main() { thread_t t; fork(&t, w, null); join(t); return 0; }
 """
 
 
@@ -202,17 +220,74 @@ class TestStateGraphs:
         fns = {node.function.name for _ctx, node in graph.state_info}
         assert fns == {"foo2", "bar_"}
 
-    def test_context_distinguishes_call_instances(self):
-        # bar_ is reachable as t3's body (ctx []) and via foo2's call.
+    def test_sync_free_callee_is_one_copy(self):
+        # bar_ is t3's root (ctx []). In t2 it is a sync-free callee:
+        # the call cs4 steps to its return site and enters one copy of
+        # bar_, keyed by the (empty) set of lock spans open at cs4.
         m, model = model_of(FIG8)
         t3 = thread_by_routine(model, "bar_")[0]
         g3 = model.state_graphs[t3.id]
-        ctxs3 = {ctx for ctx, node in g3.state_info if node.function.name == "bar_"}
-        assert ctxs3 == {()}  # thread root: empty context
+        keys3 = {key for key, node in g3.state_info if node.function.name == "bar_"}
+        assert keys3 == {()}  # thread root: empty context
         t2 = thread_by_routine(model, "foo2")[0]
         g2 = model.state_graphs[t2.id]
-        ctxs2 = {ctx for ctx, node in g2.state_info if node.function.name == "bar_"}
-        assert len(ctxs2) == 1 and next(iter(ctxs2)) != ()
+        keys2 = {key for key, node in g2.state_info if node.function.name == "bar_"}
+        assert keys2 == {frozenset()}
+        call = next(i for i in m.functions["foo2"].instructions()
+                    if isinstance(i, Call))
+        [call_sid] = g2.states_of_instr(call)
+        kinds = {g2.state(sid)[1].kind: isinstance(g2.state(sid)[0], frozenset)
+                 for sid in g2.graph.successors(call_sid)}
+        assert kinds == {NodeKind.RETSITE: False, NodeKind.ENTRY: True}
+
+    def test_copies_keyed_by_open_spans(self):
+        # Two unprotected calls share one copy of helper; the call
+        # inside the lock span enters a second copy, whose states all
+        # belong to that span.
+        m, model = model_of(SPAN_CALLS)
+        worker = thread_by_routine(model, "w")[0]
+        graph = model.state_graphs[worker.id]
+        calls = [i for i in m.functions["w"].instructions()
+                 if isinstance(i, Call)]
+        entries = []
+        for call in calls:
+            [sid] = graph.states_of_instr(call)
+            [entry] = [s for s in graph.graph.successors(sid)
+                       if isinstance(graph.state(s)[0], frozenset)]
+            entries.append(entry)
+        assert entries[0] == entries[1] != entries[2]
+        [(lock_sid, (_obj, members))] = graph.spans.items()
+        assert graph.state(entries[2])[0] == frozenset({lock_sid})
+        assert graph.state(entries[0])[0] == frozenset()
+        copy_states = {sid for sid in range(len(graph.state_info))
+                       if graph.state(sid)[0] == frozenset({lock_sid})}
+        assert copy_states and copy_states <= members
+        assert entries[0] not in members
+
+    def test_sync_reaching_callee_is_expanded(self):
+        # locked_helper locks internally: each call site gets its own
+        # context, as in the paper's configuration.
+        m, model = model_of(SPAN_CALLS.replace(
+            "helper();", "locked_helper();"))
+        worker = thread_by_routine(model, "w")[0]
+        graph = model.state_graphs[worker.id]
+        keys = {key for key, node in graph.state_info
+                if node.function.name == "locked_helper"}
+        assert len(keys) == 3
+        assert all(isinstance(key, tuple) and len(key) == 1 for key in keys)
+
+    def test_non_returning_callee_cuts_its_return_site(self):
+        # forever() never reaches its exit, so nothing after the call
+        # runs: its call gets no call->return-site step.
+        m, model = model_of("""
+        int g; int *p;
+        void forever() { forever(); }
+        int main() { forever(); p = &g; return 0; }
+        """)
+        graph = model.state_graphs[model.threads[0].id]
+        store = next(i for i in m.functions["main"].instructions()
+                     if isinstance(i, Store))
+        assert graph.states_of_instr(store) == []
 
     def test_recursive_calls_terminate(self):
         m, model = model_of("""

@@ -1,5 +1,6 @@
 """Unit tests for the observability layer (repro.obs)."""
 
+import gc
 import json
 import tracemalloc
 
@@ -74,6 +75,54 @@ class TestPhases:
         assert obs._stack == []
 
 
+class TestGcTime:
+    def test_collection_charged_to_innermost_phase(self):
+        obs = Observer()
+        with obs.phase("outer"):
+            with obs.phase("inner"):
+                gc.collect()
+        inner = obs.phases[0].children[0]
+        assert inner.gc_seconds > 0.0
+        assert obs.phases[0].gc_seconds < inner.gc_seconds
+        assert obs.counter("gc.collections") >= 1
+        assert obs.counter("gc.gen2_collections") >= 1
+        doc = obs.to_dict()
+        assert doc["phases"][0]["children"][0]["gc_seconds"] == \
+            inner.gc_seconds
+        validate_profile(doc)
+        assert "gc " in render_profile(doc)
+
+    def test_hook_installed_only_while_a_phase_is_open(self):
+        obs = Observer()
+        assert obs._on_gc not in gc.callbacks
+        with obs.phase("outer"):
+            with obs.phase("inner"):
+                assert gc.callbacks.count(obs._on_gc) == 1
+            assert obs._on_gc in gc.callbacks
+        assert obs._on_gc not in gc.callbacks
+        gc.collect()  # outside every phase: not counted
+        assert obs.counter("gc.collections") == 0
+
+    def test_hook_removed_on_exception(self):
+        obs = Observer()
+        with pytest.raises(KeyError):
+            with obs.phase("outer"):
+                with obs.phase("inner"):
+                    raise KeyError("x")
+        assert obs._on_gc not in gc.callbacks
+
+    def test_validation_rejects_negative_gc_seconds(self):
+        obs = Observer()
+        with obs.phase("p"):
+            pass
+        doc = obs.to_dict()
+        doc["phases"][0]["gc_seconds"] = -1.0
+        with pytest.raises(ValueError, match="gc_seconds"):
+            validate_profile(doc)
+        del doc["phases"][0]["gc_seconds"]  # documents predating it
+        validate_profile(doc)
+
+
 class TestMemoryTracking:
     def test_per_phase_peaks_with_tracemalloc(self):
         was_tracing = tracemalloc.is_tracing()
@@ -131,7 +180,11 @@ class TestExport:
         assert validate_profile(doc) is doc
         assert doc["schema"] == PROFILE_SCHEMA
         assert doc["name"] == "sample"
-        assert doc["counters"] == {"stage.events": 3}
+        # A collection landing inside the sample's phases adds gc.*
+        # tallies; everything else must match exactly.
+        counters = {name: value for name, value in doc["counters"].items()
+                    if not name.startswith("gc.")}
+        assert counters == {"stage.events": 3}
         assert doc["gauges"] == {"stage.size": 11}
 
     def test_to_json_round_trips(self):

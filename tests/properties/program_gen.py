@@ -1,9 +1,10 @@
 """Random MiniC program generation for property-based tests.
 
 Programs are valid-by-construction: statements draw from typed pools
-(int globals, int* globals, int** globals), loops are bounded, and
-locks are emitted in balanced pairs — so the concrete interpreter
-always terminates and the frontend always accepts the source.
+(int globals, int* globals, int** globals), loops and recursion are
+bounded, and locks are emitted in balanced pairs — so the concrete
+interpreter always terminates and the frontend always accepts the
+source.
 """
 
 from __future__ import annotations
@@ -18,22 +19,25 @@ N_PPTRS = 2     # pp0..pp1 : int**
 N_NODES = 2     # h0..h1 : struct node*  (node: {int *f; struct node *n;})
 
 
+SYNC_FREE_KINDS = ["addr", "copy", "store_pp", "load_pp", "deref_write",
+                   "deref_read", "null", "branch", "loop", "heap_new",
+                   "field_write", "field_read", "link", "walk"]
+SYNC_KINDS = ["lockblock", "waitblock", "signal"]
+
+
 @st.composite
 def statements(draw, depth: int = 0, allow_loops: bool = True,
-               counter: List[int] = None) -> List[str]:
+               counter: List[int] = None, sync: bool = True) -> List[str]:
     """A list of statement strings for one block. ``counter`` makes
     loop variable names unique within a function (MiniC has no block
-    scoping)."""
+    scoping). ``sync=False`` leaves out locks, waits and signals."""
     if counter is None:
         counter = [0]
     count = draw(st.integers(min_value=1, max_value=5))
     stmts: List[str] = []
+    kinds = SYNC_FREE_KINDS + SYNC_KINDS if sync else SYNC_FREE_KINDS
     for _ in range(count):
-        kind = draw(st.sampled_from(
-            ["addr", "copy", "store_pp", "load_pp", "deref_write",
-             "deref_read", "null", "branch", "loop", "lockblock",
-             "heap_new", "field_write", "field_read", "link", "walk",
-             "waitblock", "signal"]))
+        kind = draw(st.sampled_from(kinds))
         if kind == "addr":
             p = draw(st.integers(0, N_PTRS - 1))
             g = draw(st.integers(0, N_INTS - 1))
@@ -82,15 +86,15 @@ def statements(draw, depth: int = 0, allow_loops: bool = True,
             stmts.append(f"if (h{a} != null) {{ h{b} = h{a}->n; }}")
         elif kind == "branch" and depth < 2:
             then_body = draw(statements(depth=depth + 1, allow_loops=allow_loops,
-                                        counter=counter))
+                                        counter=counter, sync=sync))
             else_body = draw(statements(depth=depth + 1, allow_loops=allow_loops,
-                                        counter=counter))
+                                        counter=counter, sync=sync))
             g = draw(st.integers(0, N_INTS - 1))
             stmts.append("if (g%d < 2) { %s } else { %s }"
                          % (g, " ".join(then_body), " ".join(else_body)))
         elif kind == "loop" and allow_loops and depth < 2:
             body = draw(statements(depth=depth + 1, allow_loops=False,
-                                   counter=counter))
+                                   counter=counter, sync=sync))
             var = f"i{counter[0]}"
             counter[0] += 1
             stmts.append("for (int %s = 0; %s < 2; %s = %s + 1) { %s }"
@@ -152,24 +156,63 @@ def single_function_programs(draw) -> str:
                                                 " ".join(main_body))
 
 
+#: Helper shapes a multithreaded program may call, from main and from
+#: every worker: the definitions (bodies drawn sync-free) and the
+#: statements that call them.
+HELPER_SHAPES = {
+    # One sync-free helper, called outside and inside the lock.
+    "shared": (["void helper() { %s }"],
+               "helper(); lock(&mu); helper(); unlock(&mu);"),
+    # A helper that locks internally, so it stays context-expanded.
+    "locking": (["void locked_helper() { lock(&mu); %s unlock(&mu); }"],
+                "locked_helper();"),
+    # Recursion through a sync-free helper, bounded by a global count.
+    "recursive": (["void rec() { if (depth < 3) { depth = depth + 1; "
+                   "rec_step(); } }",
+                   "void rec_step() { %s rec(); }"],
+                  "rec();"),
+    # A sync-free call chain inside a lock span.
+    "chain": (["void chain() { %s chain_leaf(); }",
+               "void chain_leaf() { %s }"],
+              "lock(&mu); chain(); unlock(&mu);"),
+}
+
+
 @st.composite
 def multithreaded_programs(draw) -> str:
-    """Main plus up to two worker threads, optional joins."""
-    parts = [_globals_header()]
+    """Main plus up to two worker threads, optional joins, and calls
+    to a drawn subset of the :data:`HELPER_SHAPES`."""
+    parts = [_globals_header(), "int depth;"]
+    shapes = sorted(draw(st.sets(st.sampled_from(sorted(HELPER_SHAPES)))))
+    calls = " ".join(HELPER_SHAPES[shape][1] for shape in shapes)
+    for shape in shapes:
+        for definition in HELPER_SHAPES[shape][0]:
+            if "%s" in definition:
+                # Shallow bodies: these shapes exercise call structure.
+                body = draw(statements(depth=1, allow_loops=False,
+                                       counter=[0], sync=False))
+                definition %= " ".join(body)
+            parts.append(definition)
+
+    def with_calls(body: List[str]) -> str:
+        if draw(st.booleans()):
+            return " ".join([calls] + body)
+        return " ".join(body + [calls])
+
     n_workers = draw(st.integers(min_value=1, max_value=2))
     for w in range(n_workers):
         body = draw(statements(counter=[0]))
         parts.append("void *worker%d(void *arg) { %s return null; }"
-                     % (w, " ".join(body)))
+                     % (w, with_calls(body)))
     main_counter = [0]
     pre = draw(statements(counter=main_counter))
-    mid = draw(statements(counter=main_counter))
+    mid = with_calls(draw(statements(counter=main_counter)))
     post = draw(statements(counter=main_counter))
     join_style = draw(st.sampled_from(["all", "none", "partial"]))
     body_lines = [" ".join(pre)]
     for w in range(n_workers):
         body_lines.append(f"fork(&t{w}, worker{w}, null);")
-    body_lines.append(" ".join(mid))
+    body_lines.append(mid)
     if join_style == "all":
         for w in range(n_workers):
             body_lines.append(f"join(t{w});")

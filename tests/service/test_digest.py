@@ -65,14 +65,14 @@ def test_query_digest_discriminates_every_field():
 def test_request_digest_pin():
     assert request_digest("int main() { return 0; }\n", FSAMConfig(),
                           code_version="test-1") == \
-        "f4097a587d338bde131c2e204cd884c76e559052df5aef2dc262a7d1c14ecc3a"
+        "4bb5863d77e93db42fc42f723658db89723c0cac9e932fd45c0e0e45ed6cf548"
 
 
 def test_function_digest_pin():
     assert function_digest("fn main:\n  ret 0\n",
                            [["helper", "mod:-,ref:-"]], FSAMConfig(),
                            code_version="test-1") == \
-        "8ef896cfeecd5a0a7849e7c671b2900f7d8d5bf89c1fc439364e786e90ac557f"
+        "9bf931a23de23d6b5c9b51dbf2e4fe8622e950273bf8f666fad05cf556480477"
 
 
 def test_request_digest_ignores_execution_only_fields():

@@ -25,7 +25,8 @@ class TestRequestDigest:
         assert request_digest(SOURCE, FSAMConfig()) != \
             request_digest(SOURCE, FSAMConfig(interleaving=False))
         assert request_digest(SOURCE, FSAMConfig()) != \
-            request_digest(SOURCE, FSAMConfig(max_context_depth=1))
+            request_digest(SOURCE, FSAMConfig(
+                strong_updates_at_interfering_stores=False))
 
     def test_execution_knobs_do_not_participate(self):
         base = request_digest(SOURCE, FSAMConfig())
@@ -44,7 +45,8 @@ class TestRequestDigest:
 class TestConfigWireForm:
     def test_round_trip(self):
         config = FSAMConfig(interleaving=False, time_budget=2.5,
-                            max_context_depth=3, trace=True)
+                            strong_updates_at_interfering_stores=False,
+                            trace=True)
         assert FSAMConfig.from_dict(config.to_dict()) == config
 
     def test_unknown_key_rejected(self):
