@@ -162,22 +162,22 @@ class FSAMResult:
         return out
 
     def mem_masks(self) -> Dict[str, int]:
-        """``"<node index>:<object index>" -> bitmask`` view of the
-        per-definition memory states (node index = position in
+        """``"<node uid>:<object index>" -> bitmask`` view of the
+        per-definition memory states (node uid = position in
         ``dug.nodes`` creation order, object index = universe dense
         index; both deterministic)."""
         universe = self.solver.universe
-        node_index = {node.uid: i for i, node in enumerate(self.dug.nodes)}
+        n_nodes = len(self.dug.nodes)
         out: Dict[str, int] = {}
         for (uid, obj_id), values in self.solver.mem.items():
             if not values:
                 continue
             obj_idx = universe.index_of_id(obj_id)
-            if uid not in node_index or obj_idx is None:
+            if not 0 <= uid < n_nodes or obj_idx is None:
                 raise ValueError(
                     f"memory state at ({uid}, {obj_id}) not reachable by "
                     f"the canonical DUG/universe numbering")
-            out[f"{node_index[uid]}:{obj_idx}"] = values.mask
+            out[f"{uid}:{obj_idx}"] = values.mask
         return out
 
     # -- statistics ----------------------------------------------------------

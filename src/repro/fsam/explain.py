@@ -200,7 +200,7 @@ def derivation_chain(result: FSAMResult, key: Tuple,
 
 def _describe_fact(result: FSAMResult, key: Tuple,
                    temps: Dict[int, Temp],
-                   nodes: Dict[int, DUGNode]) -> str:
+                   nodes: List[DUGNode]) -> str:
     obj = _object_by_id(result, key[-1])
     obj_name = obj.name if obj is not None else f"obj#{key[-1]}"
     if key[0] == "top":
@@ -209,13 +209,13 @@ def _describe_fact(result: FSAMResult, key: Tuple,
         return f"{obj_name} in pt({var})"
     container = _object_by_id(result, key[2])
     container_name = container.name if container is not None else f"obj#{key[2]}"
-    node = nodes.get(key[1])
+    node = nodes[key[1]]
     return f"{obj_name} in state({container_name}) at {node!r}"
 
 
 def _describe_derivation(result: FSAMResult, key: Tuple, d: Derivation,
                          temps: Dict[int, Temp],
-                         nodes: Dict[int, DUGNode]) -> List[str]:
+                         nodes: List[DUGNode]) -> List[str]:
     tag = RULE_TAGS.get(d.rule, d.rule)
     location = ""
     if isinstance(d.origin, StmtNode) and d.origin.instr.line:
@@ -227,7 +227,7 @@ def _describe_derivation(result: FSAMResult, key: Tuple, d: Derivation,
     lines = [head]
     if d.thread_edge and d.edge is not None:
         src_uid, container_id, _dst_uid = d.edge
-        source = nodes.get(src_uid)
+        source = nodes[src_uid]
         container = _object_by_id(result, container_id)
         container_name = container.name if container is not None \
             else f"obj#{container_id}"
@@ -247,7 +247,7 @@ def render_derivation(result: FSAMResult, key: Tuple) -> str:
     """A human-readable derivation chain for fact *key*, from the
     queried fact down to its root."""
     temps = _temps_by_id(result)
-    nodes = {n.uid: n for n in result.dug.nodes}
+    nodes = result.dug.nodes
     chain = derivation_chain(result, key)
     if not chain:
         return f"no recorded derivation for {key!r}"

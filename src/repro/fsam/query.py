@@ -160,7 +160,6 @@ class QueryEngine:
         self._mem_masks: Dict[Tuple[int, int], int] = {}
         # obj.id -> defining DUG nodes; built on the first object query.
         self._defs_by_obj: Optional[Dict[int, List[DUGNode]]] = None
-        self._node_index: Optional[Dict[int, int]] = None
         self._canon_temps: Optional[Dict[int, int]] = None
         # Cached whole-program reference solve for the bail path.
         self._full = None
@@ -224,21 +223,14 @@ class QueryEngine:
     def slice_signature(self, node_uids: Set[int],
                         temp_ids: Set[int]) -> str:
         """A deterministic digest of a slice's extent, in canonical
-        coordinates (DUG creation positions and canonical temp
-        indices, both deterministic functions of (source, config)) —
-        the slice half of the query artifact cache key."""
-        node_index = self._node_index
-        if node_index is None:
-            node_index = self.dug.schedule_cache.get("query_node_index")
-            if node_index is None:
-                node_index = {node.uid: i
-                              for i, node in enumerate(self.dug.nodes)}
-                self.dug.schedule_cache["query_node_index"] = node_index
-            self._node_index = node_index
+        coordinates (DUG node uids, which are creation positions, and
+        canonical temp indices, both deterministic functions of
+        (source, config)) — the slice half of the query artifact cache
+        key."""
         canon = self._canon_temps
         if canon is None:
             canon = self._canon_temps = canonical_temp_index(self.module)
-        positions = sorted(node_index[uid] for uid in node_uids)
+        positions = sorted(node_uids)
         temp_positions = []
         for tid in temp_ids:
             idx = canon.get(tid)
@@ -365,5 +357,5 @@ class QueryEngine:
             universe=self.universe, slice_nodes=n_nodes, slice_temps=0,
             slice_fraction=1.0, iterations=iterations, source="full",
             seconds=seconds,
-            node_uids={node.uid for node in self.dug.nodes},
+            node_uids=set(range(n_nodes)),
             temp_ids=set())

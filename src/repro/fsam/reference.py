@@ -129,9 +129,8 @@ class ReferenceSolver:
         if merged is current:
             return
         self.mem[key] = merged
-        for out_obj, dst in self.dug.mem_out(node):
-            if out_obj.id == obj.id:
-                self._push(dst)
+        for dst in self.dug.mem_uses_of(node, obj):
+            self._push(dst)
 
     # -- solving ---------------------------------------------------------------
 

@@ -34,10 +34,10 @@ pre-analysis):
   mask on each outgoing o-edge and the successor is enqueued. A
   re-evaluated merge node (memory phi, formal-in/out, call-mu, weak
   store, load) folds its pending deltas instead of re-unioning every
-  predecessor state from scratch; ``_in_values`` survives only for
-  first reads (a load discovering a new pointed-to container, a store
-  reclassifying after its pointer grew) and for provenance/debug
-  paths. Dropping a delta is always safe where the rules kill it
+  predecessor state from scratch; ``_in_mask`` rescans the reaching
+  definitions only on first reads (a load discovering a new
+  pointed-to container, a store reclassifying after its pointer
+  grew). Dropping a delta is always safe where the rules kill it
   (strong updates, empty-pointer stores, loads whose pointer does not
   reach the object): predecessor states are monotone and persistent,
   so a later classification change re-reads the full state.
@@ -65,7 +65,7 @@ node, and trigger fact that *first* introduced it. With the default
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple, Union
 
 from repro.andersen import AndersenResult
 from repro.andersen.fields import derive_field
@@ -157,117 +157,103 @@ def _is_seed(node: DUGNode) -> bool:
             and node.site.handle_ptr is not None)
 
 
-def _graph_index(dug: DUG) -> Tuple[Dict[int, Tuple[DUGNode, int]],
-                                    List[DUGNode], Set[int],
-                                    Set[Tuple[int, int, int]]]:
-    """Whole-graph structures every schedule filters from: the
-    ``uid -> (node, dispatch tag)`` index in creation order, the seed
-    list and its uid set, and the ``(src uid, obj id, dst uid)`` keys
-    of thread-aware edges into loads (they take the unconditional
-    delta channel; flagging them from the small thread-edge list beats
-    querying ``is_thread_edge`` once per o-edge). Pure functions of the
-    frozen DUG, memoized in ``dug.schedule_cache``, so a slice schedule
-    pays only slice-proportional filtering on top."""
+def _graph_index(dug: DUG) -> Tuple[bytes, bytes, List[DUGNode],
+                                    Dict[Tuple[int, int], List[DUGNode]]]:
+    """Whole-graph structures every schedule reads: the dispatch tag
+    and the seed flag of each node (indexed by uid), the seed list,
+    and the thread-aware edges into loads as a ``(src uid, obj id) ->
+    loads`` map (they take the unconditional delta channel; a subset
+    of ``dug._uses``). Pure functions of the frozen DUG, memoized in
+    ``dug.schedule_cache``, so a slice schedule pays only
+    slice-proportional filtering on top."""
     cached = dug.schedule_cache.get("solver_graph_index")
     if cached is None:
-        node_by_uid: Dict[int, Tuple[DUGNode, int]] = {}
-        seeds: List[DUGNode] = []
-        for node in dug.nodes:
-            node_by_uid[node.uid] = (node, _node_tag(node))
-            if _is_seed(node):
-                seeds.append(node)
-        to_load = {(src.uid, obj.id, dst.uid)
-                   for src, obj, dst in dug.thread_edges
-                   if isinstance(dst, StmtNode)
-                   and isinstance(dst.instr, Load)}
-        cached = (node_by_uid, seeds, {node.uid for node in seeds},
-                  to_load)
+        nodes = dug.nodes
+        tags = bytes([_node_tag(node) for node in nodes])
+        seeded = bytes([_is_seed(node) for node in nodes])
+        seeds = [node for node in nodes if seeded[node.uid]]
+        to_load: Dict[Tuple[int, int], List[DUGNode]] = {}
+        for src, obj, dst in dug.thread_edges:
+            if isinstance(dst, StmtNode) and isinstance(dst.instr, Load):
+                to_load.setdefault((src.uid, obj.id), []).append(dst)
+        cached = (tags, seeded, seeds, to_load)
         dug.schedule_cache["solver_graph_index"] = cached
     return cached
 
 
 class SchedulePlan(NamedTuple):
     """A solver's static schedule (see :func:`build_plan`). Nothing in
-    it is mutated during a solve, so one plan can serve many solvers."""
+    it is mutated during a solve, so one plan can serve many solvers.
+    Nodes are named by uid, their position in ``dug.nodes``."""
 
-    node_by_uid: Dict[int, Tuple[DUGNode, int]]
+    tags: bytes                # dispatch tag per uid (whole graph)
     seeds: List[DUGNode]
-    # uid -> obj.id -> [(obj, dst, thread_to_load)]
-    out_edges: Dict[int, Dict[int, List[Tuple[MemObject, DUGNode, bool]]]]
-    # uid -> packed (rank << 32) | uid worklist key
-    rank_key: Dict[int, int]
+    # (src uid, obj id) -> users: the DUG's own map, or a slice's part
+    uses: Dict[Tuple[int, int], List[DUGNode]]
+    # the thread-aware edges into loads among ``uses``
+    to_load: Dict[Tuple[int, int], List[DUGNode]]
+    # uid -> topological rank: a list, or a dict over a slice's uids
+    rank: Union[List[int], Dict[int, int]]
     top_users: Dict[int, List[DUGNode]]
     copies_by_src: Dict[int, List[Tuple[object, Temp]]]
     top_copies: List[Tuple[object, Temp]]
 
 
-def build_plan(dug: DUG, rank: Dict[int, int],
+def build_plan(dug: DUG, rank: Union[List[int], Dict[int, int]],
                node_uids: Optional[Set[int]] = None,
                temp_ids: Optional[Set[int]] = None) -> SchedulePlan:
-    """Build the solver's schedule over *dug*: the node index, the
-    seeds, the per-node out-edge caches grouped by flowing object, and
-    the worklist keys packed from the topological *rank* map.
+    """Build the solver's schedule over *dug* from the topological
+    *rank* of each node.
 
-    Without a slice the schedule covers the whole graph. With an
+    Without a slice the schedule is the DUG's own maps. With an
     upstream-closure slice (*node_uids*/*temp_ids* from
-    :meth:`repro.memssa.dug.DUG.upstream_closure`) every structure —
+    :meth:`repro.memssa.dug.DUG.upstream_closure`) every map —
     crucially the top-level def-use and copy maps too — covers slice
     members only: swapping the filtered maps under the hot paths
-    (``_apply_top``, the copy-chain walk, the up-front ``top_copies``
-    sweep) is what stops propagation at the slice boundary without
-    touching the engine itself.
+    (``_set_mem``, ``_apply_top``, the copy-chain walk, the up-front
+    ``top_copies`` sweep) is what stops propagation at the slice
+    boundary without touching the engine itself. Filtering walks the
+    slice's own nodes and keys, never the whole graph.
     """
-    index, all_seeds, seed_uids, to_load = _graph_index(dug)
+    tags, seeded, all_seeds, to_load = _graph_index(dug)
     if node_uids is None:
-        uids = index  # creation order
-        node_by_uid = index
-        seeds = all_seeds
-        top_users = dug._top_users
-        copies_by_src = dug._copies_by_src
-        top_copies = dug.top_copies
-    else:
-        # Ascending uid is creation order (uids are a creation
-        # counter), so this reproduces the whole-program seed order
-        # while touching only the slice — never the full node list.
-        uids = sorted(node_uids)
-        node_by_uid = {uid: index[uid] for uid in uids}
-        seeds = [index[uid][0] for uid in uids if uid in seed_uids]
-        full_users = dug._top_users
-        full_copies = dug._copies_by_src
-        top_users = {}
-        copies_by_src = {}
-        top_copies = []
-        for tid in temp_ids:
-            users = full_users.get(tid)
-            if users:
-                kept_users = [u for u in users if u.uid in node_uids]
-                if kept_users:
-                    top_users[tid] = kept_users
-            pairs = full_copies.get(tid)
-            if pairs:
-                kept_pairs = [p for p in pairs if p[1].id in temp_ids]
-                if kept_pairs:
-                    copies_by_src[tid] = kept_pairs
-            top_copies.extend(dug._copies_by_dst.get(tid, ()))
-    out_edges: Dict[
-        int, Dict[int, List[Tuple[MemObject, DUGNode, bool]]]] = {}
-    mem_out = dug._mem_out
-    threaded = bool(to_load)
+        return SchedulePlan(tags, all_seeds, dug._uses, to_load, rank,
+                            dug._top_users, dug._copies_by_src,
+                            dug.top_copies)
+    nodes = dug.nodes
+    # Ascending uid is creation order, so this reproduces the
+    # whole-program seed order while touching only the slice.
+    uids = sorted(node_uids)
+    seeds = [nodes[uid] for uid in uids if seeded[uid]]
+    full_uses = dug._uses
+    uses: Dict[Tuple[int, int], List[DUGNode]] = {}
     for uid in uids:
-        out = mem_out.get(uid)
-        if not out:
-            continue
-        by_obj: Dict[int, List[Tuple[MemObject, DUGNode, bool]]] = {}
-        for obj, dst in out:
-            if node_uids is not None and dst.uid not in node_uids:
-                continue  # outside the slice: provably unread
-            by_obj.setdefault(obj.id, []).append(
-                (obj, dst, threaded and (uid, obj.id, dst.uid) in to_load))
-        if by_obj:
-            out_edges[uid] = by_obj
-    rank_key = {uid: (rank.get(uid, 0) << 32) | uid for uid in uids}
-    return SchedulePlan(node_by_uid, seeds, out_edges, rank_key,
-                        top_users, copies_by_src, top_copies)
+        for obj in dug.mem_labels(nodes[uid]):
+            key = (uid, obj.id)
+            dsts = full_uses.get(key)
+            if dsts:
+                kept = [dst for dst in dsts if dst.uid in node_uids]
+                if kept:
+                    uses[key] = kept
+    full_users = dug._top_users
+    full_copies = dug._copies_by_src
+    top_users: Dict[int, List[DUGNode]] = {}
+    copies_by_src: Dict[int, List[Tuple[object, Temp]]] = {}
+    top_copies: List[Tuple[object, Temp]] = []
+    for tid in temp_ids:
+        users = full_users.get(tid)
+        if users:
+            kept_users = [u for u in users if u.uid in node_uids]
+            if kept_users:
+                top_users[tid] = kept_users
+        pairs = full_copies.get(tid)
+        if pairs:
+            kept_pairs = [p for p in pairs if p[1].id in temp_ids]
+            if kept_pairs:
+                copies_by_src[tid] = kept_pairs
+        top_copies.extend(dug._copies_by_dst.get(tid, ()))
+    return SchedulePlan(tags, seeds, uses, to_load, rank, top_users,
+                        copies_by_src, top_copies)
 
 
 class SparseSolver:
@@ -321,10 +307,10 @@ class SparseSolver:
         # node, so per-rank buckets would churn). ``_queued`` keeps
         # pushes idempotent — at most one live heap entry per uid.
         self._heap: List[int] = []
-        self._rank_key: Dict[int, int] = {}
+        self._rank: Union[List[int], Dict[int, int]] = []
         self._queued: Set[int] = set()
-        # uid -> (node, dispatch tag); see the TAG_* constants.
-        self._node_by_uid: Dict[int, Tuple[DUGNode, int]] = {}
+        # Dispatch tag per uid; see the TAG_* constants.
+        self._tags = b""
         # Nodes whose top-level operands changed since their last
         # visit (pushed via top_users); deltas alone leave this unset.
         self._top_dirty: Set[int] = set()
@@ -335,14 +321,13 @@ class SparseSolver:
         # the load's pointer).
         self._pending: Dict[int, Dict[int, List]] = {}
         self._pending_thread: Dict[int, Dict[int, List]] = {}
-        # Per-node out-edge cache grouped by flowing object:
-        # uid -> obj.id -> [(obj, dst, thread_to_load)]. Grouping by
-        # object id (the stable allocation-site id, not id(obj):
-        # field-derived MemObjects can be equal-but-distinct
-        # instances) means ``_set_mem`` touches only the edges that
-        # actually carry the grown object.
-        self._out_edges: Dict[
-            int, Dict[int, List[Tuple[MemObject, DUGNode, bool]]]] = {}
+        # The users of each (uid, obj.id) memory state, read in place
+        # from the DUG (or a slice's part of it), so ``_set_mem``
+        # touches only the edges that carry the grown object;
+        # ``_to_load`` names the users among them that are
+        # thread-aware edges into loads.
+        self._uses: Dict[Tuple[int, int], List[DUGNode]] = {}
+        self._to_load: Dict[Tuple[int, int], List[DUGNode]] = {}
         # Loads: object ids whose full incoming state was already
         # merged (subsequent growth arrives as deltas).
         self._load_seen: Dict[int, Set[int]] = {}
@@ -397,9 +382,6 @@ class SparseSolver:
                 mask |= state
         return mask
 
-    def _in_values(self, node: DUGNode, obj: MemObject) -> PTSet:
-        return self.universe.from_mask(self._in_mask(node, obj))
-
     # -- worklist ---------------------------------------------------------
 
     def _push(self, node: DUGNode) -> None:
@@ -407,7 +389,7 @@ class SparseSolver:
         queued = self._queued
         if uid not in queued:
             queued.add(uid)
-            heappush(self._heap, self._rank_key[uid])
+            heappush(self._heap, (self._rank[uid] << 32) | uid)
 
     def _push_top(self, node: DUGNode) -> None:
         self._top_dirty.add(node.uid)
@@ -471,14 +453,14 @@ class SparseSolver:
             # _push_top inlined: this is the single hottest push site.
             top_dirty = self._top_dirty
             queued = self._queued
-            rank_key = self._rank_key
+            rank = self._rank
             heap = self._heap
             for user in users:
                 uid = user.uid
                 top_dirty.add(uid)
                 if uid not in queued:
                     queued.add(uid)
-                    heappush(heap, rank_key[uid])
+                    heappush(heap, (rank[uid] << 32) | uid)
         return True
 
     def _set_mem(self, node: DUGNode, obj: MemObject, vals_mask: int,
@@ -492,18 +474,26 @@ class SparseSolver:
         if self.provenance is not None:
             self._record_mem(node, obj, current, vals_mask, prov)
         masks[key] = merged
-        delta = merged & ~current
-        obj_id = obj.id
-        by_obj = self._out_edges.get(node.uid)
-        if by_obj is None:
-            return
-        for out_obj, dst, thread_to_load in by_obj.get(obj_id, ()):
-            self.delta_propagations += 1
-            book = self._pending_thread if thread_to_load else self._pending
+        uses = self._uses.get(key)
+        if uses is not None:
+            self._deliver(key, obj, merged & ~current, uses)
+
+    def _deliver(self, key: Tuple[int, int], obj: MemObject, delta: int,
+                 uses: List[DUGNode]) -> None:
+        """Fold *delta* into the pending book of each user of the
+        *key* state and enqueue it."""
+        self.delta_propagations += len(uses)
+        obj_id = key[1]
+        to_load = self._to_load.get(key) if self._to_load else None
+        for dst in uses:
+            if to_load is not None and dst in to_load:
+                book = self._pending_thread
+            else:
+                book = self._pending
             slot = book.setdefault(dst.uid, {})
             entry = slot.get(obj_id)
             if entry is None:
-                slot[obj_id] = [out_obj, delta]
+                slot[obj_id] = [obj, delta]
             else:
                 entry[1] |= delta
             self._push(dst)
@@ -529,10 +519,11 @@ class SparseSolver:
             rank, self.scc_count = dug.compute_topo_ranks_slice(
                 node_uids, temp_ids)
             plan = build_plan(dug, rank, node_uids, temp_ids)
-        self._node_by_uid = plan.node_by_uid
+        self._tags = plan.tags
         self._seeds = plan.seeds
-        self._out_edges = plan.out_edges
-        self._rank_key = plan.rank_key
+        self._uses = plan.uses
+        self._to_load = plan.to_load
+        self._rank = plan.rank
         self._top_users_map = plan.top_users
         self._copies_by_src = plan.copies_by_src
         self._top_copies = plan.top_copies
@@ -567,12 +558,12 @@ class SparseSolver:
         evaluated on the spot rather than paying a queue round-trip
         each; everything else (fork-handle chis) is enqueued. Returns
         the number of direct evaluations (they count as iterations)."""
-        node_by_uid = self._node_by_uid
+        tags = self._tags
         visited = self._visited
         direct = 0
         for node in self._seeds:
             self.seeded_nodes += 1
-            tag = node_by_uid[node.uid][1]
+            tag = tags[node.uid]
             if tag >= TAG_ADDR:
                 visited.add(node.uid)
                 direct += 1
@@ -599,7 +590,8 @@ class SparseSolver:
         :meth:`solve_incremental`. *iterations* counts work already
         done (direct seed evals)."""
         queued = self._queued
-        node_by_uid = self._node_by_uid
+        nodes = self.dug.nodes
+        tags = self._tags
         visited = self._visited
         deadline = self.deadline
         heap = self._heap
@@ -611,7 +603,8 @@ class SparseSolver:
             uid = heappop(heap) & 0xFFFFFFFF
             queued.discard(uid)
             visited.add(uid)
-            node, tag = node_by_uid[uid]
+            node = nodes[uid]
+            tag = tags[uid]
             if tag >= TAG_ADDR:
                 # Top-level-only statements (the bulk of visits):
                 # no memory in-edges, so no pending book to pop.
@@ -666,26 +659,17 @@ class SparseSolver:
                 if user.uid not in frozen:
                     self._push_top(user)
         # Boundary delivery.
-        pending = self._pending
-        pending_thread = self._pending_thread
-        for (uid, obj_id), mask in reuse.mem_masks.items():
+        universe = self.universe
+        for key, mask in reuse.mem_masks.items():
             if not mask:
                 continue
-            by_obj = self._out_edges.get(uid)
-            if by_obj is None:
+            uses = self._uses.get(key)
+            if uses is None:
                 continue
-            for out_obj, dst, thread_to_load in by_obj.get(obj_id, ()):
-                if dst.uid in frozen:
-                    continue
-                self.delta_propagations += 1
-                book = pending_thread if thread_to_load else pending
-                slot = book.setdefault(dst.uid, {})
-                entry = slot.get(obj_id)
-                if entry is None:
-                    slot[obj_id] = [out_obj, mask]
-                else:
-                    entry[1] |= mask
-                self._push(dst)
+            live = [dst for dst in uses if dst.uid not in frozen]
+            if live:
+                obj = universe.object_at(universe.index_of_id(key[1]))
+                self._deliver(key, obj, mask, live)
         # Constant/function-valued interprocedural copies, as in
         # solve(): a frozen destination already holds a superset of
         # every source (its copy sources are frozen too), so these
@@ -694,13 +678,13 @@ class SparseSolver:
             self._set_top(dst, self._value_mask(src),
                           ("copy-chain", src) if tracing else None)
         # Seed the downstream region only.
-        node_by_uid = self._node_by_uid
+        tags = self._tags
         visited = self._visited
         direct = 0
         for node in self._seeds:
             if node.uid in frozen:
                 continue
-            tag = node_by_uid[node.uid][1]
+            tag = tags[node.uid]
             if tag >= TAG_ADDR:
                 visited.add(node.uid)
                 direct += 1
@@ -767,7 +751,7 @@ class SparseSolver:
             # Merge pseudo-statements (memory phi, formal-in/out,
             # call-mu): the state is the union of everything that ever
             # arrived, so folding the pending delta is the whole
-            # transfer — no _in_values rescan.
+            # transfer — no _in_mask rescan.
             obj = node.obj
             entry = pend.get(obj.id)
             if entry is not None and entry[1]:
@@ -881,7 +865,7 @@ class SparseSolver:
         tracing = self.provenance is not None
         if dirty:
             # Pointer or stored value changed: reclassify every chi
-            # object against the new pt(ptr). The full _in_values
+            # object against the new pt(ptr). The full _in_mask
             # reads below subsume any pending deltas (predecessor
             # states are updated before deltas are enqueued), and
             # deltas into strong/kill-classified objects are dropped
@@ -1009,7 +993,7 @@ class SparseSolver:
             self.builder.mus.get(instr.id, universe.empty)
         for container in containers:
             for src in self.dug.mem_defs_of(node, container):
-                # Thread-aware edges also live in _mem_in; defer them
+                # Thread-aware edges are among the defs too; defer them
                 # to the second pass so they carry their annotation.
                 if self.dug.is_thread_edge(src, container, node):
                     continue

@@ -6,12 +6,17 @@ the value that flows: a Temp for top-level def-use, or a MemObject
 for address-taken def-use. The sparse flow-sensitive solver
 propagates points-to facts only along these edges, exactly as in the
 paper's Figure 4(c).
+
+Node uids are positions in :attr:`DUG.nodes`, local to one graph, and
+memory edges are stored once, keyed by ``(node uid, obj.id)``; see
+:class:`DUG`.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import (
+    Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union,
+)
 
 from repro.ir.instructions import Instruction
 from repro.ir.module import BasicBlock
@@ -21,22 +26,28 @@ Label = Union[Temp, MemObject]
 
 
 class DUGNode:
-    """Base class for DUG nodes."""
+    """Base class for DUG nodes.
 
-    _ids = itertools.count()
+    ``uid`` is the node's position in its graph's :attr:`DUG.nodes`,
+    assigned by :meth:`DUG.add_node` (-1 until then). Ids are dense and
+    local to one graph, so every per-node table can be a list indexed
+    by uid, and the same program analysed twice numbers its nodes the
+    same way. Nodes compare by identity (object's default, which keeps
+    the edge lists' membership scans in C) and hash by uid."""
+
+    __slots__ = ("uid",)
 
     def __init__(self) -> None:
-        self.uid = next(DUGNode._ids)
+        self.uid = -1
 
     def __hash__(self) -> int:
         return self.uid
 
-    def __eq__(self, other: object) -> bool:
-        return self is other
-
 
 class StmtNode(DUGNode):
     """A real program statement."""
+
+    __slots__ = ("instr",)
 
     def __init__(self, instr: Instruction) -> None:
         super().__init__()
@@ -48,6 +59,8 @@ class StmtNode(DUGNode):
 
 class MemPhiNode(DUGNode):
     """phi(o) at a CFG confluence for an address-taken object."""
+
+    __slots__ = ("block", "obj")
 
     def __init__(self, block: BasicBlock, obj: MemObject) -> None:
         super().__init__()
@@ -61,6 +74,8 @@ class MemPhiNode(DUGNode):
 class FormalInNode(DUGNode):
     """The incoming memory state of *obj* at a function entry."""
 
+    __slots__ = ("fn", "obj")
+
     def __init__(self, fn: Function, obj: MemObject) -> None:
         super().__init__()
         self.fn = fn
@@ -72,6 +87,8 @@ class FormalInNode(DUGNode):
 
 class FormalOutNode(DUGNode):
     """The outgoing memory state of *obj* at a function exit."""
+
+    __slots__ = ("fn", "obj")
 
     def __init__(self, fn: Function, obj: MemObject) -> None:
         super().__init__()
@@ -85,6 +102,8 @@ class FormalOutNode(DUGNode):
 class CallMuNode(DUGNode):
     """mu(o) at a call/fork site: memory state flowing into callees."""
 
+    __slots__ = ("site", "obj")
+
     def __init__(self, site: Instruction, obj: MemObject) -> None:
         super().__init__()
         self.site = site
@@ -97,6 +116,8 @@ class CallMuNode(DUGNode):
 class CallChiNode(DUGNode):
     """chi(o) at a call/fork/join site: the merge of the old memory
     state with callee (or joined-thread) side effects."""
+
+    __slots__ = ("site", "obj")
 
     def __init__(self, site: Instruction, obj: MemObject) -> None:
         super().__init__()
@@ -127,18 +148,33 @@ def node_function(node: DUGNode) -> Function:
     raise TypeError(f"DUG node {node!r} has no owning function")
 
 
+#: What the edge and label accessors return on a miss: shared and
+#: immutable, so a miss allocates nothing.
+_EMPTY: Tuple = ()
+
+
 class DUG:
     """The def-use graph: nodes plus labelled edges, with the indexes
-    the sparse solver needs (per-node incoming memory defs grouped by
-    object, per-node outgoing users, per-temp top-level users)."""
+    the sparse solver needs (the defs and the users of each (node,
+    object) memory state, per-temp top-level users).
+
+    Memory edges are stored once, keyed by ``(node uid, obj.id)`` —
+    the key the solvers' memory states use too: ``_defs[(dst, o)]``
+    lists the sources of dst's o-edges, ``_uses[(src, o)]`` the
+    destinations of src's o-edges, each in insertion order. Every
+    consumer reads these two maps in place."""
 
     def __init__(self) -> None:
         self.nodes: List[DUGNode] = []
         self._stmt_nodes: Dict[int, StmtNode] = {}
-        # Memory (address-taken) edges.
-        self._mem_out: Dict[int, List[Tuple[MemObject, DUGNode]]] = {}
-        self._mem_in: Dict[int, Dict[MemObject, List[DUGNode]]] = {}
-        self._mem_edge_set: Set[Tuple[int, int, int]] = set()
+        # Memory (address-taken) edges, [THREAD-VF] ones included.
+        self._defs: Dict[Tuple[int, int], List[DUGNode]] = {}
+        self._uses: Dict[Tuple[int, int], List[DUGNode]] = {}
+        self._num_mem_edges = 0
+        # The objects labelling a statement's memory edges, in first-
+        # seen order. A pseudo-statement (phi, formal-in/out, mu, chi)
+        # is about one object, its ``obj``, and that is its only label.
+        self._stmt_labels: Dict[int, List[MemObject]] = {}
         # Thread-aware edges added by the value-flow phase are tracked
         # separately so ablations and statistics can distinguish them.
         self.thread_edges: List[Tuple[DUGNode, MemObject, DUGNode]] = []
@@ -149,8 +185,8 @@ class DUG:
         # let the edge through. `repro explain` surfaces these on
         # derivation chains that travel a [THREAD-VF] edge.
         self.thread_edge_info: Dict[Tuple[int, int, int], Dict[str, object]] = {}
-        # Thread-aware in-edges per node, for the solver's blind
-        # propagation along [THREAD-VF] edges.
+        # Thread-aware in-edges per node, for the engines' blind
+        # propagation along [THREAD-VF] edges into loads.
         self._thread_in: Dict[int, List[Tuple[MemObject, DUGNode]]] = {}
         # Top-level def-use: users of each temp.
         self._top_users: Dict[int, List[DUGNode]] = {}
@@ -166,17 +202,20 @@ class DUG:
         # value-flow phase finishes, but solvers are constructed on it
         # repeatedly (differential runs, ablation sweeps, benchmark
         # samples), and the derived structures they need — topological
-        # ranks, the solver's schedule with its per-node out-edge
-        # caches, the query indexes — are pure functions of the edge
-        # set. They live here under string keys and are dropped
-        # wholesale on any graph mutation.
+        # ranks, the solver's schedule, the query indexes — are pure
+        # functions of the edge set. They live here under string keys
+        # and are dropped wholesale on any graph mutation.
         self.schedule_cache: Dict[str, object] = {}
 
     # -- nodes --------------------------------------------------------------
 
     def add_node(self, node: DUGNode) -> DUGNode:
+        """Append *node* and give it the next dense uid."""
+        if node.uid != -1:
+            raise ValueError(f"DUG node {node!r} already belongs to a graph")
         if self.schedule_cache:
             self.schedule_cache.clear()
+        node.uid = len(self.nodes)
         self.nodes.append(node)
         if isinstance(node, StmtNode):
             self._stmt_nodes[node.instr.id] = node
@@ -194,36 +233,85 @@ class DUG:
                      thread_aware: bool = False) -> bool:
         """Add src --obj--> dst; returns False if already present.
 
-        The dedup key uses ``obj.id`` (stable allocation-site id), not
-        ``id(obj)``: CPython reuses object addresses after GC, which
-        made id()-based keys nondeterministic (same bug class as the
-        Andersen node index fixed in PR 1)."""
-        key = (src.uid, obj.id, dst.uid)
-        if key in self._mem_edge_set:
+        Keys use ``obj.id`` (stable allocation-site id), not ``id(obj)``:
+        CPython reuses object addresses after GC, which made
+        id()-based keys nondeterministic."""
+        obj_id = obj.id
+        dst_key = (dst.uid, obj_id)
+        src_key = (src.uid, obj_id)
+        defs = self._defs.get(dst_key)
+        if defs is not None and src in defs:
             return False
+        uses = self._uses.get(src_key)
+        # Both ends' labels are checked before anything is inserted.
+        if defs is None:
+            self._note_label(dst, obj)
+        if uses is None:
+            self._note_label(src, obj)
+        if defs is None:
+            self._defs[dst_key] = [src]
+        else:
+            defs.append(src)
+        if uses is None:
+            self._uses[src_key] = [dst]
+        else:
+            uses.append(dst)
         if self.schedule_cache:
             self.schedule_cache.clear()
-        self._mem_edge_set.add(key)
-        self._mem_out.setdefault(src.uid, []).append((obj, dst))
-        self._mem_in.setdefault(dst.uid, {}).setdefault(obj, []).append(src)
+        self._num_mem_edges += 1
         if thread_aware:
             self.thread_edges.append((src, obj, dst))
-            self._thread_edge_keys.add(key)
+            self._thread_edge_keys.add((src.uid, obj_id, dst.uid))
             self._thread_in.setdefault(dst.uid, []).append((obj, src))
         return True
 
-    def mem_out(self, node: DUGNode) -> List[Tuple[MemObject, DUGNode]]:
-        return self._mem_out.get(node.uid, [])
+    def _note_label(self, node: DUGNode, obj: MemObject) -> None:
+        own = getattr(node, "obj", None)
+        if own is None:
+            labels = self._stmt_labels.get(node.uid)
+            if labels is None:
+                self._stmt_labels[node.uid] = [obj]
+            elif obj not in labels:
+                labels.append(obj)
+        elif own is not obj:
+            raise ValueError(f"{node!r} carries only {own.name} edges, "
+                             f"not {obj.name}")
+
+    def mem_labels(self, node: DUGNode) -> Sequence[MemObject]:
+        """The objects labelling *node*'s memory edges."""
+        own = getattr(node, "obj", None)
+        if own is not None:
+            return (own,)
+        return self._stmt_labels.get(node.uid, _EMPTY)
+
+    def mem_out(self, node: DUGNode) -> Iterator[Tuple[MemObject, DUGNode]]:
+        """The (obj, dst) out-edges of *node*, grouped by object."""
+        uid = node.uid
+        uses = self._uses
+        for obj in self.mem_labels(node):
+            for dst in uses.get((uid, obj.id), _EMPTY):
+                yield obj, dst
 
     def mem_in(self, node: DUGNode) -> Dict[MemObject, List[DUGNode]]:
-        return self._mem_in.get(node.uid, {})
+        """The in-edges of *node*: each label's reaching definitions."""
+        uid = node.uid
+        found: Dict[MemObject, List[DUGNode]] = {}
+        for obj in self.mem_labels(node):
+            defs = self._defs.get((uid, obj.id))
+            if defs is not None:
+                found[obj] = defs
+        return found
 
-    def mem_defs_of(self, node: DUGNode, obj: MemObject) -> List[DUGNode]:
+    def mem_defs_of(self, node: DUGNode, obj: MemObject) -> Sequence[DUGNode]:
         """Definitions of *obj* reaching *node*."""
-        return self._mem_in.get(node.uid, {}).get(obj, [])
+        return self._defs.get((node.uid, obj.id), _EMPTY)
+
+    def mem_uses_of(self, node: DUGNode, obj: MemObject) -> Sequence[DUGNode]:
+        """The nodes the *obj* state defined at *node* flows to."""
+        return self._uses.get((node.uid, obj.id), _EMPTY)
 
     def num_mem_edges(self) -> int:
-        return len(self._mem_edge_set)
+        return self._num_mem_edges
 
     def thread_in_edges(self, node: DUGNode) -> List[Tuple[MemObject, DUGNode]]:
         """Thread-aware (obj, src) in-edges of *node*."""
@@ -274,17 +362,17 @@ class DUG:
 
     # -- scheduling metadata ---------------------------------------------------
 
-    def compute_topo_ranks(self) -> Tuple[Dict[int, int], int]:
+    def compute_topo_ranks(self) -> Tuple[List[int], int]:
         """SCC-condensed topological priorities for the sparse solver.
 
         Builds the combined value-flow graph the solver propagates
         over — memory (o-labelled) edges including [THREAD-VF] ones,
         top-level def->use edges, and the interprocedural copy
-        graph — condenses its SCCs, and returns ``(rank_of_uid,
-        scc_count)``: each node's uid mapped to the topological rank
-        of its SCC (sources first). Temps appear as intermediate
-        ``('t', id)`` markers so multi-def temps and copy chains order
-        correctly; they carry no rank of their own.
+        graph — condenses its SCCs, and returns ``(rank, scc_count)``:
+        ``rank[uid]`` is the topological rank of node uid's SCC
+        (sources first). Temps appear as intermediate vertices so
+        multi-def temps and copy chains order correctly; they carry no
+        rank of their own.
 
         Ranks are pure scheduling metadata: any order reaches the same
         fixpoint (transfer functions are union-monotone), ascending
@@ -300,31 +388,29 @@ class DUG:
 
         from repro.graphs.scc import topo_ranks_dense
 
-        succ, _slot_of_uid, _temp_slot = self._dense_value_flow_graph()
+        succ, _temp_slot = self._dense_value_flow_graph()
         rank, scc_count = topo_ranks_dense(succ)
-        result = ({node.uid: rank[i] for i, node in enumerate(self.nodes)},
-                  scc_count)
+        del rank[len(self.nodes):]  # the temps' ranks
+        result = (rank, scc_count)
         self.schedule_cache["topo_ranks"] = result
         return result
 
-    def _dense_value_flow_graph(self) -> Tuple[
-            List[List[int]], Dict[int, int], Dict[int, int]]:
+    def _dense_value_flow_graph(self) -> Tuple[List[List[int]], Dict[int, int]]:
         """The combined value-flow graph in dense integer form:
-        ``(succ, slot_of_uid, temp_slot)``.
+        ``(succ, temp_slot)``.
 
-        Statement nodes take slots 0..n-1 (list position), temps get
-        slots appended on first sight. Rank computation runs on every
-        analysis, so this stays allocation-lean — flat int adjacency
-        instead of a dict keyed by nodes and ('t', id) marker tuples.
-        Memoized in :attr:`schedule_cache`: both the whole-program rank
-        pass and every demand-driven slice ranking reuse one copy.
+        Node uids are the slots 0..n-1; temps get slots appended on
+        first sight. Rank computation runs on every analysis, so this
+        stays allocation-lean — flat int adjacency instead of a dict
+        keyed by nodes and marker tuples. Memoized in
+        :attr:`schedule_cache`: both the whole-program rank pass and
+        every demand-driven slice ranking reuse one copy.
         """
         cached = self.schedule_cache.get("dense_vfg")
         if cached is not None:
             return cached
 
         nodes = self.nodes
-        slot_of_uid = {node.uid: i for i, node in enumerate(nodes)}
         succ: List[List[int]] = [[] for _ in range(len(nodes))]
         temp_slot: Dict[int, int] = {}
 
@@ -335,28 +421,22 @@ class DUG:
                 succ.append([])
             return s
 
-        mem_out = self._mem_out
-        empty_out: List[Tuple[MemObject, DUGNode]] = []
-        for i, node in enumerate(nodes):
-            out = succ[i]
-            for _obj, dst in mem_out.get(node.uid, empty_out):
-                out.append(slot_of_uid[dst.uid])
+        for (uid, _obj_id), dsts in self._uses.items():
+            succ[uid].extend([dst.uid for dst in dsts])
+        for uid, node in enumerate(nodes):
             instr = getattr(node, "instr", None)
             if instr is not None:
                 defined = instr.defined_temp()
                 if isinstance(defined, Temp):
-                    out.append(tslot(defined.id))
+                    succ[uid].append(tslot(defined.id))
         for temp_id, users in self._top_users.items():
-            slot = tslot(temp_id)
-            out = succ[slot]
-            for user in users:
-                out.append(slot_of_uid[user.uid])
+            succ[tslot(temp_id)].extend([user.uid for user in users])
         for src, dst in self.top_copies:
             if isinstance(src, Temp):
                 succ[tslot(src.id)].append(tslot(dst.id))
             else:
                 tslot(dst.id)
-        result = (succ, slot_of_uid, temp_slot)
+        result = (succ, temp_slot)
         self.schedule_cache["dense_vfg"] = result
         return result
 
@@ -375,9 +455,9 @@ class DUG:
         """
         from repro.graphs.scc import topo_ranks_induced
 
-        succ, slot_of_uid, temp_slot = self._dense_value_flow_graph()
+        succ, temp_slot = self._dense_value_flow_graph()
         member = bytearray(len(succ))
-        roots = [slot_of_uid[uid] for uid in node_uids]
+        roots = list(node_uids)
         for temp_id in temp_ids:
             slot = temp_slot.get(temp_id)
             if slot is not None:
@@ -389,7 +469,7 @@ class DUG:
         for slot in roots:
             member[slot] = 1
         rank, scc_count = topo_ranks_induced(succ, member, roots)
-        rank_of_uid = {uid: rank[slot_of_uid[uid]] for uid in node_uids}
+        rank_of_uid = {uid: rank[uid] for uid in node_uids}
         return rank_of_uid, scc_count
 
     # -- incremental partitioning ----------------------------------------------
@@ -447,11 +527,10 @@ class DUG:
         for temp_id in root_temp_ids:
             touch_temp(temp_id)
 
-        empty_out: List[Tuple[MemObject, DUGNode]] = []
         while node_work or temp_work:
             while node_work:
                 node = node_work.pop()
-                for _obj, dst in self._mem_out.get(node.uid, empty_out):
+                for _obj, dst in self.mem_out(node):
                     touch_node(dst)
                 instr = getattr(node, "instr", None)
                 if instr is not None:
@@ -540,11 +619,13 @@ class DUG:
         for temp_id in root_temp_ids:
             touch_temp(temp_id)
 
+        defs = self._defs
         while node_work or temp_work:
             while node_work:
                 node = node_work.pop()
-                for srcs in self._mem_in.get(node.uid, {}).values():
-                    for src in srcs:
+                uid = node.uid
+                for obj in self.mem_labels(node):
+                    for src in defs.get((uid, obj.id), _EMPTY):
                         touch_node(src)
                 for temp_id in used_temps_of.get(node.uid, ()):
                     touch_temp(temp_id)

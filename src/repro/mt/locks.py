@@ -148,9 +148,7 @@ class LockAnalysis:
             instr = self.model._instr_by_id[instr_id]
             node = self.dug.stmt_node(instr)
             overwritten = False
-            for out_obj, dst in self.dug.mem_out(node):
-                if out_obj.id != obj.id:
-                    continue
+            for dst in self.dug.mem_uses_of(node, obj):
                 if isinstance(dst, StmtNode) and isinstance(dst.instr, Store) \
                         and dst.instr.id in span.member_instrs and dst.instr.id != instr_id:
                     overwritten = True

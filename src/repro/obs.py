@@ -761,6 +761,8 @@ def render_profile(doc: Dict[str, object]) -> str:
                 mem += f"  gc {phase['gc_seconds']:.4f}s"
             if phase.get("peak_traced_kb"):
                 mem += f"  peak {phase['peak_traced_kb']:.0f} KiB"
+            if phase.get("rss_kb"):
+                mem += f"  rss {phase['rss_kb']} KiB"
             # Clamp the name column: at depth >= 14 the shrinking
             # field width would go non-positive, and a negative width
             # is a ValueError in format().

@@ -6,19 +6,21 @@ store update classification, the object table, and the run's summary
 statistics. It is what the content-addressed cache stores and
 what the batch report aggregates.
 
-The representation problem: every id in the live solver state —
-``Temp.id``, ``MemObject.id``, ``DUGNode.uid``, ``Instruction.id`` —
-comes from a *process-global* counter, so the same program analysed
-twice in one process (or at different points of two processes) yields
-different raw keys for identical facts. Artifacts therefore renumber
-everything canonically:
+The representation problem: the ids ``Temp.id``, ``MemObject.id``
+and ``Instruction.id`` in the live solver state come from
+*process-global* counters, so the same program analysed twice in one
+process (or at different points of two processes) yields different
+raw keys for identical facts. Artifacts therefore renumber them
+canonically:
 
 - **objects** by their :class:`~repro.pts.PTUniverse` dense index
   (first-sight order during the pipeline, deterministic);
 - **temps** by :func:`repro.ir.module.canonical_temp_index` (program
   order of first occurrence);
-- **DUG nodes** by position in ``dug.nodes`` (creation order);
 - **instructions** by program order.
+
+A ``DUGNode.uid`` needs no renumbering: it is the node's position in
+``dug.nodes`` (creation order), dense and local to one graph.
 
 Bitmasks are already canonical (bits are universe indices) and are
 serialized as hex via :func:`repro.pts.mask_to_hex`. The result: two

@@ -7,7 +7,7 @@ the def-use graph, the ICFG, or the thread spawn tree and render with
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import List, Optional
 
 from repro.cfg.icfg import ICFG, EdgeKind
 from repro.ir.module import Module
@@ -23,15 +23,13 @@ def dug_to_dot(dug: DUG, max_nodes: Optional[int] = None) -> str:
     """The def-use graph; thread-aware edges are drawn red/dashed."""
     lines: List[str] = ["digraph DUG {", "  rankdir=TB;",
                         "  node [shape=box, fontsize=9];"]
-    emitted: Set[int] = set()
     nodes = dug.nodes if max_nodes is None else dug.nodes[:max_nodes]
     for node in nodes:
-        emitted.add(node.uid)
         shape = "box" if isinstance(node, StmtNode) else "ellipse"
         lines.append(f"  n{node.uid} [label={_quote(repr(node))}, shape={shape}];")
     for node in nodes:
         for obj, dst in dug.mem_out(node):
-            if dst.uid not in emitted:
+            if dst.uid >= len(nodes):
                 continue
             style = ""
             if dug.is_thread_edge(node, obj, dst):

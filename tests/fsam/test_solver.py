@@ -237,3 +237,61 @@ class TestConfig:
     def test_no_deadline_never_raises(self):
         from repro.fsam.config import Deadline
         Deadline(None).check()
+
+
+class TestSchedulePlan:
+    """The solver reads the DUG's (node, object)-keyed use lists in
+    place; a demand slice's plan holds only the slice's own part."""
+
+    SOURCE = """
+int x; int y;
+int *A; int *B;
+int *out; int *other;
+int main() {
+    A = &x;
+    B = &y;
+    out = A;
+    other = B;
+    return 0;
+}
+"""
+
+    def test_whole_program_plan_is_the_dugs_own_map(self):
+        from repro.fsam.solver import build_plan
+        r = analyze_source(self.SOURCE)
+        dug = r.dug
+        assert r.solver._uses is dug._uses
+        rank, _sccs = dug.compute_topo_ranks()
+        plan = build_plan(dug, rank)
+        assert plan.uses is dug._uses
+        assert plan.top_users is dug._top_users
+        assert len(plan.rank) == len(dug.nodes)
+
+    def test_slice_plan_holds_only_the_slice(self):
+        from repro.fsam.solver import build_plan
+        from repro.ir.instructions import Load
+        r = analyze_source(self.SOURCE)
+        dug = r.dug
+        A = r.module.globals["A"]
+        load_a = next(i for i in r.module.functions["main"].instructions()
+                      if isinstance(i, Load)
+                      and A in r.builder.mus.get(i.id, ()))
+        node_uids, temp_ids = dug.upstream_closure([], [load_a.dst.id])
+        assert 0 < len(node_uids) < len(dug.nodes)
+        rank, _sccs = dug.compute_topo_ranks_slice(node_uids, temp_ids)
+        plan = build_plan(dug, rank, node_uids, temp_ids)
+        assert plan.uses is not dug._uses
+        assert plan.uses
+        for (uid, _obj_id), dsts in plan.uses.items():
+            assert uid in node_uids
+            assert dsts and all(dst.uid in node_uids for dst in dsts)
+        # Every in-slice edge is kept.
+        kept = sum(len(dsts) for dsts in plan.uses.values())
+        assert kept == sum(1 for uid in node_uids
+                           for _obj, dst in dug.mem_out(dug.nodes[uid])
+                           if dst.uid in node_uids)
+        assert set(plan.rank) == node_uids
+        assert all(node.uid in node_uids for node in plan.seeds)
+        for tid, users in plan.top_users.items():
+            assert tid in temp_ids
+            assert all(user.uid in node_uids for user in users)

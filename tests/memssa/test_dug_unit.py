@@ -15,10 +15,16 @@ def node():
     return StmtNode(Copy(t, Constant(0, INT)))
 
 
+def added(dug, count):
+    """*count* fresh statement nodes, added to *dug* (edges need
+    nodes that belong to the graph: their uids are its positions)."""
+    return [dug.add_node(node()) for _ in range(count)]
+
+
 class TestDUGContainer:
     def test_edge_dedup(self):
         dug = DUG()
-        a, b = node(), node()
+        a, b = added(dug, 2)
         o = obj("o")
         assert dug.add_mem_edge(a, o, b)
         assert not dug.add_mem_edge(a, o, b)
@@ -26,7 +32,7 @@ class TestDUGContainer:
 
     def test_same_nodes_different_objects(self):
         dug = DUG()
-        a, b = node(), node()
+        a, b = added(dug, 2)
         o1, o2 = obj("o1"), obj("o2")
         assert dug.add_mem_edge(a, o1, b)
         assert dug.add_mem_edge(a, o2, b)
@@ -36,7 +42,7 @@ class TestDUGContainer:
 
     def test_thread_edges_tracked_separately(self):
         dug = DUG()
-        a, b, c = node(), node(), node()
+        a, b, c = added(dug, 3)
         o = obj("o")
         dug.add_mem_edge(a, o, b)
         dug.add_mem_edge(a, o, c, thread_aware=True)
@@ -57,7 +63,7 @@ class TestDUGContainer:
         dug = DUG()
         t1 = Temp("a", INT)
         t2 = Temp("b", INT)
-        n = node()
+        n, = added(dug, 1)
         dug.add_top_user(t1, n)
         assert dug.top_users(t1) == [n]
         assert dug.top_users(t2) == []
@@ -67,7 +73,7 @@ class TestDUGContainer:
 
     def test_interference_marks(self):
         dug = DUG()
-        n = node()
+        n, = added(dug, 1)
         o = obj("o")
         assert not dug.is_interfering(n, o)
         dug.mark_interfering(n, o)

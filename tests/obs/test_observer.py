@@ -202,10 +202,14 @@ class TestExport:
                    for line in lines)
 
     def test_render_profile_mentions_everything(self):
-        text = render_profile(self._sample().to_dict())
+        doc = self._sample().to_dict()
+        doc["phases"][0]["rss_kb"] = 123456
+        text = render_profile(doc)
         assert "solve" in text
         assert "stage.events" in text
         assert "stage.size" in text
+        # The process peak RSS at phase exit, next to gc and peak.
+        assert "rss 123456 KiB" in text
 
 
 class TestValidation:
