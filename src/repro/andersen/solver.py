@@ -76,11 +76,6 @@ class AndersenResult:
         """AS(*p, *q): the common pointed-to objects (paper 3.3.2)."""
         return self.pts(p) & self.pts(q)
 
-    def thread_object_of(self, fork: Fork) -> MemObject:
-        """The abstract thread-id object a fork writes into *handle."""
-        return self.thread_objects[fork.id]
-
-
 class AndersenSolver:
     """Whole-module Andersen analysis with on-the-fly call graph."""
 

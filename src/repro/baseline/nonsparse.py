@@ -242,13 +242,7 @@ class NonSparseAnalysis:
         obs.count("nonsparse.parallel_requeues", self.parallel_requeues)
         obs.gauge("nonsparse.icfg_nodes", len(list(self.icfg.graph.nodes())))
         obs.gauge("nonsparse.points_to_entries", self.points_to_entries())
-        ustats = self.universe.stats()
-        obs.count("pts.set_references", int(ustats["set_references"]))
-        obs.count("pts.union_cache_hits", int(ustats["union_cache_hits"]))
-        obs.count("pts.intersect_cache_hits",
-                  int(ustats["intersect_cache_hits"]))
-        obs.gauge("pts.distinct_sets", int(ustats["distinct_sets"]))
-        obs.gauge("pts.objects", int(ustats["objects"]))
+        self.universe.flush_obs(obs)
 
     def _requeue_parallel(self, node: ICFGNode, push) -> None:
         parallel = self.pcg.parallel_classes(node.function)

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.andersen import AndersenResult
 from repro.cfg.callgraph import CallGraph
 from repro.cfg.cfg import CFG
-from repro.ir.instructions import Call, Fork, Instruction
+from repro.ir.instructions import Call, Fork
 from repro.ir.module import Module
 from repro.ir.values import Function
 
@@ -98,11 +98,6 @@ class ProcedureConcurrencyGraph:
                 if self.multi.get(a, False):
                     return True
         return False
-
-    def statements_concurrent(self, s1: Instruction, s2: Instruction) -> bool:
-        if s1.function is None or s2.function is None:
-            return False
-        return self.procedures_concurrent(s1.function, s2.function)
 
     def parallel_classes(self, fn: Function) -> Set[int]:
         """Classes that may run concurrently with code of *fn*."""

@@ -48,7 +48,7 @@ def _load_module(path: str, obs: Observer = NULL_OBS):
     with open(path) as handle:
         source = handle.read()
     with obs.phase("compile"):
-        return compile_source(source, name=path)
+        return compile_source(source, name=path, obs=obs)
 
 
 def _config_from(args, trace: bool = False) -> FSAMConfig:

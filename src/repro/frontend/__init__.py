@@ -8,29 +8,29 @@ Section 4.1) -> verified partial-SSA module.
 
 from repro.frontend.lower import Lowerer, lower_program
 from repro.frontend.mem2reg import promote_to_ssa
-from repro.frontend.simplify import simplify_module
 
 from repro.ir.verify import verify_module
 from repro.minic.parser import parse
+from repro.obs import NULL_OBS, Observer
 
 
-def compile_source(source: str, name: str = "module", mem2reg: bool = True,
-                   simplify: bool = False):
+def compile_source(source: str, name: str = "module",
+                   obs: Observer = NULL_OBS):
     """Compile MiniC *source* into a verified partial-SSA module.
 
-    ``simplify=True`` additionally runs the cleanup passes (copy
-    propagation, constant-branch folding, block merging, DCE); the
-    analyses are unaffected semantically but run on a smaller IR.
+    Each stage is timed as a phase of *obs*: ``parse``, ``lower``,
+    ``mem2reg`` and ``verify``, nested under whatever phase the caller
+    has open (``compile`` in the CLI and the service runners).
     """
-    program = parse(source)
-    module = lower_program(program, name=name)
-    if mem2reg:
+    with obs.phase("parse"):
+        program = parse(source)
+    with obs.phase("lower"):
+        module = lower_program(program, name=name)
+    with obs.phase("mem2reg"):
         promote_to_ssa(module)
-    if simplify:
-        simplify_module(module)
-    verify_module(module)
+    with obs.phase("verify"):
+        verify_module(module)
     return module
 
 
-__all__ = ["compile_source", "lower_program", "Lowerer", "promote_to_ssa",
-           "simplify_module"]
+__all__ = ["compile_source", "lower_program", "Lowerer", "promote_to_ssa"]

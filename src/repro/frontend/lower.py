@@ -99,6 +99,8 @@ class Lowerer:
         # Pass 2: globals.
         self._global_inits = []
         for gdecl in self.program.globals:
+            if gdecl.name in self.globals:
+                raise SemanticError(f"duplicate global {gdecl.name}", gdecl.line)
             ty = self.resolve_type(gdecl.type_spec)
             is_array = gdecl.array_size is not None
             if is_array:
@@ -111,6 +113,8 @@ class Lowerer:
 
         # Pass 3: declare all function signatures (forward references).
         for fdef in self.program.functions:
+            if fdef.name in self.functions:
+                raise SemanticError(f"duplicate function {fdef.name}", fdef.line)
             ret = self.resolve_type(fdef.ret_type)
             params = [self.resolve_type(p.type_spec) for p in fdef.params]
             fn = Function(fdef.name, FunctionType(ret, params))

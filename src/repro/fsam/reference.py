@@ -233,11 +233,4 @@ class ReferenceSolver:
         obs.gauge("solver.dug_nodes", len(self.dug.nodes))
         obs.gauge("solver.points_to_entries", self.points_to_entries())
         obs.gauge("solver.engine_reference", 1)
-        ustats = self.universe.stats()
-        obs.count("pts.set_references", int(ustats["set_references"]))
-        obs.count("pts.union_cache_hits", int(ustats["union_cache_hits"]))
-        obs.count("pts.intersect_cache_hits",
-                  int(ustats["intersect_cache_hits"]))
-        obs.gauge("pts.distinct_sets", int(ustats["distinct_sets"]))
-        obs.gauge("pts.objects", int(ustats["objects"]))
-        obs.gauge("pts.dedup_ratio", round(float(ustats["dedup_ratio"]), 3))
+        self.universe.flush_obs(obs)

@@ -1102,15 +1102,7 @@ class SparseSolver:
         obs.gauge("solver.points_to_entries", self.points_to_entries())
         if self.provenance is not None:
             obs.gauge("trace.provenance_facts", len(self.provenance))
-        ustats = self.universe.stats()
-        obs.count("pts.set_references", int(ustats["set_references"]))
-        obs.count("pts.union_cache_hits", int(ustats["union_cache_hits"]))
-        obs.count("pts.intersect_cache_hits",
-                  int(ustats["intersect_cache_hits"]))
-        obs.count("pts.cache_clears", int(ustats["cache_clears"]))
-        obs.gauge("pts.distinct_sets", int(ustats["distinct_sets"]))
-        obs.gauge("pts.objects", int(ustats["objects"]))
-        obs.gauge("pts.dedup_ratio", round(float(ustats["dedup_ratio"]), 3))
+        self.universe.flush_obs(obs)
 
 
 def store_update_classes(solver) -> Dict[Tuple[int, int], str]:

@@ -47,9 +47,6 @@ class Instruction:
         """The Temp this instruction defines, if any."""
         return getattr(self, "dst", None)
 
-    def _fmt(self, text: str) -> str:
-        return text
-
     def __repr__(self) -> str:
         return f"<{type(self).__name__} #{self.id}>"
 

@@ -27,9 +27,6 @@ class TypeSpec:
     pointers: int = 0
     line: int = 0
 
-    def with_pointer(self) -> "TypeSpec":
-        return TypeSpec(self.base, self.pointers + 1, self.line)
-
     def __repr__(self) -> str:
         return self.base + "*" * self.pointers
 

@@ -1,13 +1,16 @@
 """MiniC lexer.
 
-A hand-written scanner producing a flat token list. Supports ``//``
-and ``/* */`` comments, decimal integer literals, identifiers,
-keywords, and the C operator/punctuation subset MiniC uses.
+One compiled regular expression scans the source into a flat token
+list. Supports ``//`` and ``/* */`` comments, decimal integer
+literals, identifiers, keywords, and the C operator/punctuation subset
+MiniC uses. Identifiers and digits are ASCII; comments may contain
+any character, and any other non-ASCII character is a ``LexError``.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from typing import List
 
@@ -48,85 +51,48 @@ class Token:
         return f"{self.kind.value}:{self.text!r}@{self.line}:{self.col}"
 
 
-class Lexer:
-    """Scans MiniC source text into tokens."""
-
-    def __init__(self, source: str) -> None:
-        self.source = source
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        return self.source[index] if index < len(self.source) else ""
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos < len(self.source):
-                if self.source[self.pos] == "\n":
-                    self.line += 1
-                    self.col = 1
-                else:
-                    self.col += 1
-                self.pos += 1
-
-    def _skip_trivia(self) -> None:
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start_line = self.line
-                self._advance(2)
-                while self.pos < len(self.source) and not (self._peek() == "*" and self._peek(1) == "/"):
-                    self._advance()
-                if self.pos >= len(self.source):
-                    raise LexError("unterminated block comment", start_line)
-                self._advance(2)
-            else:
-                return
-
-    def next_token(self) -> Token:
-        """Scan and return the next token (EOF at end of input)."""
-        self._skip_trivia()
-        line, col = self.line, self.col
-        ch = self._peek()
-        if not ch:
-            return Token(TokenKind.EOF, "", line, col)
-        if ch.isalpha() or ch == "_":
-            start = self.pos
-            while self._peek().isalnum() or self._peek() == "_":
-                self._advance()
-            text = self.source[start:self.pos]
-            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-            return Token(kind, text, line, col)
-        if ch.isdigit():
-            start = self.pos
-            while self._peek().isdigit():
-                self._advance()
-            if self._peek().isalpha():
-                raise LexError(f"malformed number near {self.source[start:self.pos+1]!r}", line, col)
-            return Token(TokenKind.NUMBER, self.source[start:self.pos], line, col)
-        for punct in PUNCTUATORS:
-            if self.source.startswith(punct, self.pos):
-                self._advance(len(punct))
-                return Token(TokenKind.PUNCT, punct, line, col)
-        raise LexError(f"unexpected character {ch!r}", line, col)
-
-    def tokens(self) -> List[Token]:
-        """The full token stream, ending with one EOF token."""
-        result: List[Token] = []
-        while True:
-            tok = self.next_token()
-            result.append(tok)
-            if tok.kind is TokenKind.EOF:
-                return result
+# Alternatives are tried in order: trivia, then a block comment's
+# unterminated opener (a terminated one is trivia), then tokens. A
+# number directly followed by a letter is malformed; whatever is left
+# is one unexpected character.
+_SCANNER = re.compile(r"""
+    (?P<skip> [ \t\r\n]+ | //[^\n]* | /\*.*?\*/ )
+  | (?P<open> /\* )
+  | (?P<word> [A-Za-z_]\w* )
+  | (?P<number> \d+ ) (?P<malformed> [A-Za-z] )?
+  | (?P<punct> %s )
+  | (?P<other> . )
+""" % "|".join(re.escape(p) for p in PUNCTUATORS),
+    re.ASCII | re.DOTALL | re.VERBOSE)
 
 
 def tokenize(source: str) -> List[Token]:
-    """Convenience wrapper: tokenize *source* fully."""
-    return Lexer(source).tokens()
+    """The full token stream of *source*, ending with one EOF token."""
+    tokens: List[Token] = []
+    append = tokens.append
+    line, line_start = 1, 0
+    for match in _SCANNER.finditer(source):
+        kind, text = match.lastgroup, match.group()
+        start = match.start()
+        if kind == "skip":
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = start + text.rindex("\n") + 1
+            continue
+        col = start - line_start + 1
+        if kind == "word":
+            append(Token(TokenKind.KEYWORD if text in KEYWORDS
+                         else TokenKind.IDENT, text, line, col))
+        elif kind == "punct":
+            append(Token(TokenKind.PUNCT, text, line, col))
+        elif kind == "number":
+            append(Token(TokenKind.NUMBER, text, line, col))
+        elif kind == "open":
+            raise LexError("unterminated block comment", line)
+        elif kind == "malformed":
+            raise LexError(f"malformed number near {text!r}", line, col)
+        else:
+            raise LexError(f"unexpected character {text!r}", line, col)
+    append(Token(TokenKind.EOF, "", line, len(source) - line_start + 1))
+    return tokens

@@ -33,6 +33,11 @@ _BARRIER_WAIT_NAMES = {"barrier_wait", "pthread_barrier_wait"}
 #: ParseError instead of a RecursionError.
 MAX_NESTING = 64
 
+#: Longest decimal literal the parser accepts: no 64-bit value needs
+#: more than 20 digits. A fixed cap keeps over-long literals a located
+#: ParseError whatever the interpreter's own int-from-text limit is.
+MAX_NUMBER_DIGITS = 20
+
 
 class Parser:
     """Parses a token stream into a :class:`repro.minic.ast.Program`."""
@@ -116,13 +121,7 @@ class Parser:
             if self._check("("):
                 program.functions.append(self._parse_function(spec, name_tok))
             else:
-                array_size = None
-                if self._accept("["):
-                    size_tok = self._advance()
-                    if size_tok.kind is not TokenKind.NUMBER:
-                        raise ParseError("array size must be a number literal", size_tok.line)
-                    array_size = int(size_tok.text)
-                    self._expect("]")
+                array_size = self._parse_array_size()
                 init = None
                 if self._accept("="):
                     init = self._parse_expr()
@@ -141,19 +140,24 @@ class Parser:
         while not self._check("}"):
             spec = self._parse_type_spec()
             fname = self._expect_ident()
-            array_size = None
-            if self._accept("["):
-                size_tok = self._advance()
-                if size_tok.kind is not TokenKind.NUMBER:
-                    raise ParseError("array size must be a number literal", size_tok.line)
-                array_size = int(size_tok.text)
-                self._expect("]")
+            array_size = self._parse_array_size()
             self._expect(";")
             fields.append(ast.ParamDecl(type_spec=spec, name=fname.text,
                                         line=fname.line, array_size=array_size))
         self._expect("}")
         self._expect(";")
         return ast.StructDef(name=name, fields=fields, line=start.line)
+
+    def _parse_array_size(self) -> Optional[int]:
+        """The size of an optional ``[N]`` declarator suffix."""
+        if not self._accept("["):
+            return None
+        size_tok = self._advance()
+        if size_tok.kind is not TokenKind.NUMBER:
+            raise ParseError("array size must be a number literal", size_tok.line)
+        size = _number(size_tok)
+        self._expect("]")
+        return size
 
     def _parse_type_spec(self) -> ast.TypeSpec:
         tok = self._peek()
@@ -233,13 +237,7 @@ class Parser:
     def _parse_declaration(self) -> ast.DeclStmt:
         spec = self._parse_type_spec()
         name_tok = self._expect_ident()
-        array_size = None
-        if self._accept("["):
-            size_tok = self._advance()
-            if size_tok.kind is not TokenKind.NUMBER:
-                raise ParseError("array size must be a number literal", size_tok.line)
-            array_size = int(size_tok.text)
-            self._expect("]")
+        array_size = self._parse_array_size()
         init = None
         if self._accept("="):
             init = self._parse_expr()
@@ -478,7 +476,7 @@ class Parser:
         self._height = 0
         if tok.kind is TokenKind.NUMBER:
             self._advance()
-            return ast.NumberExpr(value=int(tok.text), line=tok.line)
+            return ast.NumberExpr(value=_number(tok), line=tok.line)
         if self._check("null"):
             self._advance()
             return ast.NullExpr(line=tok.line)
@@ -502,6 +500,14 @@ class Parser:
             self._expect(")")
             return expr
         raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.col)
+
+
+def _number(tok: Token) -> int:
+    """The value of NUMBER token *tok*, at most MAX_NUMBER_DIGITS long."""
+    if len(tok.text) > MAX_NUMBER_DIGITS:
+        raise ParseError(f"number literal longer than {MAX_NUMBER_DIGITS} digits",
+                         tok.line, tok.col)
+    return int(tok.text)
 
 
 class _TypeArg(ast.Expr):

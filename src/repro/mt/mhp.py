@@ -174,10 +174,6 @@ class InterleavingAnalysis(MHPOracle):
 
     # -- queries ----------------------------------------------------------------
 
-    def interleaving_at(self, thread: AbstractThread, sid: int) -> FrozenSet[int]:
-        """I(t, c, s) for the state *sid* of *thread*."""
-        return self.interleaving.get(thread.id, {}).get(sid, frozenset())
-
     def _instances(self, instr: Instruction) -> List[Tuple[AbstractThread, int]]:
         result = []
         for thread in self.model.threads:

@@ -424,9 +424,6 @@ class Observer:
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
 
-    def to_csv(self) -> str:
-        return profile_to_csv(self.to_dict())
-
     # -- cross-process telemetry (repro.metrics/1) -------------------------
 
     def to_metrics_dict(self) -> Dict[str, object]:

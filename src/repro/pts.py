@@ -16,15 +16,9 @@ a compact shared one:
   operations, and a set that appears at a thousand program points is
   stored once.
 
-The universe also memoises union and intersection results for hot
-pairs of interned sets, and keeps the counters behind the dedup-ratio
-statistic reported by ``benchmarks/test_pts_representation.py``
-(total set references handed out / distinct interned sets). The memo
-caches are *bounded*: when one reaches ``cache_cap`` entries it is
-generation-cleared (dropped wholesale and rebuilt by subsequent
-traffic), so a long-lived process analysing many programs — or one
-very large program — holds at most ``2 * cache_cap`` memo entries per
-universe instead of growing without bound.
+The universe also keeps the counters behind the dedup-ratio statistic
+reported by ``benchmarks/test_pts_representation.py`` (total set
+references handed out / distinct interned sets).
 
 ``PTSet`` is deliberately duck-typed against ``frozenset[MemObject]``:
 it iterates ``MemObject``s, supports ``in``/``len``/``bool``, and its
@@ -35,9 +29,10 @@ keep working unchanged.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.ir.values import MemObject
+from repro.obs import Observer
 
 
 if hasattr(int, "bit_count"):  # Python >= 3.10
@@ -58,12 +53,11 @@ class PTSet:
     identity as their delta check.
     """
 
-    __slots__ = ("universe", "mask", "key")
+    __slots__ = ("universe", "mask")
 
-    def __init__(self, universe: "PTUniverse", mask: int, key: int) -> None:
+    def __init__(self, universe: "PTUniverse", mask: int) -> None:
         self.universe = universe
         self.mask = mask
-        self.key = key  # dense serial per interned set; orders cache keys
 
     # -- coercion ---------------------------------------------------------
 
@@ -95,12 +89,18 @@ class PTSet:
         return index is not None and (self.mask >> index) & 1 == 1
 
     def __or__(self, other) -> "PTSet":
-        return self.universe.union_masks(self, self._mask_of(other))
+        mask = self.mask | self._mask_of(other)
+        if mask == self.mask:
+            return self  # other adds nothing: delta checks rely on this
+        return self.universe.from_mask(mask)
 
     __ror__ = __or__
 
     def __and__(self, other) -> "PTSet":
-        return self.universe.intersect_masks(self, self._mask_of(other))
+        mask = self.mask & self._mask_of(other)
+        if mask == self.mask:
+            return self
+        return self.universe.from_mask(mask)
 
     __rand__ = __and__
 
@@ -152,17 +152,6 @@ def mask_to_hex(mask: int) -> str:
     return format(mask, "x")
 
 
-def mask_from_hex(text: str) -> int:
-    """Inverse of :func:`mask_to_hex`."""
-    return int(text, 16)
-
-
-#: Default bound on each binary-operation memo cache. Reaching it
-#: triggers a generation clear, so steady-state memo memory per
-#: universe is O(cache_cap) however many sets flow through it.
-DEFAULT_CACHE_CAP = 1 << 15
-
-
 class PTUniverse:
     """Dense ``MemObject`` numbering plus the intern table for
     :class:`PTSet`.
@@ -172,23 +161,14 @@ class PTUniverse:
     masks from different runs are never mixed.
     """
 
-    def __init__(self, cache_cap: int = DEFAULT_CACHE_CAP) -> None:
+    def __init__(self) -> None:
         self._objects: List[MemObject] = []        # dense index -> object
         self._indices: Dict[int, int] = {}         # MemObject.id -> dense index
         self._interned: Dict[int, PTSet] = {}      # mask -> canonical PTSet
         self._singletons: Dict[int, PTSet] = {}    # dense index -> {obj}
-        self._union_cache: Dict[Tuple[int, int], PTSet] = {}
-        self._intersect_cache: Dict[Tuple[int, int], PTSet] = {}
-        # Memo caches are generation-cleared at this many entries.
-        # Clearing costs only the lost hits (results are unaffected:
-        # the caches memoise, they do not define, the operations).
-        self.cache_cap = cache_cap
-        self.cache_clears = 0
         # Dedup statistics: every time a set reference is handed out
         # (interned-table hit or miss) counts as one reference.
         self.set_references = 0
-        self.union_cache_hits = 0
-        self.intersect_cache_hits = 0
         self.empty = self.from_mask(0)
 
     # -- object numbering -------------------------------------------------
@@ -235,7 +215,7 @@ class PTUniverse:
         self.set_references += 1
         interned = self._interned.get(mask)
         if interned is None:
-            interned = PTSet(self, mask, len(self._interned))
+            interned = PTSet(self, mask)
             self._interned[mask] = interned
         return interned
 
@@ -272,53 +252,6 @@ class PTUniverse:
             mask |= 1 << self.index(obj)
         return self.from_mask(mask)
 
-    # -- cached binary operations -----------------------------------------
-
-    def union_masks(self, a: PTSet, other_mask: int) -> PTSet:
-        mask = a.mask | other_mask
-        if mask == a.mask:
-            return a  # fast path: other is a subset — delta checks rely on this
-        canonical_other = self._interned.get(other_mask)
-        if canonical_other is not None:
-            key = (a.key, canonical_other.key) if a.key <= canonical_other.key \
-                else (canonical_other.key, a.key)
-            hit = self._union_cache.get(key)
-            if hit is None:
-                hit = self.from_mask(mask)
-                if len(self._union_cache) >= self.cache_cap:
-                    self._union_cache.clear()
-                    self.cache_clears += 1
-                self._union_cache[key] = hit
-            else:
-                self.set_references += 1
-                self.union_cache_hits += 1
-            return hit
-        return self.from_mask(mask)
-
-    def intersect_masks(self, a: PTSet, other_mask: int) -> PTSet:
-        mask = a.mask & other_mask
-        if mask == a.mask:
-            return a
-        canonical_other = self._interned.get(other_mask)
-        if canonical_other is not None:
-            if mask == other_mask:
-                self.set_references += 1
-                return canonical_other
-            key = (a.key, canonical_other.key) if a.key <= canonical_other.key \
-                else (canonical_other.key, a.key)
-            hit = self._intersect_cache.get(key)
-            if hit is None:
-                hit = self.from_mask(mask)
-                if len(self._intersect_cache) >= self.cache_cap:
-                    self._intersect_cache.clear()
-                    self.cache_clears += 1
-                self._intersect_cache[key] = hit
-            else:
-                self.set_references += 1
-                self.intersect_cache_hits += 1
-            return hit
-        return self.from_mask(mask)
-
     # -- statistics --------------------------------------------------------
 
     @property
@@ -341,10 +274,11 @@ class PTUniverse:
             "distinct_sets": self.distinct_sets,
             "set_references": self.set_references,
             "dedup_ratio": self.dedup_ratio(),
-            "union_cache_entries": len(self._union_cache),
-            "intersect_cache_entries": len(self._intersect_cache),
-            "union_cache_hits": self.union_cache_hits,
-            "intersect_cache_hits": self.intersect_cache_hits,
-            "cache_cap": self.cache_cap,
-            "cache_clears": self.cache_clears,
         }
+
+    def flush_obs(self, obs: Observer) -> None:
+        """Record the representation statistics under ``pts.*``."""
+        obs.count("pts.set_references", self.set_references)
+        obs.gauge("pts.distinct_sets", self.distinct_sets)
+        obs.gauge("pts.objects", len(self._objects))
+        obs.gauge("pts.dedup_ratio", round(self.dedup_ratio(), 3))

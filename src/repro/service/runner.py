@@ -118,7 +118,7 @@ def run_full(request: AnalysisRequest, obs: Observer,
     if on_preanalysis is not None:
         kwargs["on_preanalysis"] = on_preanalysis
     with obs.phase("compile"):
-        module = compile_source(request.source, name=request.name)
+        module = compile_source(request.source, name=request.name, obs=obs)
     fsam = FSAM(module, request.config, obs=obs, **kwargs)
     result = fsam.run()
     return artifact_from_result(request.name, result)
@@ -258,7 +258,8 @@ class QueryRunner:
         kwargs: Dict[str, object] = {}
         if getattr(self.obs, "enabled", False):
             with self.obs.phase("compile"):
-                module = compile_source(request.source, name=request.name)
+                module = compile_source(request.source, name=request.name,
+                                        obs=self.obs)
             kwargs["obs"] = self.obs
         else:
             module = compile_source(request.source, name=request.name)

@@ -119,7 +119,8 @@ class TestCLI:
     def test_analyze_profile_times_every_layer_group(self, sample,
                                                      tmp_path, capsys):
         # The frontend is the same compile phase a service span
-        # records; the schedule build nests under the solve.
+        # records, split into its stages; the schedule build nests
+        # under the solve.
         out = tmp_path / "profile.json"
         assert main(["analyze", sample, "--profile", str(out)]) == 0
         phases = json.loads(out.read_text())["phases"]
@@ -127,6 +128,8 @@ class TestCLI:
             "compile", "pre_analysis", "icfg", "thread_oblivious_dug",
             "thread_model", "interleaving", "lock_analysis", "value_flow",
             "sparse_solve"]
+        assert [c["name"] for c in phases[0]["children"]] == [
+            "parse", "lower", "mem2reg", "verify"]
         assert [c["name"] for c in phases[-1]["children"]] == ["schedule"]
 
     def test_analyze_json_phase_times_from_tree(self, sample, capsys):

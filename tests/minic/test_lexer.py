@@ -67,3 +67,15 @@ class TestTrivia:
     def test_newlines_in_comment_counted(self):
         toks = tokenize("/* a\nb\nc */ x")
         assert toks[0].line == 3
+
+
+class TestAscii:
+    """Identifiers and digits are ASCII. (Comments may hold anything:
+    see the token pins.)"""
+
+    @pytest.mark.parametrize("source", ["int \u00e9t\u00e9;", "a\u00a0b",
+                                        "caf\u00e9"])
+    def test_non_ascii_outside_comments_is_a_located_error(self, source):
+        with pytest.raises(LexError, match="unexpected character") as info:
+            tokenize(source)
+        assert info.value.line == 1 and info.value.col is not None

@@ -39,11 +39,12 @@ class TestInterning:
         assert small | big is big
         assert big | universe.empty is big
 
-    def test_union_cache_hot_pair(self, universe, objs):
+    def test_repeated_union_is_interned(self, universe, objs):
         a = universe.make(objs[:2])
         b = universe.make(objs[2:4])
         assert (a | b) is (a | b)
         assert (a | b) is (b | a)
+        assert (a & (a | b)) is a
 
     def test_distinct_universes_do_not_share(self, objs):
         u1, u2 = PTUniverse(), PTUniverse()
