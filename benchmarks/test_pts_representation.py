@@ -28,9 +28,12 @@ WORKLOAD = "x264"
 # The entry count is deterministic and must match exactly; wall-clock
 # gets 25% slack for machine noise — the representation change itself
 # measured ~25% *faster* than baseline, so slack never masks a real
-# regression.
+# regression. The entry count is re-pinned at 6334 since memory SSA
+# stopped making call-site mu nodes and unread formal-outs: those
+# nodes only held copies of states stored elsewhere, so FSAM now
+# stores fewer facts for the same answers.
 BASELINE_SECONDS = 2.752
-BASELINE_ENTRIES = 7782
+BASELINE_ENTRIES = 6334
 SLACK = 1.25
 
 _RESULT = {}

@@ -39,6 +39,7 @@ from repro.fsam import FSAM, FSAMConfig
 from repro.gateway.protocol import DEFAULT_MAX_REQUEST_BYTES
 from repro.ir import Load, print_module
 from repro.ir.values import Temp
+from repro.minic.errors import MiniCError
 from repro.obs import NULL_OBS, Observer
 
 
@@ -808,7 +809,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except MiniCError as exc:
+        # A diagnostic in the user's source, not a crash: one located
+        # line, ``<file>:<line>:<col>: <Type>: <message>``.
+        where = ":".join(str(part) for part in
+                         (getattr(args, "file", "<source>"), exc.line, exc.col)
+                         if part is not None)
+        print(f"{where}: {type(exc).__name__}: {exc.message}",
+              file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

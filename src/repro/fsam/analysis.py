@@ -6,7 +6,7 @@ value-flow analysis -> lock analysis -> sparse flow-sensitive solve.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.andersen import AndersenResult, run_andersen
 from repro.cfg.icfg import ICFG
@@ -161,24 +161,38 @@ class FSAMResult:
             out[canon[temp_id]] = pts.mask
         return out
 
-    def mem_masks(self) -> Dict[str, int]:
-        """``"<node uid>:<object index>" -> bitmask`` view of the
-        per-definition memory states (node uid = position in
-        ``dug.nodes`` creation order, object index = universe dense
-        index; both deterministic)."""
-        universe = self.solver.universe
-        n_nodes = len(self.dug.nodes)
-        out: Dict[str, int] = {}
+    def store_out_masks(self) -> Dict[Tuple[int, int], int]:
+        """``(canonical instr index, object index) -> bitmask`` view of
+        the o-state after each store — what :meth:`store_out_at_line`
+        answers. Keys are program positions, not DUG nodes, so the
+        view does not move when memory SSA adds or drops
+        pseudo-nodes."""
+        from repro.ir.module import canonical_instr_index
+        canon = canonical_instr_index(self.module)
+        nodes = self.dug.nodes
+        out: Dict[Tuple[int, int], int] = {}
         for (uid, obj_id), values in self.solver.mem.items():
-            if not values:
-                continue
-            obj_idx = universe.index_of_id(obj_id)
-            if not 0 <= uid < n_nodes or obj_idx is None:
-                raise ValueError(
-                    f"memory state at ({uid}, {obj_id}) not reachable by "
-                    f"the canonical DUG/universe numbering")
-            out[f"{uid}:{obj_idx}"] = values.mask
+            instr = getattr(nodes[uid], "instr", None)
+            if values and isinstance(instr, Store):
+                out[(canon[instr.id], self._obj_index(obj_id))] = values.mask
         return out
+
+    def obj_union_masks(self) -> Dict[int, int]:
+        """``object index -> bitmask`` view of each object's union over
+        every memory state — what :meth:`global_pts` answers."""
+        out: Dict[int, int] = {}
+        for (_uid, obj_id), values in self.solver.mem.items():
+            if values:
+                idx = self._obj_index(obj_id)
+                out[idx] = out.get(idx, 0) | values.mask
+        return out
+
+    def _obj_index(self, obj_id: int) -> int:
+        idx = self.solver.universe.index_of_id(obj_id)
+        if idx is None:
+            raise ValueError(f"memory state of object {obj_id} not "
+                             f"reachable by the universe numbering")
+        return idx
 
     # -- statistics ----------------------------------------------------------
 

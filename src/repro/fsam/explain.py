@@ -150,7 +150,6 @@ RULE_TAGS = {
     "mem-phi": "MEM-PHI",
     "formal-in": "FORMAL-IN",
     "formal-out": "FORMAL-OUT",
-    "call-mu": "CALL-MU",
     "call-chi": "CALL-CHI",
     "fork-handle": "FORK",
 }

@@ -169,7 +169,7 @@ class QueryEngine:
     def _obj_def_nodes(self, obj: MemObject) -> List[DUGNode]:
         """Every DUG node that defines a memory state of *obj*:
         chi-annotated stores plus the per-object pseudo-statements
-        (memory phis, formal-in/out, call mu/chi). These are exactly
+        (memory phis, formal-in/out, call chis). These are exactly
         the nodes the fixpoint keys ``(uid, obj.id)`` states under, so
         their union reproduces ``FSAMResult.global_pts``. Shared
         across engines via ``dug.schedule_cache``."""

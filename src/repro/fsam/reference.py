@@ -29,8 +29,8 @@ from repro.ir.module import Module
 from repro.ir.values import Constant, Function, MemObject, Temp, Value
 from repro.memssa.builder import MemorySSABuilder
 from repro.memssa.dug import (
-    CallChiNode, CallMuNode, DUG, DUGNode, FormalInNode, FormalOutNode,
-    MemPhiNode, StmtNode,
+    CallChiNode, DUG, DUGNode, FormalInNode, FormalOutNode, MemPhiNode,
+    StmtNode,
 )
 from repro.obs import NULL_OBS, Observer
 from repro.trace import NULL_TRACER, Tracer
@@ -152,8 +152,7 @@ class ReferenceSolver:
     def _eval(self, node: DUGNode) -> None:
         if isinstance(node, StmtNode):
             self._eval_stmt(node)
-        elif isinstance(node, (MemPhiNode, FormalInNode, FormalOutNode,
-                               CallMuNode)):
+        elif isinstance(node, (MemPhiNode, FormalInNode, FormalOutNode)):
             obj = node.obj
             self._set_mem(node, obj, self._in_values(node, obj))
         elif isinstance(node, CallChiNode):

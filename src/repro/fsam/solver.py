@@ -32,8 +32,8 @@ pre-analysis):
 - **Delta propagation.** When ``_set_mem`` grows a node's o-state,
   only the **new bits** travel: they are folded into a pending-delta
   mask on each outgoing o-edge and the successor is enqueued. A
-  re-evaluated merge node (memory phi, formal-in/out, call-mu, weak
-  store, load) folds its pending deltas instead of re-unioning every
+  re-evaluated merge node (memory phi, formal-in/out, weak store,
+  load) folds its pending deltas instead of re-unioning every
   predecessor state from scratch; ``_in_mask`` rescans the reaching
   definitions only on first reads (a load discovering a new
   pointed-to container, a store reclassifying after its pointer
@@ -77,8 +77,8 @@ from repro.ir.module import Module
 from repro.ir.values import Function, MemObject, Temp, Value
 from repro.memssa.builder import MemorySSABuilder
 from repro.memssa.dug import (
-    CallChiNode, CallMuNode, DUG, DUGNode, FormalInNode, FormalOutNode,
-    MemPhiNode, StmtNode,
+    CallChiNode, DUG, DUGNode, FormalInNode, FormalOutNode, MemPhiNode,
+    StmtNode,
 )
 from repro.obs import NULL_OBS, Observer
 from repro.pts import PTSet, PTUniverse
@@ -723,7 +723,6 @@ class SparseSolver:
         MemPhiNode: "mem-phi",
         FormalInNode: "formal-in",
         FormalOutNode: "formal-out",
-        CallMuNode: "call-mu",
     }
 
     def _eval(self, node: DUGNode, tag: int) -> None:
@@ -748,10 +747,10 @@ class SparseSolver:
         elif tag == TAG_CHI:
             self._eval_call_chi(node, dirty, pend)
         elif pend:
-            # Merge pseudo-statements (memory phi, formal-in/out,
-            # call-mu): the state is the union of everything that ever
-            # arrived, so folding the pending delta is the whole
-            # transfer — no _in_mask rescan.
+            # Merge pseudo-statements (memory phi, formal-in/out): the
+            # state is the union of everything that ever arrived, so
+            # folding the pending delta is the whole transfer — no
+            # _in_mask rescan.
             obj = node.obj
             entry = pend.get(obj.id)
             if entry is not None and entry[1]:
@@ -819,7 +818,8 @@ class SparseSolver:
             self._set_top(instr.dst, cache[1],
                           ("gep", node) if tracing else None)
         # Call / Fork / Join: top-level linking flows through
-        # dug.top_copies; memory effects flow through mu/chi nodes.
+        # dug.top_copies; memory effects flow through formal-in and
+        # chi nodes.
 
     def _eval_load(self, node: StmtNode, instr: Load, dirty: bool,
                    pend: Optional[Dict[int, List]]) -> None:

@@ -173,13 +173,16 @@ def make_frame(kind: str, body: Dict[str, object], *, seq: int,
 def error_body(exc: BaseException,
                request_id: object = None) -> Dict[str, object]:
     """The structured error record: type, message, and an HTTP-style
-    numeric code (429 for admission sheds, etc.)."""
-    error: Dict[str, object] = {
-        "type": exc.kind if isinstance(exc, RequestError)
-        else type(exc).__name__,
-        "message": str(exc),
-        "code": exc.code if isinstance(exc, RequestError) else 500,
-    }
+    numeric code — a refused request's own (429 for admission sheds,
+    etc.), else :func:`~repro.service.runner.error_record`'s (400 for
+    a MiniC diagnostic in client source, 500 for anything else)."""
+    if isinstance(exc, RequestError):
+        error = {"type": exc.kind, "message": str(exc), "code": exc.code}
+    else:
+        # Imported here: the CLI reads this module's limits without
+        # loading the service.
+        from repro.service.runner import error_record
+        error = error_record(exc)
     body: Dict[str, object] = {"status": "error", "error": error}
     if request_id is not None:
         body["id"] = request_id

@@ -13,13 +13,13 @@ side effects through exit-to-join def-use edges (Step 3).
 from repro.memssa.modref import ModRefAnalysis
 from repro.memssa.dug import (
     DUG, DUGNode, StmtNode, MemPhiNode, FormalInNode, FormalOutNode,
-    CallMuNode, CallChiNode,
+    CallChiNode,
 )
 from repro.memssa.builder import MemorySSABuilder, build_dug
 
 __all__ = [
     "ModRefAnalysis",
     "DUG", "DUGNode", "StmtNode", "MemPhiNode", "FormalInNode",
-    "FormalOutNode", "CallMuNode", "CallChiNode",
+    "FormalOutNode", "CallChiNode",
     "MemorySSABuilder", "build_dug",
 ]

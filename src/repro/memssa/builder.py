@@ -7,6 +7,11 @@ iterated dominance frontiers, renaming along the dominator tree),
 (c) emit labelled def-use edges, (d) link callsites to callee
 formal-in/formal-out nodes interprocedurally.
 
+The graph is sparse in two ways. A callsite's mu is not a node: it
+would only copy the def reaching the call, so that def links straight
+to each callee's formal-in. And a function has a formal-out only for
+the objects in its MOD set, the only ones a call or join chi reads.
+
 Thread-oblivious def-use chains (Section 3.2) fall out of three
 choices: forks are treated as callsites of their start routines
 (Step 1) whose chi functions are weak, so value flows can bypass the
@@ -27,8 +32,8 @@ from repro.ir.instructions import (
 from repro.ir.module import BasicBlock, Module
 from repro.ir.values import Constant, Function, MemObject, Temp, Value
 from repro.memssa.dug import (
-    DUG, CallChiNode, CallMuNode, DUGNode, FormalInNode, FormalOutNode,
-    MemPhiNode, StmtNode,
+    DUG, CallChiNode, DUGNode, FormalInNode, FormalOutNode, MemPhiNode,
+    StmtNode,
 )
 from repro.memssa.modref import ModRefAnalysis
 from repro.obs import NULL_OBS, Observer
@@ -63,14 +68,14 @@ class MemorySSABuilder:
         self.dug = DUG()
         self.formal_in: Dict[Tuple[str, int], FormalInNode] = {}
         self.formal_out: Dict[Tuple[str, int], FormalOutNode] = {}
-        self.site_mus: Dict[Tuple[int, int], CallMuNode] = {}
         self.site_chis: Dict[Tuple[int, int], CallChiNode] = {}
         # Per-instruction mu/chi sets (exposed for tests/debugging);
         # interned PTSets, so identical annotations share one instance.
         self.mus: Dict[int, PTSet] = {}
         self.chis: Dict[int, PTSet] = {}
-        # The def of obj reaching each call/fork site, recorded during
-        # renaming: feeds weak-chi fallbacks and fork bypass edges.
+        # The def of obj reaching each call/fork/join site, recorded
+        # during renaming for its mu and chi objects: feeds callee
+        # formal-ins, weak-chi fallbacks and fork bypass edges.
         self.site_old_def: Dict[Tuple[int, int], DUGNode] = {}
         # Site-level fork/join correlation for bypass-region limits.
         from repro.mt.symmetry import find_symmetric_pairs
@@ -156,14 +161,17 @@ class MemorySSABuilder:
         # Formal-in/out nodes. ``tracked`` is a set of MemObjects
         # (address-hashed), so iterate it in id order: ids are
         # allocated in deterministic creation order, which keeps DUG
-        # node numbering — and therefore serialized artifacts —
-        # identical across runs and processes.
+        # node numbering identical across runs and processes. Only
+        # MOD objects get a formal-out: callers and joins read no
+        # other.
         ordered = sorted(tracked, key=lambda o: o.id)
         for obj in ordered:
             node = FormalInNode(fn, obj)
             self.formal_in[(fn.name, obj.id)] = node
             self.dug.add_node(node)
         for obj in ordered:
+            if obj not in mod:
+                continue
             node = FormalOutNode(fn, obj)
             self.formal_out[(fn.name, obj.id)] = node
             self.dug.add_node(node)
@@ -217,10 +225,7 @@ class MemorySSABuilder:
                         pushed.append(obj.id)
                 elif isinstance(instr, (Call, Fork, Join)):
                     for obj in self.mus.get(instr.id, ()):
-                        mu = CallMuNode(instr, obj)
-                        self.dug.add_node(mu)
-                        self.site_mus[(instr.id, obj.id)] = mu
-                        self.dug.add_mem_edge(current(obj), obj, mu)
+                        self.site_old_def[(instr.id, obj.id)] = current(obj)
                     fork_slots: Set[MemObject] = set()
                     if isinstance(instr, Fork) and instr.handle_ptr is not None:
                         fork_slots = self._pts(instr.handle_ptr)
@@ -285,12 +290,11 @@ class MemorySSABuilder:
                                if not c.is_declaration and c.blocks]
                     for callee in callees:
                         callee_mod = self.modref.mod.get(callee, set())
-                        callee_all = callee_mod | self.modref.ref.get(callee, set())
-                        for obj in callee_all:
-                            mu = self.site_mus.get((instr.id, obj.id))
-                            fin = self.formal_in.get((callee.name, obj.id))
-                            if mu is not None and fin is not None:
-                                self.dug.add_mem_edge(mu, obj, fin)
+                        for obj in self.mus.get(instr.id, ()):
+                            old = self.site_old_def.get((instr.id, obj.id))
+                            fin = self._callee_formal_in(callee, obj)
+                            if old is not None and fin is not None:
+                                self.dug.add_mem_edge(old, obj, fin)
                         for obj in callee_mod:
                             fout = self.formal_out.get((callee.name, obj.id))
                             chi = self.site_chis.get((instr.id, obj.id))
@@ -316,6 +320,15 @@ class MemorySSABuilder:
                             chi = self.site_chis.get((instr.id, obj.id))
                             if fout is not None and chi is not None:
                                 self.dug.add_mem_edge(fout, obj, chi)
+
+    def _callee_formal_in(self, callee: Function,
+                          obj: MemObject) -> Optional[FormalInNode]:
+        """The formal-in of *obj* in *callee* that a callsite's def of
+        *obj* feeds: only objects in the callee's MOD or REF."""
+        if obj in self.modref.mod.get(callee, ()) or \
+                obj in self.modref.ref.get(callee, ()):
+            return self.formal_in.get((callee.name, obj.id))
+        return None
 
     # -- fork bypass edges (Section 3.2 Step 2) ---------------------------------
 
@@ -378,9 +391,10 @@ class MemorySSABuilder:
                 if self.dug.add_mem_edge(old, obj, self.dug.stmt_node(instr)):
                     self.bypass_edges += 1
             elif isinstance(instr, (Call, Fork)):
-                mu = self.site_mus.get((instr.id, obj.id))
-                if mu is not None and self.dug.add_mem_edge(old, obj, mu):
-                    self.bypass_edges += 1
+                for callee in self.andersen.callgraph.callees(instr):
+                    fin = self._callee_formal_in(callee, obj)
+                    if fin is not None and self.dug.add_mem_edge(old, obj, fin):
+                        self.bypass_edges += 1
             elif isinstance(instr, Join):
                 chi = self.site_chis.get((instr.id, obj.id))
                 if chi is not None and self.dug.add_mem_edge(old, obj, chi):

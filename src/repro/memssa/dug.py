@@ -1,11 +1,12 @@
 """The sparse def-use graph (DUG).
 
 Nodes are program statements plus the memory-SSA pseudo-statements
-(memory phis, formal-in/out, callsite mu/chi). Edges are labelled by
-the value that flows: a Temp for top-level def-use, or a MemObject
-for address-taken def-use. The sparse flow-sensitive solver
-propagates points-to facts only along these edges, exactly as in the
-paper's Figure 4(c).
+(memory phis, formal-in/out, callsite chi). A callsite mu is no node:
+the def reaching the call links straight to the callees' formal-ins.
+Edges are labelled by the value that flows: a Temp for top-level
+def-use, or a MemObject for address-taken def-use. The sparse
+flow-sensitive solver propagates points-to facts only along these
+edges, exactly as in the paper's Figure 4(c).
 
 Node uids are positions in :attr:`DUG.nodes`, local to one graph, and
 memory edges are stored once, keyed by ``(node uid, obj.id)``; see
@@ -99,20 +100,6 @@ class FormalOutNode(DUGNode):
         return f"[formal-out {self.obj.name} @ {self.fn.name}]"
 
 
-class CallMuNode(DUGNode):
-    """mu(o) at a call/fork site: memory state flowing into callees."""
-
-    __slots__ = ("site", "obj")
-
-    def __init__(self, site: Instruction, obj: MemObject) -> None:
-        super().__init__()
-        self.site = site
-        self.obj = obj
-
-    def __repr__(self) -> str:
-        return f"[mu {self.obj.name} @ {self.site!r}]"
-
-
 class CallChiNode(DUGNode):
     """chi(o) at a call/fork/join site: the merge of the old memory
     state with callee (or joined-thread) side effects."""
@@ -131,7 +118,7 @@ class CallChiNode(DUGNode):
 def node_function(node: DUGNode) -> Function:
     """The function a DUG node belongs to. Every node kind anchors to
     one: statements via their block, memory phis via theirs, formal
-    in/out nodes directly, callsite mu/chi nodes via the call site's
+    in/out nodes directly, callsite chi nodes via the call site's
     block. Incremental analysis partitions the graph by this."""
     instr = getattr(node, "instr", None)
     if instr is not None:
@@ -172,7 +159,7 @@ class DUG:
         self._uses: Dict[Tuple[int, int], List[DUGNode]] = {}
         self._num_mem_edges = 0
         # The objects labelling a statement's memory edges, in first-
-        # seen order. A pseudo-statement (phi, formal-in/out, mu, chi)
+        # seen order. A pseudo-statement (phi, formal-in/out, chi)
         # is about one object, its ``obj``, and that is its only label.
         self._stmt_labels: Dict[int, List[MemObject]] = {}
         # Thread-aware edges added by the value-flow phase are tracked

@@ -8,7 +8,9 @@ emitting modules; this module is the single source of truth:
 - ``repro.obs/1``      — observability profiles (:mod:`repro.obs`)
 - ``repro.trace/1``    — event traces (:mod:`repro.trace`)
 - ``repro.bench/1``    — benchmark snapshots (``benchmarks/run_bench.py``)
-- ``repro.artifact/1`` — cached analysis artifacts
+- ``repro.artifact/2`` — cached analysis artifacts: the fixpoint's
+  answers keyed by program position (top-level sets, the state after
+  each store, each object's union), never by def-use graph node
   (:mod:`repro.service.artifacts`)
 - ``repro.funcartifact/1`` — per-function artifact sub-documents for
   incremental analysis (:mod:`repro.service.incremental`)
@@ -37,7 +39,7 @@ from __future__ import annotations
 PROFILE_SCHEMA = "repro.obs/1"
 TRACE_SCHEMA = "repro.trace/1"
 BENCH_SCHEMA = "repro.bench/1"
-ARTIFACT_SCHEMA = "repro.artifact/1"
+ARTIFACT_SCHEMA = "repro.artifact/2"
 FUNC_ARTIFACT_SCHEMA = "repro.funcartifact/1"
 QUERY_ARTIFACT_SCHEMA = "repro.queryartifact/1"
 BATCH_SCHEMA = "repro.batch/1"
@@ -46,4 +48,4 @@ GWFRAME_SCHEMA = "repro.gwframe/1"
 
 #: Version of the analysis semantics + artifact format. Part of the
 #: artifact cache key: bumping it invalidates every cached artifact.
-CODE_VERSION = "fsam-1.0.0/artifact-1"
+CODE_VERSION = "fsam-1.1.0/artifact-2"

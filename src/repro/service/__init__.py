@@ -3,7 +3,7 @@
 Turns the single-shot FSAM pipeline into a servable system:
 
 - :mod:`repro.service.artifacts` — canonical, process-independent
-  serialization of an analysis result (``repro.artifact/1``);
+  serialization of an analysis result (``repro.artifact/2``);
 - :mod:`repro.service.cache` — a content-addressed disk cache keyed
   by digest(source, config, code version), so warm re-runs skip the
   solver entirely;

@@ -1,10 +1,13 @@
-"""Canonical analysis artifacts (schema ``repro.artifact/1``).
+"""Canonical analysis artifacts (schema ``repro.artifact/2``).
 
 An artifact is the serializable residue of one analysis run: the
-points-to fixpoint (top-level and per-definition memory states), the
-store update classification, the object table, and the run's summary
-statistics. It is what the content-addressed cache stores and
-what the batch report aggregates.
+answers of the points-to fixpoint at program positions (top-level
+sets, the memory state after each store, and each object's
+whole-program union), the store update classification, the object
+table, and the run's summary statistics. It is what the
+content-addressed cache stores and what the batch report aggregates.
+No key names a def-use graph node, so a change to memory SSA that
+keeps the answers keeps the payload digest.
 
 The representation problem: the ids ``Temp.id``, ``MemObject.id``
 and ``Instruction.id`` in the live solver state come from
@@ -18,9 +21,6 @@ canonically:
 - **temps** by :func:`repro.ir.module.canonical_temp_index` (program
   order of first occurrence);
 - **instructions** by program order.
-
-A ``DUGNode.uid`` needs no renumbering: it is the node's position in
-``dug.nodes`` (creation order), dense and local to one graph.
 
 Bitmasks are already canonical (bits are universe indices) and are
 serialized as hex via :func:`repro.pts.mask_to_hex`. The result: two
@@ -56,7 +56,8 @@ class AnalysisArtifact:
     degraded_reason: Optional[str] = None
     objects: List[Dict[str, object]] = field(default_factory=list)
     pts_top: Dict[str, str] = field(default_factory=dict)
-    mem: Dict[str, str] = field(default_factory=dict)
+    store_out: Dict[str, str] = field(default_factory=dict)
+    obj_union: Dict[str, str] = field(default_factory=dict)
     store_classes: Dict[str, str] = field(default_factory=dict)
     summary: Dict[str, object] = field(default_factory=dict)
     code_version: str = CODE_VERSION
@@ -70,7 +71,8 @@ class AnalysisArtifact:
             "degraded_reason": self.degraded_reason,
             "objects": self.objects,
             "pts_top": self.pts_top,
-            "mem": self.mem,
+            "store_out": self.store_out,
+            "obj_union": self.obj_union,
             "store_classes": self.store_classes,
             "summary": self.summary,
         }
@@ -84,7 +86,8 @@ class AnalysisArtifact:
             degraded_reason=doc.get("degraded_reason"),    # type: ignore[arg-type]
             objects=doc["objects"],                        # type: ignore[arg-type]
             pts_top=doc["pts_top"],                        # type: ignore[arg-type]
-            mem=doc["mem"],                                # type: ignore[arg-type]
+            store_out=doc["store_out"],                    # type: ignore[arg-type]
+            obj_union=doc["obj_union"],                    # type: ignore[arg-type]
             store_classes=doc["store_classes"],            # type: ignore[arg-type]
             summary=doc["summary"],                        # type: ignore[arg-type]
             code_version=doc["code_version"],              # type: ignore[arg-type]
@@ -99,7 +102,8 @@ class AnalysisArtifact:
             "degraded": self.degraded,
             "objects": self.objects,
             "pts_top": self.pts_top,
-            "mem": self.mem,
+            "store_out": self.store_out,
+            "obj_union": self.obj_union,
             "store_classes": self.store_classes,
         }
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -119,8 +123,11 @@ def artifact_from_result(name: str, result) -> AnalysisArtifact:
     universe = result.solver.universe
     pts_top = {str(idx): mask_to_hex(mask)
                for idx, mask in sorted(result.pts_top_masks().items())}
-    mem = {key: mask_to_hex(mask)
-           for key, mask in sorted(result.mem_masks().items())}
+    store_out = {f"{instr_idx}:{obj_idx}": mask_to_hex(mask)
+                 for (instr_idx, obj_idx), mask
+                 in sorted(result.store_out_masks().items())}
+    obj_union = {str(idx): mask_to_hex(mask)
+                 for idx, mask in sorted(result.obj_union_masks().items())}
 
     instr_index = canonical_instr_index(result.module)
     store_classes: Dict[str, str] = {}
@@ -148,7 +155,8 @@ def artifact_from_result(name: str, result) -> AnalysisArtifact:
         name=name,
         objects=universe.object_table(),
         pts_top=pts_top,
-        mem=mem,
+        store_out=store_out,
+        obj_union=obj_union,
         store_classes=store_classes,
         summary=summary,
     )
@@ -158,8 +166,8 @@ def artifact_from_andersen(name: str, module, andersen,
                            reason: str = "budget-exhausted"
                            ) -> AnalysisArtifact:
     """The degraded (Andersen-only) artifact: flow-insensitive
-    top-level points-to sets, no per-definition memory states, no
-    store classification. The last rung of the degradation ladder —
+    top-level points-to sets, no memory states, no store
+    classification. The last rung of the degradation ladder —
     a batch never fails outright, it returns this instead."""
     universe = andersen.universe
     pts_top = _degraded_pts_top(module, andersen)
@@ -241,7 +249,7 @@ def _check_mask_map(value: object, what: str) -> None:
 
 
 def validate_artifact(doc: object) -> Dict[str, object]:
-    """Check *doc* against ``repro.artifact/1``; returns it unchanged
+    """Check *doc* against ``repro.artifact/2``; returns it unchanged
     (same contract as :func:`repro.obs.validate_profile`)."""
     _check(isinstance(doc, dict), "top level is not an object")
     assert isinstance(doc, dict)
@@ -263,7 +271,8 @@ def validate_artifact(doc: object) -> Dict[str, object]:
                and isinstance(obj.get("kind"), str),
                f"objects[{i}] lacks name/kind strings")
     _check_mask_map(doc.get("pts_top"), "pts_top")
-    _check_mask_map(doc.get("mem"), "mem")
+    _check_mask_map(doc.get("store_out"), "store_out")
+    _check_mask_map(doc.get("obj_union"), "obj_union")
     classes = doc.get("store_classes")
     _check(isinstance(classes, dict), "store_classes is not an object")
     assert isinstance(classes, dict)

@@ -96,7 +96,7 @@ def _atomic_write(path: Path, doc: Dict[str, object]) -> None:
 
 
 class ArtifactCache:
-    """A content-addressed store of ``repro.artifact/1`` documents.
+    """A content-addressed store of ``repro.artifact/2`` documents.
 
     With *max_bytes* set, the cache is bounded: after every store the
     top-level artifact tree is walked (only the two-hex fan-out

@@ -62,8 +62,8 @@ from repro.ir.module import function_temps
 from repro.ir.printer import print_function
 from repro.ir.values import Function, MemObject, Temp, object_key
 from repro.memssa.dug import (
-    CallChiNode, CallMuNode, DUGNode, FormalInNode, FormalOutNode,
-    MemPhiNode, StmtNode,
+    CallChiNode, DUGNode, FormalInNode, FormalOutNode, MemPhiNode,
+    StmtNode,
 )
 from repro.pts import mask_to_hex
 from repro.schemas import CODE_VERSION, FUNC_ARTIFACT_SCHEMA
@@ -321,8 +321,6 @@ class _FunctionContext:
                 desc = ["fi", okey(node.obj)]
             elif isinstance(node, FormalOutNode):
                 desc = ["fo", okey(node.obj)]
-            elif isinstance(node, CallMuNode):
-                desc = ["mu", instr_pos[node.site.id], okey(node.obj)]
             else:
                 assert isinstance(node, CallChiNode)
                 desc = ["chi", instr_pos[node.site.id], okey(node.obj)]

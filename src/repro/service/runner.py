@@ -32,6 +32,7 @@ from typing import Dict, List, Optional
 from repro.frontend import compile_source
 from repro.fsam import FSAM
 from repro.fsam.config import AnalysisTimeout, FSAMConfig
+from repro.minic.errors import MiniCError
 from repro.obs import NULL_OBS, Observer
 from repro.pts import mask_to_hex
 from repro.service.artifacts import (
@@ -73,9 +74,9 @@ class RequestOutcome:
     #: raised, and requests whose shard died under them (the span
     #: died with it).
     obs_snapshot: Optional[Dict[str, object]] = None
-    #: ``{"type", "message"}`` of the exception that failed the
-    #: request; terminal, never retried.
-    error: Optional[Dict[str, str]] = None
+    #: :func:`error_record` of the exception that failed the request;
+    #: terminal, never retried.
+    error: Optional[Dict[str, object]] = None
 
     @property
     def status(self) -> str:
@@ -84,9 +85,16 @@ class RequestOutcome:
         return "degraded" if self.artifact.degraded else "ok"
 
 
-def error_record(exc: BaseException) -> Dict[str, str]:
-    """The ``{"type", "message"}`` record a failed request carries."""
-    return {"type": type(exc).__name__, "message": str(exc)}
+def error_record(exc: BaseException) -> Dict[str, object]:
+    """The ``{"type", "message", "code"}`` record a failed request
+    carries. A MiniC diagnostic in the request's source is the
+    client's error: code 400, plus its ``line`` and ``col``. Anything
+    else is code 500."""
+    record: Dict[str, object] = {"type": type(exc).__name__,
+                                 "message": str(exc), "code": 500}
+    if isinstance(exc, MiniCError):
+        record.update(code=400, line=exc.line, col=exc.col)
+    return record
 
 
 def run_full(request: AnalysisRequest, obs: Observer,

@@ -661,10 +661,7 @@ class _RequestRun:
         if kind == "error":
             # A worker-reported exception repeats on every attempt.
             self.tally["pool.worker_errors"] += 1
-            error = body["error"]
-            self._finish(job, None, snapshot,
-                         error={"type": error["type"],
-                                "message": error["message"]})
+            self._finish(job, None, snapshot, error=dict(body["error"]))
             return
         artifact = AnalysisArtifact.from_dict(body["artifact"])
         if artifact.degraded:   # the worker's budget ran out
@@ -690,7 +687,7 @@ class _RequestRun:
             self._finish(job, artifact, None)
 
     def _finish(self, job: _RequestJob, artifact, snapshot,
-                error: Optional[Dict[str, str]] = None) -> None:
+                error: Optional[Dict[str, object]] = None) -> None:
         request = job.request
         self.outcomes[job.index] = RequestOutcome(
             name=request.name,

@@ -77,7 +77,7 @@ class Derivation(NamedTuple):
     ``rule`` names the transfer rule that fired (``addr``, ``copy``,
     ``phi``, ``gep``, ``load``, ``store-strong``, ``store-weak``,
     ``store-through``, ``mem-phi``, ``formal-in``, ``formal-out``,
-    ``call-mu``, ``call-chi``, ``fork-handle``, ...); ``origin`` is
+    ``call-chi``, ``fork-handle``, ...); ``origin`` is
     the DUG node / value the rule fired at; ``trigger`` is the fact
     key the new fact was derived from (None for roots such as
     ``AddrOf``); ``thread_edge`` marks derivations that travelled a

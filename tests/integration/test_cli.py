@@ -430,3 +430,29 @@ class TestBatchServeCLI:
         capsys.readouterr()
         assert main(["report", str(metrics_path)]) == 0
         assert "telemetry report" in capsys.readouterr().out
+
+
+class TestSourceDiagnostics:
+    """A MiniC diagnostic is the user's error, not a crash: every
+    subcommand that loads a file prints one located line and exits 1."""
+
+    @pytest.mark.parametrize("command", ["analyze", "races", "threads",
+                                         "ir", "compare", "stats", "explain",
+                                         "dot", "trace"])
+    def test_duplicate_global_is_one_line(self, tmp_path, capsys, command):
+        path = tmp_path / "dup.mc"
+        path.write_text("int g; int g;\n")
+        extra = ["g"] if command == "explain" else []
+        assert main([command, str(path)] + extra) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            f"{path}:1: SemanticError: duplicate global g\n"
+
+    def test_query_lex_error_carries_line_and_col(self, tmp_path, capsys):
+        path = tmp_path / "lex.mc"
+        path.write_text("int main() { int x;\n  x = ²; return 0; }",
+                        encoding="utf-8")
+        assert main(["query", str(path), "x"]) == 1
+        assert capsys.readouterr().err == \
+            f"{path}:2:7: LexError: unexpected character '²'\n"

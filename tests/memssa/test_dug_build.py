@@ -1,11 +1,12 @@
 """Memory-SSA / DUG construction tests (paper Figures 4 and 6)."""
 
+import repro.memssa
 from repro.andersen import run_andersen
 from repro.frontend import compile_source
-from repro.ir import Load, Store, Fork, Join
+from repro.ir import Call, Load, Store, Fork, Join
 from repro.memssa import build_dug
 from repro.memssa.dug import (
-    CallChiNode, CallMuNode, FormalInNode, FormalOutNode, MemPhiNode, StmtNode,
+    CallChiNode, FormalInNode, FormalOutNode, MemPhiNode, StmtNode,
 )
 
 
@@ -95,15 +96,41 @@ class TestSequentialSparsity:
         assert any(n.obj.name == "gp" for n in fouts)
 
     def test_callsite_mu_chi_nodes(self):
+        # A callsite's mu is an annotation, not a node: the def of gp
+        # reaching w() links straight to w's formal-in.
         m, a, dug, builder = build("""
         int g; int *gp; int *out;
         void w() { gp = &g; }
         int main() { gp = null; w(); out = gp; return 0; }
         """)
-        mus = [n for n in dug.nodes if isinstance(n, CallMuNode)]
+        gp = m.globals["gp"]
+        call = the(m, "main", Call, 0)
+        assert gp in builder.mus[call.id]
+        assert not hasattr(repro.memssa, "CallMuNode")
+        assert {type(n) for n in dug.nodes} <= {
+            StmtNode, MemPhiNode, FormalInNode, FormalOutNode, CallChiNode}
         chis = [n for n in dug.nodes if isinstance(n, CallChiNode)]
-        assert any(n.obj.name == "gp" for n in mus)
-        assert any(n.obj.name == "gp" for n in chis)
+        assert any(n.obj is gp for n in chis)
+        (null_store,) = stores_on(m, builder, "main", gp)
+        (fin,) = [n for n in dug.nodes if isinstance(n, FormalInNode)
+                  and n.fn.name == "w" and n.obj is gp]
+        assert list(dug.mem_defs_of(fin, gp)) == [dug.stmt_node(null_store)]
+
+    def test_read_only_object_has_no_formal_out(self):
+        # r reads gp and writes nothing, so gp is in REF(r) but not
+        # MOD(r): r gets a formal-in for gp and no formal-out.
+        m, a, dug, builder = build("""
+        int g; int *gp; int *out;
+        void r() { out = gp; }
+        int main() { gp = &g; r(); return 0; }
+        """)
+        gp = m.globals["gp"]
+        assert gp in builder.modref.ref[m.functions["r"]]
+        assert gp not in builder.modref.mod[m.functions["r"]]
+        assert any(isinstance(n, FormalInNode) and n.fn.name == "r"
+                   and n.obj is gp for n in dug.nodes)
+        assert not any(isinstance(n, FormalOutNode) and n.fn.name == "r"
+                       and n.obj is gp for n in dug.nodes)
 
 
 class TestThreadObliviousEdges:
@@ -146,11 +173,13 @@ class TestThreadObliviousEdges:
         assert any(n.fn.name == "foo" for n in fouts)
 
     def test_fork_acts_as_callsite(self):
-        # Step 1: value flows into the routine at the fork (mu -> formal-in).
+        # Step 1: value flows into the routine at the fork: the def of
+        # O reaching the fork (s1) links to foo's formal-in.
         m, a, dug, builder = build(self.FIG6)
         fork = the(m, "main", Fork, 0)
         O = m.globals["O"]
-        mu = builder.site_mus.get((fork.id, O.id))
-        assert mu is not None
-        outs = [dst for obj, dst in dug.mem_out(mu) if obj is O]
+        old = builder.site_old_def.get((fork.id, O.id))
+        s1 = stores_on(m, builder, "main", O)[0]
+        assert old is dug.stmt_node(s1)
+        outs = dug.mem_uses_of(old, O)
         assert any(isinstance(n, FormalInNode) and n.fn.name == "foo" for n in outs)

@@ -24,7 +24,8 @@ def artifact():
 class TestArtifactFromResult:
     def test_has_facts(self, artifact):
         assert artifact.pts_top
-        assert artifact.mem
+        assert artifact.store_out
+        assert artifact.obj_union
         assert artifact.store_classes
         assert artifact.objects
         assert not artifact.degraded
@@ -36,7 +37,9 @@ class TestArtifactFromResult:
     def test_masks_are_hex(self, artifact):
         for mask in artifact.pts_top.values():
             assert int(mask, 16) >= 0
-        for mask in artifact.mem.values():
+        for mask in artifact.store_out.values():
+            assert int(mask, 16) >= 0
+        for mask in artifact.obj_union.values():
             assert int(mask, 16) >= 0
 
     def test_round_trip(self, artifact):
@@ -70,7 +73,8 @@ class TestDegradedArtifact:
         assert artifact.degraded
         assert artifact.degraded_reason == "wall-clock-timeout"
         assert artifact.pts_top          # flow-insensitive sets exist
-        assert not artifact.mem          # no per-definition states
+        assert not artifact.store_out    # no memory states
+        assert not artifact.obj_union
         assert not artifact.store_classes
         assert artifact.solver_iterations() == 0
         validate_artifact(artifact.to_dict())

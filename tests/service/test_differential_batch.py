@@ -47,7 +47,8 @@ class TestModesAgreeBitForBit:
         pooled = modes["pooled"].outcomes[index].artifact
         warm = modes["warm"].outcomes[index].artifact
         assert serial.pts_top == pooled.pts_top == warm.pts_top
-        assert serial.mem == pooled.mem == warm.mem
+        assert serial.store_out == pooled.store_out == warm.store_out
+        assert serial.obj_union == pooled.obj_union == warm.obj_union
         assert serial.store_classes == pooled.store_classes \
             == warm.store_classes
         assert serial.payload_digest() == pooled.payload_digest() \

@@ -83,7 +83,8 @@ class TestPoolDegradation:
         assert outcomes[0].status == "degraded"
         assert outcomes[0].artifact.degraded_reason == "wall-clock-timeout"
         assert outcomes[0].artifact.pts_top      # Andersen survives
-        assert not outcomes[0].artifact.mem
+        assert not outcomes[0].artifact.store_out
+        assert not outcomes[0].artifact.obj_union
         assert counters["pool.timeouts"] == 1
         assert counters["pool.retries"] == 0
         assert outcomes[0].attempts == 1

@@ -17,7 +17,8 @@ class TestInlineLadder:
         outcome = run_request_inline(_request())
         assert outcome.status == "ok"
         assert not outcome.artifact.degraded
-        assert outcome.artifact.mem
+        assert outcome.artifact.store_out
+        assert outcome.artifact.obj_union
         assert outcome.attempts == 1
         assert len(outcome.digest) == 64
 
@@ -32,7 +33,8 @@ class TestInlineLadder:
         # Andersen-only: flow-insensitive top sets, no memory states,
         # no solver work.
         assert outcome.artifact.pts_top
-        assert not outcome.artifact.mem
+        assert not outcome.artifact.store_out
+        assert not outcome.artifact.obj_union
         assert outcome.artifact.solver_iterations() == 0
 
     def test_degraded_result_still_validates(self):
