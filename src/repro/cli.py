@@ -30,7 +30,6 @@ import argparse
 import json
 import sys
 import time
-import tracemalloc
 from typing import List, Optional
 
 from repro.baseline import NonSparseAnalysis
@@ -41,6 +40,7 @@ from repro.ir import Load, print_module
 from repro.ir.values import Temp
 from repro.minic.errors import MiniCError
 from repro.obs import NULL_OBS, Observer
+from repro.trace import Tracer
 
 
 def _load_module(path: str, obs: Observer = NULL_OBS):
@@ -52,13 +52,12 @@ def _load_module(path: str, obs: Observer = NULL_OBS):
         return compile_source(source, name=path, obs=obs)
 
 
-def _config_from(args, trace: bool = False) -> FSAMConfig:
+def _config_from(args) -> FSAMConfig:
     return FSAMConfig(
         interleaving=not getattr(args, "no_interleaving", False),
         value_flow=not getattr(args, "no_value_flow", False),
         lock_analysis=not getattr(args, "no_lock", False),
         time_budget=getattr(args, "budget", None),
-        trace=trace or getattr(args, "trace", None) is not None,
     )
 
 
@@ -100,30 +99,15 @@ def _maybe_write_trace(result, args) -> None:
         tracer.write_jsonl(handle)
 
 
-def _traced(args, thunk):
-    """Run *thunk* with tracemalloc tracing when --profile was asked,
-    so the profile's per-phase peak memory is populated."""
-    trace = getattr(args, "profile", None) is not None \
-        and not tracemalloc.is_tracing()
-    if trace:
-        tracemalloc.start()
-    try:
-        return thunk()
-    finally:
-        if trace:
-            tracemalloc.stop()
-
-
 def _run_fsam(args, trace: bool = False):
     """Compile ``args.file`` and run FSAM on it; the run's phase tree
-    starts with the frontend's ``compile`` phase."""
+    starts with the frontend's ``compile`` phase. The run is traced
+    when *trace* is set or ``--trace OUT`` was given."""
     obs = Observer(name="fsam")
-
-    def run():
-        module = _load_module(args.file, obs)
-        return FSAM(module, _config_from(args, trace=trace), obs=obs).run()
-
-    result = _traced(args, run)
+    tracer = Tracer(name="fsam") \
+        if trace or getattr(args, "trace", None) is not None else None
+    module = _load_module(args.file, obs)
+    result = FSAM(module, _config_from(args), obs=obs, tracer=tracer).run()
     _maybe_write_profile(result, args)
     _maybe_write_trace(result, args)
     return result
@@ -167,7 +151,7 @@ def _jsonable(value):
 def cmd_races(args) -> int:
     from repro.clients import RaceDetector
     detector = RaceDetector(_load_module(args.file), _config_from(args))
-    races = _traced(args, detector.run)
+    races = detector.run()
     _maybe_write_profile(detector.result, args)
     if args.json:
         print(json.dumps([{"object": r.obj.name,
@@ -184,7 +168,7 @@ def cmd_races(args) -> int:
 def cmd_deadlocks(args) -> int:
     from repro.clients import DeadlockDetector
     detector = DeadlockDetector(_load_module(args.file), _config_from(args))
-    candidates = _traced(args, detector.run)
+    candidates = detector.run()
     _maybe_write_profile(detector.result, args)
     if args.json:
         print(json.dumps([{"first": c.first.name, "second": c.second.name,
@@ -201,7 +185,7 @@ def cmd_deadlocks(args) -> int:
 def cmd_tsan(args) -> int:
     from repro.clients import AccessClass, InstrumentationReducer
     reducer = InstrumentationReducer(_load_module(args.file), _config_from(args))
-    report = _traced(args, reducer.run)
+    report = reducer.run()
     _maybe_write_profile(reducer.result, args)
     if args.json:
         print(json.dumps({
@@ -267,8 +251,8 @@ def cmd_dot(args) -> int:
 
 def cmd_explain(args) -> int:
     if args.var is not None:
-        # Recorded-provenance mode: rerun with tracing forced on and
-        # walk the derivation chains the solver logged.
+        # Recorded-provenance mode: run with a Tracer and walk the
+        # derivation chains the solver logged.
         from repro.fsam.explain import explain_fact
         result = _run_fsam(args, trace=True)
         chains = explain_fact(result, args.var, obj_name=args.obj)
@@ -421,15 +405,7 @@ def cmd_stats(args) -> int:
             doc = json.load(handle)
         validate_profile(doc)
     else:
-        started = not tracemalloc.is_tracing()
-        if started:
-            tracemalloc.start()
-        try:
-            result = _run_fsam(args)
-        finally:
-            if started:
-                tracemalloc.stop()
-        doc = result.profile()
+        doc = _run_fsam(args).profile()
     if args.chrome:
         from repro.trace import profile_to_chrome
         print(json.dumps(profile_to_chrome(doc), indent=2))

@@ -122,6 +122,9 @@ class Lowerer:
                 fn.params.append(Temp(f"{fdef.name}.{p.name}", params[i]))
             self.module.add_function(fn)
             self.functions[fdef.name] = fn
+        if "main" not in self.functions:
+            # A whole-program diagnostic: located at the first line.
+            raise SemanticError("program defines no main() function", 1)
 
         self._recursive_fns = _recursive_functions(self.program, set(self.functions))
 

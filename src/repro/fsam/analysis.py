@@ -114,10 +114,12 @@ class FSAMResult:
         """Demand-driven points-to query (see :mod:`repro.fsam.query`):
         answer ``pt(name)`` — or, with *obj*, the accumulated memory
         state of global *name* — by solving only the backward DUG
-        slice that can influence it. Answers are bit-identical to the
-        whole-program fixpoint. The engine is shared across calls, so
-        repeated queries reuse already-solved slices; under
-        ``solver_mode="demand"`` this is the *only* way results are
+        slice that can influence it with the delta engine, whichever
+        engine the run was configured with. Answers are bit-identical
+        to the whole-program fixpoint. The engine is shared across
+        calls, so repeated queries reuse already-solved slices. It
+        works on a :meth:`FSAM.run` result and on a
+        :meth:`FSAM.prepare` one, where it is the only way results are
         computed (the whole-program solve was skipped)."""
         engine = self._query_engine
         if engine is None:
@@ -240,7 +242,10 @@ class FSAMResult:
 
 
 class FSAM:
-    """Runs the full pipeline on a module.
+    """Runs the pipeline on a module: :meth:`run` is the whole
+    analysis, and :meth:`prepare` the same steps without the
+    whole-program solve. An enabled ``tracer`` records provenance and
+    typed events during the run.
 
     ``incremental`` is an optional hook for function-granular
     incremental analysis (see :mod:`repro.service.incremental`): a
@@ -252,7 +257,9 @@ class FSAM:
     When the plan carries a reuse, the sparse solve runs through
     :meth:`~repro.fsam.solver.SparseSolver.solve_incremental` instead
     of a cold :meth:`~repro.fsam.solver.SparseSolver.solve` — results
-    are bit-identical either way.
+    are bit-identical either way. A traced run never consults the
+    hook: tracing records first-introduction provenance, which a
+    preloaded state skips.
     """
 
     def __init__(self, module: Module, config: Optional[FSAMConfig] = None,
@@ -271,16 +278,21 @@ class FSAM:
         # otherwise the run records into a fresh one. Its phase tree is
         # the run's only timing record.
         self.obs = obs if obs is not None else Observer(name="fsam")
-        # Same shape for the tracer: explicit instance wins, otherwise
-        # config.trace picks between a fresh Tracer and the no-op one.
-        if tracer is not None:
-            self.tracer = tracer
-        elif self.config.trace:
-            self.tracer = Tracer(name="fsam")
-        else:
-            self.tracer = NULL_TRACER
+        self.tracer = tracer if tracer is not None else NULL_TRACER
 
     def run(self) -> FSAMResult:
+        """The whole pipeline, ending in the whole-program solve."""
+        return self._run(solve=True)
+
+    def prepare(self) -> FSAMResult:
+        """The pipeline up to value flow, with no whole-program solve:
+        the result's solver is unsolved, and answers come from
+        :meth:`FSAMResult.query`, which solves backward DUG slices
+        (see :mod:`repro.fsam.query`). No ``sparse_solve`` phase is
+        recorded."""
+        return self._run(solve=False)
+
+    def _run(self, solve: bool) -> FSAMResult:
         deadline = Deadline(self.config.time_budget)
         obs = self.obs
         tracer = self.tracer
@@ -321,23 +333,16 @@ class FSAM:
         solver = engine(self.module, dug, builder, andersen,
                         config=self.config, deadline=deadline,
                         tracer=tracer, obs=obs)
-        # Demand mode: the pipeline up to value flow is identical, but
-        # the fixpoint is deferred to per-query backward slices
-        # (FSAMResult.query), so no sparse_solve phase is recorded. The
-        # reference engine has no sliced variant, so it keeps its
-        # whole-program solve.
-        demand = self.config.solver_mode == "demand" \
-            and engine is SparseSolver
         plan = None
-        if self.incremental is not None and engine is SparseSolver \
-                and not demand:
+        if solve and self.incremental is not None \
+                and engine is SparseSolver and not tracer.enabled:
             plan = timed("incremental_plan",
                          lambda: self.incremental(self.module, dug, builder,
                                                   andersen, self.config))
         if plan is not None and plan.reuse is not None:
             timed("sparse_solve",
                   lambda: solver.solve_incremental(plan.reuse))
-        elif not demand:
+        elif solve:
             timed("sparse_solve", solver.solve)
         incremental_stats: Optional[Dict[str, object]] = None
         if plan is not None:

@@ -50,13 +50,6 @@ class FSAMConfig:
     strong_updates_at_interfering_stores: bool = True
     # Wall-clock budget for the whole analysis (None = unbounded).
     time_budget: Optional[float] = None
-    # Record derivation provenance and typed events in a
-    # repro.trace.Tracer during the run (why each points-to fact
-    # holds, per-pair [THREAD-VF] verdicts, lock-span decisions).
-    # Off by default: provenance touches the solver's per-fact hot
-    # path, and the overhead benchmark's budget is stated for the
-    # trace-off configuration.
-    trace: bool = False
     # Which sparse solver engine to run: "delta" (default; delta
     # propagation over an SCC-condensed topological worklist) or
     # "reference" (the retained naive FIFO recompute-from-preds
@@ -64,13 +57,6 @@ class FSAMConfig:
     # exists as the differential-testing oracle and for benchmarking
     # the optimisation itself.
     solver_engine: str = "delta"
-    # "full" runs the whole-program sparse solve inside FSAM.run();
-    # "demand" prepares the pipeline (pre-analysis, memory SSA, thread
-    # model, value flow) but defers solving to per-query backward DUG
-    # slices (FSAMResult.query / repro query). Scheduling policy like
-    # solver_engine: answers on queried variables are bit-identical to
-    # the whole-program fixpoint, so it stays out of cache_key_dict().
-    solver_mode: str = "full"
 
     def to_dict(self) -> dict:
         """Every field as a JSON-able dict (the wire form used by the
@@ -81,9 +67,7 @@ class FSAMConfig:
             "lock_analysis": self.lock_analysis,
             "strong_updates_at_interfering_stores": self.strong_updates_at_interfering_stores,
             "time_budget": self.time_budget,
-            "trace": self.trace,
             "solver_engine": self.solver_engine,
-            "solver_mode": self.solver_mode,
         }
 
     @classmethod
@@ -101,8 +85,7 @@ class FSAMConfig:
         """The subset of fields that determine the analysis *fixpoint*
         — the config part of the artifact cache key. Excluded on
         purpose: ``time_budget`` (changes whether the run finishes,
-        not what it computes; degraded results are never cached),
-        ``trace`` (an observability side channel), and
+        not what it computes; degraded results are never cached) and
         ``solver_engine`` (both engines compute the same fixpoint,
         pinned by the differential suite)."""
         return {

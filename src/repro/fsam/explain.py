@@ -2,7 +2,8 @@
 
 Two complementary mechanisms live here:
 
-1. **Recorded provenance** (preferred, needs ``FSAMConfig(trace=True)``):
+1. **Recorded provenance** (preferred; needs a run with an enabled
+   :class:`~repro.trace.Tracer`, ``FSAM(module, tracer=Tracer())``):
    the sparse solver logs, for every fact, the rule/node/trigger that
    first introduced it (:mod:`repro.trace`). :func:`derivation_chain`
    walks those trigger links from any fact down to its root — an
@@ -180,11 +181,11 @@ def derivation_chain(result: FSAMResult, key: Tuple,
     Follows first-introduction trigger links, so the walk terminates
     (a fact's trigger always predates it); *limit* is a belt-and-
     braces bound. Raises :class:`ValueError` when the result carries
-    no provenance (run with ``FSAMConfig(trace=True)``)."""
+    no provenance (run with ``FSAM(module, tracer=Tracer())``)."""
     provenance = result.provenance
     if provenance is None:
         raise ValueError("no provenance recorded: re-run the analysis "
-                         "with FSAMConfig(trace=True)")
+                         "with FSAM(module, tracer=Tracer())")
     chain: List[Tuple[Tuple, Derivation]] = []
     seen: Set[Tuple] = set()
     while key is not None and key not in seen and len(chain) < limit:
@@ -271,7 +272,7 @@ def explain_fact(result: FSAMResult, name: str,
     provenance = result.provenance
     if provenance is None:
         raise ValueError("no provenance recorded: re-run the analysis "
-                         "with FSAMConfig(trace=True)")
+                         "with FSAM(module, tracer=Tracer())")
     temps = _temps_by_id(result)
     keys: List[Tuple] = []
     module = result.module

@@ -24,16 +24,13 @@ accumulated memory state) by:
    later query whose slice is already covered is answered with zero
    solver iterations (``source="warm"``).
 
-When the configured engine is the reference oracle
-(``solver_engine="reference"``) there is no sliced variant; the
-engine bails to one cached whole-program reference solve
-(``source="full"``) so differential callers still get answers.
+Slices always run the delta engine, whatever ``solver_engine`` the
+pipeline was configured with: the reference engine solves only whole
+programs, as the oracle the answers are checked against.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import time
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -41,7 +38,7 @@ from repro.andersen import AndersenResult
 from repro.fsam.config import FSAMConfig
 from repro.fsam.solver import SparseSolver
 from repro.ir.instructions import Store
-from repro.ir.module import Module, canonical_temp_index
+from repro.ir.module import Module
 from repro.ir.values import MemObject, Temp
 from repro.memssa.builder import MemorySSABuilder
 from repro.memssa.dug import DUG, DUGNode, StmtNode
@@ -76,21 +73,18 @@ class QueryResult:
     """One demand query's answer plus its cost accounting.
 
     ``source`` says how the answer was produced: ``"solve"`` (a fresh
-    slice solve), ``"warm"`` (the slice was already covered by this
-    engine's accumulated state — zero solver iterations), or
-    ``"full"`` (reference-engine bail to a whole-program solve).
+    slice solve) or ``"warm"`` (the slice was already covered by this
+    engine's accumulated state — zero solver iterations).
     """
 
     __slots__ = ("name", "line", "obj_query", "mask", "universe",
                  "slice_nodes", "slice_temps", "slice_fraction",
-                 "iterations", "source", "seconds",
-                 "node_uids", "temp_ids")
+                 "iterations", "source", "seconds")
 
     def __init__(self, name: str, line: Optional[int], obj_query: bool,
                  mask: int, universe, slice_nodes: int, slice_temps: int,
                  slice_fraction: float, iterations: int, source: str,
-                 seconds: float,
-                 node_uids: Set[int], temp_ids: Set[int]) -> None:
+                 seconds: float) -> None:
         self.name = name
         self.line = line
         self.obj_query = obj_query
@@ -102,10 +96,6 @@ class QueryResult:
         self.iterations = iterations
         self.source = source
         self.seconds = seconds
-        # The slice itself (raw uids / temp ids) — consumed by the
-        # artifact layer for slice signatures, not serialized.
-        self.node_uids = node_uids
-        self.temp_ids = temp_ids
 
     def names(self) -> List[str]:
         """Sorted names of the pointed-to objects."""
@@ -160,9 +150,6 @@ class QueryEngine:
         self._mem_masks: Dict[Tuple[int, int], int] = {}
         # obj.id -> defining DUG nodes; built on the first object query.
         self._defs_by_obj: Optional[Dict[int, List[DUGNode]]] = None
-        self._canon_temps: Optional[Dict[int, int]] = None
-        # Cached whole-program reference solve for the bail path.
-        self._full = None
 
     # -- root resolution ---------------------------------------------------
 
@@ -218,32 +205,6 @@ class QueryEngine:
             temps[temp.id] = temp
         return temps
 
-    # -- slice signatures ----------------------------------------------------
-
-    def slice_signature(self, node_uids: Set[int],
-                        temp_ids: Set[int]) -> str:
-        """A deterministic digest of a slice's extent, in canonical
-        coordinates (DUG node uids, which are creation positions, and
-        canonical temp indices, both deterministic functions of
-        (source, config)) — the slice half of the query artifact cache
-        key."""
-        canon = self._canon_temps
-        if canon is None:
-            canon = self._canon_temps = canonical_temp_index(self.module)
-        positions = sorted(node_uids)
-        temp_positions = []
-        for tid in temp_ids:
-            idx = canon.get(tid)
-            if idx is None:
-                raise ValueError(
-                    f"slice temp id {tid} not reachable by the "
-                    f"canonical module walk")
-            temp_positions.append(idx)
-        temp_positions.sort()
-        blob = json.dumps([positions, temp_positions],
-                          separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
     # -- querying ------------------------------------------------------------
 
     def query(self, name: str, line: Optional[int] = None,
@@ -268,9 +229,6 @@ class QueryEngine:
                 where = f" at line {line}" if line is not None else ""
                 raise ValueError(
                     f"no top-level variable named {name!r}{where}")
-        if self.config.solver_engine == "reference":
-            return self._query_full(name, line, obj, target, root_temps,
-                                    start)
         node_uids, temp_ids = self.dug.upstream_closure(
             root_nodes, root_temps.keys())
         if node_uids <= self._solved_uids and \
@@ -314,48 +272,4 @@ class QueryEngine:
             name=name, line=line, obj_query=obj, mask=mask,
             universe=self.universe, slice_nodes=len(node_uids),
             slice_temps=len(temp_ids), slice_fraction=fraction,
-            iterations=iterations, source=source, seconds=seconds,
-            node_uids=node_uids, temp_ids=temp_ids)
-
-    def _query_full(self, name: str, line: Optional[int], obj: bool,
-                    target: Optional[MemObject],
-                    root_temps: Dict[int, Temp],
-                    start: float) -> QueryResult:
-        """The bail path: the reference oracle has no sliced variant,
-        so solve the whole program once (cached) and read the answer
-        off the full fixpoint."""
-        solver = self._full
-        iterations = 0
-        if solver is None:
-            from repro.fsam.reference import ReferenceSolver
-            solver = ReferenceSolver(self.module, self.dug, self.builder,
-                                     self.andersen, config=self.config,
-                                     tracer=self.tracer)
-            solver.solve()
-            self._full = solver
-            iterations = solver.iterations
-            self.obs.count("query.solve_iterations", iterations)
-        else:
-            self.obs.count("query.engine_hits")
-        mask = 0
-        if obj:
-            for (_uid, obj_id), values in solver.mem.items():
-                if obj_id == target.id:
-                    mask |= values.mask
-        else:
-            for tid in root_temps:
-                pts = solver.pts_top.get(tid)
-                if pts is not None:
-                    mask |= pts.mask
-        n_nodes = len(self.dug.nodes)
-        seconds = time.perf_counter() - start
-        self.obs.count("query.slice_nodes", n_nodes)
-        self.obs.observe("query.slice_fraction", 1.0)
-        self.obs.observe("query.seconds", seconds)
-        return QueryResult(
-            name=name, line=line, obj_query=obj, mask=mask,
-            universe=self.universe, slice_nodes=n_nodes, slice_temps=0,
-            slice_fraction=1.0, iterations=iterations, source="full",
-            seconds=seconds,
-            node_uids=set(range(n_nodes)),
-            temp_ids=set())
+            iterations=iterations, source=source, seconds=seconds)

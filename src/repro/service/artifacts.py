@@ -193,19 +193,17 @@ def _degraded_pts_top(module, andersen) -> Dict[str, str]:
     return out
 
 
-def artifact_from_query(program_digest: str, slice_signature: str,
+def artifact_from_query(program_digest: str,
                         query_result) -> Dict[str, object]:
     """Serialize one demand-query answer (``repro.queryartifact/1``).
 
     The *disk key* is the request (program digest + query spec, see
     :func:`repro.service.digest.query_digest`) so a warm hit needs no
-    pipeline at all; the *slice signature* — the canonical identity of
-    the backward DUG slice the answer was solved on — is recorded
-    inside the document, both for diagnostics and so a reader can tell
-    whether two query artifacts were answered from the same sub-DUG.
-    The answer mask is over the program's canonical object table and
-    already bit-identical to the whole-program fixpoint (the demand
-    engine's contract), so names alone are enough for consumers.
+    pipeline at all. The answer mask is over the program's canonical
+    object table and already bit-identical to the whole-program
+    fixpoint (the demand engine's contract), so names alone are
+    enough for consumers. Documents written with the former
+    ``slice_signature`` field still load.
     """
     return {
         "schema": QUERY_ARTIFACT_SCHEMA,
@@ -216,7 +214,6 @@ def artifact_from_query(program_digest: str, slice_signature: str,
             "line": query_result.line,
             "obj": query_result.obj_query,
         },
-        "slice_signature": slice_signature,
         "slice_nodes": query_result.slice_nodes,
         "slice_temps": query_result.slice_temps,
         "slice_fraction": round(query_result.slice_fraction, 6),
@@ -323,9 +320,8 @@ def validate_queryartifact(doc: object) -> Dict[str, object]:
            f"expected {QUERY_ARTIFACT_SCHEMA!r}")
     _check(isinstance(doc.get("code_version"), str) and doc["code_version"],
            "code_version missing")
-    for key in ("program_digest", "slice_signature"):
-        _check(isinstance(doc.get(key), str) and doc[key],
-               f"{key} missing")
+    _check(isinstance(doc.get("program_digest"), str)
+           and doc["program_digest"], "program_digest missing")
     query = doc.get("query")
     _check(isinstance(query, dict), "query is not an object")
     assert isinstance(query, dict)

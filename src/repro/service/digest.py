@@ -40,9 +40,8 @@ def query_digest(program_digest: str, var: str,
 
     Keyed on the *request*, not the slice: the whole point of the
     query cache is answering without building a pipeline, so the key
-    must be computable from the wire entry alone. The slice signature
-    (which needs the DUG) is recorded inside the artifact instead —
-    see the "Demand-driven queries" section of DESIGN.md.
+    must be computable from the wire entry alone — see the
+    "Demand-driven queries" section of DESIGN.md.
     """
     return canonical_digest({
         "program": program_digest,

@@ -46,9 +46,9 @@ Invalidation matrix (what re-solves after which edit): see the
 "Incremental analysis" section of DESIGN.md.
 
 Safety rails — each falls back to a plain cold solve (never a wrong
-answer): tracing on or a non-delta engine (no plan at all); ambiguous
-cross-run object keys; a frozen row referencing an object the new run
-does not have; an empty frozen set.
+answer): tracing on or a non-delta engine (``FSAM`` never calls the
+hook); ambiguous cross-run object keys; a frozen row referencing an
+object the new run does not have; an empty frozen set.
 """
 
 from __future__ import annotations
@@ -108,13 +108,12 @@ def incremental_hook(request, funcstore):
 
 
 def build_plan(module, dug, builder, andersen, config,
-               funcstore) -> Optional[IncrementalPlan]:
-    """Consult the per-function store and build the run's plan; None
-    when the configuration cannot participate at all (tracing records
-    first-introduction provenance, which a preloaded state skips; the
-    reference engine has no incremental entry point)."""
-    if config.trace or config.solver_engine != "delta":
-        return None
+               funcstore) -> IncrementalPlan:
+    """Consult the per-function store and build the run's plan.
+    :class:`~repro.fsam.analysis.FSAM` consults the hook only for
+    untraced runs of the delta engine: tracing records
+    first-introduction provenance, which a preloaded state skips, and
+    the reference engine has no incremental entry point."""
     ctx = _FunctionContext(module, dug, builder, andersen, config)
     stats: Dict[str, object] = {
         "functions": len(ctx.fns),

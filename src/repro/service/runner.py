@@ -227,8 +227,9 @@ class QueryRunner:
     2. **warm engine**: an already-built demand pipeline for the same
        program digest whose accumulated solved slices cover the query
        (``source == "warm"``, zero iterations);
-    3. **cold solve**: build (or reuse) the demand-mode pipeline, slice
-       backward from the query, run the delta engine over the sub-DUG.
+    3. **cold solve**: build (or reuse) the prepared pipeline
+       (:meth:`~repro.fsam.FSAM.prepare`), slice backward from the
+       query, run the delta engine over the sub-DUG.
 
     Pipelines are kept in a small per-program-digest LRU so a burst of
     queries against the same program compiles it once. Queries do not
@@ -260,9 +261,6 @@ class QueryRunner:
                 if result._query_engine is not None:
                     result._query_engine.obs = self.obs
             return result
-        config_fields = request.config.to_dict()
-        config_fields["solver_mode"] = "demand"
-        config = FSAMConfig(**config_fields)
         kwargs: Dict[str, object] = {}
         if getattr(self.obs, "enabled", False):
             with self.obs.phase("compile"):
@@ -271,7 +269,7 @@ class QueryRunner:
             kwargs["obs"] = self.obs
         else:
             module = compile_source(request.source, name=request.name)
-        result = FSAM(module, config, **kwargs).run()
+        result = FSAM(module, request.config, **kwargs).prepare()
         self._pipelines[digest] = result
         self._order.append(digest)
         while len(self._order) > self.max_pipelines:
@@ -334,12 +332,8 @@ class QueryRunner:
             "seconds": time.perf_counter() - start,
         })
         if self.querystore is not None:
-            engine = result._query_engine
-            signature = engine.slice_signature(answer.node_uids,
-                                               answer.temp_ids)
             self.querystore.put(
-                digest, artifact_from_query(program_digest, signature,
-                                            answer))
+                digest, artifact_from_query(program_digest, answer))
         self.obs.observe("query.request_seconds", payload["seconds"])
         return payload
 

@@ -12,6 +12,16 @@ from repro.frontend import compile_source
 from repro.minic.errors import LexError, ParseError, SemanticError
 from repro.minic.parser import MAX_NUMBER_DIGITS
 
+#: Hostile sources, one per diagnostic path; tests/gateway/
+#: test_source_errors.py replays them through serve and batch.
+HOSTILE = [
+    "int main() { int x;\n  x = \u00b2; return 0; }",
+    "int main() { int x;\n  x = " + "9" * 5000 + "; return 0; }",
+    "int g;\nint *g;\nint main() { return 0; }",
+    "int f() { return 0; }\nint f() { return 1; }\nint main() { return f(); }",
+    "int g;\n",
+]
+
 
 def test_non_ascii_digit_is_a_lex_error():
     with pytest.raises(LexError, match="unexpected character") as info:
@@ -49,3 +59,9 @@ def test_duplicate_function_is_a_semantic_error():
                        "int f() { return 1; }\n"
                        "int main() { return f(); }")
     assert info.value.line == 2
+
+
+def test_missing_main_is_a_semantic_error():
+    with pytest.raises(SemanticError, match="no main") as info:
+        compile_source("int g;\nint f() { return 0; }\n")
+    assert info.value.line == 1

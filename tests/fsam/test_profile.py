@@ -111,16 +111,14 @@ class TestOneTimingRecord:
             FSAMConfig.from_dict({"profile": True})
 
     def test_demand_mode_records_no_solve_phase(self):
-        result = FSAM(compile_source(SRC),
-                      FSAMConfig(solver_mode="demand")).run()
+        result = FSAM(compile_source(SRC)).prepare()
         names = [record.name for record in result.obs.phases]
         assert names == PIPELINE_PHASES[:-1]
 
     def test_demand_queries_open_no_phases(self):
         """query_stream sends ~10^6 queries into one pipeline's
         observer: a phase per query would grow it without bound."""
-        result = FSAM(compile_source(SRC),
-                      FSAMConfig(solver_mode="demand")).run()
+        result = FSAM(compile_source(SRC)).prepare()
         before = result.obs.phase_seconds()
         for i in range(100):
             result.query("pq"[i % 2], obj=True)
@@ -214,8 +212,9 @@ class TestTraceToggle:
         assert result.provenance is None
 
     def test_trace_on_builds_tracer(self):
+        from repro.trace import Tracer
         module = compile_source(SRC)
-        result = FSAM(module, FSAMConfig(trace=True)).run()
+        result = FSAM(module, tracer=Tracer(name="fsam")).run()
         assert result.tracer.enabled
         assert result.tracer.emitted > 0
         assert result.provenance
@@ -224,10 +223,21 @@ class TestTraceToggle:
         from repro.trace import Tracer
         module = compile_source(SRC)
         tracer = Tracer(name="mine")
-        result = FSAM(module, FSAMConfig(trace=False), tracer=tracer).run()
+        result = FSAM(module, FSAMConfig(), tracer=tracer).run()
         assert result.tracer is tracer
         assert tracer.emitted > 0
 
-    def test_ablated_preserves_trace_flag(self):
-        config = FSAMConfig(trace=True)
-        assert config.ablated("interleaving").trace is True
+    def test_traced_run_never_calls_incremental_hook(self):
+        """A preloaded state would skip the provenance tracing records,
+        so a traced run solves cold whatever hook it is given."""
+        from repro.trace import Tracer
+        calls = []
+
+        def hook(*args):
+            calls.append(args)
+
+        FSAM(compile_source(SRC), tracer=Tracer(name="fsam"),
+             incremental=hook).run()
+        assert calls == []
+        FSAM(compile_source(SRC), incremental=hook).run()
+        assert len(calls) == 1

@@ -4,10 +4,10 @@ The contract under test: a demand query's answer — solved over the
 backward DUG slice only — is **bit-identical** (equal PTSet masks) to
 the whole-program fixpoint, for every top-level variable of every
 workload, with and without tracing. Plus the engine mechanics around
-it: warm re-queries cost zero iterations, the reference engine bails
-to one cached whole-program solve, object queries reproduce
-``global_pts``, and ``solver_mode="demand"`` defers all solving to
-queries.
+it: warm re-queries cost zero iterations, queries on a
+reference-engine result slice with the delta engine and equal that
+result's own fixpoint, object queries reproduce ``global_pts``, and
+``FSAM.prepare()`` defers all solving to queries.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import pytest
 from repro.frontend import compile_source
 from repro.fsam import FSAM, FSAMConfig, analyze_source
 from repro.fsam.query import QueryEngine, resolve_temps
+from repro.fsam.reference import ReferenceSolver
 from repro.trace import Tracer
 from repro.workloads import get_workload, workload_names
 
@@ -51,10 +52,9 @@ def expected_mask(result, var: str) -> int:
     return mask
 
 
-def engine_for(result, **config_kwargs) -> QueryEngine:
+def engine_for(result) -> QueryEngine:
     return QueryEngine(result.module, result.dug, result.builder,
-                       result.andersen,
-                       config=FSAMConfig(**config_kwargs))
+                       result.andersen)
 
 
 @pytest.mark.parametrize("name", WORKLOADS)
@@ -86,8 +86,7 @@ def test_traced_queries_stay_identical(name):
     demand answers."""
     result = pipeline(name)
     engine = QueryEngine(result.module, result.dug, result.builder,
-                         result.andersen, config=FSAMConfig(trace=True),
-                         tracer=Tracer(name=name))
+                         result.andersen, tracer=Tracer(name=name))
     saw_solve = False
     for var in top_level_names(result):
         answer = engine.query(var)
@@ -108,19 +107,24 @@ def test_warm_requery_costs_zero_iterations():
     assert again.mask == expected_mask(result, var)
 
 
-def test_reference_engine_bails_to_cached_full_solve():
-    result = pipeline("kmeans")
-    engine = engine_for(result, solver_engine="reference")
-    names = top_level_names(result)
-    first = engine.query(names[0])
-    assert first.source == "full"
-    assert first.slice_fraction == 1.0
-    assert first.iterations > 0
-    assert first.mask == expected_mask(result, names[0])
-    second = engine.query(names[1])
-    assert second.source == "full"
-    assert second.iterations == 0  # whole-program solve is cached
-    assert second.mask == expected_mask(result, names[1])
+def test_reference_result_queries_match_its_fixpoint():
+    """Queries on a reference-engine result slice with the delta
+    engine, and every answer equals that result's own whole-program
+    reference fixpoint."""
+    source = get_workload("kmeans").source(1)
+    result = FSAM(compile_source(source, name="kmeans"),
+                  FSAMConfig(solver_engine="reference")).run()
+    assert isinstance(result.solver, ReferenceSolver)
+    sources = set()
+    for var in top_level_names(result):
+        answer = result.query(var)
+        sources.add(answer.source)
+        assert answer.mask == expected_mask(result, var), var
+    for gname in sorted(result.module.globals):
+        answer = result.query(gname, obj=True)
+        sources.add(answer.source)
+        assert answer.mask == result.global_pts(gname).mask, gname
+    assert sources == {"solve", "warm"}
 
 
 def test_unknown_names_raise():
@@ -161,12 +165,11 @@ int main() {
 
 
 def test_demand_mode_defers_all_solving():
-    """``solver_mode="demand"`` skips the whole-program solve; queries
-    still answer bit-identically."""
+    """``FSAM.prepare()`` skips the whole-program solve; queries still
+    answer bit-identically."""
     oracle = pipeline("kmeans")
     source = get_workload("kmeans").source(1)
-    result = FSAM(compile_source(source, name="kmeans"),
-                  FSAMConfig(solver_mode="demand")).run()
+    result = FSAM(compile_source(source, name="kmeans")).prepare()
     assert result.solver.iterations == 0  # nothing solved eagerly
     for var in top_level_names(oracle)[:25]:
         answer = result.query(var)
@@ -174,19 +177,3 @@ def test_demand_mode_defers_all_solving():
     # An engine accumulates: the same variable again is warm.
     for var in top_level_names(oracle)[:5]:
         assert result.query(var).source == "warm"
-
-
-def test_slice_signature_is_canonical():
-    """Two pipelines over the same source produce the same slice
-    signature for the same query (the artifact-cache requirement),
-    even though raw uids/temp ids differ across pipelines."""
-    source = get_workload("kmeans").source(1)
-    signatures = []
-    for _ in range(2):
-        result = FSAM(compile_source(source, name="kmeans")).run()
-        engine = engine_for(result)
-        var = top_level_names(result)[0]
-        answer = engine.query(var)
-        signatures.append(
-            engine.slice_signature(answer.node_uids, answer.temp_ids))
-    assert signatures[0] == signatures[1]

@@ -1,11 +1,11 @@
-"""Recorded derivation provenance (FSAMConfig(trace=True))."""
+"""Recorded derivation provenance (a run with a Tracer)."""
 
 import pytest
 
 from repro.fsam import FSAM, FSAMConfig
 from repro.fsam.explain import derivation_chain, explain_fact, render_derivation
 from repro.frontend import compile_source
-from repro.trace import validate_trace_jsonl
+from repro.trace import Tracer, validate_trace_jsonl
 
 FIG1A = """
 int x; int y; int z;
@@ -51,14 +51,14 @@ int main() {
 
 
 def run_traced(source):
-    return FSAM(compile_source(source), FSAMConfig(trace=True)).run()
+    return FSAM(compile_source(source), tracer=Tracer(name="fsam")).run()
 
 
 class TestRecording:
     def test_trace_off_means_no_provenance(self):
         result = FSAM(compile_source(FIG1A), FSAMConfig()).run()
         assert result.provenance is None
-        with pytest.raises(ValueError, match="trace=True"):
+        with pytest.raises(ValueError, match="tracer=Tracer"):
             explain_fact(result, "c")
 
     def test_trace_on_records_facts(self):

@@ -1,6 +1,6 @@
 """A MiniC diagnostic in client source is the client's error.
 
-The four hostile sources of ``tests/frontend/test_diagnostics.py``
+The hostile sources of ``tests/frontend/test_diagnostics.py``
 reach the analysis through the gateway's shard workers (``repro
 serve``) and through batch, inline and pooled. Each answer names the
 diagnostic's type, line and column, with code 400, not 500.
@@ -16,14 +16,8 @@ from repro.minic.errors import MiniCError, ParseError
 from repro.service.batch import run_batch
 from repro.service.requests import AnalysisRequest
 
+from tests.frontend.test_diagnostics import HOSTILE
 from tests.service.serving import serve
-
-HOSTILE = [
-    "int main() { int x;\n  x = ²; return 0; }",
-    "int main() { int x;\n  x = " + "9" * 5000 + "; return 0; }",
-    "int g;\nint *g;\nint main() { return 0; }",
-    "int f() { return 0; }\nint f() { return 1; }\nint main() { return f(); }",
-]
 
 
 def diagnostic(source):

@@ -449,6 +449,19 @@ class TestSourceDiagnostics:
         assert captured.err == \
             f"{path}:1: SemanticError: duplicate global g\n"
 
+    @pytest.mark.parametrize("command", ["analyze", "query"])
+    def test_missing_main_is_one_line(self, tmp_path, capsys, command):
+        """A program without ``main()`` is a located diagnostic, not a
+        ``KeyError: 'main'`` from deep in the analysis."""
+        path = tmp_path / "nomain.mc"
+        path.write_text("int g;\n")
+        extra = ["g"] if command == "query" else []
+        assert main([command, str(path)] + extra) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"{path}:1: SemanticError: program "
+                                "defines no main() function\n")
+
     def test_query_lex_error_carries_line_and_col(self, tmp_path, capsys):
         path = tmp_path / "lex.mc"
         path.write_text("int main() { int x;\n  x = ²; return 0; }",

@@ -76,19 +76,28 @@ def test_function_digest_pin():
 
 
 def test_request_digest_ignores_execution_only_fields():
-    """Name, timeouts, and observability toggles never shape the
-    fixpoint, so they must not shape the key either."""
+    """Budgets and engine selection never shape the fixpoint, so they
+    must not shape the key either."""
     base = request_digest("int main() { return 0; }\n", FSAMConfig())
-    traced = request_digest("int main() { return 0; }\n",
-                            FSAMConfig(trace=True))
-    assert traced == base
-    demand = request_digest("int main() { return 0; }\n",
-                            FSAMConfig(solver_mode="demand"))
-    assert demand == base
+    budgeted = request_digest("int main() { return 0; }\n",
+                              FSAMConfig(time_budget=1.0))
+    assert budgeted == base
     # ...while fixpoint-determining fields do participate.
     no_locks = request_digest("int main() { return 0; }\n",
                               FSAMConfig(lock_analysis=False))
     assert no_locks != base
+
+
+@pytest.mark.parametrize("field,value", [("trace", True),
+                                         ("solver_mode", "demand")])
+def test_run_modes_are_refused(field, value):
+    """Tracing and demand solving are not config fields: a request
+    naming either is refused, so no traced or unsolved result can be
+    stored under the key of the full analysis."""
+    with pytest.raises(ValueError, match="unknown FSAMConfig"):
+        FSAMConfig.from_dict({field: value})
+    with pytest.raises(TypeError):
+        FSAMConfig(**{field: value})
 
 
 def test_canonical_digest_rejects_unserializable():

@@ -30,10 +30,9 @@ class TestRequestDigest:
 
     def test_execution_knobs_do_not_participate(self):
         base = request_digest(SOURCE, FSAMConfig())
-        # Budget, observability, and engine selection change how a run
-        # executes, never what fixpoint it computes.
+        # Budget and engine selection change how a run executes,
+        # never what fixpoint it computes.
         assert base == request_digest(SOURCE, FSAMConfig(time_budget=1.0))
-        assert base == request_digest(SOURCE, FSAMConfig(trace=True))
         assert base == request_digest(
             SOURCE, FSAMConfig(solver_engine="reference"))
 
@@ -46,8 +45,14 @@ class TestConfigWireForm:
     def test_round_trip(self):
         config = FSAMConfig(interleaving=False, time_budget=2.5,
                             strong_updates_at_interfering_stores=False,
-                            trace=True)
+                            solver_engine="reference")
         assert FSAMConfig.from_dict(config.to_dict()) == config
+
+    def test_six_fields(self):
+        assert sorted(FSAMConfig().to_dict()) == sorted([
+            "interleaving", "value_flow", "lock_analysis",
+            "strong_updates_at_interfering_stores", "time_budget",
+            "solver_engine"])
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown FSAMConfig"):
@@ -114,6 +119,17 @@ class TestSpecParsing:
             json.loads(json.dumps(spec)), base_dir=str(tmp_path))
         assert [r.name for r in requests] == ["word_count", "tiny"]
         assert options == {"workers": 2, "cache": ".c", "timeout": 9}
+
+    @pytest.mark.parametrize("field,value", [("trace", True),
+                                             ("solver_mode", "demand")])
+    def test_run_mode_config_rejected(self, field, value):
+        """A spec entry whose config names a run mode is a spec error,
+        not a request that runs (and caches) under the full analysis's
+        key."""
+        spec = {"requests": [{"source": SOURCE, "name": "tiny",
+                              "config": {field: value}}]}
+        with pytest.raises(ValueError, match=field):
+            requests_from_spec(spec)
 
     def test_empty_spec_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):

@@ -3,9 +3,18 @@ stdin/stdout."""
 
 import asyncio
 import json
+import os
 
+import pytest
+
+from repro.frontend import compile_source
+from repro.fsam import FSAM, FSAMConfig
 from repro.gateway.server import Gateway
+from repro.service.artifacts import artifact_from_result
 from tests.service.serving import frame_reader, serve, spawn
+
+FIG1A = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
+                     "examples", "fig1a.mc")
 
 
 def _tiny(n: int, request_id=None) -> str:
@@ -157,6 +166,47 @@ class TestServeLoop:
         before, after = before["body"], after["body"]
         assert [before["cache"], after["cache"]] == ["miss", "miss"]
         assert before["digest"] != after["digest"]
+
+    @pytest.mark.parametrize("config", [{"solver_mode": "demand"},
+                                        {"trace": True}],
+                             ids=["solver_mode", "trace"])
+    def test_run_mode_request_cannot_poison_the_cache(self, config,
+                                                      tmp_path):
+        """A request whose config names a run mode is refused as an
+        unknown field, so it stores nothing under the full analysis's
+        key: the default request for the same source that follows it
+        in the same ``--cache`` session is a miss answered with the
+        reference engine's fixpoint."""
+        with open(FIG1A) as handle:
+            source = handle.read()
+        proc = spawn("--cache", str(tmp_path / "cache"))
+        next_frame = frame_reader(proc)
+        answers = []
+        try:
+            for request_id, extra in (("mode", {"config": config}),
+                                      ("default", {})):
+                entry = {"source": source, "name": "fig1a",
+                         "id": request_id, **extra}
+                proc.stdin.write(json.dumps(entry) + "\n")
+                proc.stdin.flush()
+                answers.append(next_frame())
+            proc.stdin.close()
+            assert proc.wait(timeout=30) == 0
+        finally:
+            proc.kill()
+            proc.stdin.close()
+            proc.stderr.close()
+        refused, default = (frame["body"] for frame in answers)
+        assert refused["status"] == "error"
+        assert refused["error"]["type"] == "BadRequest"
+        assert refused["error"]["code"] == 400
+        assert next(iter(config)) in refused["error"]["message"]
+        oracle = FSAM(compile_source(source, name="fig1a"),
+                      FSAMConfig(solver_engine="reference")).run()
+        assert default["status"] == "ok"
+        assert default["cache"] == "miss"
+        assert default["payload_digest"] == \
+            artifact_from_result("fig1a", oracle).payload_digest()
 
     def test_obs_counters(self, tmp_path):
         session = serve(['{"workload": "word_count", "id": 1}', 'garbage'],
