@@ -223,9 +223,9 @@ async def run(args: argparse.Namespace) -> int:
     coalesced = counters.get("gateway.coalesced", 0)
     hot_hits = counters.get("gateway.hot_hits", 0)
     worker_cache = {state: counters.get(f"gateway.worker_cache_{state}", 0)
-                    for state in ("hot", "hit", "warm", "miss")}
-    served_warm = hot_hits + coalesced + worker_cache["hot"] \
-        + worker_cache["hit"] + worker_cache["warm"]
+                    for state in ("hit", "warm", "miss")}
+    served_warm = hot_hits + coalesced + worker_cache["hit"] \
+        + worker_cache["warm"]
     rerun_hot = rerun_counters.get("gateway.hot_hits", 0) - hot_hits
 
     workloads: Dict[str, Dict[str, object]] = {}

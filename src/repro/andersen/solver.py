@@ -32,7 +32,7 @@ interned bitmask :class:`~repro.pts.PTSet`s over a per-run
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.cfg.callgraph import CallGraph
 from repro.graphs.digraph import DiGraph
@@ -41,7 +41,7 @@ from repro.ir.instructions import (
     AddrOf, Call, Copy, Fork, Gep, Instruction, Load, Phi, Ret, Store,
 )
 from repro.ir.module import Module
-from repro.ir.types import ArrayType, StructType, ThreadType
+from repro.ir.types import ThreadType
 from repro.ir.values import Constant, Function, MemObject, ObjectKind, Temp, Value
 from repro.obs import NULL_OBS, Observer
 from repro.pts import PTSet, PTUniverse

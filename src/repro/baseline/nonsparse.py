@@ -27,7 +27,7 @@ from repro.baseline.pcg import ProcedureConcurrencyGraph
 from repro.cfg.icfg import ICFG, ICFGNode, NodeKind
 from repro.fsam.config import Deadline, FSAMConfig
 from repro.ir.instructions import (
-    AddrOf, Call, Copy, Fork, Gep, Join, Load, Phi, Ret, Store,
+    AddrOf, Call, Copy, Fork, Gep, Load, Phi, Ret, Store,
 )
 from repro.ir.module import Module
 from repro.ir.values import Constant, Function, MemObject, Temp, Value

@@ -12,7 +12,7 @@ and the NONSPARSE baseline both rely on.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set
 
 from repro.andersen import AndersenResult
 from repro.cfg.callgraph import CallGraph

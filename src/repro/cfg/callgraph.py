@@ -9,7 +9,7 @@ Call-graph SCCs drive context-insensitive handling of recursion
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Set, Union
 
 from repro.graphs.digraph import DiGraph
 from repro.graphs.scc import tarjan_scc

@@ -17,12 +17,11 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.cfg.callgraph import CallGraph
-from repro.cfg.cfg import CFG
 from repro.graphs.digraph import DiGraph
-from repro.ir.instructions import Branch, Call, Fork, Instruction, Jump, Ret
+from repro.ir.instructions import Branch, Call, Instruction, Jump, Ret
 from repro.ir.module import BasicBlock, Module
 from repro.ir.values import Function
 

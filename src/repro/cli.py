@@ -37,7 +37,6 @@ from repro.frontend import compile_source
 from repro.fsam import FSAM, FSAMConfig
 from repro.gateway.protocol import DEFAULT_MAX_REQUEST_BYTES
 from repro.ir import Load, print_module
-from repro.ir.values import Temp
 from repro.minic.errors import MiniCError
 from repro.obs import NULL_OBS, Observer
 from repro.trace import Tracer
@@ -61,20 +60,32 @@ def _config_from(args) -> FSAMConfig:
     )
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+#: The flag groups :func:`_run_fsam` reads.
+_RUN_FSAM_FLAGS = ("config", "profile", "trace")
+
+
+def _add_file(parser: argparse.ArgumentParser, *groups: str) -> None:
+    """The ``file`` argument plus the flag *groups*, given only to the
+    subcommands whose handler reads them: ``json`` (``--json``),
+    ``config`` (the Figure 12 switches and ``--budget``), ``profile``
+    (``--profile OUT``) and ``trace`` (``--trace OUT``)."""
     parser.add_argument("file", help="MiniC source file")
-    parser.add_argument("--json", action="store_true", help="emit JSON")
-    parser.add_argument("--no-interleaving", action="store_true")
-    parser.add_argument("--no-value-flow", action="store_true")
-    parser.add_argument("--no-lock", action="store_true")
-    parser.add_argument("--budget", type=float, default=None,
-                        help="time budget in seconds")
-    parser.add_argument("--profile", metavar="OUT", default=None,
-                        help="write the run's observability profile "
-                             "(repro.obs/1 JSON) to this file")
-    parser.add_argument("--trace", metavar="OUT", default=None,
-                        help="enable event tracing and write the run's "
-                             "repro.trace/1 JSONL to this file")
+    if "json" in groups:
+        parser.add_argument("--json", action="store_true", help="emit JSON")
+    if "config" in groups:
+        parser.add_argument("--no-interleaving", action="store_true")
+        parser.add_argument("--no-value-flow", action="store_true")
+        parser.add_argument("--no-lock", action="store_true")
+        parser.add_argument("--budget", type=float, default=None,
+                            help="time budget in seconds")
+    if "profile" in groups:
+        parser.add_argument("--profile", metavar="OUT", default=None,
+                            help="write the run's observability profile "
+                                 "(repro.obs/1 JSON) to this file")
+    if "trace" in groups:
+        parser.add_argument("--trace", metavar="OUT", default=None,
+                            help="enable event tracing and write the "
+                                 "run's repro.trace/1 JSONL to this file")
 
 
 def _maybe_write_profile(result, args) -> None:
@@ -589,24 +600,29 @@ def build_parser() -> argparse.ArgumentParser:
                     "multithreaded programs (CGO'16 reproduction)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn, helptext in [
-        ("analyze", cmd_analyze, "run FSAM and print points-to results"),
-        ("races", cmd_races, "detect data races"),
-        ("deadlocks", cmd_deadlocks, "detect lock-order cycles"),
-        ("tsan", cmd_tsan, "instrumentation-reduction report"),
-        ("escape", cmd_escape, "thread-escape classification"),
-        ("threads", cmd_threads, "dump the thread model"),
-        ("ir", cmd_ir, "dump the partial-SSA IR"),
-        ("compare", cmd_compare, "FSAM vs the NONSPARSE baseline"),
+    for name, fn, helptext, groups in [
+        ("analyze", cmd_analyze, "run FSAM and print points-to results",
+         ("json",) + _RUN_FSAM_FLAGS),
+        ("races", cmd_races, "detect data races",
+         ("json", "config", "profile")),
+        ("deadlocks", cmd_deadlocks, "detect lock-order cycles",
+         ("json", "config", "profile")),
+        ("tsan", cmd_tsan, "instrumentation-reduction report",
+         ("json", "config", "profile")),
+        ("escape", cmd_escape, "thread-escape classification", ("json",)),
+        ("threads", cmd_threads, "dump the thread model", _RUN_FSAM_FLAGS),
+        ("ir", cmd_ir, "dump the partial-SSA IR", ()),
+        ("compare", cmd_compare, "FSAM vs the NONSPARSE baseline",
+         ("config", "profile")),
     ]:
         p = sub.add_parser(name, help=helptext)
-        _add_common(p)
+        _add_file(p, *groups)
         p.set_defaults(handler=fn)
 
     p = sub.add_parser("explain",
                        help="provenance: why does a variable point to "
                             "an object?")
-    _add_common(p)
+    _add_file(p, *_RUN_FSAM_FLAGS)
     p.add_argument("var", nargs="?", default=None,
                    help="variable to explain from recorded provenance "
                         "(walks the derivation chain to its AddrOf root)")
@@ -641,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace",
                        help="run with event tracing on; dump "
                             "repro.trace/1 JSONL")
-    _add_common(p)
+    _add_file(p, *_RUN_FSAM_FLAGS)
     p.add_argument("--out", metavar="OUT", default=None,
                    help="write JSONL here instead of stdout "
                         "(prints a per-kind summary)")
@@ -656,13 +672,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_diff_profile)
 
     p = sub.add_parser("dot", help="export DOT graphs")
-    _add_common(p)
+    _add_file(p, *_RUN_FSAM_FLAGS)
     p.add_argument("--what", choices=["dug", "icfg", "threads"], default="dug")
     p.set_defaults(handler=cmd_dot)
 
     p = sub.add_parser("stats",
                        help="profile a run (or render a --profile JSON)")
-    _add_common(p)
+    _add_file(p, "json", *_RUN_FSAM_FLAGS)
     p.add_argument("--csv", action="store_true",
                    help="emit flattened kind,name,value CSV")
     p.add_argument("--chrome", action="store_true",

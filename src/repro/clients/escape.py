@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional, Set
 
 from repro.andersen import AndersenResult, run_andersen
-from repro.ir.instructions import Instruction, Load, Store
+from repro.ir.instructions import Load, Store
 from repro.ir.module import Module
-from repro.ir.values import Constant, MemObject, ObjectKind
+from repro.ir.values import Constant, MemObject
 from repro.mt.threads import ThreadModel
 
 

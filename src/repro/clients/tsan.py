@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.fsam.analysis import FSAM, FSAMResult
 from repro.fsam.config import FSAMConfig
 from repro.ir.instructions import Instruction, Load, Store
 from repro.ir.module import Module
-from repro.ir.values import Constant, MemObject, Temp
+from repro.ir.values import Constant, MemObject
 from repro.mt.locks import LockAnalysis
 
 

@@ -12,11 +12,10 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.ir.builder import IRBuilder
-from repro.ir.instructions import Branch, Jump, Ret
 from repro.ir.module import BasicBlock, Module
 from repro.ir.types import (
-    ArrayType, BarrierType, CondType, FunctionType, IntType, LockType,
-    PointerType, StructType, ThreadType, Type, VoidType, INT, VOID,
+    ArrayType, BarrierType, CondType, FunctionType, LockType, PointerType,
+    StructType, ThreadType, Type, VoidType, INT, VOID,
 )
 from repro.ir.values import Constant, Function, MemObject, Temp, Value
 from repro.minic import ast

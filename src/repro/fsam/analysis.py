@@ -6,7 +6,7 @@ value-flow analysis -> lock analysis -> sparse flow-sensitive solve.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.andersen import AndersenResult, run_andersen
 from repro.cfg.icfg import ICFG
@@ -311,7 +311,8 @@ class FSAM:
         dug, builder = timed("thread_oblivious_dug",
                              lambda: build_dug(self.module, andersen, obs=obs))
         model = timed("thread_model",
-                      lambda: ThreadModel(self.module, andersen, icfg))
+                      lambda: ThreadModel(self.module, andersen, icfg,
+                                          builder.symmetric_pairs))
         obs.gauge("mt.threads", len(model.threads))
         obs.gauge("mt.states", model.state_count())
         if self.config.interleaving:

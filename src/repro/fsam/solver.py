@@ -70,9 +70,7 @@ from typing import Dict, List, NamedTuple, Optional, Set, Tuple, Union
 from repro.andersen import AndersenResult
 from repro.andersen.fields import derive_field
 from repro.fsam.config import Deadline, FSAMConfig
-from repro.ir.instructions import (
-    AddrOf, Call, Copy, Fork, Gep, Join, Load, Phi, Store,
-)
+from repro.ir.instructions import AddrOf, Copy, Fork, Gep, Load, Phi, Store
 from repro.ir.module import Module
 from repro.ir.values import Function, MemObject, Temp, Value
 from repro.memssa.builder import MemorySSABuilder

@@ -21,7 +21,8 @@ Request path, in order:
    digest, through a parent-side memo so a hot workload's source text
    is generated once, not once per request;
 3. **hot cache** — a small parent-side LRU of recent final response
-   bodies answers repeats without touching any worker;
+   bodies answers repeats without touching any worker; it is the only
+   in-memory answer cache (a shard keeps none);
 4. **coalescing** — identical in-flight digests share one computation
    (:mod:`repro.gateway.coalesce`); followers replay the leader's
    frames, counted in ``gateway.coalesced``;
@@ -30,10 +31,11 @@ Request path, in order:
    shedding the lowest-priority entry (429) past the global
    high-water mark;
 6. **execution** — the shard worker (:mod:`repro.service.shards`)
-   answers with an optional streamed Andersen preview frame and a
-   final result; the pool's wall-clock deadline hard-kills the shard
-   and the answer degrades, reusing the already-streamed preview when
-   one arrived.
+   gets the whole request with every job, answers from the on-disk
+   cache or runs the pipeline, and replies with an optional streamed
+   Andersen preview frame and a final result; the pool's wall-clock
+   deadline hard-kills the shard and the answer degrades, reusing the
+   already-streamed preview when one arrived.
 
 Worker death reroutes only the dead shard's keys (ring arc); what
 happens to its in-flight job is :func:`repro.service.runner.retry_lost`
@@ -111,7 +113,6 @@ class _Job:
     attempts: int = 0
     enqueued: float = 0.0
     preview: Optional[Dict[str, object]] = None
-    sent_full: bool = False              # full source crossed the pipe
 
 
 class Gateway:
@@ -412,18 +413,9 @@ class Gateway:
                             "var": gjob.query[0], "line": gjob.query[1],
                             "obj": gjob.query[2]},
             }
-        elif self.pool.has_seen(shard, gjob.digest) and not gjob.sent_full:
-            # Source elision: the shard already holds this program —
-            # send the digest reference, not the (possibly large)
-            # source text.
-            message = {"job_kind": "analyze", "stream": True,
-                       "payload": {"digest": gjob.digest,
-                                   "request_id": span}}
-            self.obs.count("gateway.ref_sends", 1)
         else:
             message = {"job_kind": "analyze", "stream": True,
                        "payload": dict(gjob.payload, request_id=span)}
-            gjob.sent_full = True
         try:
             self.pool.submit(shard, gjob.jid, gjob, message,
                              timeout=gjob.timeout)
@@ -434,15 +426,12 @@ class Gateway:
             return
         self._jobs[gjob.jid] = gjob
         self.obs.count("gateway.dispatched", 1)
-        if gjob.op == "analyze":
-            self.pool.mark_seen(shard, gjob.digest)
 
     # -- shard callbacks ---------------------------------------------------
 
     def _on_event(self, shard: int, jid: int, kind: str,
                   body: Dict[str, object], final: bool,
-                  obs_snapshot: Optional[Dict[str, object]],
-                  retryable: Optional[str]) -> None:
+                  obs_snapshot: Optional[Dict[str, object]]) -> None:
         gjob = self._jobs.get(jid)
         if gjob is None:
             return  # stale (post-deadline) message
@@ -453,14 +442,6 @@ class Gateway:
                     gjob.inflight.publish("andersen", body)
             return
         del self._jobs[jid]
-        if retryable == "unknown-digest" and not gjob.sent_full:
-            # The shard's memo lost this digest (respawn/eviction):
-            # resend once with the full source. The shard is idle
-            # again, so dispatch re-runs immediately.
-            self.pool.forget(shard, gjob.digest)
-            self.obs.count("gateway.ref_retries", 1)
-            self._dispatch(shard, gjob)
-            return
         if obs_snapshot is not None:
             self.obs.merge_metrics(obs_snapshot)
         if kind == "error":
@@ -480,7 +461,7 @@ class Gateway:
         self.obs.observe("gateway.request_seconds", wall)
         self.obs.observe(f"gateway.{gjob.op}_seconds", wall)
         cache = body.get("cache")
-        if cache in ("hot", "hit", "warm", "miss"):
+        if cache in ("hit", "warm", "miss"):
             self.obs.count(f"gateway.worker_cache_{cache}", 1)
         if body.get("status") == "degraded":
             self.obs.count("gateway.degraded", 1)
@@ -501,7 +482,6 @@ class Gateway:
             if retry_lost(reason, gjob.attempts):
                 # Rerouted around the dead shard.
                 self.obs.count("gateway.retries", 1)
-                gjob.sent_full = False
                 self._enqueue(gjob)
             else:
                 self._degrade(gjob, reason)

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.frontend import compile_source
-from repro.fsam import FSAM, FSAMConfig
+from repro.fsam import FSAMConfig
 from repro.harness.measure import Measurement, measure_fsam, measure_nonsparse
 from repro.harness.scales import BASELINE_BUDGET, BENCH_SCALES
 from repro.workloads import WORKLOADS, source_loc

@@ -12,7 +12,7 @@ static analysis over-approximates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Set, Tuple
 
 from repro.interp.interpreter import ExecutionLimit, Interpreter
 from repro.ir.instructions import (

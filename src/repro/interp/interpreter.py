@@ -15,8 +15,8 @@ Runtime model:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.ir.instructions import (
     AddrOf, BarrierInit, BarrierWait, BinOp, Branch, Call, Copy, Fork, Gep,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from typing import List, Optional, Tuple, TYPE_CHECKING
 
-from repro.ir.values import Constant, Function, MemObject, Temp, Value
+from repro.ir.values import Function, MemObject, Temp, Value
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ir.module import BasicBlock

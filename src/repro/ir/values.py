@@ -10,12 +10,9 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Dict, Optional, TYPE_CHECKING
+from typing import Dict, Optional
 
 from repro.ir.types import Type
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.ir.module import BasicBlock, Module
 
 
 class Value:

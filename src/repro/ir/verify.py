@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Set
 
-from repro.ir.instructions import Branch, Instruction, Jump, Phi, Ret
+from repro.ir.instructions import Branch, Instruction, Jump, Phi
 from repro.ir.module import BasicBlock, Module
 from repro.ir.values import Function, Temp
 

@@ -27,7 +27,7 @@ from repro.andersen import AndersenResult
 from repro.cfg.cfg import CFG
 from repro.graphs.dominance import iterated_dominance_frontier
 from repro.ir.instructions import (
-    AddrOf, Call, Copy, Fork, Gep, Instruction, Join, Load, Phi, Ret, Store,
+    AddrOf, Call, Copy, Fork, Gep, Join, Load, Phi, Ret, Store,
 )
 from repro.ir.module import BasicBlock, Module
 from repro.ir.values import Constant, Function, MemObject, Temp, Value
@@ -77,9 +77,10 @@ class MemorySSABuilder:
         # during renaming for its mu and chi objects: feeds callee
         # formal-ins, weak-chi fallbacks and fork bypass edges.
         self.site_old_def: Dict[Tuple[int, int], DUGNode] = {}
-        # Site-level fork/join correlation for bypass-region limits.
+        # Site-level fork/join correlation for bypass-region limits;
+        # the thread model reuses it (see ThreadModel).
         from repro.mt.symmetry import find_symmetric_pairs
-        self._symmetric = find_symmetric_pairs(module, andersen)
+        self.symmetric_pairs = find_symmetric_pairs(module, andersen)
         # Observability tallies (flushed into an Observer by build()).
         self.functions_renamed = 0
         self.memphi_nodes = 0
@@ -362,7 +363,7 @@ class MemorySSABuilder:
                 def stops(join: Join) -> bool:
                     if tid is None:
                         return False
-                    if (fork.id, join.id) in self._symmetric:
+                    if (fork.id, join.id) in self.symmetric_pairs:
                         return True
                     return (not multi_site) and \
                         self.andersen.pts(join.handle) == {tid}

@@ -15,7 +15,7 @@ visible at and after the join.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional, Set
 
 from repro.andersen import AndersenResult
 from repro.cfg.callgraph import CallGraph
@@ -23,7 +23,7 @@ from repro.graphs.digraph import DiGraph
 from repro.graphs.scc import tarjan_scc
 from repro.ir.instructions import Call, Fork, Instruction, Join, Load, Store
 from repro.ir.module import Module
-from repro.ir.values import Function, MemObject, Temp, object_key
+from repro.ir.values import Function, MemObject, object_key
 from repro.pts import PTSet
 
 

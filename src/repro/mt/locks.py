@@ -11,7 +11,7 @@ pairs — those [THREAD-VF] edges are spurious and get filtered
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.andersen import AndersenResult
 from repro.ir.instructions import Instruction, Load, Store

@@ -32,9 +32,9 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.graphs.dataflow import DataflowProblem, solve_forward
-from repro.ir.instructions import Fork, Instruction
+from repro.ir.instructions import Instruction
 from repro.mt.threads import AbstractThread, ThreadModel
-from repro.obs import NULL_OBS, Observer
+from repro.obs import Observer
 from repro.trace import NULL_TRACER, Tracer
 
 

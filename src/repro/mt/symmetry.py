@@ -16,7 +16,7 @@ holds ids of no other fork.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.andersen import AndersenResult
 from repro.cfg.cfg import CFG
@@ -45,12 +45,14 @@ class SymmetricPair:
 
 
 def find_symmetric_pairs(module: Module, andersen: AndersenResult) -> Dict[Tuple[int, int], SymmetricPair]:
-    """All symmetric (fork.id, join.id) pairs in *module*."""
+    """All symmetric (fork.id, join.id) pairs in *module*. A pair's
+    fork and join lie in one function, so only a function holding both
+    gets a CFG and loop analysis."""
     pairs: Dict[Tuple[int, int], SymmetricPair] = {}
     for fn in module.functions.values():
-        if fn.is_declaration or not fn.blocks:
-            continue
-        pairs.update(_pairs_in_function(fn, andersen))
+        kinds = {type(instr) for instr in fn.instructions()}
+        if Fork in kinds and Join in kinds:
+            pairs.update(_pairs_in_function(fn, andersen))
     return pairs
 
 

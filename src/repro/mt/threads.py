@@ -410,7 +410,9 @@ class ThreadModel:
     analyses consume."""
 
     def __init__(self, module: Module, andersen: AndersenResult,
-                 icfg: Optional[ICFG] = None) -> None:
+                 icfg: Optional[ICFG] = None,
+                 symmetric_pairs: Optional[
+                     Dict[Tuple[int, int], SymmetricPair]] = None) -> None:
         self.module = module
         self.andersen = andersen
         self.callgraph = andersen.callgraph
@@ -418,7 +420,11 @@ class ThreadModel:
         self.threads: List[AbstractThread] = []
         self.state_graphs: Dict[int, ThreadStateGraph] = {}
         self.threads_by_fork: Dict[int, List[AbstractThread]] = {}
-        self.symmetric_pairs: Dict[Tuple[int, int], SymmetricPair] = {}
+        # The pipeline passes the pairs its memory SSA builder already
+        # found, so they are computed once per run.
+        self.symmetric_pairs = symmetric_pairs \
+            if symmetric_pairs is not None \
+            else find_symmetric_pairs(module, andersen)
         # Per thread: sid -> set of thread ids certainly dead past it.
         self.kills_at: Dict[int, Dict[int, FrozenSet[int]]] = {}
         # Per thread: sid -> must-joined thread-id set.
@@ -435,7 +441,6 @@ class ThreadModel:
     # -- construction -------------------------------------------------------
 
     def _build(self) -> None:
-        self.symmetric_pairs = find_symmetric_pairs(self.module, self.andersen)
         sync_reaching = sync_reaching_functions(self.module, self.callgraph)
         sync_free = [fn for fn in self.module.functions.values()
                      if fn in self.icfg.entries and fn not in sync_reaching]

@@ -41,7 +41,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.obs import Observer
 from repro.schemas import (
@@ -78,6 +78,40 @@ def _tolerant_drop(path: Path, sig: Optional[Tuple[int, int, int]]) -> bool:
     except OSError:
         pass
     return False
+
+
+def _read_entry(path: Path, load: Callable[[Dict[str, object]], object],
+                version: Callable[[object], object],
+                bad: Callable[[str], None]) -> Optional[object]:
+    """The read routine of every store: the entry at *path*, parsed and
+    validated by *load*, or None on a miss.
+
+    A ``"corrupt"`` entry (unreadable, or refused by *load*) and a
+    ``"stale"`` one (whose *version* is not ``CODE_VERSION``) are
+    reported to *bad*, dropped, and read as misses -- unless a
+    concurrent writer already replaced the slot with a fresh entry,
+    which is re-read once."""
+    for retry in (True, False):
+        sig = None
+        try:
+            with open(path) as handle:
+                sig = _handle_sig(handle)
+                value = load(json.load(handle))
+        except FileNotFoundError:
+            return None
+        except (json.JSONDecodeError, ValueError, KeyError, OSError):
+            bad("corrupt")
+        else:
+            if version(value) == CODE_VERSION:
+                return value
+            bad("stale")
+        if not (_tolerant_drop(path, sig) and retry):
+            return None
+    return None  # pragma: no cover - the second pass always returns
+
+
+def _doc_version(doc: Dict[str, object]) -> object:
+    return doc.get("code_version")
 
 
 def _atomic_write(path: Path, doc: Dict[str, object]) -> None:
@@ -125,45 +159,31 @@ class ArtifactCache:
 
     def get(self, digest: str) -> Optional[AnalysisArtifact]:
         """The cached artifact for *digest*, or None on miss. Corrupt
-        and version-stale entries are dropped and read as misses —
-        unless a concurrent writer already replaced the slot with a
-        fresh entry, which is re-read once and served."""
+        and version-stale entries (structurally valid, but produced by
+        other analysis code) are dropped and read as misses; see
+        :func:`_read_entry`."""
         path = self.path(digest)
-        for retry in (True, False):
-            sig = None
+        artifact = _read_entry(path, AnalysisArtifact.from_dict,
+                               lambda artifact: artifact.code_version,
+                               self._count_bad)
+        if artifact is None:
+            self.misses += 1
+            return None
+        self.hits += 1
+        if self.max_bytes is not None:
+            # LRU touch: mark the entry recently used so the eviction
+            # sweep ages out cold artifacts first.
             try:
-                with open(path) as handle:
-                    sig = _handle_sig(handle)
-                    doc = json.load(handle)
-                artifact = AnalysisArtifact.from_dict(doc)
-            except FileNotFoundError:
-                self.misses += 1
-                return None
-            except (json.JSONDecodeError, ValueError, KeyError, OSError):
-                self.corrupt += 1
-                if _tolerant_drop(path, sig) and retry:
-                    continue
-                self.misses += 1
-                return None
-            if artifact.code_version != CODE_VERSION:
-                # Structurally valid but produced by other analysis
-                # code: stale, not corrupt. Drop it so the slot gets
-                # rewritten.
-                self.stale += 1
-                if _tolerant_drop(path, sig) and retry:
-                    continue
-                self.misses += 1
-                return None
-            self.hits += 1
-            if self.max_bytes is not None:
-                # LRU touch: mark the entry recently used so the
-                # eviction sweep ages out cold artifacts first.
-                try:
-                    os.utime(path)
-                except OSError:  # pragma: no cover - entry raced away
-                    pass
-            return artifact
-        return None  # pragma: no cover - loop always returns
+                os.utime(path)
+            except OSError:  # pragma: no cover - entry raced away
+                pass
+        return artifact
+
+    def _count_bad(self, kind: str) -> None:
+        if kind == "stale":
+            self.stale += 1
+        else:
+            self.corrupt += 1
 
     def put(self, digest: str, artifact: AnalysisArtifact) -> Optional[Path]:
         """Store *artifact* under *digest*; returns the path, or None
@@ -269,33 +289,18 @@ class FuncArtifactStore:
         return self.root / digest[:2] / f"{digest[2:]}.json"
 
     def get(self, digest: str) -> Optional[Dict[str, object]]:
-        """The validated funcartifact document for *digest*, or None."""
-        path = self.path(digest)
-        for retry in (True, False):
-            sig = None
-            try:
-                with open(path) as handle:
-                    sig = _handle_sig(handle)
-                    doc = json.load(handle)
-                validate_funcartifact(doc)
-            except FileNotFoundError:
-                self.func_misses += 1
-                return None
-            except (json.JSONDecodeError, ValueError, KeyError, OSError):
-                self.corrupt += 1
-                if _tolerant_drop(path, sig) and retry:
-                    continue
-                self.func_misses += 1
-                return None
-            if doc.get("code_version") != CODE_VERSION:
-                self.corrupt += 1
-                if _tolerant_drop(path, sig) and retry:
-                    continue
-                self.func_misses += 1
-                return None
-            self.func_hits += 1
-            return doc
-        return None  # pragma: no cover - loop always returns
+        """The validated funcartifact document for *digest*, or None.
+        A corrupt or version-stale entry counts as ``corrupt``."""
+        doc = _read_entry(self.path(digest), validate_funcartifact,
+                          _doc_version, self._count_bad)
+        if doc is None:
+            self.func_misses += 1
+            return None
+        self.func_hits += 1
+        return doc  # type: ignore[return-value]
+
+    def _count_bad(self, _kind: str) -> None:
+        self.corrupt += 1
 
     def put(self, digest: str, doc: Dict[str, object]) -> Path:
         if doc.get("schema") != FUNC_ARTIFACT_SCHEMA:
@@ -343,33 +348,18 @@ class QueryArtifactStore:
         return self.root / digest[:2] / f"{digest[2:]}.json"
 
     def get(self, digest: str) -> Optional[Dict[str, object]]:
-        """The validated queryartifact document for *digest*, or None."""
-        path = self.path(digest)
-        for retry in (True, False):
-            sig = None
-            try:
-                with open(path) as handle:
-                    sig = _handle_sig(handle)
-                    doc = json.load(handle)
-                validate_queryartifact(doc)
-            except FileNotFoundError:
-                self.query_misses += 1
-                return None
-            except (json.JSONDecodeError, ValueError, KeyError, OSError):
-                self.corrupt += 1
-                if _tolerant_drop(path, sig) and retry:
-                    continue
-                self.query_misses += 1
-                return None
-            if doc.get("code_version") != CODE_VERSION:
-                self.corrupt += 1
-                if _tolerant_drop(path, sig) and retry:
-                    continue
-                self.query_misses += 1
-                return None
-            self.query_hits += 1
-            return doc
-        return None  # pragma: no cover - loop always returns
+        """The validated queryartifact document for *digest*, or None.
+        A corrupt or version-stale entry counts as ``corrupt``."""
+        doc = _read_entry(self.path(digest), validate_queryartifact,
+                          _doc_version, self._count_bad)
+        if doc is None:
+            self.query_misses += 1
+            return None
+        self.query_hits += 1
+        return doc  # type: ignore[return-value]
+
+    def _count_bad(self, _kind: str) -> None:
+        self.corrupt += 1
 
     def put(self, digest: str, doc: Dict[str, object]) -> Path:
         if doc.get("schema") != QUERY_ARTIFACT_SCHEMA:

@@ -3,17 +3,17 @@
 
 A **shard** is a worker process that serves analysis jobs over one
 duplex pipe until it is told to stop. It is the only code that spawns
-analysis processes. Across the jobs of one incarnation it keeps:
+analysis processes. Every analyze job carries its whole request, and
+a shard answers it from the on-disk
+:class:`~repro.service.cache.ArtifactCache` (``cache: "hit"``) or by
+running the pipeline (``"miss"``); the gateway's response LRU is the
+one in-memory answer cache. Across the jobs of one incarnation a
+shard keeps:
 
-- an in-memory LRU of recent :class:`AnalysisArtifact` results
-  (``cache: "hot"`` — served without touching disk);
-- the shared on-disk :class:`~repro.service.cache.ArtifactCache`
-  (plus func/query stores) under the cache root;
+- the on-disk stores (whole-program, per-function and query) under
+  the cache root;
 - a :class:`~repro.service.runner.QueryRunner` whose per-program
-  demand pipelines stay warm between queries;
-- a digest -> request memo, so the parent can resend hot programs as
-  a bare ``{"digest": ...}`` reference instead of shipping the source
-  text on every request.
+  demand pipelines stay warm between queries.
 
 The parent side (:class:`ShardPool`) lives inside an asyncio loop: one
 duplex pipe per shard, a daemon reader thread per shard that posts
@@ -28,9 +28,9 @@ Two parents drive the pool:
 - the gateway (:mod:`repro.gateway.server`), which routes by program
   digest on a consistent-hash ring so per-program state stays warm;
 - :func:`run_requests`, the synchronous entry of batch, which hands
-  a list of requests FIFO to whichever shard is idle. Its
-  jobs bypass the shard's whole-program cache and hot LRU (the caller
-  owns lookups, dedup and puts) and ship the artifact back.
+  a list of requests FIFO to whichever shard is idle. Its jobs
+  bypass the shard's whole-program cache (the caller owns lookups,
+  dedup and puts) and ship the artifact back.
 
 Worker messages are small dicts; every job answer is a sequence of
 ``(kind, body, final)`` events matching the gateway's frame model:
@@ -44,7 +44,7 @@ import multiprocessing
 import signal
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -58,10 +58,6 @@ from repro.service.requests import AnalysisRequest, QueryRequest
 from repro.service.runner import (
     QueryRunner, RequestOutcome, retry_lost, run_degraded, run_full,
 )
-
-#: Per-shard memo caps inside the worker process.
-HOT_ARTIFACTS = 32
-REQUEST_MEMO = 512
 
 #: The signals whose handlers a shard must not inherit from its parent.
 _PARENT_SIGNALS = {signal.SIGINT, signal.SIGTERM}
@@ -110,22 +106,6 @@ class _ShardState:
         # queries reports no query-store tallies.
         self.queryrunner: Optional[QueryRunner] = None
         self.querystore: Optional[QueryArtifactStore] = None
-        # digest -> AnalysisRequest (so ref payloads need no source).
-        self.requests: "OrderedDict[str, AnalysisRequest]" = OrderedDict()
-        # digest -> AnalysisArtifact (in-memory warm answers).
-        self.hot: "OrderedDict[str, object]" = OrderedDict()
-
-    def remember(self, digest: str, request: AnalysisRequest) -> None:
-        self.requests[digest] = request
-        self.requests.move_to_end(digest)
-        while len(self.requests) > REQUEST_MEMO:
-            self.requests.popitem(last=False)
-
-    def keep_hot(self, digest: str, artifact) -> None:
-        self.hot[digest] = artifact
-        self.hot.move_to_end(digest)
-        while len(self.hot) > HOT_ARTIFACTS:
-            self.hot.popitem(last=False)
 
     def flush_stores(self, obs: Observer) -> None:
         if self.cache is not None:
@@ -137,48 +117,22 @@ class _ShardState:
 
 
 def _run_analyze(state: _ShardState, msg: Dict[str, object], conn) -> None:
-    """One analyze job. A gateway job answers from the hot LRU or the
-    artifact cache when it can and replies with a response body; a
-    ``ship`` job (from :func:`run_requests`) always runs the pipeline,
-    stores nothing, and replies with the artifact itself."""
+    """One analyze job. A gateway job answers from the artifact cache
+    when it can and replies with a response body; a ``ship`` job (from
+    :func:`run_requests`) always runs the pipeline, stores nothing, and
+    replies with the artifact itself."""
     jid = msg["jid"]
-    payload = msg["payload"]
     ship = bool(msg.get("ship"))
-    if "source" not in payload:
-        digest = str(payload["digest"])
-        request = state.requests.get(digest)
-        if request is None:
-            # The parent believed this shard had seen the digest (a
-            # respawn or memo eviction says otherwise): ask for the
-            # full payload once.
-            conn.send({"jid": jid, "kind": "error", "final": True,
-                       "retryable": "unknown-digest",
-                       "body": {"status": "error",
-                                "error": {"type": "UnknownDigest",
-                                          "message": digest,
-                                          "code": 500}}})
-            return
-        request.request_id = payload.get("request_id")
-    else:
-        request = AnalysisRequest.from_payload(payload)
-        digest = request.digest()
-        state.remember(digest, request)
-
+    request = AnalysisRequest.from_payload(msg["payload"])
+    digest = request.digest()
     start = time.perf_counter()
-    if not ship:
-        artifact = state.hot.get(digest)
-        cache_state = "hot" if artifact is not None else None
-        if artifact is None and state.cache is not None:
-            artifact = state.cache.get(digest)
-            if artifact is not None:
-                cache_state = "hit"
+    if not ship and state.cache is not None:
+        artifact = state.cache.get(digest)
         if artifact is not None:
-            state.keep_hot(digest, artifact)
             conn.send({"jid": jid, "kind": "result", "final": True,
-                       "body": _response_body(request, digest, artifact,
-                                              cache_state,
-                                              time.perf_counter() - start,
-                                              attempts=0)})
+                       "body": _response_body(
+                           request, digest, artifact, "hit",
+                           time.perf_counter() - start, attempts=0)})
             return
 
     # Cold: run the pipeline, streaming the Andersen preview when
@@ -214,8 +168,6 @@ def _run_analyze(state: _ShardState, msg: Dict[str, object], conn) -> None:
     else:
         if state.cache is not None:
             state.cache.put(digest, artifact)   # degraded never stored
-        if not artifact.degraded:
-            state.keep_hot(digest, artifact)
         body = _response_body(request, digest, artifact, "miss",
                               time.perf_counter() - start)
     conn.send({"jid": jid, "kind": "result", "final": True, "body": body,
@@ -229,7 +181,6 @@ def _run_query(state: _ShardState, msg: Dict[str, object], conn) -> None:
     query = QueryRequest(request=request, var=payload["var"],
                          line=payload.get("line"),
                          obj=bool(payload.get("obj", False)))
-    state.remember(request.digest(), request)
     if state.queryrunner is None:
         if state.cache_root:
             state.querystore = QueryArtifactStore(state.cache_root)
@@ -324,8 +275,7 @@ class ShardHandle:
     """Parent-side state of one shard worker."""
 
     __slots__ = ("shard_id", "proc", "conn", "reader", "alive",
-                 "inflight", "timer", "seen_digests", "generation",
-                 "kill_reason")
+                 "inflight", "timer", "generation", "kill_reason")
 
     def __init__(self, shard_id: int) -> None:
         self.shard_id = shard_id
@@ -335,7 +285,6 @@ class ShardHandle:
         self.alive = False
         self.inflight = None            # the caller's job object
         self.timer = None               # the in-flight job's kill timer
-        self.seen_digests: set = set()  # digests this incarnation holds
         self.generation = 0
         self.kill_reason: Optional[str] = None
 
@@ -345,7 +294,7 @@ class ShardPool:
 
     The pool is transport- and policy-free: its parent owns routing,
     queues, coalescing, and retries, and registers callbacks —
-    ``on_event(shard_id, jid, kind, body, final, obs, retryable)`` for
+    ``on_event(shard_id, jid, kind, body, final, obs)`` for
     worker answers, ``on_shard_down(shard_id, jobs, reason)`` when a
     worker dies (with whatever was in flight), and
     ``on_shard_up(shard_id)`` after a (re)spawn.
@@ -392,7 +341,6 @@ class ShardPool:
         handle.conn = parent_conn
         handle.alive = True
         handle.inflight = None
-        handle.seen_digests = set()
         handle.generation += 1
         generation = handle.generation
         reader = threading.Thread(
@@ -442,8 +390,7 @@ class ShardPool:
             self._disarm(handle)
             handle.inflight = None
         self.on_event(handle.shard_id, jid, msg.get("kind"),
-                      msg.get("body"), final, msg.get("obs"),
-                      msg.get("retryable"))
+                      msg.get("body"), final, msg.get("obs"))
 
     def _handle_death(self, handle: ShardHandle, generation: int,
                       _msg) -> None:
@@ -514,17 +461,6 @@ class ShardPool:
     def idle(self, shard_id: int) -> bool:
         handle = self.handles[shard_id]
         return handle.alive and handle.inflight is None
-
-    # -- digest memo (source-elision protocol) ------------------------------
-
-    def mark_seen(self, shard_id: int, digest: str) -> None:
-        self.handles[shard_id].seen_digests.add(digest)
-
-    def has_seen(self, shard_id: int, digest: str) -> bool:
-        return digest in self.handles[shard_id].seen_digests
-
-    def forget(self, shard_id: int, digest: str) -> None:
-        self.handles[shard_id].seen_digests.discard(digest)
 
     # -- shutdown ----------------------------------------------------------
 
@@ -652,8 +588,7 @@ class _RequestRun:
 
     def _answered(self, _shard: int, jid: int, kind: str,
                   body: Dict[str, object], final: bool,
-                  snapshot: Optional[Dict[str, object]],
-                  _retryable) -> None:
+                  snapshot: Optional[Dict[str, object]]) -> None:
         if not final:
             return
         job = self.jobs[jid]

@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.cfg.icfg import ICFG, EdgeKind
-from repro.ir.module import Module
 from repro.memssa.dug import DUG, StmtNode
 from repro.mt.threads import ThreadModel
 

@@ -12,6 +12,7 @@ from repro.gateway.server import Gateway, GatewayOptions
 from repro.obs import validate_metrics, validate_metrics_stream
 from repro.service.requests import request_from_entry
 from repro.service.runner import run_request_inline
+from repro.service.shards import ShardPool
 
 
 def _run(coro):
@@ -190,6 +191,57 @@ class TestTransports:
             assert kinds == ["andersen", "result"]
         finally:
             await gateway.shutdown()
+
+
+class TestAnswerCache:
+    """The gateway's response LRU is the only in-memory answer cache: a
+    repeat it has evicted goes to its shard with the whole request and
+    is answered from disk, or recomputed when there is no cache root."""
+
+    PROGRAMS = {
+        "a": "int x; int *p; int main() { p = &x; return 0; }",
+        "b": "int y; int *q; int main() { q = &y; return 0; }",
+    }
+
+    @pytest.mark.parametrize("cached, repeat_state",
+                             [(True, "hit"), (False, "miss")])
+    def test_evicted_repeat_is_served_by_its_shard(
+            self, tmp_path, monkeypatch, cached, repeat_state):
+        monkeypatch.setattr("repro.gateway.server.HOT_RESPONSES", 1)
+        messages = []
+        real_submit = ShardPool.submit
+
+        def spy(pool, shard_id, jid, job, message, timeout=None):
+            messages.append(message)
+            return real_submit(pool, shard_id, jid, job, message,
+                               timeout=timeout)
+
+        monkeypatch.setattr(ShardPool, "submit", spy)
+        root = str(tmp_path / "cache") if cached else None
+        first, second, third = _run(self._a_b_a(root))
+        assert [body["cache"] for body in (first, second, third)] \
+            == ["miss", "miss", repeat_state]
+        assert third["payload_digest"] == first["payload_digest"]
+        assert second["payload_digest"] != first["payload_digest"]
+        sources = [message["payload"]["source"] for message in messages
+                   if message["job_kind"] == "analyze"]
+        assert sources == [self.PROGRAMS[key] for key in "aba"]
+
+    async def _a_b_a(self, cache_root):
+        gateway = Gateway(GatewayOptions(workers=1, cache_root=cache_root))
+        await gateway.start()
+        try:
+            bodies = []
+            for n, key in enumerate("aba"):
+                frames = await _jsonl(gateway.port, [
+                    {"source": self.PROGRAMS[key], "name": key, "id": n}])
+                bodies.append(frames[0]["body"])
+            counters = gateway.metrics()["counters"]
+            assert counters.get("gateway.hot_hits", 0) == 0
+            assert counters["gateway.dispatched"] == 3
+        finally:
+            await gateway.shutdown()
+        return bodies
 
 
 class TestHardening:

@@ -333,6 +333,40 @@ class TestSubcommandSmoke:
         assert "pool.run_seconds" in out
 
 
+#: (subcommand, flag) pairs whose handler never reads the flag, with
+#: the value the flag would take.
+UNREAD_FLAGS = (
+    [(command, ["--trace", "out.jsonl"])
+     for command in ("races", "deadlocks", "tsan", "compare", "escape",
+                     "ir")]
+    + [(command, flag)
+       for command in ("escape", "ir")
+       for flag in (["--profile", "p.json"], ["--budget", "5"],
+                    ["--no-interleaving"], ["--no-value-flow"],
+                    ["--no-lock"])]
+    + [(command, ["--json"])
+       for command in ("ir", "threads", "dot", "explain", "trace",
+                       "compare")]
+)
+
+
+class TestUnreadFlags:
+    """Each file subcommand accepts only the flags its handler reads:
+    an unread one fails in argparse rather than being silently
+    ignored (a ``--trace OUT`` that writes nothing, say)."""
+
+    @pytest.mark.parametrize(
+        "command, flag", UNREAD_FLAGS,
+        ids=[f"{c}{f[0]}" for c, f in UNREAD_FLAGS])
+    def test_unread_flag_is_refused(self, sample, tmp_path, monkeypatch,
+                                    capsys, command, flag):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([command, sample, *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestBatchServeCLI:
     """Deeper ``repro batch`` / ``repro serve`` behaviour."""
 
