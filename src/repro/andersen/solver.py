@@ -17,10 +17,11 @@ call/fork   param/ret copies       on-the-fly call graph
 ==========  =====================  ==========================
 
 Solved by wave propagation (Pereira & Berlin, the paper's [23]):
-repeatedly (1) collapse SCCs of the copy graph into representative
-nodes, (2) propagate points-to sets in topological order in one wave,
-(3) evaluate complex constraints, which may add new copy edges and
-points-to facts; stop when nothing changes.
+repeatedly (1) run one Tarjan pass over the copy graph, collapse each
+SCC into a representative node and propagate points-to sets in one
+wave, sweeping the SCCs in reverse emission order (a topological order
+of the collapsed graph), then (2) evaluate complex constraints, which
+may add new copy edges and points-to facts; stop when nothing changes.
 
 Points-to sets hold :class:`MemObject` identities (not node indices),
 so collapsing a cycle that runs through an object's *content node*
@@ -35,8 +36,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.cfg.callgraph import CallGraph
-from repro.graphs.digraph import DiGraph
-from repro.graphs.scc import tarjan_scc
+from repro.graphs.scc import dense_sccs
 from repro.ir.instructions import (
     AddrOf, Call, Copy, Fork, Gep, Instruction, Load, Phi, Ret, Store,
 )
@@ -313,47 +313,40 @@ class AndersenSolver:
         while self._changed:
             self._changed = False
             self.waves += 1
-            self._collapse_cycles()
-            self._propagate_wave()
+            self._wave()
             self._evaluate_complex()
 
     def _live_nodes(self) -> List[int]:
         return [n for n in range(len(self._rep)) if self._rep[n] == n]
 
-    def _collapse_cycles(self) -> None:
-        graph = DiGraph()
-        for node in self._live_nodes():
-            graph.add_node(node)
-            for succ in self._succ[node]:
-                target = self._find(succ)
-                if target != node:
-                    graph.add_edge(node, target)
-        for scc in tarjan_scc(graph):
-            if len(scc) > 1:
-                self.scc_collapsed_nodes += len(scc) - 1
-                root = self._find(scc[0])
-                for other in scc[1:]:
-                    root = self._union(root, self._find(other))
+    def _wave(self) -> None:
+        """Collapse the copy graph's cycles and propagate along it.
 
-    def _propagate_wave(self) -> None:
-        graph = DiGraph()
-        for node in self._live_nodes():
-            graph.add_node(node)
-            for succ in self._succ[node]:
-                target = self._find(succ)
-                if target != node:
-                    graph.add_edge(node, target)
-        # Tarjan emits SCCs in reverse topological order; after cycle
-        # collapse each SCC is a singleton, so reversing yields a
-        # sources-first order for one complete propagation wave.
-        order = [scc[0] for scc in tarjan_scc(graph)]
-        order.reverse()
-        for node in order:
+        One Tarjan pass over the live representatives gives both: each
+        SCC is unioned into its lowest-numbered node, and since Tarjan
+        emits SCCs sinks first, sweeping them in reverse is a
+        sources-first order of the collapsed graph, so one sweep is one
+        complete wave.
+        """
+        find = self._find
+        live = self._live_nodes()
+        slot = {node: i for i, node in enumerate(live)}
+        scc_of, scc_count = dense_sccs(
+            [[slot[find(succ)] for succ in self._succ[node]] for node in live])
+        roots = [-1] * scc_count
+        for node, emitted in zip(live, scc_of):
+            root = roots[emitted]
+            if root == -1:
+                roots[emitted] = node
+            else:
+                self._union(root, node)
+                self.scc_collapsed_nodes += 1
+        for node in reversed(roots):
             pts = self._pts[node]
             if not pts:
                 continue
-            for succ in graph.successors(node):
-                succ = self._find(succ)
+            for succ in self._succ[node]:
+                succ = find(succ)
                 if succ == node:
                     continue
                 merged = self._pts[succ] | pts

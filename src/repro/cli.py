@@ -407,11 +407,27 @@ def cmd_compare(args) -> int:
     return 0
 
 
+#: ``stats`` flags that only steer a run: (attribute, flag).
+_STATS_RUN_FLAGS = (("trace", "--trace"), ("profile", "--profile"),
+                    ("budget", "--budget"),
+                    ("no_interleaving", "--no-interleaving"),
+                    ("no_value_flow", "--no-value-flow"),
+                    ("no_lock", "--no-lock"))
+
+
 def cmd_stats(args) -> int:
     """Render an observability profile: either re-analyse a MiniC
     source, or pretty-print an existing ``--profile`` JSON document."""
     from repro.obs import profile_to_csv, render_profile, validate_profile
     if args.file.endswith(".json"):
+        unread = [flag for attr, flag in _STATS_RUN_FLAGS
+                  if getattr(args, attr) is not None
+                  and getattr(args, attr) is not False]
+        if unread:
+            print(f"repro stats: {', '.join(unread)} only apply when "
+                  "profiling a MiniC file, not a saved profile",
+                  file=sys.stderr)
+            return 2
         with open(args.file) as handle:
             doc = json.load(handle)
         validate_profile(doc)

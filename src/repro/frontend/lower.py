@@ -9,7 +9,7 @@ analyses.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.ir.builder import IRBuilder
 from repro.ir.module import BasicBlock, Module
@@ -67,10 +67,10 @@ class Lowerer:
         elif spec.base.startswith("struct "):
             sname = spec.base[len("struct "):]
             if sname not in self.structs:
-                raise SemanticError(f"unknown struct {sname}", spec.line)
+                raise SemanticError(f"unknown struct {sname}", spec.line, spec.col)
             base = self.structs[sname]
         else:
-            raise SemanticError(f"unknown type {spec.base}", spec.line)
+            raise SemanticError(f"unknown type {spec.base}", spec.line, spec.col)
         ty = base
         for _ in range(spec.pointers):
             ty = PointerType(ty)
@@ -82,7 +82,8 @@ class Lowerer:
         # Pass 1: declare struct shells (so recursive structs resolve).
         for sdef in self.program.structs:
             if sdef.name in self.structs:
-                raise SemanticError(f"duplicate struct {sdef.name}", sdef.line)
+                raise SemanticError(f"duplicate struct {sdef.name}", sdef.line,
+                                    sdef.col)
             self.structs[sdef.name] = StructType(sdef.name)
         for sdef in self.program.structs:
             struct = self.structs[sdef.name]
@@ -99,7 +100,8 @@ class Lowerer:
         self._global_inits = []
         for gdecl in self.program.globals:
             if gdecl.name in self.globals:
-                raise SemanticError(f"duplicate global {gdecl.name}", gdecl.line)
+                raise SemanticError(f"duplicate global {gdecl.name}", gdecl.line,
+                                    gdecl.col)
             ty = self.resolve_type(gdecl.type_spec)
             is_array = gdecl.array_size is not None
             if is_array:
@@ -113,7 +115,8 @@ class Lowerer:
         # Pass 3: declare all function signatures (forward references).
         for fdef in self.program.functions:
             if fdef.name in self.functions:
-                raise SemanticError(f"duplicate function {fdef.name}", fdef.line)
+                raise SemanticError(f"duplicate function {fdef.name}", fdef.line,
+                                    fdef.col)
             ret = self.resolve_type(fdef.ret_type)
             params = [self.resolve_type(p.type_spec) for p in fdef.params]
             fn = Function(fdef.name, FunctionType(ret, params))
@@ -155,7 +158,8 @@ class Lowerer:
         # their address; mem2reg will promote the non-escaping ones.
         for param_decl, param_temp in zip(fdef.params, fn.params):
             ty = self.resolve_type(param_decl.type_spec)
-            slot = self._declare_local(param_decl.name, ty, None, in_rec, param_decl.line)
+            slot = self._declare_local(param_decl.name, ty, None, in_rec,
+                                       param_decl)
             addr = self.builder.addr_of(slot.obj, hint=f"a.{param_decl.name}")
             self.builder.store(addr, param_temp, line=param_decl.line)
 
@@ -188,17 +192,18 @@ class Lowerer:
                 return
             raise SemanticError(
                 f"global initialiser must be constant, got variable {expr.name}",
-                expr.line)
+                expr.line, expr.col)
         if isinstance(expr, ast.UnaryExpr) and expr.op == "&" \
                 and isinstance(expr.operand, ast.NameExpr):
             return  # &global — resolved during lowering
         raise SemanticError("global initialiser must be a constant expression",
-                            expr.line)
+                            expr.line, expr.col)
 
     def _declare_local(self, name: str, ty: Type, array_size: Optional[int],
-                       in_recursion: bool, line: int) -> _LocalSlot:
+                       in_recursion: bool,
+                       decl: Union[ast.DeclStmt, ast.ParamDecl]) -> _LocalSlot:
         if name in self.locals:
-            raise SemanticError(f"duplicate local {name}", line)
+            raise SemanticError(f"duplicate local {name}", decl.line, decl.col)
         is_array = array_size is not None
         obj_ty = ArrayType(ty, array_size) if is_array else ty
         fn_name = self.builder.function.name
@@ -234,12 +239,12 @@ class Lowerer:
             self._start_dead_block()
         elif isinstance(stmt, ast.BreakStmt):
             if not self._loop_stack:
-                raise SemanticError("break outside loop", stmt.line)
+                raise SemanticError("break outside loop", stmt.line, stmt.col)
             self.builder.jump(self._loop_stack[-1][0], line=stmt.line)
             self._start_dead_block()
         elif isinstance(stmt, ast.ContinueStmt):
             if not self._loop_stack:
-                raise SemanticError("continue outside loop", stmt.line)
+                raise SemanticError("continue outside loop", stmt.line, stmt.col)
             self.builder.jump(self._loop_stack[-1][1], line=stmt.line)
             self._start_dead_block()
         elif isinstance(stmt, ast.ForkStmt):
@@ -266,12 +271,13 @@ class Lowerer:
             ptr = self._as_temp(self._rvalue(stmt.barrier_expr))
             self.builder.barrier_wait(ptr, line=stmt.line)
         else:
-            raise SemanticError(f"cannot lower statement {type(stmt).__name__}", stmt.line)
+            raise SemanticError(f"cannot lower statement {type(stmt).__name__}",
+                                stmt.line, stmt.col)
 
     def _lower_decl(self, stmt: ast.DeclStmt) -> None:
         ty = self.resolve_type(stmt.type_spec)
         in_rec = self.builder.function.name in self._recursive_fns
-        slot = self._declare_local(stmt.name, ty, stmt.array_size, in_rec, stmt.line)
+        slot = self._declare_local(stmt.name, ty, stmt.array_size, in_rec, stmt)
         if stmt.init is not None:
             value = self._rvalue(stmt.init)
             addr = self.builder.addr_of(slot.obj, hint=f"a.{stmt.name}", line=stmt.line)
@@ -369,14 +375,15 @@ class Lowerer:
             gobj = self.globals.get(expr.name)
             if gobj is not None:
                 return self.builder.addr_of(gobj, hint=f"a.{expr.name}", line=expr.line)
-            raise SemanticError(f"unknown variable {expr.name}", expr.line)
+            raise SemanticError(f"unknown variable {expr.name}", expr.line,
+                                expr.col)
         if isinstance(expr, ast.UnaryExpr) and expr.op == "*":
             return self._as_temp(self._rvalue(expr.operand))
         if isinstance(expr, ast.MemberExpr):
             return self._member_address(expr)
         if isinstance(expr, ast.IndexExpr):
             return self._element_address(expr)
-        raise SemanticError(f"expression is not assignable", expr.line)
+        raise SemanticError("expression is not assignable", expr.line, expr.col)
 
     def _member_address(self, expr: ast.MemberExpr) -> Temp:
         if expr.arrow:
@@ -391,11 +398,12 @@ class Lowerer:
             base_ty = base_ty.element
         if not isinstance(base_ty, StructType):
             raise SemanticError(
-                f"member access {expr.field_name!r} on non-struct value", expr.line)
+                f"member access {expr.field_name!r} on non-struct value",
+                expr.line, expr.col)
         try:
             index = base_ty.field_index(expr.field_name)
         except KeyError as exc:
-            raise SemanticError(str(exc), expr.line) from None
+            raise SemanticError(str(exc), expr.line, expr.col) from None
         field_ty = base_ty.field_type(index)
         return self.builder.gep(base_ptr, index, field_ty, line=expr.line)
 
@@ -462,7 +470,8 @@ class Lowerer:
             ty = self.resolve_type(expr.alloc_type)
             obj = self.builder.heap_object(f"malloc.l{expr.line}", ty)
             return self.builder.addr_of(obj, hint="m", line=expr.line)
-        raise SemanticError(f"cannot lower expression {type(expr).__name__}", expr.line)
+        raise SemanticError(f"cannot lower expression {type(expr).__name__}",
+                            expr.line, expr.col)
 
     def _name_rvalue(self, expr: ast.NameExpr) -> Value:
         fn = self.functions.get(expr.name)
@@ -481,7 +490,7 @@ class Lowerer:
                 return self.builder.addr_of(gobj, hint=f"a.{expr.name}", line=expr.line)
             addr = self.builder.addr_of(gobj, hint=f"a.{expr.name}", line=expr.line)
             return self.builder.load(addr, hint=f"v.{expr.name}", line=expr.line)
-        raise SemanticError(f"unknown name {expr.name}", expr.line)
+        raise SemanticError(f"unknown name {expr.name}", expr.line, expr.col)
 
     def _lower_call(self, expr: ast.CallExpr, result_used: bool) -> Value:
         args = [self._rvalue(a) for a in expr.args]

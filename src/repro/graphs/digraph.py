@@ -38,11 +38,6 @@ class DiGraph:
         self._succs[src].add(dst)
         self._preds[dst].add(src)
 
-    def remove_edge(self, src: Hashable, dst: Hashable) -> None:
-        """Remove the edge src -> dst if present."""
-        self._succs.get(src, set()).discard(dst)
-        self._preds.get(dst, set()).discard(src)
-
     # -- queries ------------------------------------------------------
 
     def __contains__(self, node: Hashable) -> bool:
@@ -63,9 +58,6 @@ class DiGraph:
         for src, succs in self._succs.items():
             for dst in succs:
                 yield (src, dst)
-
-    def num_edges(self) -> int:
-        return sum(len(s) for s in self._succs.values())
 
     def successors(self, node: Hashable) -> Set[Hashable]:
         return self._succs.get(node, set())
@@ -90,20 +82,6 @@ class DiGraph:
                 if succ not in seen:
                     seen.add(succ)
                     work.append(succ)
-        return seen
-
-    def reverse_reachable_from(self, start: Hashable) -> Set[Hashable]:
-        """The set of nodes that can reach *start* (including it)."""
-        if start not in self._preds:
-            return set()
-        seen = {start}
-        work = deque([start])
-        while work:
-            node = work.popleft()
-            for pred in self._preds[node]:
-                if pred not in seen:
-                    seen.add(pred)
-                    work.append(pred)
         return seen
 
     def postorder(self, entry: Hashable) -> List[Hashable]:
@@ -134,11 +112,3 @@ class DiGraph:
         order = self.postorder(entry)
         order.reverse()
         return order
-
-    def copy(self) -> "DiGraph":
-        dup = DiGraph()
-        for node in self._succs:
-            dup.add_node(node)
-        for src, dst in self.edges():
-            dup.add_edge(src, dst)
-        return dup

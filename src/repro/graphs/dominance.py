@@ -88,16 +88,6 @@ class DominatorTree:
         """Nodes immediately dominated by *node*."""
         return self._children.get(node, [])
 
-    def dfs_preorder(self) -> List[Hashable]:
-        """Preorder walk of the dominator tree (used by SSA renaming)."""
-        order: List[Hashable] = []
-        stack = [self.entry]
-        while stack:
-            node = stack.pop()
-            order.append(node)
-            stack.extend(reversed(self.children(node)))
-        return order
-
 
 def dominance_frontiers(graph: DiGraph, domtree: DominatorTree) -> Dict[Hashable, Set[Hashable]]:
     """Cytron et al. dominance frontiers from a dominator tree."""

@@ -1,128 +1,44 @@
 """Strongly connected components.
 
-Tarjan's single-pass algorithm, implemented iteratively so that the
-deep constraint graphs produced by Andersen's analysis do not blow the
-CPython recursion limit, plus a condensation helper used both for
-call-graph SCCs (context-insensitive recursion handling, paper
-Section 3.1) and for online cycle collapsing in the pre-analysis.
+One iterative Tarjan over a dense integer graph (:func:`dense_sccs`),
+iterative so that the deep constraint graphs produced by Andersen's
+analysis do not blow the CPython recursion limit. Its users are the
+pre-analysis's wave propagation (cycle collapsing and the wave order
+come from one pass), the sparse solver's topological worklist
+(:func:`topo_ranks`), and, through :func:`tarjan_scc`, call-graph
+recursion (paper Section 3.1), mod-ref summaries, lowering's recursion
+scan and the lock-order cycles of the deadlock client.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Iterable, List, Tuple
+from typing import Hashable, List, Sequence, Tuple
 
 from repro.graphs.digraph import DiGraph
 
 
-def tarjan_scc(graph: DiGraph) -> List[List[Hashable]]:
-    """Strongly connected components of *graph*.
-
-    Returns SCCs in reverse topological order (callees before callers),
-    which is the order Tarjan's algorithm emits them in.
-    """
-    return tarjan_scc_adj(list(graph.nodes()), graph.successors)
-
-
-def tarjan_scc_adj(nodes: Iterable[Hashable],
-                   successors: Callable[[Hashable], Iterable[Hashable]]
-                   ) -> List[List[Hashable]]:
-    """:func:`tarjan_scc` over an adjacency *function* instead of a
-    materialised :class:`DiGraph` — callers with a large edge set
-    already indexed elsewhere (e.g. the DUG's scheduling graph) avoid
-    building a second copy of it. Nodes reachable from *nodes* via
-    *successors* are included even if absent from *nodes*."""
-    index_of: Dict[Hashable, int] = {}
-    lowlink: Dict[Hashable, int] = {}
-    on_stack: Dict[Hashable, bool] = {}
-    stack: List[Hashable] = []
-    sccs: List[List[Hashable]] = []
-    counter = [0]
-
-    for root in nodes:
-        if root in index_of:
-            continue
-        # Iterative Tarjan: work entries are (node, successor iterator).
-        work = [(root, iter(successors(root)))]
-        index_of[root] = lowlink[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for succ in it:
-                if succ not in index_of:
-                    index_of[succ] = lowlink[succ] = counter[0]
-                    counter[0] += 1
-                    stack.append(succ)
-                    on_stack[succ] = True
-                    work.append((succ, iter(successors(succ))))
-                    advanced = True
-                    break
-                if on_stack.get(succ):
-                    lowlink[node] = min(lowlink[node], index_of[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index_of[node]:
-                component: List[Hashable] = []
-                while True:
-                    member = stack.pop()
-                    on_stack[member] = False
-                    component.append(member)
-                    if member == node:
-                        break
-                sccs.append(component)
-    return sccs
-
-
-def topo_ranks(nodes: Iterable[Hashable],
-               successors: Callable[[Hashable], Iterable[Hashable]]
-               ) -> Tuple[Dict[Hashable, int], int]:
-    """SCC-condensed topological ranks.
-
-    Returns ``(rank_of, scc_count)`` where ``rank_of[n]`` is the
-    topological position of *n*'s SCC in the condensation DAG:
-    sources get the smallest ranks, so processing nodes in ascending
-    rank order propagates facts downstream before any revisit. Nodes
-    in one SCC share a rank. Tarjan emits SCCs in reverse topological
-    order, so rank = (count - 1 - emission index).
-    """
-    sccs = tarjan_scc_adj(nodes, successors)
-    count = len(sccs)
-    rank_of: Dict[Hashable, int] = {}
-    for idx, component in enumerate(sccs):
-        rank = count - 1 - idx
-        for node in component:
-            rank_of[node] = rank
-    return rank_of, count
-
-
-def topo_ranks_dense(successors: List[List[int]]) -> Tuple[List[int], int]:
-    """:func:`topo_ranks` over a dense integer graph.
+def dense_sccs(successors: Sequence[Sequence[int]]) -> Tuple[List[int], int]:
+    """Strongly connected components of a dense integer graph.
 
     Nodes are ``0..len(successors)-1`` and ``successors[i]`` lists
-    node *i*'s successors. Flat arrays replace the generic variant's
-    per-node dict lookups and tuple hashing — this is the form the
-    sparse solver's scheduling prologue uses, where rank computation
-    sits on the critical path of every analysis run. Returns
-    ``(rank, scc_count)`` with ``rank[i]`` the topological position of
-    node *i*'s SCC (sources first, one shared rank per SCC).
+    node *i*'s successors. Roots are tried in ascending order and each
+    successor list in its own order, so the result is a function of the
+    lists alone. Returns ``(scc_of, scc_count)``: ``scc_of[i]`` is the
+    position of node *i*'s SCC in the order Tarjan's algorithm emits
+    them, which is reverse topological (sinks first).
     """
     n = len(successors)
     index = [-1] * n
     low = [0] * n
     on_stack = bytearray(n)
     stack: List[int] = []
-    emit = [0] * n                  # SCC emission number per node
+    scc_of = [0] * n
     counter = 0
     scc_count = 0
     for root in range(n):
         if index[root] != -1:
             continue
+        # Work entries are (node, position in its successor list).
         work = [(root, 0)]
         index[root] = low[root] = counter
         counter += 1
@@ -157,101 +73,40 @@ def topo_ranks_dense(successors: List[List[int]]) -> Tuple[List[int], int]:
                 while True:
                     member = stack.pop()
                     on_stack[member] = 0
-                    emit[member] = scc_count
+                    scc_of[member] = scc_count
                     if member == node:
                         break
                 scc_count += 1
-    # Tarjan emits reverse-topologically; invert so sources rank first.
-    top = scc_count - 1
-    return [top - e for e in emit], scc_count
+    return scc_of, scc_count
 
 
-def topo_ranks_induced(successors: List[List[int]],
-                       member: bytearray,
-                       roots: Iterable[int]) -> Tuple[Dict[int, int], int]:
-    """:func:`topo_ranks_dense` over the subgraph induced by *member*.
+def topo_ranks(successors: Sequence[Sequence[int]]) -> Tuple[List[int], int]:
+    """SCC-condensed topological ranks of a dense integer graph.
 
-    ``member[i]`` is truthy when dense node *i* belongs to the slice;
-    edges to or from non-members are ignored. *roots* enumerates the
-    member slots (Tarjan starts from each unvisited root, so together
-    they must cover the slice; their order fixes SCC numbering).
-    Returns ``(rank_of_slot, scc_count)`` covering exactly the member
-    slots. This is the demand-driven solver's rank pass: a query slice
-    is a small predecessor-closed fragment of the value-flow graph,
-    and every structure here — including the per-node bookkeeping,
-    which is why these are dicts rather than ``n``-sized arrays — is
-    proportional to the slice, not the program.
+    Returns ``(rank, scc_count)`` with ``rank[i]`` the topological
+    position of node *i*'s SCC in the condensation DAG: sources get the
+    smallest ranks, so processing nodes in ascending rank order
+    propagates facts downstream before any revisit. Nodes in one SCC
+    share a rank. Tarjan emits SCCs in reverse topological order, so
+    rank = (count - 1 - emission index).
     """
-    index: Dict[int, int] = {}
-    low: Dict[int, int] = {}
-    on_stack = set()
-    stack: List[int] = []
-    emit: Dict[int, int] = {}
-    counter = 0
-    scc_count = 0
-    for root in roots:
-        if root in index or not member[root]:
-            continue
-        work = [(root, 0)]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, ci = work[-1]
-            succs = successors[node]
-            advanced = False
-            while ci < len(succs):
-                succ = succs[ci]
-                ci += 1
-                if not member[succ]:
-                    continue
-                if succ not in index:
-                    work[-1] = (node, ci)
-                    index[succ] = low[succ] = counter
-                    counter += 1
-                    stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, 0))
-                    advanced = True
-                    break
-                if succ in on_stack and index[succ] < low[node]:
-                    low[node] = index[succ]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                if low[node] < low[parent]:
-                    low[parent] = low[node]
-            if low[node] == index[node]:
-                while True:
-                    member_node = stack.pop()
-                    on_stack.discard(member_node)
-                    emit[member_node] = scc_count
-                    if member_node == node:
-                        break
-                scc_count += 1
+    scc_of, scc_count = dense_sccs(successors)
     top = scc_count - 1
-    return {slot: top - e for slot, e in emit.items()}, scc_count
+    return [top - emitted for emitted in scc_of], scc_count
 
 
-def condensation(graph: DiGraph):
-    """Condense *graph* into its SCC DAG.
+def tarjan_scc(graph: DiGraph) -> List[List[Hashable]]:
+    """Strongly connected components of *graph*.
 
-    Returns ``(dag, scc_of)`` where ``dag`` is a :class:`DiGraph` whose
-    nodes are SCC indices and ``scc_of`` maps each original node to its
-    SCC index. SCC indices follow Tarjan order (reverse topological).
+    Returns SCCs in reverse topological order (callees before callers),
+    which is the order Tarjan's algorithm emits them in; each lists its
+    members in the graph's insertion order.
     """
-    sccs = tarjan_scc(graph)
-    scc_of: Dict[Hashable, int] = {}
-    for idx, component in enumerate(sccs):
-        for node in component:
-            scc_of[node] = idx
-    dag = DiGraph()
-    for idx in range(len(sccs)):
-        dag.add_node(idx)
-    for src, dst in graph.edges():
-        if scc_of[src] != scc_of[dst]:
-            dag.add_edge(scc_of[src], scc_of[dst])
-    return dag, scc_of
+    nodes = list(graph.nodes())
+    slot = {node: i for i, node in enumerate(nodes)}
+    scc_of, scc_count = dense_sccs(
+        [[slot[succ] for succ in graph.successors(node)] for node in nodes])
+    sccs: List[List[Hashable]] = [[] for _ in range(scc_count)]
+    for node, emitted in zip(nodes, scc_of):
+        sccs[emitted].append(node)
+    return sccs

@@ -373,10 +373,10 @@ class DUG:
         if cached is not None:
             return cached
 
-        from repro.graphs.scc import topo_ranks_dense
+        from repro.graphs.scc import topo_ranks
 
         succ, _temp_slot = self._dense_value_flow_graph()
-        rank, scc_count = topo_ranks_dense(succ)
+        rank, scc_count = topo_ranks(succ)
         del rank[len(self.nodes):]  # the temps' ranks
         result = (rank, scc_count)
         self.schedule_cache["topo_ranks"] = result
@@ -436,28 +436,29 @@ class DUG:
         (a predecessor-closed :meth:`upstream_closure` slice); edges
         leaving the slice are ignored. Returns ``(rank_of_uid,
         scc_count)`` covering exactly the slice's nodes. The dense
-        value-flow graph is shared with the whole-program pass, so a
-        query pays only a slice-proportional Tarjan walk on top of one
-        memoized densification.
+        value-flow graph is shared with the whole-program pass; the
+        slice is renumbered into a local dense graph, so a query pays
+        only slice-proportional work on top of one memoized
+        densification.
         """
-        from repro.graphs.scc import topo_ranks_induced
+        from repro.graphs.scc import topo_ranks
 
         succ, temp_slot = self._dense_value_flow_graph()
-        member = bytearray(len(succ))
-        roots = list(node_uids)
+        slots = list(node_uids)
         for temp_id in temp_ids:
             slot = temp_slot.get(temp_id)
             if slot is not None:
-                roots.append(slot)
-        # Root order fixes SCC numbering; ascending slot order is the
-        # order a whole-range scan would visit, keeping ranks
-        # deterministic regardless of set iteration order.
-        roots.sort()
-        for slot in roots:
-            member[slot] = 1
-        rank, scc_count = topo_ranks_induced(succ, member, roots)
-        rank_of_uid = {uid: rank[uid] for uid in node_uids}
-        return rank_of_uid, scc_count
+                slots.append(slot)
+        # Local numbering follows ascending slot order, the order a
+        # whole-range scan would try roots in, and each successor list
+        # keeps its order: ranks stay deterministic regardless of set
+        # iteration order.
+        slots.sort()
+        local = dict(zip(slots, range(len(slots))))
+        sub = [[local[s] for s in succ[slot] if s in local] for slot in slots]
+        rank, scc_count = topo_ranks(sub)
+        # Node uids are the slots below every temp slot, so they lead.
+        return dict(zip(slots[:len(node_uids)], rank)), scc_count
 
     # -- incremental partitioning ----------------------------------------------
 

@@ -26,6 +26,7 @@ class TypeSpec:
     base: str
     pointers: int = 0
     line: int = 0
+    col: int = 0
 
     def __repr__(self) -> str:
         return self.base + "*" * self.pointers
@@ -37,6 +38,7 @@ class TypeSpec:
 @dataclass
 class Expr:
     line: int = 0
+    col: int = 0
 
 
 @dataclass
@@ -102,6 +104,7 @@ class MallocExpr(Expr):
 @dataclass
 class Stmt:
     line: int = 0
+    col: int = 0
 
 
 @dataclass
@@ -231,6 +234,7 @@ class ParamDecl:
     type_spec: TypeSpec = None  # type: ignore[assignment]
     name: str = ""
     line: int = 0
+    col: int = 0
     array_size: Optional[int] = None
 
 
@@ -241,6 +245,7 @@ class FunctionDef:
     params: List[ParamDecl] = field(default_factory=list)
     body: List[Stmt] = field(default_factory=list)
     line: int = 0
+    col: int = 0
 
 
 @dataclass
@@ -248,6 +253,7 @@ class StructDef:
     name: str = ""
     fields: List[ParamDecl] = field(default_factory=list)
     line: int = 0
+    col: int = 0
 
 
 @dataclass
@@ -256,6 +262,7 @@ class GlobalDecl:
     name: str = ""
     array_size: Optional[int] = None
     line: int = 0
+    col: int = 0
     # C-style constant initialiser: a number, null, &global, or a
     # function name (lowered as a store at the top of main).
     init: Optional[Expr] = None

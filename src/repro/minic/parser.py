@@ -128,7 +128,7 @@ class Parser:
                 self._expect(";")
                 program.globals.append(
                     ast.GlobalDecl(type_spec=spec, name=name_tok.text,
-                                   array_size=array_size, line=name_tok.line,
+                                   array_size=array_size, line=name_tok.line, col=name_tok.col,
                                    init=init))
         return program
 
@@ -143,10 +143,10 @@ class Parser:
             array_size = self._parse_array_size()
             self._expect(";")
             fields.append(ast.ParamDecl(type_spec=spec, name=fname.text,
-                                        line=fname.line, array_size=array_size))
+                                        line=fname.line, col=fname.col, array_size=array_size))
         self._expect("}")
         self._expect(";")
-        return ast.StructDef(name=name, fields=fields, line=start.line)
+        return ast.StructDef(name=name, fields=fields, line=start.line, col=start.col)
 
     def _parse_array_size(self) -> Optional[int]:
         """The size of an optional ``[N]`` declarator suffix."""
@@ -154,7 +154,8 @@ class Parser:
             return None
         size_tok = self._advance()
         if size_tok.kind is not TokenKind.NUMBER:
-            raise ParseError("array size must be a number literal", size_tok.line)
+            raise ParseError("array size must be a number literal",
+                             size_tok.line, size_tok.col)
         size = _number(size_tok)
         self._expect("]")
         return size
@@ -170,7 +171,7 @@ class Parser:
         pointers = 0
         while self._accept("*"):
             pointers += 1
-        return ast.TypeSpec(base=base, pointers=pointers, line=tok.line)
+        return ast.TypeSpec(base=base, pointers=pointers, line=tok.line, col=tok.col)
 
     def _parse_function(self, ret_spec: ast.TypeSpec, name_tok: Token) -> ast.FunctionDef:
         self._expect("(")
@@ -183,13 +184,14 @@ class Parser:
                 while True:
                     spec = self._parse_type_spec()
                     pname = self._expect_ident()
-                    params.append(ast.ParamDecl(type_spec=spec, name=pname.text, line=pname.line))
+                    params.append(ast.ParamDecl(type_spec=spec, name=pname.text,
+                                                line=pname.line, col=pname.col))
                     if not self._accept(","):
                         break
         self._expect(")")
         body = self._parse_block()
         return ast.FunctionDef(ret_type=ret_spec, name=name_tok.text,
-                               params=params, body=body, line=name_tok.line)
+                               params=params, body=body, line=name_tok.line, col=name_tok.col)
 
     # -- statements -----------------------------------------------------
 
@@ -209,8 +211,8 @@ class Parser:
             # A bare block: flatten via an if(1)-free representation —
             # MiniC has no block scoping for locals, so inline the body.
             body = self._parse_block()
-            return ast.IfStmt(cond=ast.NumberExpr(line=tok.line, value=1),
-                              then_body=body, else_body=[], line=tok.line)
+            return ast.IfStmt(cond=ast.NumberExpr(line=tok.line, col=tok.col, value=1),
+                              then_body=body, else_body=[], line=tok.line, col=tok.col)
         if self._at_type():
             return self._parse_declaration()
         if self._check("if"):
@@ -223,15 +225,15 @@ class Parser:
             self._advance()
             value = None if self._check(";") else self._parse_expr()
             self._expect(";")
-            return ast.ReturnStmt(value=value, line=tok.line)
+            return ast.ReturnStmt(value=value, line=tok.line, col=tok.col)
         if self._check("break"):
             self._advance()
             self._expect(";")
-            return ast.BreakStmt(line=tok.line)
+            return ast.BreakStmt(line=tok.line, col=tok.col)
         if self._check("continue"):
             self._advance()
             self._expect(";")
-            return ast.ContinueStmt(line=tok.line)
+            return ast.ContinueStmt(line=tok.line, col=tok.col)
         return self._parse_simple_statement()
 
     def _parse_declaration(self) -> ast.DeclStmt:
@@ -243,7 +245,8 @@ class Parser:
             init = self._parse_expr()
         self._expect(";")
         return ast.DeclStmt(type_spec=spec, name=name_tok.text,
-                            array_size=array_size, init=init, line=name_tok.line)
+                            array_size=array_size, init=init,
+                            line=name_tok.line, col=name_tok.col)
 
     def _parse_if(self) -> ast.IfStmt:
         tok = self._expect("if")
@@ -256,7 +259,8 @@ class Parser:
             # An else-if nests like any other body: the chain lowers
             # recursively.
             else_body = self._parse_body_or_single()
-        return ast.IfStmt(cond=cond, then_body=then_body, else_body=else_body, line=tok.line)
+        return ast.IfStmt(cond=cond, then_body=then_body, else_body=else_body,
+                          line=tok.line, col=tok.col)
 
     def _parse_while(self) -> ast.WhileStmt:
         tok = self._expect("while")
@@ -264,7 +268,7 @@ class Parser:
         cond = self._parse_expr()
         self._expect(")")
         body = self._parse_body_or_single()
-        return ast.WhileStmt(cond=cond, body=body, line=tok.line)
+        return ast.WhileStmt(cond=cond, body=body, line=tok.line, col=tok.col)
 
     def _parse_for(self) -> ast.ForStmt:
         tok = self._expect("for")
@@ -283,7 +287,8 @@ class Parser:
         step = None if self._check(")") else self._parse_assign_clause()
         self._expect(")")
         body = self._parse_body_or_single()
-        return ast.ForStmt(init=init, cond=cond, step=step, body=body, line=tok.line)
+        return ast.ForStmt(init=init, cond=cond, step=step, body=body,
+                           line=tok.line, col=tok.col)
 
     def _parse_body_or_single(self) -> List[ast.Stmt]:
         if self._check("{"):
@@ -300,23 +305,24 @@ class Parser:
         expr = self._parse_expr()
         if self._accept("="):
             value = self._parse_expr()
-            return ast.AssignStmt(target=expr, value=value, line=expr.line)
+            return ast.AssignStmt(target=expr, value=value, line=expr.line, col=expr.col)
         for op in ("+=", "-=", "*=", "/="):
             if self._accept(op):
                 rhs = self._parse_expr()
-                value = ast.BinaryExpr(op=op[0], lhs=expr, rhs=rhs, line=expr.line)
-                return ast.AssignStmt(target=expr, value=value, line=expr.line)
+                value = ast.BinaryExpr(op=op[0], lhs=expr, rhs=rhs,
+                                       line=expr.line, col=expr.col)
+                return ast.AssignStmt(target=expr, value=value, line=expr.line, col=expr.col)
         if self._accept("++"):
             value = ast.BinaryExpr(op="+", lhs=expr,
-                                   rhs=ast.NumberExpr(line=expr.line, value=1),
-                                   line=expr.line)
-            return ast.AssignStmt(target=expr, value=value, line=expr.line)
+                                   rhs=ast.NumberExpr(line=expr.line, col=expr.col, value=1),
+                                   line=expr.line, col=expr.col)
+            return ast.AssignStmt(target=expr, value=value, line=expr.line, col=expr.col)
         if self._accept("--"):
             value = ast.BinaryExpr(op="-", lhs=expr,
-                                   rhs=ast.NumberExpr(line=expr.line, value=1),
-                                   line=expr.line)
-            return ast.AssignStmt(target=expr, value=value, line=expr.line)
-        return ast.ExprStmt(expr=expr, line=expr.line)
+                                   rhs=ast.NumberExpr(line=expr.line, col=expr.col, value=1),
+                                   line=expr.line, col=expr.col)
+            return ast.AssignStmt(target=expr, value=value, line=expr.line, col=expr.col)
+        return ast.ExprStmt(expr=expr, line=expr.line, col=expr.col)
 
     def _parse_simple_statement(self) -> ast.Stmt:
         stmt = self._parse_assign_clause()
@@ -333,15 +339,15 @@ class Parser:
             return None
         name = expr.callee.name
         args = expr.args
-        line = expr.line
+        line, col = expr.line, expr.col
         if name in _FORK_NAMES:
             if name == "pthread_create":
                 if len(args) != 4:
-                    raise ParseError("pthread_create expects 4 arguments", line)
+                    raise ParseError("pthread_create expects 4 arguments", line, col)
                 handle, routine, arg = args[0], args[2], args[3]
             else:
                 if len(args) != 3:
-                    raise ParseError("fork expects 3 arguments (&handle, routine, arg)", line)
+                    raise ParseError("fork expects 3 arguments (&handle, routine, arg)", line, col)
                 handle, routine, arg = args[0], args[1], args[2]
             if isinstance(handle, ast.NullExpr) or (
                     isinstance(handle, ast.NumberExpr) and handle.value == 0):
@@ -349,44 +355,45 @@ class Parser:
             if isinstance(arg, ast.NullExpr) or (
                     isinstance(arg, ast.NumberExpr) and arg.value == 0):
                 arg = None
-            return ast.ForkStmt(handle=handle, routine=routine, arg=arg, line=line)
+            return ast.ForkStmt(handle=handle, routine=routine, arg=arg, line=line, col=col)
         if name in _JOIN_NAMES:
             expected = 2 if name == "pthread_join" else 1
             if len(args) != expected:
-                raise ParseError(f"{name} expects {expected} argument(s)", line)
-            return ast.JoinStmt(handle=args[0], line=line)
+                raise ParseError(f"{name} expects {expected} argument(s)", line, col)
+            return ast.JoinStmt(handle=args[0], line=line, col=col)
         if name in _LOCK_NAMES:
             if len(args) != 1:
-                raise ParseError(f"{name} expects 1 argument", line)
-            return ast.LockStmt(lock_expr=args[0], line=line)
+                raise ParseError(f"{name} expects 1 argument", line, col)
+            return ast.LockStmt(lock_expr=args[0], line=line, col=col)
         if name in _UNLOCK_NAMES:
             if len(args) != 1:
-                raise ParseError(f"{name} expects 1 argument", line)
-            return ast.UnlockStmt(lock_expr=args[0], line=line)
+                raise ParseError(f"{name} expects 1 argument", line, col)
+            return ast.UnlockStmt(lock_expr=args[0], line=line, col=col)
         if name in _WAIT_NAMES:
             if len(args) != 2:
-                raise ParseError(f"{name} expects 2 arguments (&cv, &mutex)", line)
-            return ast.WaitStmt(cond_expr=args[0], mutex_expr=args[1], line=line)
+                raise ParseError(f"{name} expects 2 arguments (&cv, &mutex)", line, col)
+            return ast.WaitStmt(cond_expr=args[0], mutex_expr=args[1], line=line, col=col)
         if name in _SIGNAL_NAMES or name in _BROADCAST_NAMES:
             if len(args) != 1:
-                raise ParseError(f"{name} expects 1 argument", line)
+                raise ParseError(f"{name} expects 1 argument", line, col)
             return ast.SignalStmt(cond_expr=args[0],
-                                  broadcast=name in _BROADCAST_NAMES, line=line)
+                                  broadcast=name in _BROADCAST_NAMES,
+                                  line=line, col=col)
         if name in _BARRIER_INIT_NAMES:
             # barrier_init(&b, n) or pthread_barrier_init(&b, attr, n).
             if name == "pthread_barrier_init":
                 if len(args) != 3:
-                    raise ParseError("pthread_barrier_init expects 3 arguments", line)
+                    raise ParseError("pthread_barrier_init expects 3 arguments", line, col)
                 barrier, count = args[0], args[2]
             else:
                 if len(args) != 2:
-                    raise ParseError("barrier_init expects 2 arguments", line)
+                    raise ParseError("barrier_init expects 2 arguments", line, col)
                 barrier, count = args[0], args[1]
-            return ast.BarrierInitStmt(barrier_expr=barrier, count=count, line=line)
+            return ast.BarrierInitStmt(barrier_expr=barrier, count=count, line=line, col=col)
         if name in _BARRIER_WAIT_NAMES:
             if len(args) != 1:
-                raise ParseError(f"{name} expects 1 argument", line)
-            return ast.BarrierWaitStmt(barrier_expr=args[0], line=line)
+                raise ParseError(f"{name} expects 1 argument", line, col)
+            return ast.BarrierWaitStmt(barrier_expr=args[0], line=line, col=col)
         return None
 
     # -- expressions ----------------------------------------------------
@@ -415,7 +422,8 @@ class Parser:
             op_tok = self._advance()
             rhs = self._parse_binary(level + 1)
             self._grow(max(lhs_height, self._height) + 1, op_tok)
-            lhs = ast.BinaryExpr(op=op_tok.text, lhs=lhs, rhs=rhs, line=op_tok.line)
+            lhs = ast.BinaryExpr(op=op_tok.text, lhs=lhs, rhs=rhs,
+                                 line=op_tok.line, col=op_tok.col)
         return lhs
 
     def _parse_unary(self) -> ast.Expr:
@@ -426,7 +434,7 @@ class Parser:
             operand = self._parse_unary()
             self.depth -= 1
             self._grow(self._height + 1, tok)
-            return ast.UnaryExpr(op=tok.text, operand=operand, line=tok.line)
+            return ast.UnaryExpr(op=tok.text, operand=operand, line=tok.line, col=tok.col)
         return self._parse_postfix()
 
     def _parse_postfix(self) -> ast.Expr:
@@ -435,16 +443,18 @@ class Parser:
             height = self._height
             if self._accept("."):
                 tok = self._expect_ident()
-                expr = ast.MemberExpr(base=expr, field_name=tok.text, arrow=False, line=tok.line)
+                expr = ast.MemberExpr(base=expr, field_name=tok.text, arrow=False,
+                                      line=tok.line, col=tok.col)
             elif self._accept("->"):
                 tok = self._expect_ident()
-                expr = ast.MemberExpr(base=expr, field_name=tok.text, arrow=True, line=tok.line)
+                expr = ast.MemberExpr(base=expr, field_name=tok.text, arrow=True,
+                                      line=tok.line, col=tok.col)
             elif self._check("["):
                 tok = self._advance()
                 index = self._parse_expr()
                 self._expect("]")
                 height = max(height, self._height)
-                expr = ast.IndexExpr(base=expr, index=index, line=tok.line)
+                expr = ast.IndexExpr(base=expr, index=index, line=tok.line, col=tok.col)
             elif self._check("("):
                 tok = self._advance()
                 args: List[ast.Expr] = []
@@ -458,7 +468,7 @@ class Parser:
                 if isinstance(expr, ast.NameExpr) and expr.name == "malloc":
                     expr = self._make_malloc(args, tok)
                 else:
-                    expr = ast.CallExpr(callee=expr, args=args, line=tok.line)
+                    expr = ast.CallExpr(callee=expr, args=args, line=tok.line, col=tok.col)
             else:
                 return expr
             self._grow(height + 1, tok)
@@ -468,31 +478,32 @@ class Parser:
         # and `malloc(sizeof(T))`.
         if len(args) != 1 or not isinstance(args[0], _TypeArg):
             raise ParseError(
-                "malloc expects a type argument: malloc(T) or malloc(sizeof(T))", tok.line)
-        return ast.MallocExpr(alloc_type=args[0].type_spec, line=tok.line)
+                "malloc expects a type argument: malloc(T) or malloc(sizeof(T))",
+                tok.line, tok.col)
+        return ast.MallocExpr(alloc_type=args[0].type_spec, line=tok.line, col=tok.col)
 
     def _parse_primary(self) -> ast.Expr:
         tok = self._peek()
         self._height = 0
         if tok.kind is TokenKind.NUMBER:
             self._advance()
-            return ast.NumberExpr(value=_number(tok), line=tok.line)
+            return ast.NumberExpr(value=_number(tok), line=tok.line, col=tok.col)
         if self._check("null"):
             self._advance()
-            return ast.NullExpr(line=tok.line)
+            return ast.NullExpr(line=tok.line, col=tok.col)
         if self._check("sizeof"):
             self._advance()
             self._expect("(")
             spec = self._parse_type_spec()
             self._expect(")")
-            return _TypeArg(type_spec=spec, line=tok.line)
+            return _TypeArg(type_spec=spec, line=tok.line, col=tok.col)
         if self._at_type():
             # A bare type may only appear as malloc's argument.
             spec = self._parse_type_spec()
-            return _TypeArg(type_spec=spec, line=tok.line)
+            return _TypeArg(type_spec=spec, line=tok.line, col=tok.col)
         if tok.kind is TokenKind.IDENT:
             self._advance()
-            return ast.NameExpr(name=tok.text, line=tok.line)
+            return ast.NameExpr(name=tok.text, line=tok.line, col=tok.col)
         if self._accept("("):
             # A nesting level (in _parse_expr) but no tree node: the
             # inner expression's height stands.
@@ -513,8 +524,8 @@ def _number(tok: Token) -> int:
 class _TypeArg(ast.Expr):
     """Internal marker: a type used as an argument (malloc/sizeof)."""
 
-    def __init__(self, type_spec: ast.TypeSpec, line: int) -> None:
-        super().__init__(line=line)
+    def __init__(self, type_spec: ast.TypeSpec, line: int, col: int) -> None:
+        super().__init__(line=line, col=col)
         self.type_spec = type_spec
 
 

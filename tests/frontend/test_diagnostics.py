@@ -36,6 +36,20 @@ def test_overlong_literal_is_a_parse_error():
     assert (info.value.line, info.value.col) == (2, 7)
 
 
+@pytest.mark.parametrize("source, message, where", [
+    # A call is located at its "(", like every call expression.
+    ("int main() {\n  thread_t t;\n  fork(&t);\n  return 0;\n}",
+     "fork expects 3", (3, 7)),
+    ("int g[x];\nint main() { return 0; }", "array size", (1, 7)),
+    ("int main() { int *p;\n  p = malloc(1); return 0; }",
+     "malloc expects", (2, 13)),
+], ids=["fork-arity", "array-size", "malloc-argument"])
+def test_parse_error_carries_line_and_col(source, message, where):
+    with pytest.raises(ParseError, match=message) as info:
+        compile_source(source)
+    assert (info.value.line, info.value.col) == where
+
+
 def test_overlong_array_size_is_a_parse_error():
     with pytest.raises(ParseError, match="longer than"):
         compile_source("int a[" + "1" * (MAX_NUMBER_DIGITS + 1) + "];\n"
@@ -64,4 +78,15 @@ def test_duplicate_function_is_a_semantic_error():
 def test_missing_main_is_a_semantic_error():
     with pytest.raises(SemanticError, match="no main") as info:
         compile_source("int g;\nint f() { return 0; }\n")
-    assert info.value.line == 1
+    assert (info.value.line, info.value.col) == (1, None)
+
+
+@pytest.mark.parametrize("source, message, where", [
+    ("int g; int g;\nint main() { return 0; }", "duplicate global g", (1, 12)),
+    ("int main() { int x;\n  x = y; return 0; }", "unknown name y", (2, 7)),
+    ("int main() { int x;\n  int x; return 0; }", "duplicate local x", (2, 7)),
+], ids=["duplicate-global", "unknown-name", "duplicate-local"])
+def test_semantic_error_carries_line_and_col(source, message, where):
+    with pytest.raises(SemanticError, match=message) as info:
+        compile_source(source)
+    assert (info.value.line, info.value.col) == where

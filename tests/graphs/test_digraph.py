@@ -15,7 +15,7 @@ class TestBasics:
         g = DiGraph()
         assert len(g) == 0
         assert list(g.nodes()) == []
-        assert g.num_edges() == 0
+        assert list(g.edges()) == []
 
     def test_add_node_idempotent(self):
         g = DiGraph()
@@ -31,24 +31,13 @@ class TestBasics:
 
     def test_parallel_edges_deduplicated(self):
         g = build([(1, 2), (1, 2)])
-        assert g.num_edges() == 1
+        assert list(g.edges()) == [(1, 2)]
 
     def test_successors_predecessors(self):
         g = build([(1, 2), (1, 3), (2, 3)])
         assert g.successors(1) == {2, 3}
         assert g.predecessors(3) == {1, 2}
         assert g.predecessors(1) == set()
-
-    def test_remove_edge(self):
-        g = build([(1, 2)])
-        g.remove_edge(1, 2)
-        assert not g.has_edge(1, 2)
-        assert 1 in g and 2 in g
-
-    def test_remove_missing_edge_is_noop(self):
-        g = build([(1, 2)])
-        g.remove_edge(5, 6)
-        assert g.num_edges() == 1
 
     def test_edges_iteration(self):
         g = build([(1, 2), (2, 3)])
@@ -69,10 +58,6 @@ class TestReachability:
     def test_reachable_from_missing_node(self):
         g = build([(1, 2)])
         assert g.reachable_from(99) == set()
-
-    def test_reverse_reachable(self):
-        g = build([(1, 2), (2, 3), (4, 3)])
-        assert g.reverse_reachable_from(3) == {1, 2, 3, 4}
 
     def test_reachable_through_cycle(self):
         g = build([(1, 2), (2, 1), (2, 3)])
@@ -96,10 +81,3 @@ class TestOrders:
         order = g.postorder(1)
         assert sorted(order) == [1, 2, 3]
         assert order[-1] == 1  # the root finishes last
-
-    def test_copy_independent(self):
-        g = build([(1, 2)])
-        dup = g.copy()
-        dup.add_edge(2, 3)
-        assert not g.has_edge(2, 3)
-        assert dup.has_edge(1, 2)

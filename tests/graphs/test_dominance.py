@@ -55,12 +55,6 @@ class TestDominatorTree:
         t = DominatorTree(diamond(), 1)
         assert sorted(t.children(1)) == [2, 3, 4]
 
-    def test_dfs_preorder_starts_at_entry(self):
-        t = DominatorTree(diamond(), 1)
-        order = t.dfs_preorder()
-        assert order[0] == 1
-        assert sorted(order) == [1, 2, 3, 4]
-
     def test_irreducible_style_graph(self):
         # Two entries into a cycle: 1->2, 1->3, 2->3, 3->2, 2->4
         t = DominatorTree(build([(1, 2), (1, 3), (2, 3), (3, 2), (2, 4)]), 1)

@@ -1,9 +1,11 @@
-"""Tarjan SCC, topological-rank, and condensation tests."""
+"""Tarjan SCC and topological-rank tests."""
 
 import random
 
-from repro.graphs import DiGraph, condensation, tarjan_scc
-from repro.graphs.scc import topo_ranks, topo_ranks_dense
+import networkx as nx
+
+from repro.graphs import DiGraph, tarjan_scc
+from repro.graphs.scc import dense_sccs, topo_ranks
 
 
 def build(edges, nodes=()):
@@ -56,30 +58,21 @@ class TestTarjan:
         g = build([(i, i + 1) for i in range(n)])
         assert len(tarjan_scc(g)) == n + 1
 
+    def test_members_in_insertion_order(self):
+        g = build([("c", "a"), ("a", "b"), ("b", "c")])
+        assert tarjan_scc(g) == [["c", "a", "b"]]
+
+    def test_dense_emission_order(self):
+        # 0 -> {1, 2} -> 3 with 1 <-> 2: sinks are emitted first.
+        scc_of, count = dense_sccs([[1], [2, 3], [1], []])
+        assert count == 3
+        assert scc_of[3] < scc_of[1] == scc_of[2] < scc_of[0]
+
     def test_large_cycle(self):
         n = 2000
         edges = [(i, (i + 1) % n) for i in range(n)]
         g = build(edges)
         assert scc_sets(g) == {frozenset(range(n))}
-
-
-class TestCondensation:
-    def test_condensed_dag_edges(self):
-        g = build([(1, 2), (2, 1), (2, 3)])
-        dag, scc_of = condensation(g)
-        assert scc_of[1] == scc_of[2] != scc_of[3]
-        assert dag.has_edge(scc_of[1], scc_of[3])
-
-    def test_condensation_is_acyclic(self):
-        g = build([(1, 2), (2, 3), (3, 1), (3, 4), (4, 5), (5, 4)])
-        dag, scc_of = condensation(g)
-        inner = {frozenset(c) for c in tarjan_scc(dag)}
-        assert all(len(c) == 1 for c in inner)
-
-    def test_no_self_edges_in_condensation(self):
-        g = build([(1, 2), (2, 1)])
-        dag, scc_of = condensation(g)
-        assert not dag.has_edge(scc_of[1], scc_of[1])
 
 
 def _ranks_are_topological(succ, rank):
@@ -92,49 +85,45 @@ def _ranks_are_topological(succ, rank):
 class TestTopoRanks:
     def test_chain_ranks_ascend(self):
         succ = [[1], [2], [3], []]
-        rank, count = topo_ranks_dense(succ)
+        rank, count = topo_ranks(succ)
         assert rank == [0, 1, 2, 3]
         assert count == 4
 
     def test_cycle_shares_a_rank(self):
         succ = [[1], [2], [0, 3], []]
-        rank, count = topo_ranks_dense(succ)
+        rank, count = topo_ranks(succ)
         assert rank[0] == rank[1] == rank[2] < rank[3]
         assert count == 2
 
     def test_diamond(self):
         succ = [[1, 2], [3], [3], []]
-        rank, count = topo_ranks_dense(succ)
+        rank, count = topo_ranks(succ)
         assert rank[0] < rank[1] and rank[0] < rank[2]
         assert rank[1] < rank[3] and rank[2] < rank[3]
         assert count == 4
 
-    def test_dense_agrees_with_generic(self):
-        """The flat-array variant must compute the same SCC structure
-        and topologically valid ranks as the readable generic one, on
-        random graphs with cycles."""
+    def test_agrees_with_networkx(self):
+        """The same SCC partition as networkx and topologically valid
+        ranks, on random graphs with cycles."""
         rng = random.Random(7)
         for _trial in range(20):
             n = rng.randrange(1, 40)
             succ = [[] for _ in range(n)]
             for _ in range(rng.randrange(0, 3 * n)):
                 succ[rng.randrange(n)].append(rng.randrange(n))
-            dense_rank, dense_count = topo_ranks_dense(succ)
-            gen_rank, gen_count = topo_ranks(
-                range(n), lambda v: succ[v])
-            assert dense_count == gen_count
-            # Same SCC partition: nodes share a dense rank exactly
-            # when they share a generic rank.
-            for a in range(n):
-                for b in range(n):
-                    assert (dense_rank[a] == dense_rank[b]) == \
-                        (gen_rank[a] == gen_rank[b])
-            _ranks_are_topological(succ, dense_rank)
-            _ranks_are_topological(succ, gen_rank)
+            rank, count = topo_ranks(succ)
+            graph = nx.DiGraph()
+            graph.add_nodes_from(range(n))
+            graph.add_edges_from((a, b) for a in range(n) for b in succ[a])
+            theirs = list(nx.strongly_connected_components(graph))
+            assert count == len(theirs)
+            for component in theirs:
+                assert len({rank[node] for node in component}) == 1
+            _ranks_are_topological(succ, rank)
 
     def test_large_chain_no_recursion_error(self):
         n = 40000
         succ = [[i + 1] for i in range(n - 1)] + [[]]
-        rank, count = topo_ranks_dense(succ)
+        rank, count = topo_ranks(succ)
         assert count == n
         assert rank[0] == 0 and rank[-1] == n - 1

@@ -367,6 +367,42 @@ class TestUnreadFlags:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+#: ``stats`` flags that steer a run, with the value each would take.
+STATS_RUN_FLAGS = (["--trace", "t.jsonl"], ["--profile", "p2.json"],
+                   ["--budget", "0"], ["--no-interleaving"],
+                   ["--no-value-flow"], ["--no-lock"])
+
+
+class TestStatsOnSavedProfile:
+    """``repro stats prof.json`` only renders the profile, so a flag
+    that steers a run is refused rather than silently ignored."""
+
+    @pytest.fixture()
+    def saved(self, fig1a, tmp_path, capsys):
+        path = tmp_path / "prof.json"
+        assert main(["stats", fig1a, "--profile", str(path)]) == 0
+        capsys.readouterr()
+        return str(path)
+
+    @pytest.mark.parametrize("flag", STATS_RUN_FLAGS,
+                             ids=[f[0] for f in STATS_RUN_FLAGS])
+    def test_run_flag_is_refused(self, saved, tmp_path, monkeypatch,
+                                 capsys, flag):
+        monkeypatch.chdir(tmp_path)
+        assert main(["stats", saved, *flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert flag[0] in captured.err
+        assert not (tmp_path / "t.jsonl").exists()
+        assert not (tmp_path / "p2.json").exists()
+
+    @pytest.mark.parametrize("flag", ["--json", "--csv", "--chrome"])
+    def test_render_flags_still_work(self, saved, capsys, flag):
+        assert main(["stats", saved, flag]) == 0
+        assert capsys.readouterr().out
+
+
 class TestBatchServeCLI:
     """Deeper ``repro batch`` / ``repro serve`` behaviour."""
 
@@ -481,7 +517,7 @@ class TestSourceDiagnostics:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == \
-            f"{path}:1: SemanticError: duplicate global g\n"
+            f"{path}:1:12: SemanticError: duplicate global g\n"
 
     @pytest.mark.parametrize("command", ["analyze", "query"])
     def test_missing_main_is_one_line(self, tmp_path, capsys, command):
