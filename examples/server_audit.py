@@ -50,7 +50,11 @@ def main() -> None:
         print(f"  {lock_name}: {count} span(s)")
 
     print("\n=== value-flow interference ===")
-    print(f"  {result.vf_stats!r}")
+    counter = result.obs.counter
+    print(f"  {counter('valueflow.candidate_pairs')} candidates, "
+          f"{counter('valueflow.mhp_pairs')} MHP, "
+          f"{counter('valueflow.lock_filtered')} lock-filtered, "
+          f"{counter('valueflow.edges_added')} edges")
 
     print("\n=== FSAM vs NONSPARSE ===")
     module2 = compile_source(source, name="httpd_server")

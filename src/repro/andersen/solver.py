@@ -328,12 +328,12 @@ class AndersenSolver:
         sources-first order of the collapsed graph, so one sweep is one
         complete wave.
         """
-        find = self._find
         live = self._live_nodes()
         slot = {node: i for i, node in enumerate(live)}
         scc_of, scc_count = dense_sccs(
-            [[slot[find(succ)] for succ in self._succ[node]] for node in live])
+            [[slot[succ] for succ in self._succ[node]] for node in live])
         roots = [-1] * scc_count
+        collapsed = self.scc_collapsed_nodes
         for node, emitted in zip(live, scc_of):
             root = roots[emitted]
             if root == -1:
@@ -341,14 +341,20 @@ class AndersenSolver:
             else:
                 self._union(root, node)
                 self.scc_collapsed_nodes += 1
+        if self.scc_collapsed_nodes != collapsed:
+            # Keep every copy-edge set naming live nodes other than
+            # its own: nothing else merges nodes, so the adjacency
+            # build and the sweep below need no find.
+            find = self._find
+            for node in roots:
+                targets = {find(succ) for succ in self._succ[node]}
+                targets.discard(node)
+                self._succ[node] = targets
         for node in reversed(roots):
             pts = self._pts[node]
             if not pts:
                 continue
             for succ in self._succ[node]:
-                succ = find(succ)
-                if succ == node:
-                    continue
                 merged = self._pts[succ] | pts
                 if merged is not self._pts[succ]:
                     self._pts[succ] = merged

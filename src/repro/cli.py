@@ -12,7 +12,7 @@
     python -m repro dot       prog.mc --what dug > out.dot
     python -m repro bench     --table 2      # regenerate a paper table
     python -m repro compare   prog.mc        # FSAM vs NONSPARSE
-    python -m repro explain   prog.mc x      # derivation chain for x
+    python -m repro explain   prog.mc x      # derivation chains for x
     python -m repro query     prog.mc p      # demand points-to query for p
     python -m repro trace     prog.mc        # repro.trace/1 JSONL dump
     python -m repro diff-profile A.json B.json   # profile regression diff
@@ -261,31 +261,25 @@ def cmd_dot(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    if args.var is not None:
-        # Recorded-provenance mode: run with a Tracer and walk the
-        # derivation chains the solver logged.
-        from repro.fsam.explain import explain_fact
-        result = _run_fsam(args, trace=True)
-        chains = explain_fact(result, args.var, obj_name=args.obj)
-        if not chains:
-            wanted = f" pointing to {args.obj!r}" if args.obj else ""
-            print(f"no recorded fact for {args.var!r}{wanted}")
-            return 1
-        print("\n\n".join(chains))
-        return 0
-    if args.line is None or args.target is None:
+    """Print the recorded derivation chains of the facts named by
+    ``VAR [--obj OBJ]`` or by ``--line N --target OBJ``."""
+    if args.var is None and (args.line is None or args.target is None):
         print("explain needs either a variable name or --line/--target",
               file=sys.stderr)
         return 2
-    # Legacy post-hoc mode: backwards BFS, no tracing required.
-    from repro.fsam.explain import explain_at_line
-    result = _run_fsam(args)
-    provenances = explain_at_line(result, args.line, args.target)
-    if not provenances:
-        print(f"no load at line {args.line} reads {args.target!r}")
+    from repro.fsam.explain import explain_at_line, explain_fact
+    result = _run_fsam(args, trace=True)
+    if args.var is not None:
+        chains = explain_fact(result, args.var, obj_name=args.obj)
+        wanted = f" pointing to {args.obj!r}" if args.obj else ""
+        missing = f"no recorded fact for {args.var!r}{wanted}"
+    else:
+        chains = explain_at_line(result, args.line, args.target)
+        missing = f"no load at line {args.line} reads {args.target!r}"
+    if not chains:
+        print(missing)
         return 1
-    for prov in provenances:
-        print(prov.describe())
+    print("\n\n".join(chains))
     return 0
 
 
@@ -637,17 +631,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("explain",
                        help="provenance: why does a variable point to "
-                            "an object?")
+                            "an object? (recorded derivation chains, "
+                            "each walked to its AddrOf root)")
     _add_file(p, *_RUN_FSAM_FLAGS)
     p.add_argument("var", nargs="?", default=None,
-                   help="variable to explain from recorded provenance "
-                        "(walks the derivation chain to its AddrOf root)")
+                   help="variable whose points-to facts to explain")
     p.add_argument("--obj", default=None,
-                   help="restrict to this pointed-to object")
+                   help="restrict VAR's facts to this pointed-to object")
     p.add_argument("--line", type=int, default=None,
-                   help="legacy mode: source line of the load")
+                   help="instead of VAR: explain the loads on this "
+                        "source line (needs --target)")
     p.add_argument("--target", default=None,
-                   help="legacy mode: name of the pointed-to object")
+                   help="with --line: the pointed-to object to explain")
     p.set_defaults(handler=cmd_explain)
 
     p = sub.add_parser("query",

@@ -16,13 +16,12 @@ from repro.fsam.config import AnalysisTimeout, Deadline, FSAMConfig
 from repro.fsam.solver import SparseSolver
 from repro.fsam.analysis import FSAM, FSAMResult, analyze_source
 from repro.fsam.explain import (
-    Provenance, derivation_chain, explain_at_line, explain_fact,
-    explain_load, render_derivation,
+    derivation_chain, explain_at_line, explain_fact, render_derivation,
 )
 
 __all__ = [
     "FSAM", "FSAMConfig", "FSAMResult", "SparseSolver",
     "AnalysisTimeout", "Deadline", "analyze_source",
-    "Provenance", "explain_load", "explain_at_line",
-    "derivation_chain", "explain_fact", "render_derivation",
+    "derivation_chain", "explain_at_line", "explain_fact",
+    "render_derivation",
 ]

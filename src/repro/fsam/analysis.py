@@ -21,7 +21,7 @@ from repro.memssa.dug import DUG
 from repro.mt.locks import LockAnalysis
 from repro.mt.mhp import CoarsePCGMhp, InterleavingAnalysis, MHPOracle
 from repro.mt.threads import ThreadModel
-from repro.mt.valueflow import ValueFlowStats, add_thread_aware_edges
+from repro.mt.valueflow import add_thread_aware_edges
 from repro.obs import NULL_OBS, Observer
 from repro.trace import NULL_TRACER, Tracer
 
@@ -33,7 +33,6 @@ class FSAMResult:
                  andersen: AndersenResult, dug: DUG,
                  builder: MemorySSABuilder, model: Optional[ThreadModel],
                  mhp: Optional[MHPOracle],
-                 vf_stats: Optional[ValueFlowStats],
                  obs: Observer = NULL_OBS,
                  tracer: Tracer = NULL_TRACER) -> None:
         self.module = module
@@ -43,7 +42,6 @@ class FSAMResult:
         self.builder = builder
         self.thread_model = model
         self.mhp = mhp
-        self.vf_stats = vf_stats
         self.obs = obs
         self.tracer = tracer
         # Filled by FSAM.run() when an incremental hook participated.
@@ -326,7 +324,7 @@ class FSAM:
             locks = timed("lock_analysis",
                           lambda: LockAnalysis(model, andersen, dug, builder,
                                                tracer=tracer))
-        vf_stats = timed("value_flow", lambda: add_thread_aware_edges(
+        timed("value_flow", lambda: add_thread_aware_edges(
             dug, builder, mhp, locks=locks,
             alias_filtering=self.config.value_flow, obs=obs, tracer=tracer))
         engine = ReferenceSolver \
@@ -362,7 +360,7 @@ class FSAM:
             locks.flush_obs(obs)
         solver.flush_obs(obs)
         result = FSAMResult(self.module, solver, andersen, dug, builder,
-                            model, mhp, vf_stats, obs=obs, tracer=tracer)
+                            model, mhp, obs=obs, tracer=tracer)
         result.incremental_stats = incremental_stats
         return result
 

@@ -1,142 +1,37 @@
 """Points-to provenance: *why* does this load see this object?
 
-Two complementary mechanisms live here:
+One mechanism answers every question. Run with an enabled
+:class:`~repro.trace.Tracer` (``FSAM(module, tracer=Tracer())``), the
+sparse solver records, for every fact, the rule, node and trigger
+fact that first introduced it (:mod:`repro.trace`).
+:func:`derivation_chain` walks those trigger links from a fact down to
+its root (an ``AddrOf`` for ordinary values), and
+:func:`render_derivation` prints the chain, annotating each step that
+travelled a [THREAD-VF] edge with the MHP and lock verdict that
+admitted the edge.
 
-1. **Recorded provenance** (preferred; needs a run with an enabled
-   :class:`~repro.trace.Tracer`, ``FSAM(module, tracer=Tracer())``):
-   the sparse solver logs, for every fact, the rule/node/trigger that
-   first introduced it (:mod:`repro.trace`). :func:`derivation_chain`
-   walks those trigger links from any fact down to its root — an
-   ``AddrOf`` for ordinary values — and :func:`explain_fact` renders
-   the chain for a named variable, annotating steps that travelled a
-   [THREAD-VF] edge with the MHP/lock verdict that admitted the edge.
-   This is the ``repro explain <program> <var>`` surface.
+``repro explain`` names the facts to explain two ways:
+:func:`explain_fact` takes a variable (and optionally one pointed-to
+object); :func:`explain_at_line` takes a source line and an object
+name, and selects each load on that line whose points-to set holds
+the object.
 
-2. **Post-hoc search** (:func:`explain_load`): a backwards BFS over
-   the def-use graph following only edges whose source state carries
-   the queried object. Works on untraced results, but reconstructs a
-   plausible chain rather than reporting the recorded one.
-
-For Figure 1(a), asking why ``c = *p`` sees ``z`` yields the
-``*p = r`` store; asking why it sees ``y`` yields the thread-aware
-edge from ``*p = q`` in the other thread.
+For Figure 1(a), asking why ``c = *p`` sees ``z`` yields a chain
+through the ``*p = r`` store; asking why it sees ``y`` yields a chain
+that crosses the thread-aware edge from ``*p = q`` in the other
+thread and ends at ``q = &y``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.fsam.analysis import FSAMResult
-from repro.ir.instructions import Load, Store
+from repro.ir.instructions import Load
 from repro.ir.values import MemObject, Temp
 from repro.memssa.dug import DUGNode, StmtNode
-from repro.trace import Derivation
+from repro.trace import Derivation, top_fact
 
-
-@dataclass
-class ProvenanceStep:
-    node: DUGNode
-    obj: MemObject
-    thread_aware: bool
-
-    def describe(self) -> str:
-        marker = "  [thread-aware edge]" if self.thread_aware else ""
-        line = ""
-        if isinstance(self.node, StmtNode) and self.node.instr.line:
-            line = f" (line {self.node.instr.line})"
-        return f"{self.node!r}{line} defines {self.obj.name}{marker}"
-
-
-@dataclass
-class Provenance:
-    """A def-use chain from the introducing store to the querying load."""
-
-    load: Load
-    target: MemObject
-    steps: List[ProvenanceStep]
-
-    def describe(self) -> str:
-        lines = [f"why does {self.load!r} (line {self.load.line}) "
-                 f"read {self.target.name}?"]
-        for i, step in enumerate(reversed(self.steps)):
-            lines.append("  " * (i + 1) + "-> " + step.describe())
-        return "\n".join(lines)
-
-
-def explain_load(result: FSAMResult, load: Load, target: MemObject) -> Optional[Provenance]:
-    """The shortest def-use chain explaining ``target in pt(load.dst)``.
-
-    Returns None when the fact does not hold (nothing to explain).
-    """
-    if target not in result.pts(load.dst):
-        return None
-    dug = result.dug
-    solver = result.solver
-    node = dug.stmt_node(load)
-
-    # BFS backwards over o-labelled edges whose source carries the
-    # value; stop at the store whose *stored value* includes target.
-    start_edges = _carrying_in_edges(result, node, target)
-    parents: Dict[int, Tuple[DUGNode, MemObject, DUGNode]] = {}
-    queue: List[Tuple[DUGNode, MemObject]] = []
-    for obj, src in start_edges:
-        parents.setdefault(src.uid, (node, obj, src))
-        queue.append((src, obj))
-    seen: Set[int] = {node.uid} | {src.uid for _obj, src in start_edges}
-
-    introducer: Optional[DUGNode] = None
-    while queue:
-        current, obj = queue.pop(0)
-        if _introduces(result, current, obj, target):
-            introducer = current
-            break
-        for obj2, src in _carrying_in_edges(result, current, target, label=obj):
-            if src.uid in seen:
-                continue
-            seen.add(src.uid)
-            parents[src.uid] = (current, obj2, src)
-            queue.append((src, obj2))
-    if introducer is None:
-        return None
-
-    # Reconstruct the chain introducer -> ... -> load.
-    steps: List[ProvenanceStep] = []
-    walk: Optional[DUGNode] = introducer
-    while walk is not None and walk.uid in parents:
-        consumer, obj, src = parents[walk.uid]
-        steps.append(ProvenanceStep(
-            node=src, obj=obj,
-            thread_aware=dug.is_thread_edge(src, obj, consumer)))
-        walk = consumer if consumer.uid in parents else None
-        if consumer is node:
-            break
-    return Provenance(load=load, target=target, steps=steps)
-
-
-def _carrying_in_edges(result: FSAMResult, node: DUGNode, target: MemObject,
-                       label: Optional[MemObject] = None):
-    """In-edges of *node* whose source state contains *target*."""
-    edges = []
-    for obj, sources in result.dug.mem_in(node).items():
-        if label is not None and obj is not label:
-            continue
-        for src in sources:
-            if target in result.solver.mem_state(src, obj):
-                edges.append((obj, src))
-    return edges
-
-
-def _introduces(result: FSAMResult, node: DUGNode, obj: MemObject,
-                target: MemObject) -> bool:
-    """Does *node* originate the value (a store whose stored operand
-    points to target)?"""
-    if not isinstance(node, StmtNode) or not isinstance(node.instr, Store):
-        return False
-    return target in result.solver.value_pts(node.instr.value)
-
-
-# -- recorded-provenance chains (repro.trace) -------------------------------
 
 #: Display tags mapping internal rule names to the paper's rules.
 RULE_TAGS = {
@@ -154,6 +49,14 @@ RULE_TAGS = {
     "call-chi": "CALL-CHI",
     "fork-handle": "FORK",
 }
+
+
+def _provenance(result: FSAMResult) -> Dict[Tuple, Derivation]:
+    provenance = result.provenance
+    if provenance is None:
+        raise ValueError("no provenance recorded: re-run the analysis "
+                         "with FSAM(module, tracer=Tracer())")
+    return provenance
 
 
 def _object_by_id(result: FSAMResult, obj_id: int) -> Optional[MemObject]:
@@ -182,10 +85,7 @@ def derivation_chain(result: FSAMResult, key: Tuple,
     (a fact's trigger always predates it); *limit* is a belt-and-
     braces bound. Raises :class:`ValueError` when the result carries
     no provenance (run with ``FSAM(module, tracer=Tracer())``)."""
-    provenance = result.provenance
-    if provenance is None:
-        raise ValueError("no provenance recorded: re-run the analysis "
-                         "with FSAM(module, tracer=Tracer())")
+    provenance = _provenance(result)
     chain: List[Tuple[Tuple, Derivation]] = []
     seen: Set[Tuple] = set()
     while key is not None and key not in seen and len(chain) < limit:
@@ -269,10 +169,7 @@ def explain_fact(result: FSAMResult, name: str,
     per pointed-to object, anchored at the first store that introduced
     the fact) or a top-level temp name. ``obj_name`` restricts the
     explanation to one pointed-to object."""
-    provenance = result.provenance
-    if provenance is None:
-        raise ValueError("no provenance recorded: re-run the analysis "
-                         "with FSAM(module, tracer=Tracer())")
+    provenance = _provenance(result)
     temps = _temps_by_id(result)
     keys: List[Tuple] = []
     module = result.module
@@ -299,15 +196,15 @@ def explain_fact(result: FSAMResult, name: str,
 
 
 def explain_at_line(result: FSAMResult, line: int,
-                    target_name: str) -> List[Provenance]:
-    """Explain every load at *line* whose pt() contains an object named
-    *target_name*."""
-    out: List[Provenance] = []
+                    target_name: str) -> List[str]:
+    """Rendered derivation chains for the loads at *line*: one per
+    load and pointed-to object named *target_name*."""
+    _provenance(result)
+    out: List[str] = []
     for instr in result.module.all_instructions():
         if isinstance(instr, Load) and instr.line == line:
             for obj in result.pts(instr.dst):
                 if obj.name == target_name:
-                    prov = explain_load(result, instr, obj)
-                    if prov is not None:
-                        out.append(prov)
+                    out.append(render_derivation(
+                        result, top_fact(instr.dst.id, obj.id)))
     return out

@@ -89,7 +89,7 @@ def tokenize(source: str) -> List[Token]:
         elif kind == "number":
             append(Token(TokenKind.NUMBER, text, line, col))
         elif kind == "open":
-            raise LexError("unterminated block comment", line)
+            raise LexError("unterminated block comment", line, col)
         elif kind == "malformed":
             raise LexError(f"malformed number near {text!r}", line, col)
         else:

@@ -40,32 +40,6 @@ from repro.obs import NULL_OBS, Observer
 from repro.trace import NULL_TRACER, Tracer
 
 
-class ValueFlowStats:
-    """Counters surfaced in benchmark output (Figure 12 analysis).
-
-    Kept as a compatibility shim over the ``valueflow.*`` observer
-    counters: existing consumers (harness tables, result API) read
-    these attributes, while new code should prefer
-    ``Observer.counter("valueflow.edges_added")`` etc. The attributes
-    are assigned exactly once, from the same local tallies that feed
-    ``obs.count`` — one source of truth, so the shim and the observer
-    can never drift (pinned by ``tests/fsam/test_profile.py``)."""
-
-    def __init__(self, candidate_pairs: int = 0, mhp_pairs: int = 0,
-                 lock_filtered: int = 0, edges_added: int = 0,
-                 mhp_cache_hits: int = 0) -> None:
-        self.candidate_pairs = candidate_pairs
-        self.mhp_pairs = mhp_pairs
-        self.lock_filtered = lock_filtered
-        self.edges_added = edges_added
-        self.mhp_cache_hits = mhp_cache_hits
-
-    def __repr__(self) -> str:
-        return (f"<value-flow: {self.candidate_pairs} candidates, "
-                f"{self.mhp_pairs} MHP, {self.lock_filtered} lock-filtered, "
-                f"{self.edges_added} edges>")
-
-
 def _index_accesses(builder: MemorySSABuilder):
     """Per-object store and access (store|load) instruction lists."""
     stores_on: Dict[int, List[Store]] = {}
@@ -119,8 +93,9 @@ def add_thread_aware_edges(dug: DUG, builder: MemorySSABuilder, mhp: MHPOracle,
                            locks: Optional[LockAnalysis] = None,
                            alias_filtering: bool = True,
                            obs: Observer = NULL_OBS,
-                           tracer: Tracer = NULL_TRACER) -> ValueFlowStats:
-    """Run [THREAD-VF]; returns statistics.
+                           tracer: Tracer = NULL_TRACER) -> None:
+    """Run [THREAD-VF]; the pair and edge tallies land in *obs* under
+    ``valueflow.*``.
 
     ``alias_filtering=False`` is the No-Value-Flow ablation (paper
     Section 4.3): the ``o in AS(*p, *q)`` premise is disregarded, so
@@ -260,16 +235,8 @@ def add_thread_aware_edges(dug: DUG, builder: MemorySSABuilder, mhp: MHPOracle,
                     if isinstance(target, Store) else ()
                 for obj in store_objs:
                     admit(store, target, obj, obj in target_chis)
-    # One source of truth: the shim and the observer counters are both
-    # assigned from the same locals, in one place.
-    stats = ValueFlowStats(candidate_pairs=candidate_pairs,
-                           mhp_pairs=mhp_pairs,
-                           lock_filtered=lock_filtered,
-                           edges_added=edges_added,
-                           mhp_cache_hits=mhp_cache_hits)
-    obs.count("valueflow.candidate_pairs", stats.candidate_pairs)
-    obs.count("valueflow.mhp_pairs", stats.mhp_pairs)
-    obs.count("valueflow.lock_filtered", stats.lock_filtered)
-    obs.count("valueflow.edges_added", stats.edges_added)
-    obs.count("valueflow.mhp_cache_hits", stats.mhp_cache_hits)
-    return stats
+    obs.count("valueflow.candidate_pairs", candidate_pairs)
+    obs.count("valueflow.mhp_pairs", mhp_pairs)
+    obs.count("valueflow.lock_filtered", lock_filtered)
+    obs.count("valueflow.edges_added", edges_added)
+    obs.count("valueflow.mhp_cache_hits", mhp_cache_hits)

@@ -46,6 +46,34 @@ int main() {{
         for i in range(50):
             assert names(a.pts(m.globals[f"v{i}"])) == ["x"]
 
+    def test_copy_edges_name_live_nodes_after_solve(self):
+        # A copy cycle v0 -> v1 -> v2 -> v3 -> v0 collapses, while u
+        # flows into the middle of it and v4, v5 read out of it: every
+        # copy-edge set left on a live node names other live nodes.
+        decls = "\n".join(f"int *v{i};" for i in range(6))
+        m = compile_source(f"""
+int x; int y;
+int *u;
+{decls}
+int main() {{
+    u = &y;
+    v0 = &x;
+    v1 = v0; v2 = v1; v3 = v2; v0 = v3;
+    v2 = u;
+    v4 = v2; v5 = v4;
+    return 0;
+}}
+""")
+        solver = AndersenSolver(m)
+        solver.generate()
+        solver.solve()
+        assert solver.scc_collapsed_nodes > 0
+        live = set(solver._live_nodes())
+        for node in live:
+            for succ in solver._succ[node]:
+                assert succ in live and succ != node, (node, succ)
+        assert names(solver.pts_of(m.globals["v5"])) == ["x", "y"]
+
     def test_solver_idempotent(self):
         m = compile_source("""
 int x; int *p; int *q;

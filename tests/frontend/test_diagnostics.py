@@ -20,6 +20,7 @@ HOSTILE = [
     "int g;\nint *g;\nint main() { return 0; }",
     "int f() { return 0; }\nint f() { return 1; }\nint main() { return f(); }",
     "int g;\n",
+    "int main() {\n  return 0; /* never closed\n}\n",
 ]
 
 
@@ -27,6 +28,13 @@ def test_non_ascii_digit_is_a_lex_error():
     with pytest.raises(LexError, match="unexpected character") as info:
         compile_source("int main() { int x;\n  x = \u00b2; return 0; }")
     assert (info.value.line, info.value.col) == (2, 7)
+
+
+def test_unterminated_comment_is_a_located_lex_error():
+    # Located at the comment's opener, like every other lex error.
+    with pytest.raises(LexError, match="unterminated block comment") as info:
+        compile_source("int main() {\n  return 0; /* never closed\n}\n")
+    assert (info.value.line, info.value.col) == (2, 13)
 
 
 def test_overlong_literal_is_a_parse_error():

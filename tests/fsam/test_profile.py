@@ -126,17 +126,6 @@ class TestOneTimingRecord:
         assert result.obs.phase_seconds() == before
 
 
-class TestValueFlowShim:
-    def test_stats_object_matches_counters(self):
-        result = run_profiled()
-        counters = result.obs.counters
-        assert result.vf_stats.candidate_pairs == counters["valueflow.candidate_pairs"]
-        assert result.vf_stats.mhp_pairs == counters["valueflow.mhp_pairs"]
-        assert result.vf_stats.lock_filtered == counters["valueflow.lock_filtered"]
-        assert result.vf_stats.edges_added == counters["valueflow.edges_added"]
-        assert result.vf_stats.edges_added >= 1
-
-
 class TestProfileToggle:
     def test_profile_off_uses_null_observer(self):
         # NULL_OBS is the explicit opt-out: nothing is recorded, so
@@ -180,25 +169,6 @@ class TestProfileToggle:
             + obs.counter("nonsparse.weak_updates") > 0
         assert [p["name"] for p in obs.to_dict()["phases"]] == \
             ["pre_analysis", "icfg", "pcg", "nonsparse_solve"]
-
-
-class TestValueFlowSingleSource:
-    def test_shim_and_counters_share_one_source(self):
-        # The shim attributes and the valueflow.* counters must both
-        # be assigned from the same local tallies: pin the idiom by
-        # checking every obs.count("valueflow.X", ...) call passes the
-        # shim's own attribute, so the two can never drift.
-        import inspect
-        import re
-        from repro.mt import valueflow
-        source = inspect.getsource(valueflow.add_thread_aware_edges)
-        calls = re.findall(r'obs\.count\("valueflow\.(\w+)",\s*([\w.]+)\)',
-                           source)
-        assert sorted(name for name, _ in calls) == \
-            ["candidate_pairs", "edges_added", "lock_filtered",
-             "mhp_cache_hits", "mhp_pairs"]
-        for name, value_expr in calls:
-            assert value_expr == f"stats.{name}"
 
 
 class TestTraceToggle:

@@ -136,17 +136,20 @@ class TestEvents:
     def test_vf_pair_verdicts_cover_counters(self):
         result = run_traced(FIG1A)
         pairs = [e for e in result.tracer.events if e["ev"] == "vf.pair"]
-        stats = result.vf_stats
-        assert len(pairs) == stats.candidate_pairs
+        counter = result.obs.counter
+        assert len(pairs) == counter("valueflow.candidate_pairs")
         verdicts = [e["verdict"] for e in pairs]
-        assert verdicts.count("edge-added") == stats.edges_added
-        assert verdicts.count("lock-filtered") == stats.lock_filtered
+        assert verdicts.count("edge-added") == \
+            counter("valueflow.edges_added")
+        assert verdicts.count("lock-filtered") == \
+            counter("valueflow.lock_filtered")
         assert verdicts.count("mhp-refuted") == \
-            stats.candidate_pairs - stats.mhp_pairs
+            counter("valueflow.candidate_pairs") \
+            - counter("valueflow.mhp_pairs")
 
     def test_lock_filtered_names_the_witness(self):
         result = run_traced(LOCKED)
-        assert result.vf_stats.lock_filtered > 0
+        assert result.obs.counter("valueflow.lock_filtered") > 0
         filtered = [e for e in result.tracer.events
                     if e["ev"] == "vf.pair" and e["verdict"] == "lock-filtered"]
         assert filtered

@@ -183,9 +183,19 @@ class TestTracingCLI:
         assert main(["explain", fig1a, "c", "--obj", "nothing"]) == 1
         assert "no recorded fact" in capsys.readouterr().out
 
-    def test_explain_legacy_line_mode(self, fig1a, capsys):
+    def test_explain_line_and_target(self, fig1a, capsys):
+        # The load on line 14 sees y through the recorded [THREAD-VF]
+        # chain, which goes on to its AddrOf root.
         assert main(["explain", fig1a, "--line", "14", "--target", "y"]) == 0
-        assert "read y" in capsys.readouterr().out
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0].startswith("why y in pt(")
+        assert any("via [THREAD-VF] edge" in line for line in lines)
+        assert any("admitted: MHP" in line for line in lines)
+        assert lines[-1].endswith("<- root")
+
+    def test_explain_line_without_fact_fails(self, fig1a, capsys):
+        assert main(["explain", fig1a, "--line", "14", "--target", "q"]) == 1
+        assert "no load at line 14 reads 'q'" in capsys.readouterr().out
 
     def test_explain_without_var_or_line_errors(self, fig1a, capsys):
         assert main(["explain", fig1a]) == 2

@@ -7,6 +7,17 @@ from repro.memssa import build_dug
 from repro.mt import (
     InterleavingAnalysis, LockAnalysis, ThreadModel, add_thread_aware_edges,
 )
+from repro.obs import Observer
+
+COUNTERS = ("candidate_pairs", "mhp_pairs", "lock_filtered", "edges_added",
+            "mhp_cache_hits")
+
+
+def value_flow(dug, builder, mhp, **kwargs):
+    """Run [THREAD-VF]; returns its ``valueflow.*`` counters by name."""
+    obs = Observer(name="vf")
+    add_thread_aware_edges(dug, builder, mhp, obs=obs, **kwargs)
+    return {name: obs.counter(f"valueflow.{name}") for name in COUNTERS}
 
 
 def setup(src, locks=False, alias_filtering=True):
@@ -16,8 +27,8 @@ def setup(src, locks=False, alias_filtering=True):
     model = ThreadModel(m, a)
     mhp = InterleavingAnalysis(model)
     lock_analysis = LockAnalysis(model, a, dug, builder) if locks else None
-    stats = add_thread_aware_edges(dug, builder, mhp, locks=lock_analysis,
-                                   alias_filtering=alias_filtering)
+    stats = value_flow(dug, builder, mhp, locks=lock_analysis,
+                       alias_filtering=alias_filtering)
     return m, dug, builder, stats
 
 
@@ -45,28 +56,28 @@ class TestRegionBatching:
         a = run_andersen(m)
         dug, builder = build_dug(m, a)
         mhp = InterleavingAnalysis(ThreadModel(m, a))
-        stats = add_thread_aware_edges(dug, builder, mhp,
-                                       alias_filtering=alias_filtering)
+        stats = value_flow(dug, builder, mhp,
+                           alias_filtering=alias_filtering)
         return mhp, stats
 
     def test_one_query_per_region_pair(self):
         mhp, stats = self._pieces(BATCHY)
-        assert stats.candidate_pairs > 0
+        assert stats["candidate_pairs"] > 0
         # Every candidate pair is decided, but the oracle only sees
         # one representative per region pair: the rest are cache hits.
-        assert stats.mhp_cache_hits > 0
-        assert mhp.pair_queries + stats.mhp_cache_hits == \
-            stats.candidate_pairs
-        assert mhp.pair_queries < stats.candidate_pairs
+        assert stats["mhp_cache_hits"] > 0
+        assert mhp.pair_queries + stats["mhp_cache_hits"] == \
+            stats["candidate_pairs"]
+        assert mhp.pair_queries < stats["candidate_pairs"]
 
     def test_batched_counters_match_per_pair_semantics(self):
         """The reported statistics must read as if each statement pair
         had been queried individually (candidates = refuted + MHP)."""
         for af in (True, False):
             mhp, stats = self._pieces(BATCHY, alias_filtering=af)
-            assert 0 <= stats.mhp_pairs <= stats.candidate_pairs
-            assert stats.edges_added <= stats.mhp_pairs
-            assert stats.mhp_cache_hits <= stats.candidate_pairs
+            assert 0 <= stats["mhp_pairs"] <= stats["candidate_pairs"]
+            assert stats["edges_added"] <= stats["mhp_pairs"]
+            assert stats["mhp_cache_hits"] <= stats["candidate_pairs"]
 
 
 PARALLEL = """
@@ -96,7 +107,7 @@ class TestThreadVF:
         load = next(i for i in m.functions["main"].instructions()
                     if isinstance(i, Load) and A in builder.mus.get(i.id, set()))
         assert dug.is_thread_edge(dug.stmt_node(store), A, dug.stmt_node(load))
-        assert stats.edges_added >= 1
+        assert stats["edges_added"] >= 1
 
     def test_non_aliased_pair_gets_no_edge(self):
         # writer touches A; the store into B in main shares no object.
@@ -121,8 +132,8 @@ class TestThreadVF:
         int x; int *p;
         int main() { p = &x; *p = 1; return 0; }
         """)
-        assert stats.edges_added == 0
-        assert stats.mhp_pairs == 0
+        assert stats["edges_added"] == 0
+        assert stats["mhp_pairs"] == 0
 
     def test_serial_fork_join_no_edges_after(self):
         # The store in the routine and a load after the join never
@@ -148,7 +159,7 @@ class TestThreadVF:
     def test_no_alias_filtering_blowup(self):
         m1, dug1, b1, stats1 = setup(PARALLEL, alias_filtering=True)
         m2, dug2, b2, stats2 = setup(PARALLEL, alias_filtering=False)
-        assert stats2.edges_added >= stats1.edges_added
+        assert stats2["edges_added"] >= stats1["edges_added"]
 
     def test_store_store_edges(self):
         m, dug, builder, stats = setup("""

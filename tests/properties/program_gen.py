@@ -222,3 +222,97 @@ def multithreaded_programs(draw) -> str:
     decls = " ".join(f"thread_t t{w};" for w in range(n_workers))
     parts.append("int main() { %s %s return 0; }" % (decls, " ".join(body_lines)))
     return "\n".join(parts)
+
+
+#: Pointer-passing helpers in :func:`argument_passing_programs`:
+#: ``int *pass<i>(int *a, int *b)``, each free to call the ones
+#: numbered below it.
+N_PASS = 2
+
+
+@st.composite
+def _pointer_arg(draw, params: List[str]) -> str:
+    """A call or fork argument: a parameter, a pointer global's value
+    or a global's address."""
+    choices = params + [f"p{i}" for i in range(N_PTRS)] \
+        + [f"&g{j}" for j in range(N_INTS)]
+    return draw(st.sampled_from(choices))
+
+
+@st.composite
+def _pass_call(draw, callees: List[str], params: List[str]) -> str:
+    callee = draw(st.sampled_from(callees))
+    first = draw(_pointer_arg(params))
+    second = draw(_pointer_arg(params))
+    dst = draw(st.sampled_from(params + [f"p{i}" for i in range(N_PTRS)]))
+    return f"{dst} = {callee}({first}, {second});"
+
+
+@st.composite
+def _param_statements(draw, params: List[str],
+                      callees: List[str]) -> List[str]:
+    """Statements that move pointers between *params*, the pointer
+    globals and memory, and call *callees* with them."""
+    stmts: List[str] = []
+    kinds = ["to_global", "from_global", "move", "deref", "store_pp",
+             "load_pp", "addr"] + (["call"] * 2 if callees else [])
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        kind = draw(st.sampled_from(kinds))
+        a = draw(st.sampled_from(params))
+        p = draw(st.integers(0, N_PTRS - 1))
+        g = draw(st.integers(0, N_INTS - 1))
+        pp = draw(st.integers(0, N_PPTRS - 1))
+        if kind == "to_global":
+            stmts.append(f"p{p} = {a};")
+        elif kind == "from_global":
+            stmts.append(f"{a} = p{p};")
+        elif kind == "move":
+            stmts.append(f"{a} = {draw(st.sampled_from(params))};")
+        elif kind == "deref":
+            stmts.append(f"if ({a} != null) {{ g{g} = *{a}; }}")
+        elif kind == "store_pp":
+            stmts.append(f"*pp{pp} = {a};")
+        elif kind == "load_pp":
+            stmts.append(f"{a} = *pp{pp};")
+        elif kind == "addr":
+            stmts.append(f"{a} = &g{g};")
+        else:
+            stmts.append(draw(_pass_call(callees, params)))
+    return stmts
+
+
+@st.composite
+def argument_passing_programs(draw) -> str:
+    """Main plus one or two workers that pass pointers across calls
+    and forks: the helpers take and return ``int *``, and every call
+    and fork passes a ``p<i>`` or ``&g<j>`` argument, so the program
+    has interprocedural copies (argument to parameter, return value to
+    call result, fork argument to the routine's parameter)."""
+    parts = [_globals_header()]
+    helpers = [f"pass{i}" for i in range(N_PASS)]
+    for i, name in enumerate(helpers):
+        body = draw(_param_statements(["a", "b"], helpers[:i]))
+        ret = draw(st.sampled_from(["a", "b"]))
+        parts.append("int *%s(int *a, int *b) { %s return %s; }"
+                     % (name, " ".join(body), ret))
+    n_workers = draw(st.integers(min_value=1, max_value=2))
+    for w in range(n_workers):
+        body = draw(_param_statements(["w"], helpers))
+        parts.append("void *worker%d(void *arg) { int *w; w = arg; %s "
+                     "return null; }" % (w, " ".join(body)))
+    main_counter = [0]
+    body_lines = [" ".join(draw(statements(counter=main_counter,
+                                           sync=False))),
+                  draw(_pass_call(helpers, []))]
+    for w in range(n_workers):
+        body_lines.append("fork(&t%d, worker%d, %s);"
+                          % (w, w, draw(_pointer_arg([]))))
+    body_lines.append(draw(_pass_call(helpers, [])))
+    if draw(st.booleans()):
+        body_lines.extend(f"join(t{w});" for w in range(n_workers))
+    body_lines.append(" ".join(draw(statements(counter=main_counter,
+                                               sync=False))))
+    decls = " ".join(f"thread_t t{w};" for w in range(n_workers))
+    parts.append("int main() { %s %s return 0; }"
+                 % (decls, " ".join(body_lines)))
+    return "\n".join(parts)

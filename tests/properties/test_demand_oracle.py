@@ -14,7 +14,9 @@ from repro.fsam import FSAM, FSAMConfig
 from repro.fsam.query import resolve_temps
 
 from tests.fsam.test_query import top_level_names
-from tests.properties.program_gen import multithreaded_programs, sequential_programs
+from tests.properties.program_gen import (
+    argument_passing_programs, multithreaded_programs, sequential_programs,
+)
 
 SETTINGS = settings(max_examples=15, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -44,4 +46,12 @@ class TestDemandMatchesOracle:
     @SETTINGS
     @given(multithreaded_programs())
     def test_multithreaded(self, src):
+        check_demand_matches_oracle(src)
+
+    @SETTINGS
+    @given(argument_passing_programs())
+    def test_argument_passing(self, src):
+        """Calls and forks pass pointers, so slices must walk the
+        interprocedural copies from arguments to parameters and from
+        return values to call results."""
         check_demand_matches_oracle(src)
