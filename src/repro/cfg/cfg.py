@@ -63,6 +63,3 @@ class CFG:
 
     def predecessors(self, block: BasicBlock):
         return self.graph.predecessors(block)
-
-    def reachable_blocks(self):
-        return self.graph.reachable_from(self.entry)

@@ -12,12 +12,13 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.ir.builder import IRBuilder
+from repro.ir.instructions import Branch, Jump
 from repro.ir.module import BasicBlock, Module
 from repro.ir.types import (
     ArrayType, BarrierType, CondType, FunctionType, LockType, PointerType,
     StructType, ThreadType, Type, VoidType, INT, VOID,
 )
-from repro.ir.values import Constant, Function, MemObject, Temp, Value
+from repro.ir.values import Constant, Function, MemObject, ObjectKind, Temp, Value
 from repro.minic import ast
 from repro.minic.errors import SemanticError
 
@@ -207,7 +208,7 @@ class Lowerer:
         is_array = array_size is not None
         obj_ty = ArrayType(ty, array_size) if is_array else ty
         fn_name = self.builder.function.name
-        obj = MemObject(f"{fn_name}::{name}", obj_ty, kind=_stack_kind(),
+        obj = MemObject(f"{fn_name}::{name}", obj_ty, kind=ObjectKind.STACK,
                         alloc_fn=fn_name, is_array=is_array, in_recursion=in_recursion)
         self.module.register_object(obj)
         slot = _LocalSlot(obj, obj_ty)
@@ -512,16 +513,25 @@ class Lowerer:
         return dst if dst is not None else Constant(0, INT)
 
 
-def _stack_kind():
-    from repro.ir.values import ObjectKind
-    return ObjectKind.STACK
-
-
 def _prune_unreachable(fn: Function) -> None:
     """Drop blocks unreachable from the entry (dead-code landing pads
-    created after return/break/continue)."""
-    from repro.cfg.cfg import CFG
-    reachable = CFG(fn).reachable_blocks()
+    created after return/break/continue). Every block is sealed, so
+    its terminator names its successors."""
+    entry = fn.entry
+    reachable = {entry}
+    work = [entry]
+    while work:
+        term = work.pop().terminator
+        if isinstance(term, Branch):
+            targets = (term.then_block, term.else_block)
+        elif isinstance(term, Jump):
+            targets = (term.target,)
+        else:
+            continue
+        for target in targets:
+            if target not in reachable:
+                reachable.add(target)
+                work.append(target)
     fn.blocks = [b for b in fn.blocks if b in reachable]
 
 

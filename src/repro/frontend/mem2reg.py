@@ -16,7 +16,10 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.cfg.cfg import CFG
 from repro.graphs.dominance import iterated_dominance_frontier
-from repro.ir.instructions import AddrOf, Instruction, Load, Phi, Store
+from repro.ir.instructions import (
+    AddrOf, BarrierInit, BarrierWait, BinOp, Branch, Call, Copy, Fork, Gep,
+    Instruction, Join, Load, Lock, Phi, Ret, Signal, Store, Unlock, Wait,
+)
 from repro.ir.module import BasicBlock, Module
 from repro.ir.types import IntType, PointerType, ThreadType, Type
 from repro.ir.values import Constant, Function, MemObject, ObjectKind, Temp, Value
@@ -43,28 +46,32 @@ def promote_to_ssa(module: Module) -> None:
 
 
 def _promote_function(fn: Function) -> None:
-    cfg = CFG(fn)
-
     # 1. Find promotable objects: stack scalars whose address temps are
     #    used only as the pointer operand of loads and stores.
     addr_temps: Dict[Temp, MemObject] = {}
     candidates: Dict[MemObject, bool] = {}
-    for instr in fn.instructions():
-        if isinstance(instr, AddrOf):
-            obj = instr.obj
-            if obj.kind is ObjectKind.STACK and _promotable_type(obj.type) and not obj.is_array:
-                addr_temps[instr.dst] = obj
-                candidates.setdefault(obj, True)
+    for block in fn.blocks:
+        for instr in block.instructions:
+            if isinstance(instr, AddrOf):
+                obj = instr.obj
+                if obj.kind is ObjectKind.STACK and _promotable_type(obj.type) \
+                        and not obj.is_array:
+                    addr_temps[instr.dst] = obj
+                    candidates.setdefault(obj, True)
+    if not addr_temps:
+        return
 
-    for instr in fn.instructions():
-        for op in instr.operands():
-            if not isinstance(op, Temp) or op not in addr_temps:
+    for block in fn.blocks:
+        for instr in block.instructions:
+            # A load's only operand is its pointer, and a store's pointer
+            # operand is a promotable use unless it is also the value.
+            if isinstance(instr, Load):
                 continue
-            obj = addr_temps[op]
-            ok = (isinstance(instr, Load) and instr.ptr is op) or (
-                isinstance(instr, Store) and instr.ptr is op and instr.value is not op)
-            if not ok:
-                candidates[obj] = False
+            uses = (instr.value,) if isinstance(instr, Store) else instr.operands()
+            for op in uses:
+                obj = addr_temps.get(op)
+                if obj is not None:
+                    candidates[obj] = False
 
     # Insertion-ordered (dict order), not a set: phi instructions are
     # created while iterating this, and their order decides temp
@@ -73,14 +80,20 @@ def _promote_function(fn: Function) -> None:
     promoted = [obj for obj, ok in candidates.items() if ok]
     if not promoted:
         return
+    promoted_set = set(promoted)
+    # The address temps of promoted objects: the loads, stores and
+    # AddrOfs through them are rewritten away.
+    slots: Dict[Temp, MemObject] = {temp: obj for temp, obj in addr_temps.items()
+                                    if obj in promoted_set}
+    cfg = CFG(fn)
 
     # 2. Phi insertion at iterated dominance frontiers of def blocks.
     def_blocks: Dict[MemObject, Set[BasicBlock]] = {obj: set() for obj in promoted}
     for block in fn.blocks:
         for instr in block.instructions:
-            if isinstance(instr, Store) and instr.ptr in addr_temps:
-                obj = addr_temps[instr.ptr]
-                if obj in promoted:
+            if isinstance(instr, Store):
+                obj = slots.get(instr.ptr)
+                if obj is not None:
                     def_blocks[obj].add(block)
 
     phi_var: Dict[Phi, MemObject] = {}
@@ -99,7 +112,7 @@ def _promote_function(fn: Function) -> None:
 
     # 3. Renaming along the dominator tree.
     stacks: Dict[MemObject, List[Value]] = {obj: [] for obj in promoted}
-    replacement: Dict[Temp, Value] = {}
+    replacement: Dict[Value, Value] = {}
     to_delete: Set[Instruction] = set()
 
     def current(obj: MemObject) -> Value:
@@ -108,24 +121,25 @@ def _promote_function(fn: Function) -> None:
     def process(block: BasicBlock) -> List[MemObject]:
         pushed: List[MemObject] = []
         for instr in block.instructions:
-            if isinstance(instr, Phi) and instr in phi_var:
-                obj = phi_var[instr]
-                stacks[obj].append(instr.dst)
-                pushed.append(obj)
-            elif isinstance(instr, AddrOf) and instr.dst in addr_temps:
-                if addr_temps[instr.dst] in promoted:
-                    to_delete.add(instr)
-            elif isinstance(instr, Load) and instr.ptr in addr_temps:
-                obj = addr_temps[instr.ptr]
-                if obj in promoted:
+            if isinstance(instr, Load):
+                obj = slots.get(instr.ptr)
+                if obj is not None:
                     replacement[instr.dst] = current(obj)
                     to_delete.add(instr)
-            elif isinstance(instr, Store) and instr.ptr in addr_temps:
-                obj = addr_temps[instr.ptr]
-                if obj in promoted:
+            elif isinstance(instr, Store):
+                obj = slots.get(instr.ptr)
+                if obj is not None:
                     stacks[obj].append(instr.value)
                     pushed.append(obj)
                     to_delete.add(instr)
+            elif isinstance(instr, AddrOf):
+                if instr.dst in slots:
+                    to_delete.add(instr)
+            elif isinstance(instr, Phi):
+                obj = phi_var.get(instr)
+                if obj is not None:
+                    stacks[obj].append(instr.dst)
+                    pushed.append(obj)
         for succ in cfg.successors(block):
             for instr in succ.instructions:
                 if not isinstance(instr, Phi):
@@ -149,67 +163,62 @@ def _promote_function(fn: Function) -> None:
             for obj in reversed(pushed):
                 stacks[obj].pop()
 
-    # 4. Resolve replacement chains (a load's value may itself be a
-    #    deleted load's dst) and rewrite every remaining operand.
-    def resolve(value: Value) -> Value:
-        seen = set()
-        while isinstance(value, Temp) and value in replacement:
-            if value in seen:  # pragma: no cover - cycles are impossible
-                break
-            seen.add(value)
+    # 4. Resolve replacement chains once (a load's value may itself be
+    #    a deleted load's dst; the chains are acyclic), then rewrite
+    #    every remaining operand.
+    for temp, value in replacement.items():
+        while value in replacement:
             value = replacement[value]
-        return value
+        replacement[temp] = value
 
     for block in fn.blocks:
         block.instructions = [i for i in block.instructions if i not in to_delete]
         for instr in block.instructions:
-            _rewrite_operands(instr, resolve)
+            _rewrite_operands(instr, replacement)
 
 
-def _rewrite_operands(instr: Instruction, resolve) -> None:
-    """Apply *resolve* to every operand slot of *instr*."""
-    from repro.ir.instructions import (
-        BarrierInit, BarrierWait, BinOp, Branch, Call, Copy, Fork, Gep, Join,
-        Load, Lock, Phi, Ret, Signal, Store, Unlock, Wait,
-    )
-
-    if isinstance(instr, Copy):
-        instr.src = resolve(instr.src)
-    elif isinstance(instr, Phi):
-        instr.incomings = [(resolve(v), b) for v, b in instr.incomings]
+def _rewrite_operands(instr: Instruction, replacement: Dict[Value, Value]) -> None:
+    """Replace each operand of *instr* that *replacement* maps. The
+    most frequent kinds are tested first; AddrOf and Jump read no
+    replaceable operand."""
+    get = replacement.get
+    if isinstance(instr, Gep):
+        instr.base = get(instr.base, instr.base)
     elif isinstance(instr, Load):
-        instr.ptr = resolve(instr.ptr)
+        instr.ptr = get(instr.ptr, instr.ptr)
+    elif isinstance(instr, BinOp):
+        instr.lhs = get(instr.lhs, instr.lhs)
+        instr.rhs = get(instr.rhs, instr.rhs)
     elif isinstance(instr, Store):
-        instr.ptr = resolve(instr.ptr)
-        instr.value = resolve(instr.value)
-    elif isinstance(instr, Gep):
-        instr.base = resolve(instr.base)
-    elif isinstance(instr, Call):
-        instr.callee = resolve(instr.callee)
-        instr.args = [resolve(a) for a in instr.args]
+        instr.ptr = get(instr.ptr, instr.ptr)
+        instr.value = get(instr.value, instr.value)
+    elif isinstance(instr, Branch):
+        instr.cond = get(instr.cond, instr.cond)
     elif isinstance(instr, Ret):
         if instr.value is not None:
-            instr.value = resolve(instr.value)
+            instr.value = get(instr.value, instr.value)
+    elif isinstance(instr, Phi):
+        instr.incomings = [(get(v, v), b) for v, b in instr.incomings]
+    elif isinstance(instr, Call):
+        instr.callee = get(instr.callee, instr.callee)
+        instr.args = [get(a, a) for a in instr.args]
+    elif isinstance(instr, (Lock, Unlock, BarrierWait)):
+        instr.ptr = get(instr.ptr, instr.ptr)
+    elif isinstance(instr, Copy):
+        instr.src = get(instr.src, instr.src)
     elif isinstance(instr, Fork):
         if instr.handle_ptr is not None:
-            instr.handle_ptr = resolve(instr.handle_ptr)
-        instr.routine = resolve(instr.routine)
+            instr.handle_ptr = get(instr.handle_ptr, instr.handle_ptr)
+        instr.routine = get(instr.routine, instr.routine)
         if instr.arg is not None:
-            instr.arg = resolve(instr.arg)
+            instr.arg = get(instr.arg, instr.arg)
     elif isinstance(instr, Join):
-        instr.handle = resolve(instr.handle)
-    elif isinstance(instr, (Lock, Unlock, BarrierWait)):
-        instr.ptr = resolve(instr.ptr)
+        instr.handle = get(instr.handle, instr.handle)
     elif isinstance(instr, Wait):
-        instr.cond_ptr = resolve(instr.cond_ptr)
-        instr.mutex_ptr = resolve(instr.mutex_ptr)
+        instr.cond_ptr = get(instr.cond_ptr, instr.cond_ptr)
+        instr.mutex_ptr = get(instr.mutex_ptr, instr.mutex_ptr)
     elif isinstance(instr, Signal):
-        instr.cond_ptr = resolve(instr.cond_ptr)
+        instr.cond_ptr = get(instr.cond_ptr, instr.cond_ptr)
     elif isinstance(instr, BarrierInit):
-        instr.ptr = resolve(instr.ptr)
-        instr.count = resolve(instr.count)
-    elif isinstance(instr, Branch):
-        instr.cond = resolve(instr.cond)
-    elif isinstance(instr, BinOp):
-        instr.lhs = resolve(instr.lhs)
-        instr.rhs = resolve(instr.rhs)
+        instr.ptr = get(instr.ptr, instr.ptr)
+        instr.count = get(instr.count, instr.count)

@@ -10,11 +10,11 @@ import itertools
 from typing import List, Optional
 
 from repro.ir.instructions import (
-    AddrOf, BinOp, Branch, Call, Copy, Fork, Gep, Join, Jump, Load, Lock,
-    Phi, Ret, Store, Unlock,
+    AddrOf, BarrierInit, BarrierWait, BinOp, Branch, Call, Copy, Fork, Gep,
+    Join, Jump, Load, Lock, Phi, Ret, Signal, Store, Unlock, Wait,
 )
 from repro.ir.module import BasicBlock, Module
-from repro.ir.types import FunctionType, Type, VOID
+from repro.ir.types import FunctionType, INT, PointerType, Type, VOID
 from repro.ir.values import Constant, Function, MemObject, ObjectKind, Temp, Value
 
 
@@ -87,7 +87,6 @@ class IRBuilder:
 
     def addr_of(self, obj: MemObject, dst: Optional[Temp] = None, hint: str = "p",
                 line: Optional[int] = None) -> Temp:
-        from repro.ir.types import PointerType
         dst = dst or self.temp(PointerType(obj.type), hint)
         self._emit(AddrOf(dst, obj), line)
         return dst
@@ -100,7 +99,6 @@ class IRBuilder:
 
     def load(self, ptr: Temp, dst: Optional[Temp] = None, hint: str = "l",
              line: Optional[int] = None) -> Temp:
-        from repro.ir.types import PointerType, INT
         pointee = ptr.type.pointee if isinstance(ptr.type, PointerType) else INT
         dst = dst or self.temp(pointee, hint)
         self._emit(Load(dst, ptr), line)
@@ -111,7 +109,6 @@ class IRBuilder:
 
     def gep(self, base: Temp, field_index: Optional[int], field_ty: Type,
             dst: Optional[Temp] = None, line: Optional[int] = None) -> Temp:
-        from repro.ir.types import PointerType
         dst = dst or self.temp(PointerType(field_ty), "g")
         self._emit(Gep(dst, base, field_index), line)
         return dst
@@ -140,20 +137,16 @@ class IRBuilder:
         return self._emit(Unlock(ptr), line)
 
     def wait(self, cond_ptr: Temp, mutex_ptr: Temp, line: Optional[int] = None):
-        from repro.ir.instructions import Wait
         return self._emit(Wait(cond_ptr, mutex_ptr), line)
 
     def signal(self, cond_ptr: Temp, broadcast: bool = False,
                line: Optional[int] = None):
-        from repro.ir.instructions import Signal
         return self._emit(Signal(cond_ptr, broadcast=broadcast), line)
 
     def barrier_init(self, ptr: Temp, count: Value, line: Optional[int] = None):
-        from repro.ir.instructions import BarrierInit
         return self._emit(BarrierInit(ptr, count), line)
 
     def barrier_wait(self, ptr: Temp, line: Optional[int] = None):
-        from repro.ir.instructions import BarrierWait
         return self._emit(BarrierWait(ptr), line)
 
     def branch(self, cond: Value, then_block: BasicBlock, else_block: BasicBlock,
@@ -165,11 +158,9 @@ class IRBuilder:
 
     def binop(self, op: str, lhs: Value, rhs: Value, dst: Optional[Temp] = None,
               line: Optional[int] = None) -> Temp:
-        from repro.ir.types import INT
         dst = dst or self.temp(INT, "b")
         self._emit(BinOp(dst, op, lhs, rhs), line)
         return dst
 
     def const(self, value: int) -> Constant:
-        from repro.ir.types import INT
         return Constant(value, INT)

@@ -11,10 +11,19 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 from typing import List
 
 from repro.minic.errors import LexError
+
+#: Longest source the scanner accepts, in characters: 22 times the
+#: largest bench program (raytrace at scale 16, about 189,000). Checked
+#: before scanning.
+MAX_SOURCE_CHARS = 1 << 22
+
+#: Most tokens the scanner produces, EOF not counted: 10 times
+#: raytrace at scale 16 (50,377). Checked while scanning, so hostile
+#: source stops at the cap instead of building its whole token list.
+MAX_TOKENS = 500_000
 
 
 class TokenKind(enum.Enum):
@@ -40,12 +49,16 @@ PUNCTUATORS = [
 ]
 
 
-@dataclass
 class Token:
-    kind: TokenKind
-    text: str
-    line: int
-    col: int
+    """One token: its kind, its text, and its 1-based line and column."""
+
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: TokenKind, text: str, line: int, col: int) -> None:
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.col = col
 
     def __repr__(self) -> str:
         return f"{self.kind.value}:{self.text!r}@{self.line}:{self.col}"
@@ -67,9 +80,19 @@ _SCANNER = re.compile(r"""
 
 
 def tokenize(source: str) -> List[Token]:
-    """The full token stream of *source*, ending with one EOF token."""
+    """The full token stream of *source*, ending with one EOF token.
+
+    Source longer than MAX_SOURCE_CHARS, or with more than MAX_TOKENS
+    tokens, is a LexError located where it crosses the bound.
+    """
+    if len(source) > MAX_SOURCE_CHARS:
+        line_start = source.rfind("\n", 0, MAX_SOURCE_CHARS) + 1
+        raise LexError(f"source longer than {MAX_SOURCE_CHARS} characters",
+                       source.count("\n", 0, MAX_SOURCE_CHARS) + 1,
+                       MAX_SOURCE_CHARS - line_start + 1)
     tokens: List[Token] = []
     append = tokens.append
+    room = MAX_TOKENS
     line, line_start = 1, 0
     for match in _SCANNER.finditer(source):
         kind, text = match.lastgroup, match.group()
@@ -81,6 +104,9 @@ def tokenize(source: str) -> List[Token]:
                 line_start = start + text.rindex("\n") + 1
             continue
         col = start - line_start + 1
+        room -= 1
+        if room < 0:
+            raise LexError(f"more than {MAX_TOKENS} tokens", line, col)
         if kind == "word":
             append(Token(TokenKind.KEYWORD if text in KEYWORDS
                          else TokenKind.IDENT, text, line, col))

@@ -1,4 +1,22 @@
-"""MiniC recursive-descent parser."""
+"""MiniC parser: recursive descent, with precedence climbing for
+binary expressions.
+
+Statements and unary/postfix expressions descend one method per
+construct. Binary operators are parsed by precedence climbing over one
+operator-to-level table (``_BINARY_LEVELS``), so an operand costs one
+``_parse_binary`` call, not one per precedence level.
+
+Keywords and punctuators are matched by token text alone. That is
+sound because the scanner never gives an identifier, number or EOF
+token the text of a keyword or punctuator, and every text the parser
+matches is one (``tests/minic/test_parser.py`` reads this file to
+check it).
+
+A bare ``{ ... }`` block is spliced into the enclosing statement list:
+MiniC has no block scoping for locals. Input size is bounded before
+parsing by the scanner (``repro.minic.lexer.MAX_SOURCE_CHARS`` and
+``MAX_TOKENS``), and depth by ``MAX_NESTING`` here.
+"""
 
 from __future__ import annotations
 
@@ -22,12 +40,24 @@ _BROADCAST_NAMES = {"broadcast", "pthread_cond_broadcast"}
 _BARRIER_INIT_NAMES = {"barrier_init", "pthread_barrier_init"}
 _BARRIER_WAIT_NAMES = {"barrier_wait", "pthread_barrier_wait"}
 
+# Binary operators by precedence level, loosest first; all are
+# left-associative.
+_BINARY_LEVELS = {
+    "||": 0,
+    "&&": 1,
+    "==": 2, "!=": 2,
+    "<": 3, ">": 3, "<=": 3, ">=": 3,
+    "+": 4, "-": 4,
+    "*": 5, "/": 5, "%": 5,
+}
+_UNARY_OPS = {"&", "*", "-", "!"}
+
 #: Deepest nesting the parser accepts. One counter covers statements
 #: and expressions: open blocks and statement bodies, sub-expressions
 #: (parenthesised, call arguments, indices) and unary operators on the
 #: parse path, plus the height of the expression tree being built
 #: (operator and postfix chains nest left-deep). A parenthesised level
-#: costs the parser about ten Python frames, and lowering recurses
+#: costs the parser five Python frames, and lowering recurses
 #: over the finished tree, so this bound keeps both well inside the
 #: interpreter's default recursion limit: hostile input fails with a
 #: ParseError instead of a RecursionError.
@@ -52,10 +82,13 @@ class Parser:
         self._height = 0
 
     # -- token helpers --------------------------------------------------
+    # Keyword and punctuator checks compare text only (see the module
+    # docstring).
 
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+        if not offset:
+            return self.tokens[self.pos]
+        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
 
     def _advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -64,29 +97,31 @@ class Parser:
         return tok
 
     def _check(self, text: str) -> bool:
-        tok = self._peek()
-        return tok.kind in (TokenKind.PUNCT, TokenKind.KEYWORD) and tok.text == text
+        return self.tokens[self.pos].text == text
 
     def _accept(self, text: str) -> Optional[Token]:
-        if self._check(text):
-            return self._advance()
-        return None
+        tok = self.tokens[self.pos]
+        if tok.text != text:
+            return None
+        self.pos += 1
+        return tok
 
     def _expect(self, text: str) -> Token:
-        if not self._check(text):
-            tok = self._peek()
+        tok = self.tokens[self.pos]
+        if tok.text != text:
             raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.line, tok.col)
-        return self._advance()
+        self.pos += 1
+        return tok
 
     def _expect_ident(self) -> Token:
-        tok = self._peek()
+        tok = self.tokens[self.pos]
         if tok.kind is not TokenKind.IDENT:
             raise ParseError(f"expected identifier, found {tok.text!r}", tok.line, tok.col)
-        return self._advance()
+        self.pos += 1
+        return tok
 
     def _at_type(self) -> bool:
-        tok = self._peek()
-        return tok.kind is TokenKind.KEYWORD and tok.text in _TYPE_KEYWORDS
+        return self.tokens[self.pos].text in _TYPE_KEYWORDS
 
     # -- nesting bound ----------------------------------------------------
 
@@ -200,19 +235,19 @@ class Parser:
         self._expect("{")
         stmts: List[ast.Stmt] = []
         while not self._check("}"):
-            stmts.append(self._parse_statement())
+            if self._check("{"):
+                # A bare block: MiniC has no block scoping for locals,
+                # so its statements join this list. It still opens a
+                # nesting level.
+                stmts.extend(self._parse_block())
+            else:
+                stmts.append(self._parse_statement())
         self._expect("}")
         self.depth -= 1
         return stmts
 
     def _parse_statement(self) -> ast.Stmt:
         tok = self._peek()
-        if self._check("{"):
-            # A bare block: flatten via an if(1)-free representation —
-            # MiniC has no block scoping for locals, so inline the body.
-            body = self._parse_block()
-            return ast.IfStmt(cond=ast.NumberExpr(line=tok.line, col=tok.col, value=1),
-                              then_body=body, else_body=[], line=tok.line, col=tok.col)
         if self._at_type():
             return self._parse_declaration()
         if self._check("if"):
@@ -398,39 +433,34 @@ class Parser:
 
     # -- expressions ----------------------------------------------------
 
-    _BINARY_LEVELS = [
-        ["||"],
-        ["&&"],
-        ["==", "!="],
-        ["<", ">", "<=", ">="],
-        ["+", "-"],
-        ["*", "/", "%"],
-    ]
-
     def _parse_expr(self) -> ast.Expr:
         self._enter()
         expr = self._parse_binary(0)
         self.depth -= 1
         return expr
 
-    def _parse_binary(self, level: int) -> ast.Expr:
-        if level >= len(self._BINARY_LEVELS):
-            return self._parse_unary()
-        lhs = self._parse_binary(level + 1)
-        while any(self._check(op) for op in self._BINARY_LEVELS[level]):
+    def _parse_binary(self, min_level: int) -> ast.Expr:
+        """Precedence climbing: a unary expression followed by binary
+        operators of level *min_level* or tighter, left-associative."""
+        lhs = self._parse_unary()
+        tokens = self.tokens
+        while True:
+            op_tok = tokens[self.pos]
+            level = _BINARY_LEVELS.get(op_tok.text)
+            if level is None or level < min_level:
+                return lhs
             lhs_height = self._height
-            op_tok = self._advance()
+            self.pos += 1
             rhs = self._parse_binary(level + 1)
             self._grow(max(lhs_height, self._height) + 1, op_tok)
             lhs = ast.BinaryExpr(op=op_tok.text, lhs=lhs, rhs=rhs,
                                  line=op_tok.line, col=op_tok.col)
-        return lhs
 
     def _parse_unary(self) -> ast.Expr:
-        tok = self._peek()
-        if tok.kind is TokenKind.PUNCT and tok.text in ("&", "*", "-", "!"):
+        tok = self.tokens[self.pos]
+        if tok.text in _UNARY_OPS:
             self._enter()
-            self._advance()
+            self.pos += 1
             operand = self._parse_unary()
             self.depth -= 1
             self._grow(self._height + 1, tok)

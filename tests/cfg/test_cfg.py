@@ -37,4 +37,4 @@ class TestCFG:
 
     def test_reachable_blocks_covers_all(self):
         cfg = cfg_of("int main() { int i; for (i = 0; i < 2; i = i + 1) { } return 0; }")
-        assert cfg.reachable_blocks() == set(cfg.graph.nodes())
+        assert cfg.graph.reachable_from(cfg.entry) == set(cfg.graph.nodes())

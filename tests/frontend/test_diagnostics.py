@@ -10,6 +10,7 @@ import pytest
 
 from repro.frontend import compile_source
 from repro.minic.errors import LexError, ParseError, SemanticError
+from repro.minic.lexer import MAX_SOURCE_CHARS, MAX_TOKENS, tokenize
 from repro.minic.parser import MAX_NUMBER_DIGITS
 
 #: Hostile sources, one per diagnostic path; tests/gateway/
@@ -21,6 +22,9 @@ HOSTILE = [
     "int f() { return 0; }\nint f() { return 1; }\nint main() { return f(); }",
     "int g;\n",
     "int main() {\n  return 0; /* never closed\n}\n",
+    # One token past the cap, and still under the gateway's 1 MiB
+    # request limit.
+    "int main() {" + ";" * (MAX_TOKENS + 1) + "}",
 ]
 
 
@@ -67,6 +71,24 @@ def test_overlong_array_size_is_a_parse_error():
 def test_literal_at_the_cap_compiles():
     compile_source("int main() { int x; x = " + "9" * MAX_NUMBER_DIGITS
                    + "; return 0; }")
+
+
+def test_token_count_stops_at_the_cap():
+    # Located at the first token past the cap: the scan stopped there.
+    with pytest.raises(LexError, match=f"more than {MAX_TOKENS} tokens") as info:
+        tokenize(";" * (2 * MAX_TOKENS))
+    assert (info.value.line, info.value.col) == (1, MAX_TOKENS + 1)
+    assert len(tokenize(";" * MAX_TOKENS)) == MAX_TOKENS + 1  # and EOF
+
+
+def test_source_length_is_bounded_before_scanning():
+    head = "int main() { return 0; }\n"
+    compile_source(head + " " * (MAX_SOURCE_CHARS - len(head)))
+    # Past the cap, even the one long word is never scanned.
+    with pytest.raises(LexError, match="longer than") as info:
+        compile_source(head + "x" * (MAX_SOURCE_CHARS - len(head) + 1))
+    assert (info.value.line, info.value.col) == \
+        (2, MAX_SOURCE_CHARS - len(head) + 1)
 
 
 def test_duplicate_global_is_a_semantic_error():

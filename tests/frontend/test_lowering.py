@@ -3,10 +3,12 @@
 import pytest
 
 from repro.frontend import compile_source, lower_program
+from repro.fsam import analyze_source
 from repro.ir import (
     AddrOf, Call, Fork, Gep, Join, Load, Lock, Phi, Ret, Store, Unlock,
     verify_module,
 )
+from repro.ir.printer import print_module
 from repro.ir.types import ArrayType, PointerType, StructType
 from repro.ir.values import ObjectKind
 from repro.minic import parse
@@ -124,6 +126,31 @@ class TestControlFlow:
     def test_implicit_return_added(self):
         m = compile_source("void f() { } int main() { f(); return 0; }")
         assert instrs_of(m, "f", Ret)
+
+    BARE_BLOCK = """
+    int a; int b; int *p;
+    int main() {
+        int *q;
+        q = &a;
+        %s
+        p = q;
+        return 0;
+    }
+    """
+
+    def test_bare_block_lowers_as_its_body(self):
+        # MiniC has no block scoping: a bare block is its statements,
+        # with no branch around them.
+        braced = compile_source(self.BARE_BLOCK % "{ q = &b; { } }")
+        flat = compile_source(self.BARE_BLOCK % "q = &b;")
+        assert print_module(braced) == print_module(flat)
+
+    def test_bare_block_keeps_the_strong_update(self):
+        # A branch around the block would merge q's value from before
+        # it, so p would also point to a.
+        result = analyze_source(self.BARE_BLOCK % "{ q = &b; }")
+        assert result.global_pts_names("p") == {"b"}
+        assert result.query("p", obj=True).names() == ["b"]
 
 
 class TestCallsAndThreads:

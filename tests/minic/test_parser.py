@@ -1,11 +1,16 @@
 """Parser tests: structure of the produced AST."""
 
+import ast as pyast
+from pathlib import Path
+
 import pytest
 
 from repro.frontend import compile_source
-from repro.minic import ast, parse
+from repro.minic import ast, parse, parser as parser_module
 from repro.minic.errors import ParseError
+from repro.minic.lexer import KEYWORDS, PUNCTUATORS, TokenKind, tokenize
 from repro.minic.parser import MAX_NESTING
+from repro.workloads import get_workload, workload_names
 
 
 class TestTopLevel:
@@ -278,3 +283,64 @@ class TestNestingLimit:
     def test_hostile_nesting_is_a_parse_error(self, shape):
         with pytest.raises(ParseError, match="nesting deeper than"):
             compile_source(HOSTILE_SHAPES[shape])
+
+
+TEXT_HELPERS = {"_check", "_accept", "_expect"}
+
+
+def _text_literals():
+    """``(line, literal)`` for every text the parser matches a token
+    against by text alone: the arguments of ``_check``, ``_accept`` and
+    ``_expect`` (a loop variable stands for each literal it iterates
+    over) and the constants compared with a token's ``.text``."""
+    tree = pyast.parse(Path(parser_module.__file__).read_text("utf-8"))
+    loops = {}
+    for node in pyast.walk(tree):
+        if isinstance(node, pyast.For) and isinstance(node.target, pyast.Name) \
+                and isinstance(node.iter, (pyast.Tuple, pyast.List)):
+            loops.setdefault(node.target.id, []).extend(
+                pyast.literal_eval(elt) for elt in node.iter.elts)
+    found = []
+    for node in pyast.walk(tree):
+        if isinstance(node, pyast.Call) and isinstance(node.func, pyast.Attribute) \
+                and node.func.attr in TEXT_HELPERS:
+            (arg,) = node.args
+            if isinstance(arg, pyast.Constant):
+                found.append((node.lineno, arg.value))
+            else:
+                assert isinstance(arg, pyast.Name) and arg.id in loops, \
+                    f"line {node.lineno}: {node.func.attr} needs a literal"
+                found.extend((node.lineno, text) for text in loops[arg.id])
+        elif isinstance(node, pyast.Compare) \
+                and isinstance(node.left, pyast.Attribute) and node.left.attr == "text":
+            for right in node.comparators:
+                if isinstance(right, pyast.Constant):
+                    found.append((node.lineno, right.value))
+    return found
+
+
+class TestTextOnlyChecks:
+    """The parser tells keywords and punctuators apart from other
+    tokens by text alone, which is sound only while every text it
+    matches is a keyword or punctuator: the scanner gives no other
+    token such a text."""
+
+    def test_every_matched_literal_is_a_keyword_or_punctuator(self):
+        found = _text_literals()
+        texts = {text for _, text in found}
+        assert {"+=", "-=", "*=", "/=", "{", "}", "if", "sizeof"} <= texts
+        stray = [(line, text) for line, text in found
+                 if text not in KEYWORDS and text not in PUNCTUATORS]
+        assert not stray
+
+    def test_operator_and_type_tables_hold_keywords_and_punctuators(self):
+        for table in (parser_module._BINARY_LEVELS, parser_module._UNARY_OPS,
+                      parser_module._TYPE_KEYWORDS):
+            assert set(table) <= KEYWORDS | set(PUNCTUATORS)
+
+    def test_other_tokens_never_carry_such_a_text(self):
+        reserved = KEYWORDS | set(PUNCTUATORS)
+        for name in workload_names():
+            for tok in tokenize(get_workload(name).source(1)):
+                if tok.kind not in (TokenKind.KEYWORD, TokenKind.PUNCT):
+                    assert tok.text not in reserved
