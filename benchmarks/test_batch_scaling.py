@@ -1,12 +1,12 @@
-"""Batch-service scaling bench: pooled vs serial, warm vs cold.
+"""Batch-service scaling bench: pooled vs one shard, warm vs cold.
 
 Two claims, the whole point of ``repro.service``:
 
-1. a cold 4-worker batch over the ten Table-1 workloads beats the
-   serial loop on wall clock (needs real cores — skipped below 2,
-   and run under the non-blocking batch-smoke CI job, same style as
-   bench-smoke, because shared runners make wall-clock comparisons
-   advisory);
+1. a cold 4-shard batch over the ten Table-1 workloads beats a
+   one-shard batch, which analyses them one at a time, on wall clock
+   (needs real cores — skipped below 2, and run under the
+   non-blocking batch-smoke CI job, same style as bench-smoke,
+   because shared runners make wall-clock comparisons advisory);
 2. a warm batch beats the cold one outright while performing zero
    sparse-solver iterations — this one is deterministic, so it
    asserts unconditionally.

@@ -454,8 +454,10 @@ def cmd_bench(args) -> int:
 
 
 def cmd_batch(args) -> int:
-    """Run a batch spec through the shard workers + artifact cache and
-    print one ``repro.batch/1`` report."""
+    """Run a batch spec on one gateway session (shard workers +
+    artifact cache) and print one ``repro.batch/1`` report. A spec
+    that cannot be read or parsed fails before any shard starts, with
+    one line and exit 2."""
     import os
 
     from repro.service import (
@@ -463,12 +465,16 @@ def cmd_batch(args) -> int:
     )
     from repro.service.requests import requests_from_spec
 
-    with open(args.spec) as handle:
-        spec = json.load(handle)
-    requests, options = requests_from_spec(
-        spec, base_dir=os.path.dirname(os.path.abspath(args.spec)))
+    try:
+        with open(args.spec) as handle:
+            spec = json.load(handle)
+        requests, options = requests_from_spec(
+            spec, base_dir=os.path.dirname(os.path.abspath(args.spec)))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        print(f"repro batch: {args.spec}: {exc}", file=sys.stderr)
+        return 2
     workers = args.workers if args.workers is not None \
-        else int(options.get("workers", 1))
+        else options.get("workers", 1)
     timeout = args.timeout if args.timeout is not None \
         else options.get("timeout")
     cache_dir = args.cache if args.cache is not None else options.get("cache")
@@ -498,6 +504,22 @@ def cmd_batch(args) -> int:
     # notice.
     failed = any(row["status"] == "error" for row in doc["requests"])
     return 3 if doc["aggregate"]["degraded"] or failed else 0
+
+
+def _positive(kind):
+    """An argparse type: a positive ``int`` or ``float``."""
+    noun = "integer" if kind is int else "number"
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = 0
+        if not value > 0:
+            raise argparse.ArgumentTypeError(
+                f"not a positive {noun}: {text!r}")
+        return value
+    return parse
 
 
 def _cache_max_bytes(args) -> Optional[int]:
@@ -703,16 +725,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_bench)
 
     p = sub.add_parser("batch",
-                       help="run a batch spec through the shard workers "
-                            "and artifact cache")
+                       help="run a batch spec on one gateway session "
+                            "(shard workers and artifact cache)")
     p.add_argument("spec", help="batch spec JSON (see repro.service."
                                 "requests for the format)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker processes (overrides the spec; "
-                        "1 = inline, no subprocesses)")
+    p.add_argument("--workers", type=_positive(int), default=None,
+                   help="shard worker processes (overrides the spec; "
+                        "default 1)")
     p.add_argument("--cache", default=None,
                    help="artifact cache directory (overrides the spec)")
-    p.add_argument("--timeout", type=float, default=None,
+    p.add_argument("--timeout", type=_positive(float), default=None,
                    help="default per-request wall-clock seconds "
                         "(overrides the spec)")
     p.add_argument("--no-incremental", action="store_true",
@@ -736,11 +758,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="serve analysis requests from stdin (one "
                             "JSON per line; repro.gwframe/1 frames on "
                             "stdout, matched by id)")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_positive(int), default=1,
                    help="shard worker processes (default 1)")
     p.add_argument("--cache", default=None,
                    help="artifact cache directory")
-    p.add_argument("--timeout", type=float, default=None,
+    p.add_argument("--timeout", type=_positive(float), default=None,
                    help="default per-request wall-clock seconds")
     p.add_argument("--base-dir", default=".",
                    help="base directory for 'file' request entries")
@@ -765,7 +787,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=8377,
                    help="TCP port (0 = pick an ephemeral port; "
                         "default 8377)")
-    p.add_argument("--workers", type=int, default=2,
+    p.add_argument("--workers", type=_positive(int), default=2,
                    help="persistent shard worker processes (default 2)")
     p.add_argument("--max-queue", type=int, default=64,
                    help="global queued-request high-water mark before "
@@ -779,7 +801,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-max-mb", type=float, default=None,
                    help="bound the artifact cache to this many MiB "
                         "(LRU eviction; default unbounded)")
-    p.add_argument("--timeout", type=float, default=None,
+    p.add_argument("--timeout", type=_positive(float), default=None,
                    help="default per-request wall-clock seconds "
                         "(mid-stream expiry degrades to the already-"
                         "streamed Andersen frame)")

@@ -37,8 +37,11 @@ class InflightJob:
         self.done = False
         #: Followers that attached after the leader (the coalesce count).
         self.followers = 0
-        #: Scheduler state, owned by the gateway (opaque here).
-        self.meta: Dict[str, object] = {}
+        #: The ``repro.metrics/1`` span of the shard run that answered,
+        #: set by the gateway before the final event publishes; None
+        #: for disk hits, errors, hot answers and degraded fallbacks.
+        #: It never enters a frame body.
+        self.span: Optional[Dict[str, object]] = None
 
     def subscribe(self) -> asyncio.Queue:
         """Attach one response stream; already-published events are

@@ -18,8 +18,8 @@ Request path, in order:
    structured 429 record immediately;
 2. **resolution** — the entry's program reference resolves to an
    :class:`~repro.service.requests.AnalysisRequest` payload + content
-   digest, through a parent-side memo so a hot workload's source text
-   is generated once, not once per request;
+   digest; a parent-side memo of ``workload`` entries generates a hot
+   workload's source text once, not once per request;
 3. **hot cache** — a small parent-side LRU of recent final response
    bodies answers repeats without touching any worker; it is the only
    in-memory answer cache (a shard keeps none);
@@ -38,8 +38,14 @@ Request path, in order:
    already-streamed preview when one arrived.
 
 Worker death reroutes only the dead shard's keys (ring arc); what
-happens to its in-flight job is :func:`repro.service.runner.retry_lost`
-— the same ladder batch walks, at gateway scale.
+happens to its in-flight job is :func:`repro.service.runner.retry_lost`.
+Every analysis answer that ran reports the job's real dispatch count
+in ``attempts``.
+
+Besides the two transports, :func:`repro.service.batch.run_batch`
+drives an in-process session: it starts the shards, hands every
+request to :meth:`Gateway.submit`, and reads each job's shard span
+from :attr:`InflightJob.span`.
 """
 
 from __future__ import annotations
@@ -283,17 +289,19 @@ class Gateway:
                  ) -> Tuple[str, Dict[str, object], str,
                             Optional[Tuple[str, Optional[int], bool]]]:
         """Entry -> ``(op, request payload, program digest, query)``.
-        Program resolution (workload source generation, config parsing,
-        digesting) runs once per distinct program via the entry memo.
-        A ``file`` entry bypasses the memo and is read on every request,
-        so an edited file is analysed as it is now."""
+        A ``workload`` entry resolves (source generation, config
+        parsing, digesting) once per distinct program via the entry
+        memo. The other entries bypass it: a ``file`` entry is read on
+        every request, so an edited file is analysed as it is now, and
+        an inline ``source`` entry already carries its text, which a
+        memo would hold twice (in its key and in its payload)."""
         op = entry.get("op", "analyze")
         if op not in ("analyze", "query"):
             raise BadRequest(f"unknown request op: {op!r}")
         program_entry = {key: value for key, value in entry.items()
                          if key not in _CONTROL_KEYS}
-        memo_key = None if "file" in program_entry \
-            else json.dumps(program_entry, sort_keys=True, default=str)
+        memo_key = json.dumps(program_entry, sort_keys=True, default=str) \
+            if "workload" in program_entry else None
         cached = self._entry_memo.get(memo_key)
         if cached is None:
             try:
@@ -323,11 +331,12 @@ class Gateway:
             raise BadRequest(f"query obj is not a boolean: {obj!r}")
         return op, payload, digest, (var, line, obj)
 
-    def submit(self, entry: Dict[str, object]) -> asyncio.Queue:
-        """Admit one parsed request entry; returns the queue its
-        ``(kind, body, final)`` events arrive on.  Raises a
-        :class:`~repro.gateway.protocol.RequestError` when the request
-        is refused outright (rate limit, bad entry, closing)."""
+    def submit(self, entry: Dict[str, object]) -> InflightJob:
+        """Admit one parsed request entry; returns the job whose
+        ``(kind, body, final)`` events answer it (``subscribe()`` for a
+        queue of them).  Identical requests in flight share one job.
+        Raises a :class:`~repro.gateway.protocol.RequestError` when the
+        request is refused outright (rate limit, bad entry, closing)."""
         if self._closing:
             raise GatewayClosing("gateway is draining for shutdown")
         self.obs.count("gateway.requests", 1)
@@ -344,14 +353,13 @@ class Gateway:
             self.obs.count("gateway.hot_hits", 1)
             body = dict(hot)
             body["cache"] = "hot"
-            queue: asyncio.Queue = asyncio.Queue()
-            queue.put_nowait(("result", body, True))
-            return queue
+            job = InflightJob(key, op)
+            job.publish("result", body, final=True)
+            return job
         job, leader = self.coalesce.join(key, op)
-        events = job.subscribe()
         if not leader:
             self.obs.count("gateway.coalesce_attach", 1)
-            return events
+            return job
         self._jid += 1
         timeout = payload.get("timeout")
         gjob = _Job(jid=self._jid, op=op, key=key, inflight=job,
@@ -360,7 +368,7 @@ class Gateway:
                     else self.options.timeout,
                     priority=policy.priority, enqueued=time.monotonic())
         self._enqueue(gjob)
-        return events
+        return job
 
     def _enqueue(self, gjob: _Job) -> None:
         shard = self.ring.route(gjob.digest)
@@ -389,9 +397,18 @@ class Gateway:
         self._pump(shard)
 
     def _finish_with_error(self, gjob: _Job, exc: RequestError) -> None:
+        self._answer(gjob, "error", protocol.error_body(exc))
+
+    def _answer(self, gjob: _Job, kind: str,
+                body: Dict[str, object]) -> None:
+        """Publish *gjob*'s final event. An analysis answer that ran (a
+        miss, degraded or not) reports the job's dispatch count: the
+        shard that answered knows only its own attempt."""
+        if kind == "result" and gjob.op == "analyze" \
+                and body.get("cache") == "miss":
+            body["attempts"] = gjob.attempts
         if not gjob.inflight.done:
-            gjob.inflight.publish("error", protocol.error_body(exc),
-                                  final=True)
+            gjob.inflight.publish(kind, body, final=True)
         self.coalesce.finish(gjob.key)
         self._maybe_drained()
 
@@ -442,18 +459,14 @@ class Gateway:
                     gjob.inflight.publish("andersen", body)
             return
         del self._jobs[jid]
+        gjob.inflight.span = obs_snapshot
         if obs_snapshot is not None:
             self.obs.merge_metrics(obs_snapshot)
+        self._answer(gjob, kind, body)
         if kind == "error":
             self.obs.count("gateway.errors", 1)
-            if not gjob.inflight.done:
-                gjob.inflight.publish("error", body, final=True)
         else:
             self._record_result(gjob, body)
-            if not gjob.inflight.done:
-                gjob.inflight.publish("result", body, final=True)
-        self.coalesce.finish(gjob.key)
-        self._maybe_drained()
         self._pump(shard)
 
     def _record_result(self, gjob: _Job, body: Dict[str, object]) -> None:
@@ -473,27 +486,30 @@ class Gateway:
 
     def _on_shard_down(self, shard: int, lost: List[_Job],
                        reason: str) -> None:
-        self.ring.remove(shard)
+        # The pool respawns the shard right after this. A lone shard
+        # stays on the ring: its retried and queued work waits on its
+        # queue for the respawn instead of finding no shard at all.
+        rerouted = len(self.ring) > 1
+        if rerouted:
+            self.ring.remove(shard)
         self.obs.count("gateway.shard_deaths", 1)
         if reason == "wall-clock-timeout":
             self.obs.count("gateway.deadline_kills", 1)
         for gjob in lost:
             self._jobs.pop(gjob.jid, None)
             if retry_lost(reason, gjob.attempts):
-                # Rerouted around the dead shard.
                 self.obs.count("gateway.retries", 1)
                 self._enqueue(gjob)
             else:
                 self._degrade(gjob, reason)
-        # Queued (not yet dispatched) work reroutes to the survivors.
-        pending = self.queues[shard]
-        moved = 0
-        while len(pending):
-            gjob = pending.pop()  # type: ignore[assignment]
-            self._enqueue(gjob)
-            moved += 1
-        if moved:
-            self.obs.count("gateway.rebalanced", moved)
+        if rerouted:
+            # Queued (not yet dispatched) work moves to the survivors.
+            pending = self.queues[shard]
+            moved = len(pending)
+            while len(pending):
+                self._enqueue(pending.pop())  # type: ignore[arg-type]
+            if moved:
+                self.obs.count("gateway.rebalanced", moved)
         self._maybe_drained()
 
     def _on_shard_up(self, shard: int) -> None:
@@ -515,10 +531,7 @@ class Gateway:
             body["status"] = "degraded"
             body["degraded_reason"] = reason
             body["seconds"] = round(time.monotonic() - gjob.enqueued, 6)
-            if not gjob.inflight.done:
-                gjob.inflight.publish("result", body, final=True)
-            self.coalesce.finish(gjob.key)
-            self._maybe_drained()
+            self._answer(gjob, "result", body)
             return
 
         def compute() -> Dict[str, object]:
@@ -537,10 +550,7 @@ class Gateway:
             except BaseException as exc:  # noqa: BLE001
                 self._finish_with_error(gjob, RequestError(str(exc)))
                 return
-            if not gjob.inflight.done:
-                gjob.inflight.publish("result", body, final=True)
-            self.coalesce.finish(gjob.key)
-            self._maybe_drained()
+            self._answer(gjob, "result", body)
 
         self._degrading += 1
         loop = asyncio.get_event_loop()
@@ -638,7 +648,7 @@ class Gateway:
                     max_depth=self.options.max_json_depth)
                 request_id = entry.get("id")
                 stream = bool(entry.get("stream", False))
-                events = self.submit(entry)
+                events = self.submit(entry).subscribe()
             except Exception as exc:  # noqa: BLE001 - one final frame a line
                 self.obs.count("gateway.refused" if isinstance(
                     exc, RequestError) else "gateway.errors", 1)
@@ -740,7 +750,7 @@ class Gateway:
             request_id = entry.get("id")
             stream = query.get("stream", "") in ("1", "true", "yes") \
                 or bool(entry.get("stream", False))
-            events = self.submit(entry)
+            events = self.submit(entry).subscribe()
         except RequestError as exc:
             self.obs.count("gateway.refused", 1)
             writer.write(protocol.http_response(

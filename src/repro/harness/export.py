@@ -74,7 +74,7 @@ def render_batch_report(doc: Dict[str, object]) -> str:
                 f"{iters:>8}")
     counters: Dict[str, object] = doc.get("counters", {})  # type: ignore[assignment]
     interesting = {k: v for k, v in counters.items()
-                   if k.startswith(("batch.", "cache.", "pool."))}
+                   if k.startswith(("batch.", "cache.", "gateway."))}
     if interesting:
         lines.append("counters:")
         width = max(len(k) for k in interesting)

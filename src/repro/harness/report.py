@@ -114,18 +114,17 @@ def render_telemetry_report(source: TelemetrySource, top: int = 5) -> str:
     if source.snapshots > 1:
         lines[0] += f"  (final of {source.snapshots} snapshots)"
 
-    # A batch rollup counts batch.* and pool.*; a gateway stream (repro
-    # serve or repro gateway) counts gateway.*.
-    prefix = "gateway" if "gateway.requests" in counters else "batch"
+    # Retries and deadline kills are the gateway's, which batch runs
+    # on too; request and degraded counts are batch.* in a batch
+    # rollup and gateway.* in a stream (repro serve or repro gateway).
+    prefix = "batch" if "batch.requests" in counters else "gateway"
     requests = counters.get(f"{prefix}.requests")
-    retried, timed_out = ("gateway.retries", "gateway.deadline_kills") \
-        if prefix == "gateway" else ("pool.retries", "pool.timeouts")
     summary = []
     if requests is not None:
         summary.append(f"{requests} request(s)")
     summary.append(f"{counters.get(f'{prefix}.degraded', 0)} degraded")
-    summary.append(f"{counters.get(retried, 0)} retried")
-    summary.append(f"{counters.get(timed_out, 0)} timed out")
+    summary.append(f"{counters.get('gateway.retries', 0)} retried")
+    summary.append(f"{counters.get('gateway.deadline_kills', 0)} timed out")
     lines.append("  " + ", ".join(summary))
 
     hits = counters.get("cache.hits", 0)

@@ -11,12 +11,11 @@ Turns the single-shot FSAM pipeline into a servable system:
   the degradation ladder (full FSAM -> Andersen-only ``degraded``
   result) that every front end walks;
 - :mod:`repro.service.shards` — the shard workers, the only code that
-  spawns analysis processes: per-job wall-clock deadlines, crash
-  retry and respawn, for batch (:func:`run_requests`) and for the
-  gateway and ``repro serve`` (:class:`ShardPool`);
-- :mod:`repro.service.batch` — the batch driver: request dedup,
-  cache consultation, shard dispatch, and one aggregated
-  ``repro.batch/1`` report;
+  spawns analysis processes: per-job wall-clock deadlines and
+  respawn under the gateway's :class:`ShardPool`;
+- :mod:`repro.service.batch` — the batch driver: one in-process
+  gateway session (the path ``repro serve`` takes) and one
+  aggregated ``repro.batch/1`` report;
 - :mod:`repro.service.incremental` — function-granular incremental
   analysis over the cache's per-function artifact store
   (``repro.funcartifact/1``): warm requests whose program digest
@@ -56,7 +55,7 @@ from repro.service.requests import (
 from repro.service.runner import (
     QueryRunner, RequestOutcome, run_request_inline,
 )
-from repro.service.shards import ShardPool, run_requests
+from repro.service.shards import ShardPool
 
 __all__ = [
     "AnalysisArtifact", "artifact_from_result", "artifact_from_andersen",
@@ -66,7 +65,7 @@ __all__ = [
     "AnalysisRequest", "QueryRequest", "request_digest", "function_digest",
     "canonical_digest", "query_digest",
     "RequestOutcome", "run_request_inline", "QueryRunner",
-    "ShardPool", "run_requests",
+    "ShardPool",
     "BatchReport", "run_batch", "render_batch_report",
     "validate_batch_report",
 ]

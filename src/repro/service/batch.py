@@ -1,38 +1,36 @@
-"""The batch driver: dedup -> cache -> shards -> one ``repro.batch/1``
-report.
+"""The batch driver: one in-process gateway session, one
+``repro.batch/1`` report.
 
-Execution plan for a batch of requests:
+:func:`run_batch` takes the request path ``repro serve`` takes. It
+starts a :class:`~repro.gateway.server.Gateway`'s shards with no
+listener, submits every request, and builds the report from the final
+answers. So the shards' whole-program cache, function store and query
+store answer batch requests as they answer serve's, and the gateway's
+ladder (deadline kill, one crash retry, degradation; see
+:mod:`repro.service.runner`) is batch's too.
 
-1. **dedup** — requests are grouped by content digest; each distinct
-   (source, config, code version) runs at most once, and followers
-   share the representative's artifact (``cache: "dedup"``);
-2. **cache** — distinct digests are looked up in the
-   :class:`~repro.service.cache.ArtifactCache`; hits skip the solver
-   entirely (a warm batch performs zero sparse-solver iterations,
-   asserted by the differential suite);
-3. **dispatch** — misses go to the shard workers
-   (:func:`~repro.service.shards.run_requests`), or run inline when
-   ``workers <= 1`` (:func:`~repro.service.runner.run_inline`), each
-   walking the degradation ladder. A request whose analysis raises
-   (say, a ``ParseError``) gets an ``error`` row instead of an
-   artifact; the rest of the batch is unaffected;
-4. **report** — per-request rows plus aggregated counters and phase
-   times, as one ``repro.batch/1`` document. The top-level phases of
-   the miss spans (below) are summed into ``aggregate.phase_seconds``.
+- **Dedup.** Every request is submitted before any answer can arrive,
+  so requests with the same content digest join one in-flight job and
+  the analysis runs once. Each row after the first of a job is a
+  ``cache: "dedup"`` follower that shares its answer.
+- **Errors.** A request whose analysis raises (say, a ``ParseError``)
+  gets an ``error`` row instead of a summary; the rest of the batch is
+  unaffected.
+- **Queries.** ``op: query`` spec entries take the same path and answer
+  in ``queries`` rows.
 
-Telemetry: every dispatched request carries a span id (``rNNNN`` in
-request order) and runs under its own Observer — in the shard for
-pooled dispatch, in-process for inline — whose ``repro.metrics/1``
-snapshot comes back on the outcome. The driver merges miss
-snapshots into the batch observer (cross-request
-``phase.*`` latency distributions, worker-side counters; the shards'
-FuncArtifactStore tallies arrive with their shutdown), records
-``pool.run_seconds`` /
-``pool.queue_seconds`` / ``request.seconds`` histograms, and embeds
-the final rollup in the report as ``metrics``. Hits and dedup
-followers contribute nothing to histograms or phase times, so a fully
-warm batch's rollup is byte-identical across reruns (asserted by the
-telemetry suite). Requests slower than ``slow_ms`` capture their
+Telemetry: each miss's shard span (the ``repro.metrics/1`` snapshot
+the gateway hands over on the job's ``InflightJob.span``) merges into
+the batch observer in request order. Each miss also records
+``pool.run_seconds`` (the answer's own ``seconds``),
+``pool.queue_seconds`` (the rest of the wall time since submission)
+and ``request.seconds`` (both). The top-level phases of the same spans
+sum to ``aggregate.phase_seconds``. The shards' shutdown snapshots
+bring the ``cache.*``, ``cache.func_*`` and ``query.*`` store tallies,
+and the gateway's dispatch counters come along (``gateway.dispatched``,
+``gateway.retries``, ...). Hits and dedup followers add no samples, so
+a fully warm batch's rollup is byte-identical across reruns (asserted
+by the telemetry suite). Misses slower than ``slow_ms`` keep their
 per-phase profile as ``exemplars``.
 """
 
@@ -44,14 +42,53 @@ from typing import Dict, List, Optional
 
 from repro.obs import Observer
 from repro.schemas import BATCH_SCHEMA
-from repro.service.cache import (
-    ArtifactCache, FuncArtifactStore, QueryArtifactStore,
-)
+from repro.service.cache import ArtifactCache
 from repro.service.requests import AnalysisRequest, QueryRequest
-from repro.service.runner import (
-    QueryRunner, RequestOutcome, error_record, run_inline,
-)
-from repro.service.shards import run_requests
+
+#: The gateway's dispatch counters a batch rollup carries (its
+#: ``gateway.*_seconds`` histograms stay out: a warm batch's rollup
+#: holds no wall-clock samples).
+_GATEWAY_COUNTERS = ("gateway.dispatched", "gateway.retries",
+                    "gateway.deadline_kills", "gateway.shard_deaths",
+                    "gateway.degraded")
+
+
+@dataclass
+class BatchOutcome:
+    """One analysis request's row: the final answer its job got, a
+    result body or an error body."""
+
+    name: str
+    digest: str
+    request_id: str
+    body: Dict[str, object]
+    cache: str = "miss"            # "hit" | "miss" | "dedup"
+    #: The answer's own time: the shard's run, or the time since
+    #: submission for a degraded fallback after a kill or crash and
+    #: for an error.
+    seconds: float = 0.0
+    #: The rest of the time from submission to the answer: waiting
+    #: for a shard, and any lost attempt before a retry.
+    queue_seconds: float = 0.0
+    attempts: int = 0
+    #: The miss's shard span; None for hits, dedup followers, errors,
+    #: and answers whose shard died under them.
+    obs_snapshot: Optional[Dict[str, object]] = None
+
+    @property
+    def status(self) -> str:
+        return self.body["status"]  # type: ignore[return-value]
+
+    @property
+    def error(self) -> Optional[Dict[str, object]]:
+        return self.body.get("error")  # type: ignore[return-value]
+
+    def solver_iterations(self) -> int:
+        """The sparse-solver iterations this row ran in this batch."""
+        if self.cache != "miss" or self.error is not None:
+            return 0
+        return self.body["summary"].get(  # type: ignore[union-attr]
+            "solver_iterations", 0)
 
 
 @dataclass
@@ -60,7 +97,7 @@ class BatchReport:
 
     name: str
     workers: int
-    outcomes: List[RequestOutcome]
+    outcomes: List[BatchOutcome]
     total_seconds: float
     counters: Dict[str, int] = field(default_factory=dict)
     gauges: Dict[str, float] = field(default_factory=dict)
@@ -69,8 +106,7 @@ class BatchReport:
     metrics: Optional[Dict[str, object]] = None
     #: Per-phase profiles auto-captured for requests over ``slow_ms``.
     exemplars: List[Dict[str, object]] = field(default_factory=list)
-    #: Demand-query response payloads (``op: query`` spec entries),
-    #: answered after the analysis dispatch by the demand engine.
+    #: Demand-query answers (``op: query`` spec entries).
     queries: List[Dict[str, object]] = field(default_factory=list)
 
     def to_dict(self) -> Dict[str, object]:
@@ -82,26 +118,16 @@ class BatchReport:
                 "status": outcome.status,
                 "cache": outcome.cache,
                 "seconds": round(outcome.seconds, 6),
-                # Per-attempt wall clocks, one per degradation rung.
-                # ``seconds`` measures from first dispatch and
-                # includes killed attempts plus requeue wait; these do
-                # not.
-                "attempt_seconds": [round(s, 6)
-                                    for s in outcome.attempt_seconds],
-                # Slot wait (enqueue -> dispatch, also before a
-                # retry), disjoint from the attempt entries.
                 "queue_seconds": round(outcome.queue_seconds, 6),
                 "attempts": outcome.attempts,
+                "request_id": outcome.request_id,
             }
-            if outcome.request_id is not None:
-                row["request_id"] = outcome.request_id
             if outcome.error is not None:
                 row["error"] = dict(outcome.error)
             else:
-                row["summary"] = dict(outcome.artifact.summary)
-                if outcome.artifact.degraded:
-                    row["degraded_reason"] = \
-                        outcome.artifact.degraded_reason
+                row["summary"] = dict(outcome.body["summary"])  # type: ignore[call-overload]
+                if "degraded_reason" in outcome.body:
+                    row["degraded_reason"] = outcome.body["degraded_reason"]
             rows.append(row)
         return {
             "schema": BATCH_SCHEMA,
@@ -118,11 +144,9 @@ class BatchReport:
                 # batch reports zero iterations (the differential
                 # suite and the CI batch-smoke job assert exactly
                 # that). The cold run's count survives inside each
-                # artifact's summary.
+                # row's summary.
                 "solver_iterations": sum(
-                    o.artifact.solver_iterations()
-                    for o in self.outcomes
-                    if o.cache == "miss" and o.error is None),
+                    o.solver_iterations() for o in self.outcomes),
                 "degraded": sum(
                     1 for o in self.outcomes if o.status == "degraded"),
             },
@@ -142,11 +166,54 @@ class BatchReport:
             if outcome.cache != "miss" or outcome.obs_snapshot is None:
                 continue
             for path, seconds in \
-                    outcome.obs_snapshot["phase_seconds"].items():
+                    outcome.obs_snapshot["phase_seconds"].items():  # type: ignore[union-attr]
                 if "/" not in path:
                     total[path] = total.get(path, 0.0) + float(seconds)
         return {name: round(seconds, 6)
                 for name, seconds in sorted(total.items())}
+
+
+def _entry(request: AnalysisRequest) -> Dict[str, object]:
+    """*request* as a gateway request entry."""
+    entry: Dict[str, object] = {"name": request.name,
+                                "source": request.source,
+                                "config": request.config.to_dict()}
+    if request.timeout is not None:
+        entry["timeout"] = request.timeout
+    return entry
+
+
+async def _session(entries: List[Dict[str, object]], options):
+    """Answer *entries* on one gateway session. Returns each entry's
+    job and its ``(final body, seconds since submission)``, the shards'
+    shutdown snapshots, and the gateway's dispatch counters."""
+    import asyncio
+
+    # Built inside the running loop: on CPython 3.9 the gateway's
+    # asyncio objects bind to the loop current at construction.
+    from repro.gateway.server import Gateway
+    gateway = Gateway(options)
+
+    async def final(job, start: float):
+        events = job.subscribe()
+        while True:
+            _kind, body, done = await events.get()
+            if done:
+                return body, time.perf_counter() - start
+
+    await gateway.pool.start()
+    try:
+        start = time.perf_counter()
+        # Nothing answers before this loop yields, so identical
+        # entries join one in-flight job: a repeat runs once, however
+        # fast the first answer comes.
+        jobs = [gateway.submit(entry) for entry in entries]
+        finals = await asyncio.gather(*(final(job, start) for job in jobs))
+    finally:
+        byes = await gateway.pool.shutdown()
+    counters = {name: gateway.obs.counters[name]
+                for name in _GATEWAY_COUNTERS if name in gateway.obs.counters}
+    return jobs, finals, byes, counters
 
 
 def run_batch(requests: List[AnalysisRequest],
@@ -158,134 +225,80 @@ def run_batch(requests: List[AnalysisRequest],
               incremental: bool = True,
               slow_ms: Optional[float] = None,
               queries: Optional[List[QueryRequest]] = None) -> BatchReport:
-    """Run *requests* to completion and aggregate the report.
+    """Run *requests* (and *queries*) on one gateway session of
+    ``workers`` shards and aggregate the report.
 
-    ``workers <= 1`` runs inline (no subprocesses) — the serial
-    reference arm of the differential suite and the no-multiprocessing
-    escape hatch; there the wall-clock *timeout* becomes each request's
-    cooperative budget. Otherwise misses run on ``workers`` shards under
-    *timeout* as a per-request wall-clock deadline.
-
-    With *incremental* (the default) and a cache configured, a
-    per-function artifact store lives next to the whole-program
-    entries under ``<cache>/func``: requests whose program digest
-    misses can still reuse the previous fixpoint for unchanged
-    functions (see :mod:`repro.service.incremental`).
+    The shards share the cache directory of *cache* (and its size
+    bound); *timeout* is each request's default wall-clock deadline,
+    past which its shard is killed and the answer degrades. With
+    *incremental* (the default) and a cache, the shards also keep the
+    per-function artifact store under ``<cache>/func`` (see
+    :mod:`repro.service.incremental`).
 
     *slow_ms* enables exemplar capture: every cache-miss request whose
     wall clock exceeds the threshold lands in ``report.exemplars``
     with its per-phase breakdown and dominant phase.
 
     *queries* (``op: query`` spec entries, parsed by
-    :func:`repro.service.requests.requests_from_spec`) run after the
-    analysis dispatch through a shared
-    :class:`~repro.service.runner.QueryRunner`: warm answers come from
-    ``<cache>/query`` without building a pipeline; the batch never
-    fails on a bad query — the error rides in the query's row.
+    :func:`repro.service.requests.requests_from_spec`) are answered by
+    the shards' demand engine and query store; a bad query never fails
+    the batch — the error rides in the query's row.
     """
-    observer = obs if obs is not None else Observer(name=name)
-    funcstore_root = str(cache.root) \
-        if incremental and cache is not None else None
-    start = time.perf_counter()
+    import asyncio
 
-    # 0. span ids, deterministic in request order (rerunning the same
+    from repro.gateway.server import GatewayOptions
+
+    observer = obs if obs is not None else Observer(name=name)
+    queries = queries or []
+    # Span ids, deterministic in request order (rerunning the same
     # batch assigns the same ids — part of the warm-rollup
     # byte-identity guarantee).
     for i, request in enumerate(requests):
         request.request_id = f"r{i:04d}"
-
-    # 1. dedup by content digest.
-    digest_of: List[str] = [request.digest() for request in requests]
-    representative: Dict[str, int] = {}
-    for i, digest in enumerate(digest_of):
-        representative.setdefault(digest, i)
-    unique_indices = sorted(representative.values())
-
-    # 2. cache lookups for distinct digests.
-    resolved: Dict[str, RequestOutcome] = {}
-    to_run: List[AnalysisRequest] = []
-    for i in unique_indices:
-        digest = digest_of[i]
-        if cache is not None:
-            lookup_start = time.perf_counter()
-            artifact = cache.get(digest)
-            if artifact is not None:
-                resolved[digest] = RequestOutcome(
-                    name=requests[i].name, digest=digest,
-                    artifact=artifact, cache="hit",
-                    seconds=time.perf_counter() - lookup_start,
-                    attempts=0, request_id=requests[i].request_id)
-                continue
-        to_run.append(requests[i])
-
-    # 3. dispatch misses.
-    if to_run:
-        if workers > 1:
-            fresh = run_requests(to_run, workers, timeout=timeout,
-                                 funcstore_root=funcstore_root,
-                                 obs=observer)
-        else:
-            funcstore = FuncArtifactStore(funcstore_root) \
-                if funcstore_root is not None else None
-            fresh = [run_inline(request, timeout, funcstore=funcstore)
-                     for request in to_run]
-            if funcstore is not None:
-                # The inline funcstore is shared across every request
-                # in the batch; flush its tallies once (the shards
-                # flush their own store into their shutdown snapshot).
-                funcstore.flush_obs(observer)
-        for outcome in fresh:
-            resolved[outcome.digest] = outcome
-            if cache is not None and outcome.error is None:
-                cache.put(outcome.digest, outcome.artifact)
-
-    # 4. fan results back out to every original request.
-    outcomes: List[RequestOutcome] = []
-    deduped = 0
-    for i, request in enumerate(requests):
-        digest = digest_of[i]
-        base = resolved[digest]
-        if i == representative[digest]:
-            outcomes.append(base)
-        else:
-            deduped += 1
-            outcomes.append(RequestOutcome(
-                name=request.name, digest=digest, artifact=base.artifact,
-                cache="dedup", seconds=0.0, attempts=0,
-                request_id=request.request_id, error=base.error))
-
-    # 5. demand queries, after the analysis dispatch (a query against
-    # a program this batch just analysed still slices fresh — the two
-    # cache layers are independent — but its artifact store may already
-    # be warm from an earlier batch).
-    query_rows: List[Dict[str, object]] = []
-    if queries:
-        querystore = QueryArtifactStore(cache.root) \
-            if cache is not None else None
-        queryrunner = QueryRunner(querystore=querystore, obs=observer)
-        for i, query in enumerate(queries):
-            query.request.request_id = f"q{i:04d}"
-            try:
-                row = queryrunner.run(query)
-            except Exception as exc:  # noqa: BLE001 - reported in-row
-                row = {
-                    "op": "query", "name": query.request.name,
-                    "var": query.var, "line": query.line,
-                    "obj": query.obj, "status": "error",
-                    "error": error_record(exc),
-                }
-            row["request_id"] = query.request.request_id
-            query_rows.append(row)
-        observer.count("batch.queries", len(query_rows))
-        errors = sum(1 for row in query_rows if row["status"] == "error")
-        if errors:
-            observer.count("batch.query_errors", errors)
-        queryrunner.flush_obs(observer)
-
+    for i, query in enumerate(queries):
+        query.request.request_id = f"q{i:04d}"
+    entries = [_entry(request) for request in requests] + [
+        dict(_entry(query.request), op="query", var=query.var,
+             line=query.line, obj=query.obj) for query in queries]
+    options = GatewayOptions(
+        workers=min(workers, len(entries)) or 1,
+        # Every entry is queued at once; none may be shed.
+        max_queue=len(entries),
+        cache_root=str(cache.root) if cache is not None else None,
+        cache_max_bytes=cache.max_bytes if cache is not None else None,
+        timeout=timeout, incremental=incremental)
+    start = time.perf_counter()
+    jobs, finals, byes, gateway_counters = asyncio.run(
+        _session(entries, options))
     total_seconds = time.perf_counter() - start
 
-    # Telemetry: merge each miss's span snapshot (worker-side counters
-    # + per-phase times -> cross-request phase.* distributions) and
+    outcomes: List[BatchOutcome] = []
+    answered = set()
+    for request, job, (body, wall) in zip(requests, jobs, finals):
+        outcome = BatchOutcome(name=request.name, digest=request.digest(),
+                               request_id=request.request_id, body=body,
+                               cache="dedup")
+        if job not in answered:
+            answered.add(job)
+            outcome.cache = body.get("cache", "miss")
+            outcome.seconds = body.get("seconds", wall)
+            outcome.queue_seconds = max(0.0, wall - outcome.seconds)
+            # A worker-reported error is never retried.
+            outcome.attempts = body.get("attempts", 1)
+            outcome.obs_snapshot = job.span
+        outcomes.append(outcome)
+    query_rows: List[Dict[str, object]] = []
+    for query, (body, _wall) in zip(queries, finals[len(requests):]):
+        row: Dict[str, object] = {
+            "op": "query", "name": query.request.name, "var": query.var,
+            "line": query.line, "obj": query.obj}
+        row.update(body)
+        row.pop("span", None)        # the gateway's job id
+        row["request_id"] = query.request.request_id
+        query_rows.append(row)
+
+    # Telemetry: merge each miss's span (worker-side counters +
+    # per-phase times -> cross-request phase.* distributions) and
     # record the dispatch histograms. Hits and dedup followers are
     # deliberately excluded — they did no work, and keeping the warm
     # path free of wall-clock samples makes a fully cached batch's
@@ -295,13 +308,21 @@ def run_batch(requests: List[AnalysisRequest],
             continue
         if outcome.obs_snapshot is not None:
             observer.merge_metrics(outcome.obs_snapshot)
-        for attempt_s in outcome.attempt_seconds:
-            observer.observe("pool.run_seconds", attempt_s)
+        observer.observe("pool.run_seconds", outcome.seconds)
         observer.observe("pool.queue_seconds", outcome.queue_seconds)
-        observer.observe("request.seconds", outcome.seconds)
+        observer.observe("request.seconds",
+                         outcome.seconds + outcome.queue_seconds)
+    for job in dict.fromkeys(jobs[len(requests):]):
+        if job.span is not None:
+            observer.merge_metrics(job.span)
+    for snapshot in byes:
+        observer.merge_metrics(snapshot)
+    for counter, count in gateway_counters.items():
+        observer.count(counter, count)
 
+    deduped = sum(1 for o in outcomes if o.cache == "dedup")
     observer.count("batch.requests", len(requests))
-    observer.count("batch.unique_requests", len(unique_indices))
+    observer.count("batch.unique_requests", len(requests) - deduped)
     observer.count("batch.deduped", deduped)
     observer.count("batch.cache_hits",
                    sum(1 for o in outcomes if o.cache == "hit"))
@@ -315,10 +336,12 @@ def run_batch(requests: List[AnalysisRequest],
     # Solver work this batch actually performed — zero on a fully warm
     # batch (the repro.obs-counter form of the cache guarantee).
     observer.count("batch.solver_iterations",
-                   sum(o.artifact.solver_iterations() for o in outcomes
-                       if o.cache == "miss" and o.error is None))
-    if cache is not None:
-        cache.flush_obs(observer)
+                   sum(o.solver_iterations() for o in outcomes))
+    if query_rows:
+        observer.count("batch.queries", len(query_rows))
+        errors = sum(1 for row in query_rows if row["status"] == "error")
+        if errors:
+            observer.count("batch.query_errors", errors)
     observer.gauge("batch.workers", workers)
     hits = observer.counter("batch.cache_hits")
     misses = observer.counter("batch.cache_misses")
@@ -411,12 +434,6 @@ def validate_batch_report(doc: object) -> Dict[str, object]:
         _check(isinstance(row.get("seconds"), (int, float))
                and row["seconds"] >= 0,
                f"requests[{i}] seconds missing or negative")
-        attempt_seconds = row.get("attempt_seconds", [])
-        _check(isinstance(attempt_seconds, list)
-               and all(isinstance(s, (int, float)) and s >= 0
-                       for s in attempt_seconds),
-               f"requests[{i}] attempt_seconds is not a list of "
-               "non-negative numbers")
         _check(isinstance(row.get("attempts"), int) and row["attempts"] >= 0,
                f"requests[{i}] attempts is not a non-negative integer")
         queue_seconds = row.get("queue_seconds", 0)

@@ -18,6 +18,9 @@ A batch spec (``repro batch <spec.json>``) is one JSON object::
 Each request entry names its program exactly one way: a registered
 ``workload`` (with optional ``scale``), a MiniC ``file`` path
 (relative to the spec's directory), or inline ``source`` text.
+``workers`` is a positive integer, a ``timeout`` a positive number of
+seconds (or null), ``cache`` a directory path; ``true`` is none of
+them.
 """
 
 from __future__ import annotations
@@ -150,6 +153,15 @@ def query_from_entry(entry: Dict[str, object],
     return QueryRequest(request=request, var=var, line=line, obj=obj)
 
 
+def _positive(key: str, value: object, kind) -> None:
+    """Refuse *value* of *key* unless it is a positive *kind* (``int``,
+    or ``(int, float)`` for seconds); a JSON ``true`` is not a number."""
+    if isinstance(value, bool) or not isinstance(value, kind) \
+            or not value > 0:
+        noun = "integer" if kind is int else "number"
+        raise ValueError(f"{key} is not a positive {noun}: {value!r}")
+
+
 def request_from_entry(entry: Dict[str, object],
                        base_dir: str = ".") -> AnalysisRequest:
     """One spec or JSONL request entry -> :class:`AnalysisRequest` (see
@@ -164,8 +176,8 @@ def request_from_entry(entry: Dict[str, object],
             f"(workload | file | source), got {program_keys or 'none'}")
     config = FSAMConfig.from_dict(entry.get("config", {}))  # type: ignore[arg-type]
     timeout = entry.get("timeout")
-    if timeout is not None and not isinstance(timeout, (int, float)):
-        raise ValueError(f"timeout is not a number: {timeout!r}")
+    if timeout is not None:
+        _positive("timeout", timeout, (int, float))
     if "workload" in entry:
         from repro.workloads import get_workload
         workload = get_workload(str(entry["workload"]))
@@ -192,10 +204,16 @@ def requests_from_spec(spec: Dict[str, object], base_dir: str = "."
     where options holds the spec-level ``workers`` / ``cache`` /
     ``timeout`` settings (CLI flags override them). Entries tagged
     ``"op": "query"`` are split out as :class:`QueryRequest` objects
-    under ``options["queries"]`` — they run after the analysis
-    dispatch, against the demand engine."""
+    under ``options["queries"]``; the demand engine answers them."""
     if not isinstance(spec, dict):
         raise ValueError("batch spec is not a JSON object")
+    if "workers" in spec:
+        _positive("workers", spec["workers"], int)
+    if spec.get("timeout") is not None:
+        _positive("timeout", spec["timeout"], (int, float))
+    if "cache" in spec and not isinstance(spec["cache"], str):
+        raise ValueError(
+            f"cache is not a directory path: {spec['cache']!r}")
     entries = spec.get("requests")
     if not isinstance(entries, list) or not entries:
         raise ValueError("batch spec needs a non-empty 'requests' list")

@@ -1,37 +1,38 @@
 """Executing one analysis request end to end.
 
-The degradation ladder (the availability contract of batch and the
-gateway, ``repro serve`` included — every request gets an answer,
-never a crashed batch):
+The degradation ladder (the availability contract of the gateway,
+which ``repro serve`` and ``repro batch`` run on — every request gets
+an answer, never a crashed batch):
 
 1. the full FSAM pipeline, under ``config.time_budget`` if set;
 2. cooperative budget exhaustion (``AnalysisTimeout``) degrades where
-   it happens — inline, or inside the shard worker — to rung 4;
+   it happens, inside the shard worker, to rung 4;
 3. when a shard dies under a job (:func:`retry_lost`): a parent-side
-   wall-clock kill degrades at once; a crash is retried once on a live
-   shard, then degrades;
+   wall-clock kill degrades at once; a crash is retried once, then
+   degrades;
 4. the Andersen-only fallback: compile + pre-analysis, packaged as a
    ``degraded=True`` artifact with flow-insensitive top-level
-   points-to sets and no memory states (or, in the gateway, the
-   Andersen preview it already streamed).
+   points-to sets and no memory states (or the Andersen preview the
+   shard already streamed).
 
 An exception the analysis itself raises (a ``ParseError``, say) is
 terminal: it repeats on every attempt, so it is never retried and the
-request's outcome carries the error instead of an artifact.
+answer carries the error instead of an artifact.
 
-:func:`run_inline` is the ``workers <= 1`` arm of batch;
-:func:`repro.service.shards.run_requests` is the pooled arm.
+:func:`run_full` and :func:`run_degraded` are the shard's rungs;
+:func:`run_request_inline` walks rungs 1, 2 and 4 in-process for
+callers that want the artifact itself.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.frontend import compile_source
 from repro.fsam import FSAM
-from repro.fsam.config import AnalysisTimeout, FSAMConfig
+from repro.fsam.config import AnalysisTimeout
 from repro.minic.errors import MiniCError
 from repro.obs import NULL_OBS, Observer
 from repro.pts import mask_to_hex
@@ -45,43 +46,19 @@ from repro.service.requests import AnalysisRequest, QueryRequest
 
 @dataclass
 class RequestOutcome:
-    """One request's terminal state inside a batch."""
+    """One request run in-process by :func:`run_request_inline`."""
 
     name: str
     digest: str
-    #: None exactly when the request failed (see ``error``).
-    artifact: Optional[AnalysisArtifact]
-    cache: str = "miss"            # "hit" | "miss" | "dedup"
-    seconds: float = 0.0           # total, from the first attempt's start
+    artifact: AnalysisArtifact
+    seconds: float = 0.0           # total, both rungs included
     attempts: int = 1
-    #: Wall-clock duration of each individual attempt (including the
-    #: final degraded fallback, when one ran). ``seconds`` measures the
-    #: whole request from the first dispatch and therefore also
-    #: contains requeue wait before a retry; the per-attempt entries
-    #: do not.
-    attempt_seconds: List[float] = field(default_factory=list)
-    #: Time spent waiting for a worker slot: the delay from enqueue to
-    #: the first dispatch plus any requeue wait before a retry.
-    #: Disjoint from ``attempt_seconds`` — queue wait vs attempt work
-    #: feed separate latency histograms.
-    queue_seconds: float = 0.0
-    #: Span id assigned by the dispatcher (see ``AnalysisRequest``).
-    request_id: Optional[str] = None
-    #: The request's ``repro.metrics/1`` telemetry span — recorded by
-    #: the worker-side Observer and shipped back through the shard
-    #: pipe (pooled) or captured in-process (inline). Every miss runs
-    #: under one; None for cache hits, dedup followers, requests that
-    #: raised, and requests whose shard died under them (the span
-    #: died with it).
+    #: The request's ``repro.metrics/1`` telemetry span, the same shape
+    #: a shard ships back with a miss.
     obs_snapshot: Optional[Dict[str, object]] = None
-    #: :func:`error_record` of the exception that failed the request;
-    #: terminal, never retried.
-    error: Optional[Dict[str, object]] = None
 
     @property
     def status(self) -> str:
-        if self.error is not None:
-            return "error"
         return "degraded" if self.artifact.degraded else "ok"
 
 
@@ -146,79 +123,44 @@ def run_degraded(request: AnalysisRequest,
 
 
 def retry_lost(reason: str, attempts: int) -> bool:
-    """Rung 3, the one decision both shard parents (the gateway and
-    :func:`~repro.service.shards.run_requests`) make when a shard dies
-    under a job: retry a ``worker-crash`` once on a live shard; degrade
-    a ``wall-clock-timeout`` kill, or a second crash, at once."""
+    """Rung 3, the gateway's decision when a shard dies under a job:
+    retry a ``worker-crash`` once; degrade a ``wall-clock-timeout``
+    kill, or a second crash, at once."""
     return reason == "worker-crash" and attempts < 2
 
 
 def run_request_inline(request: AnalysisRequest,
                        funcstore=None) -> RequestOutcome:
-    """The serial ladder: full pipeline, degrading on budget
+    """The in-process ladder: full pipeline, degrading on budget
     exhaustion. No retry — re-running the same deterministic analysis
-    under the same in-process budget exhausts it again.
+    under the same in-process budget exhausts it again. An exception
+    the analysis raises propagates.
 
     The attempt runs under a per-request span Observer whose
-    ``repro.metrics/1`` snapshot lands on ``outcome.obs_snapshot`` —
-    the same shape a shard worker ships back, so batch aggregation
-    is dispatch-agnostic. (The shared inline *funcstore*
-    is deliberately not flushed here: its counters span the whole
-    batch and are flushed once by the dispatcher, not once per
-    request.)"""
+    ``repro.metrics/1`` snapshot lands on ``outcome.obs_snapshot``.
+    A *funcstore* shared across calls is not flushed here: its
+    counters span every call."""
     obs = Observer(name=request.request_id or request.name)
     start = time.perf_counter()
     attempts = 1
-    attempt_seconds = []
     try:
         artifact = run_full(request, obs, funcstore=funcstore)
-        attempt_seconds.append(time.perf_counter() - start)
     except AnalysisTimeout:
-        attempt_seconds.append(time.perf_counter() - start)
         attempts += 1
-        rung_start = time.perf_counter()
         artifact = run_degraded(request)
-        attempt_seconds.append(time.perf_counter() - rung_start)
     return RequestOutcome(
         name=request.name,
         digest=request.digest(),
         artifact=artifact,
         seconds=time.perf_counter() - start,
         attempts=attempts,
-        attempt_seconds=attempt_seconds,
-        request_id=request.request_id,
         obs_snapshot=obs.to_metrics_dict(),
     )
 
 
-def run_inline(request: AnalysisRequest, timeout: Optional[float] = None,
-               funcstore=None) -> RequestOutcome:
-    """The ``workers <= 1`` arm of batch. There is no process
-    to kill inline, so the request's wall-clock timeout (else
-    *timeout*) becomes its cooperative budget; an exception the
-    analysis raises becomes the outcome's terminal ``error``."""
-    if request.timeout is not None:
-        timeout = request.timeout
-    if timeout is not None and request.config.time_budget is None:
-        config = FSAMConfig.from_dict(request.config.to_dict())
-        config.time_budget = timeout
-        request = AnalysisRequest(
-            name=request.name, source=request.source, config=config,
-            timeout=request.timeout, request_id=request.request_id)
-    start = time.perf_counter()
-    try:
-        return run_request_inline(request, funcstore=funcstore)
-    except Exception as exc:  # noqa: BLE001 - reported in the outcome
-        seconds = time.perf_counter() - start
-        return RequestOutcome(
-            name=request.name, digest=request.digest(), artifact=None,
-            seconds=seconds, attempt_seconds=[seconds],
-            request_id=request.request_id, error=error_record(exc))
-
-
 class QueryRunner:
-    """Executes demand queries for batch, the gateway's shards and
-    ``repro query``.
+    """Executes demand queries for the gateway's shards (batch and
+    serve included) and ``repro query``.
 
     Three rungs, cheapest first:
 

@@ -1,5 +1,5 @@
-"""Shard workers: the one execution core of batch and the gateway
-(which ``repro serve`` runs too).
+"""Shard workers: the one execution core of the gateway, which
+``repro serve`` and ``repro batch`` run too.
 
 A **shard** is a worker process that serves analysis jobs over one
 duplex pipe until it is told to stop. It is the only code that spawns
@@ -20,17 +20,10 @@ duplex pipe per shard, a daemon reader thread per shard that posts
 worker messages back onto the loop (``call_soon_threadsafe``), at most
 one in-flight job per shard, a wall-clock kill timer per job (the
 shard is killed and respawned), and crash detection with respawn.
-What happens to a job its shard died under is the caller's decision,
-made by :func:`repro.service.runner.retry_lost`.
-
-Two parents drive the pool:
-
-- the gateway (:mod:`repro.gateway.server`), which routes by program
-  digest on a consistent-hash ring so per-program state stays warm;
-- :func:`run_requests`, the synchronous entry of batch, which hands
-  a list of requests FIFO to whichever shard is idle. Its jobs
-  bypass the shard's whole-program cache (the caller owns lookups,
-  dedup and puts) and ship the artifact back.
+What happens to a job its shard died under is the parent's decision,
+made by :func:`repro.service.runner.retry_lost`. The parent is the
+gateway (:mod:`repro.gateway.server`), which routes by program digest
+on a consistent-hash ring so per-program state stays warm.
 
 Worker messages are small dicts; every job answer is a sequence of
 ``(kind, body, final)`` events matching the gateway's frame model:
@@ -44,20 +37,16 @@ import multiprocessing
 import signal
 import threading
 import time
-from collections import deque
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.fsam.config import AnalysisTimeout
 from repro.obs import Observer
-from repro.service.artifacts import AnalysisArtifact, artifact_from_andersen
+from repro.service.artifacts import artifact_from_andersen
 from repro.service.cache import (
     ArtifactCache, FuncArtifactStore, QueryArtifactStore,
 )
 from repro.service.requests import AnalysisRequest, QueryRequest
-from repro.service.runner import (
-    QueryRunner, RequestOutcome, retry_lost, run_degraded, run_full,
-)
+from repro.service.runner import QueryRunner, run_degraded, run_full
 
 #: The signals whose handlers a shard must not inherit from its parent.
 _PARENT_SIGNALS = {signal.SIGINT, signal.SIGTERM}
@@ -117,16 +106,14 @@ class _ShardState:
 
 
 def _run_analyze(state: _ShardState, msg: Dict[str, object], conn) -> None:
-    """One analyze job. A gateway job answers from the artifact cache
-    when it can and replies with a response body; a ``ship`` job (from
-    :func:`run_requests`) always runs the pipeline, stores nothing, and
-    replies with the artifact itself."""
+    """One analyze job: answer from the artifact cache when it can,
+    else run the pipeline and store the artifact; reply with a
+    response body."""
     jid = msg["jid"]
-    ship = bool(msg.get("ship"))
     request = AnalysisRequest.from_payload(msg["payload"])
     digest = request.digest()
     start = time.perf_counter()
-    if not ship and state.cache is not None:
+    if state.cache is not None:
         artifact = state.cache.get(digest)
         if artifact is not None:
             conn.send({"jid": jid, "kind": "result", "final": True,
@@ -163,13 +150,10 @@ def _run_analyze(state: _ShardState, msg: Dict[str, object], conn) -> None:
             artifact.degraded_reason = "budget-exhausted"
         else:
             artifact = run_degraded(request)
-    if ship:
-        body: Dict[str, object] = {"artifact": artifact.to_dict()}
-    else:
-        if state.cache is not None:
-            state.cache.put(digest, artifact)   # degraded never stored
-        body = _response_body(request, digest, artifact, "miss",
-                              time.perf_counter() - start)
+    if state.cache is not None:
+        state.cache.put(digest, artifact)   # degraded never stored
+    body = _response_body(request, digest, artifact, "miss",
+                          time.perf_counter() - start)
     conn.send({"jid": jid, "kind": "result", "final": True, "body": body,
                "obs": obs.to_metrics_dict()})
 
@@ -498,171 +482,3 @@ class ShardPool:
         # Run the callbacks the readers posted: their bye snapshots.
         await asyncio.sleep(0)
         return list(self._bye_obs)
-
-
-# -- batch: a list of requests on fresh shards --------------------------------
-
-
-@dataclass
-class _RequestJob:
-    """One :func:`run_requests` request on its way through the ladder."""
-
-    index: int
-    request: AnalysisRequest
-    enqueued: float                 # last (re)enqueue, for queue wait
-    attempts: int = 0
-    started: float = 0.0            # this attempt's dispatch
-    first_started: Optional[float] = None
-    queue_seconds: float = 0.0
-    attempt_seconds: List[float] = field(default_factory=list)
-
-
-class _RequestRun:
-    """The parent side of one :func:`run_requests` call: FIFO dispatch
-    onto idle shards, the ladder's parent rungs, and the ``pool.*``
-    tallies."""
-
-    def __init__(self, requests: List[AnalysisRequest],
-                 timeout: Optional[float]) -> None:
-        now = time.perf_counter()
-        self.jobs = [_RequestJob(i, request, now)
-                     for i, request in enumerate(requests)]
-        self.pending = deque(self.jobs)
-        self.timeout = timeout
-        self.outcomes: List[Optional[RequestOutcome]] = [None] * len(requests)
-        self.unfinished = len(requests)
-        self.tally = dict.fromkeys(
-            ("pool.dispatched", "pool.retries", "pool.timeouts",
-             "pool.worker_errors", "pool.budget_exhaustions",
-             "pool.degraded"), 0)
-
-    async def drive(self, shards: int, options: Dict[str, object]
-                    ) -> List[Dict[str, object]]:
-        """Run every job to an outcome; returns the shards' ``bye``
-        snapshots.  Pool callbacks only queue events, so everything
-        below runs in this coroutine and an exception ends the run
-        (after the shards are shut down) instead of a stuck loop."""
-        import asyncio
-        events: asyncio.Queue = asyncio.Queue()
-        pool = ShardPool(shards, options)
-        pool.on_event = lambda *args: events.put_nowait((self._answered,
-                                                         args))
-        pool.on_shard_down = lambda _shard, lost, reason: \
-            events.put_nowait((self._lost, (lost, reason)))
-        try:
-            await pool.start()
-            self._pump(pool)
-            while self.unfinished:
-                handler, args = await events.get()
-                handler(*args)
-                self._pump(pool)
-        finally:
-            byes = await pool.shutdown()
-        return byes
-
-    def _pump(self, pool: ShardPool) -> None:
-        for shard_id in range(pool.workers):
-            if self.pending and pool.idle(shard_id):
-                self._dispatch(pool, shard_id, self.pending.popleft())
-
-    def _dispatch(self, pool: ShardPool, shard_id: int,
-                  job: _RequestJob) -> None:
-        request = job.request
-        try:
-            pool.submit(shard_id, job.index, job,
-                        {"job_kind": "analyze", "ship": True,
-                         "payload": request.to_payload()},
-                        timeout=request.timeout
-                        if request.timeout is not None else self.timeout)
-        except BrokenPipeError:
-            # The shard just died; its respawn takes the job.
-            self.pending.appendleft(job)
-            return
-        now = time.perf_counter()
-        job.queue_seconds += now - job.enqueued
-        if job.first_started is None:
-            job.first_started = now
-        job.started = now
-        job.attempts += 1
-        self.tally["pool.dispatched"] += 1
-
-    def _answered(self, _shard: int, jid: int, kind: str,
-                  body: Dict[str, object], final: bool,
-                  snapshot: Optional[Dict[str, object]]) -> None:
-        if not final:
-            return
-        job = self.jobs[jid]
-        job.attempt_seconds.append(time.perf_counter() - job.started)
-        if kind == "error":
-            # A worker-reported exception repeats on every attempt.
-            self.tally["pool.worker_errors"] += 1
-            self._finish(job, None, snapshot, error=dict(body["error"]))
-            return
-        artifact = AnalysisArtifact.from_dict(body["artifact"])
-        if artifact.degraded:   # the worker's budget ran out
-            self.tally["pool.budget_exhaustions"] += 1
-            self.tally["pool.degraded"] += 1
-        self._finish(job, artifact, snapshot)
-
-    def _lost(self, lost: List[_RequestJob], reason: str) -> None:
-        now = time.perf_counter()
-        for job in lost:
-            job.attempt_seconds.append(now - job.started)
-            self.tally["pool.timeouts" if reason == "wall-clock-timeout"
-                       else "pool.worker_errors"] += 1
-            if retry_lost(reason, job.attempts):
-                self.tally["pool.retries"] += 1
-                job.enqueued = now
-                self.pending.append(job)
-                continue
-            self.tally["pool.degraded"] += 1
-            rung_start = time.perf_counter()
-            artifact = run_degraded(job.request, reason=reason)
-            job.attempt_seconds.append(time.perf_counter() - rung_start)
-            self._finish(job, artifact, None)
-
-    def _finish(self, job: _RequestJob, artifact, snapshot,
-                error: Optional[Dict[str, object]] = None) -> None:
-        request = job.request
-        self.outcomes[job.index] = RequestOutcome(
-            name=request.name,
-            digest=request.digest(),
-            artifact=artifact,
-            seconds=time.perf_counter() - job.first_started,
-            attempts=job.attempts,
-            attempt_seconds=job.attempt_seconds,
-            queue_seconds=job.queue_seconds,
-            request_id=request.request_id,
-            obs_snapshot=snapshot,
-            error=error,
-        )
-        self.unfinished -= 1
-
-
-def run_requests(requests: List[AnalysisRequest], workers: int,
-                 timeout: Optional[float] = None,
-                 funcstore_root: Optional[str] = None,
-                 obs: Optional[Observer] = None) -> List[RequestOutcome]:
-    """Run *requests* to terminal outcomes on ``min(workers,
-    len(requests))`` fresh shards; the outcomes come back in request
-    order.  The pooled arm of batch.
-
-    Requests go FIFO to whichever shard is idle — there is no hash
-    ring, since a batch wants any free worker.  Each job runs under its
-    own wall-clock deadline (``request.timeout``, else *timeout*) and
-    walks the ladder of :mod:`repro.service.runner`.  With
-    *funcstore_root*, the shards reuse the per-function store under it.
-    The ``pool.*`` tallies and the shards' store tallies (their ``bye``
-    snapshots) are flushed into *obs*."""
-    if not requests:
-        return []
-    import asyncio
-    run = _RequestRun(requests, timeout)
-    options = {"cache_root": funcstore_root} if funcstore_root else {}
-    byes = asyncio.run(run.drive(min(workers, len(requests)), options))
-    if obs is not None:
-        for name, count in run.tally.items():
-            obs.count(name, count)
-        for snapshot in byes:
-            obs.merge_metrics(snapshot)
-    return run.outcomes  # type: ignore[return-value]

@@ -489,6 +489,7 @@ class TestResilience:
             body = frames[0]["body"]
             # Crash -> retried once on a surviving/respawned shard.
             assert body["status"] == "ok"
+            assert body["attempts"] == 2
             assert gateway.pool.respawns >= 1
             metrics = gateway.metrics()
             assert metrics["counters"]["gateway.shard_deaths"] >= 1

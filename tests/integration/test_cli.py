@@ -512,6 +512,55 @@ class TestBatchServeCLI:
         assert "telemetry report" in capsys.readouterr().out
 
 
+class TestBatchSpecErrors:
+    """A bad batch spec or flag fails fast, with one line and exit 2."""
+
+    @pytest.mark.parametrize("spec", [
+        {"workers": "two", "requests": [{"workload": "word_count"}]},
+        {"workers": 2, "timeout": "5",
+         "requests": [{"workload": "word_count"}]},
+        {"workers": 0, "requests": [{"workload": "word_count"}]},
+        {"cache": 5, "requests": [{"workload": "word_count"}]},
+        {"requests": [{"workload": "word_count", "timeout": True}]},
+        {"requests": []},
+        {"requests": [{"workload": "nope"}]},
+    ], ids=["workers-string", "timeout-string", "workers-zero",
+            "cache-number", "entry-timeout-bool", "no-requests",
+            "unknown-workload"])
+    def test_bad_spec_is_one_line(self, tmp_path, monkeypatch, capsys,
+                                  spec):
+        def no_session(*args, **kwargs):
+            raise AssertionError("a shard session started")
+
+        monkeypatch.setattr("repro.service.run_batch", no_session)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["batch", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro batch: {path}: ")
+        assert err.count("\n") == 1
+
+    def test_missing_spec_is_one_line(self, tmp_path, capsys):
+        path = tmp_path / "missing.json"
+        assert main(["batch", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"repro batch: {path}: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["batch", "spec.json", "--workers", "0"],
+        ["batch", "spec.json", "--timeout", "-1"],
+        ["serve", "--workers", "0"],
+        ["serve", "--timeout", "-1"],
+        ["gateway", "--workers", "two"],
+        ["gateway", "--timeout", "0"],
+    ], ids=["batch-workers", "batch-timeout", "serve-workers",
+            "serve-timeout", "gateway-workers", "gateway-timeout"])
+    def test_bad_flag_is_refused(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "not a positive" in capsys.readouterr().err
+
+
 class TestSourceDiagnostics:
     """A MiniC diagnostic is the user's error, not a crash: every
     subcommand that loads a file prints one located line and exits 1."""

@@ -1,25 +1,32 @@
-"""Differential pinning of the batch service's execution modes.
+"""Differential pinning of the batch service.
 
-Extends the PR-4 engine differential suite one level up: for all ten
-Table-1 workloads, the **serial** inline loop, the **4-worker pooled**
-batch, and the **cache-warm** batch must produce bit-identical
-``pts_top``/``mem`` maps (hex bitmasks over canonical indices — the
-exact bytes the artifact cache stores). The warm batch must
-additionally perform *zero* sparse-solver iterations, asserted
-through the ``repro.obs`` counters the driver flushes.
+Extends the engine differential suite (``tests/fsam/test_differential.py``)
+one level up: for all ten Table-1 workloads, a **one-shard** batch, a
+**4-shard** batch, and a **cache-warm** 4-shard batch must answer the
+payload digest of a **direct** ``compile_source`` + ``FSAM.run`` +
+``artifact_from_result`` — the digest covers exactly the ``pts_top`` /
+``store_out`` / ``obj_union`` / ``store_classes`` maps and the object
+table (hex bitmasks over canonical indices, the bytes the artifact
+cache stores). The warm batch must additionally perform *zero*
+sparse-solver iterations, asserted through the ``repro.obs`` counters
+the batch flushes.
 
 One module-scoped run keeps this affordable: the ten workloads are
-analysed once per mode (~1s serial), not once per assertion.
+analysed once per arm, not once per assertion.
 """
 
 import pytest
 
+from repro.frontend import compile_source
+from repro.fsam import FSAM
+from repro.service.artifacts import artifact_from_result
 from repro.service.batch import run_batch
 from repro.service.cache import ArtifactCache
 from repro.service.requests import AnalysisRequest
 from repro.workloads import get_workload, workload_names
 
 WORKLOADS = workload_names()
+BATCHES = ("one_shard", "pooled", "warm")
 
 
 def _requests():
@@ -31,32 +38,30 @@ def _requests():
 @pytest.fixture(scope="module")
 def modes(tmp_path_factory):
     cache_dir = tmp_path_factory.mktemp("artifact-cache")
-    serial = run_batch(_requests(), workers=1, name="serial")
+    direct = [artifact_from_result(
+        request.name,
+        FSAM(compile_source(request.source, name=request.name)).run())
+        .payload_digest() for request in _requests()]
+    one_shard = run_batch(_requests(), workers=1, name="one_shard")
     pooled = run_batch(_requests(), workers=4,
                        cache=ArtifactCache(cache_dir), name="pooled")
     warm = run_batch(_requests(), workers=4,
                      cache=ArtifactCache(cache_dir), name="warm")
-    return {"serial": serial, "pooled": pooled, "warm": warm}
+    return {"direct": direct, "one_shard": one_shard, "pooled": pooled,
+            "warm": warm}
 
 
 class TestModesAgreeBitForBit:
     @pytest.mark.parametrize("index", range(len(WORKLOADS)),
                              ids=WORKLOADS)
     def test_pts_top_and_mem_identical(self, modes, index):
-        serial = modes["serial"].outcomes[index].artifact
-        pooled = modes["pooled"].outcomes[index].artifact
-        warm = modes["warm"].outcomes[index].artifact
-        assert serial.pts_top == pooled.pts_top == warm.pts_top
-        assert serial.store_out == pooled.store_out == warm.store_out
-        assert serial.obj_union == pooled.obj_union == warm.obj_union
-        assert serial.store_classes == pooled.store_classes \
-            == warm.store_classes
-        assert serial.payload_digest() == pooled.payload_digest() \
-            == warm.payload_digest()
+        for batch in BATCHES:
+            assert modes[batch].outcomes[index].body["payload_digest"] \
+                == modes["direct"][index], batch
 
     def test_all_modes_completed_undegraded(self, modes):
-        for report in modes.values():
-            assert [o.status for o in report.outcomes] == \
+        for batch in BATCHES:
+            assert [o.status for o in modes[batch].outcomes] == \
                 ["ok"] * len(WORKLOADS)
 
 
@@ -73,7 +78,3 @@ class TestWarmBatchDoesNoSolverWork:
         assert warm_doc["counters"]["batch.solver_iterations"] == 0
         # The cold pooled batch did real work under the same counter.
         assert modes["pooled"].counters["batch.solver_iterations"] > 0
-
-    def test_no_pool_dispatch_on_warm(self, modes):
-        # Every digest resolved from the cache, so the pool never ran.
-        assert "pool.dispatched" not in modes["warm"].counters

@@ -1,17 +1,15 @@
-"""Shard dispatch for batch and serve (``run_requests``): FIFO
-sharding, deadlines, the crash retry, degradation, terminal errors."""
+"""The shard lifecycle through batch sessions: requests spread over
+shards, deadlines, the crash retry, degradation, terminal errors."""
 
 import os
 
 import pytest
 
 from repro.fsam.config import FSAMConfig
-from repro.obs import Observer
 from repro.service import shards
 from repro.service.batch import run_batch
 from repro.service.requests import AnalysisRequest
-from repro.service.runner import run_request_inline
-from repro.service.shards import run_requests
+from repro.service.runner import run_degraded, run_request_inline
 from repro.workloads import get_workload
 
 SMALL = ("word_count", "kmeans", "automount")
@@ -27,8 +25,8 @@ def _requests(names=SMALL, **config_kwargs):
 
 
 def _run(requests, workers, **kwargs):
-    obs = Observer(name="t")
-    return run_requests(requests, workers, obs=obs, **kwargs), obs.counters
+    report = run_batch(requests, workers=workers, **kwargs)
+    return report.outcomes, report.counters
 
 
 class TestPoolHappyPath:
@@ -39,14 +37,13 @@ class TestPoolHappyPath:
         for outcome, request in zip(outcomes, requests):
             inline = run_request_inline(request)
             assert outcome.status == "ok"
-            assert outcome.artifact.payload_digest() == \
+            assert outcome.body["payload_digest"] == \
                 inline.artifact.payload_digest()
-        assert counters["pool.dispatched"] == len(SMALL)
-        assert counters["pool.degraded"] == 0
-        assert counters["pool.retries"] == 0
-        for outcome in outcomes:
-            assert len(outcome.attempt_seconds) == 1
-            assert 0 < outcome.attempt_seconds[0] <= outcome.seconds + 1e-6
+            assert outcome.attempts == 1
+            assert outcome.seconds > 0 and outcome.queue_seconds >= 0
+        assert counters["gateway.dispatched"] == len(SMALL)
+        assert "gateway.degraded" not in counters
+        assert "gateway.retries" not in counters
 
     def test_more_workers_than_requests(self):
         outcomes, _ = _run(_requests(("word_count",)), 8)
@@ -67,10 +64,10 @@ class TestPoolDegradation:
         outcomes, counters = _run(
             _requests(("raytrace",), time_budget=1e-9), 2)
         assert outcomes[0].status == "degraded"
-        assert outcomes[0].artifact.degraded_reason == "budget-exhausted"
-        assert counters["pool.budget_exhaustions"] == 1
-        assert counters["pool.retries"] == 0
-        assert counters["pool.degraded"] == 1
+        assert outcomes[0].body["degraded_reason"] == "budget-exhausted"
+        assert outcomes[0].attempts == 1
+        assert "gateway.retries" not in counters
+        assert counters["batch.degraded"] == 1
 
     def test_wall_clock_timeout_retries_then_degrades(self):
         # A 1ms wall-clock deadline kills the shard before it can
@@ -81,18 +78,14 @@ class TestPoolDegradation:
                                   timeout=0.001)
         outcomes, counters = _run([request], 1)
         assert outcomes[0].status == "degraded"
-        assert outcomes[0].artifact.degraded_reason == "wall-clock-timeout"
-        assert outcomes[0].artifact.pts_top      # Andersen survives
-        assert not outcomes[0].artifact.store_out
-        assert not outcomes[0].artifact.obj_union
-        assert counters["pool.timeouts"] == 1
-        assert counters["pool.retries"] == 0
+        assert outcomes[0].body["degraded_reason"] == "wall-clock-timeout"
+        # Andersen survives; no memory states, no solver work.
+        assert outcomes[0].body["payload_digest"] == run_degraded(
+            request, reason="wall-clock-timeout").payload_digest()
+        assert outcomes[0].solver_iterations() == 0
+        assert counters["gateway.deadline_kills"] == 1
+        assert "gateway.retries" not in counters
         assert outcomes[0].attempts == 1
-        # The killed attempt plus the degraded fallback rung, each
-        # timed individually; ``seconds`` spans the whole request.
-        assert len(outcomes[0].attempt_seconds) == 2
-        assert all(s >= 0 for s in outcomes[0].attempt_seconds)
-        assert sum(outcomes[0].attempt_seconds) <= outcomes[0].seconds + 1e-6
 
     def test_mixed_batch_never_fails(self):
         # One doomed request among healthy ones: everyone gets a
@@ -114,20 +107,19 @@ class TestTerminalErrors:
         report = run_batch(requests, workers=workers)
         assert [o.status for o in report.outcomes] == ["ok", "error"]
         assert report.outcomes[1].error["type"] == "ParseError"
-        assert report.outcomes[1].artifact is None
+        assert "summary" not in report.to_dict()["requests"][1]
         assert report.counters["batch.errors"] == 1
-        if workers > 1:
-            # One dispatch per request: the doomed one is not retried.
-            assert report.counters["pool.dispatched"] == 2
-            assert report.counters["pool.retries"] == 0
+        # One dispatch per request: the doomed one is not retried.
+        assert report.counters["gateway.dispatched"] == 2
+        assert "gateway.retries" not in report.counters
 
     def test_worker_exception_is_dispatched_once(self):
         outcomes, counters = _run(
             [AnalysisRequest(name="bad", source=BAD_SOURCE)], 2)
         assert outcomes[0].error["type"] == "ParseError"
         assert outcomes[0].attempts == 1
-        assert counters["pool.dispatched"] == 1
-        assert counters["pool.retries"] == 0
+        assert counters["gateway.dispatched"] == 1
+        assert "gateway.retries" not in counters
 
 
 _real_run_analyze = shards._run_analyze
@@ -153,11 +145,10 @@ class TestShardSendExitRace:
         request = _requests(("word_count",))[0]
         outcomes, counters = _run([request], 2)
         assert outcomes[0].status == "ok"
-        assert outcomes[0].artifact.payload_digest() == \
+        assert outcomes[0].body["payload_digest"] == \
             run_request_inline(request).artifact.payload_digest()
         assert outcomes[0].attempts == 1
-        assert counters["pool.retries"] == 0
-        assert counters["pool.worker_errors"] == 0
+        assert "gateway.retries" not in counters
 
     def test_exit_without_message_is_a_crash(self, monkeypatch):
         # EOF with no final message: retried once on a live shard,
@@ -165,15 +156,14 @@ class TestShardSendExitRace:
         monkeypatch.setattr(shards, "_run_analyze", _exit_without_answer)
         outcomes, counters = _run(_requests(("word_count",)), 2)
         assert outcomes[0].status == "degraded"
-        assert outcomes[0].artifact.degraded_reason == "worker-crash"
+        assert outcomes[0].body["degraded_reason"] == "worker-crash"
         assert outcomes[0].attempts == 2
-        assert counters["pool.retries"] == 1
-        assert counters["pool.worker_errors"] == 2
-        assert len(outcomes[0].attempt_seconds) == 3
+        assert counters["gateway.retries"] == 1
+        assert counters["gateway.shard_deaths"] == 2
 
 
 class TestPoolObs:
     def test_flush_obs(self):
         _, counters = _run(_requests(("word_count",)), 2)
-        assert counters["pool.dispatched"] == 1
-        assert counters["pool.degraded"] == 0
+        assert counters["gateway.dispatched"] == 1
+        assert "gateway.degraded" not in counters

@@ -100,6 +100,12 @@ class TestRequestFromEntry:
         with pytest.raises(ValueError, match="timeout"):
             request_from_entry({"workload": "word_count", "timeout": "fast"})
 
+    @pytest.mark.parametrize("value", [True, 0, -1])
+    def test_non_positive_timeout_rejected(self, value):
+        # JSON true is not one second, and no deadline is at or below 0.
+        with pytest.raises(ValueError, match="timeout"):
+            request_from_entry({"workload": "word_count", "timeout": value})
+
     def test_config_propagates(self):
         request = request_from_entry({
             "workload": "word_count",
@@ -128,6 +134,16 @@ class TestSpecParsing:
         key."""
         spec = {"requests": [{"source": SOURCE, "name": "tiny",
                               "config": {field: value}}]}
+        with pytest.raises(ValueError, match=field):
+            requests_from_spec(spec)
+
+    @pytest.mark.parametrize("field,value", [
+        ("workers", "two"), ("workers", 0), ("workers", True),
+        ("workers", 1.5), ("timeout", "5"), ("timeout", -1),
+        ("timeout", True), ("cache", 5)])
+    def test_bad_option_rejected(self, field, value):
+        spec = {field: value,
+                "requests": [{"source": SOURCE, "name": "tiny"}]}
         with pytest.raises(ValueError, match=field):
             requests_from_spec(spec)
 

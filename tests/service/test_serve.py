@@ -1,7 +1,6 @@
 """``repro serve``: the gateway's framed-JSONL session over
 stdin/stdout."""
 
-import asyncio
 import json
 import os
 
@@ -9,7 +8,9 @@ import pytest
 
 from repro.frontend import compile_source
 from repro.fsam import FSAM, FSAMConfig
+from repro.gateway.coalesce import InflightJob
 from repro.gateway.server import Gateway
+from repro.service import shards
 from repro.service.artifacts import artifact_from_result
 from tests.service.serving import frame_reader, serve, spawn
 
@@ -116,9 +117,9 @@ class TestServeLoop:
         """A body json cannot encode still answers its request, as an
         error frame with the same id."""
         def fake_submit(self, entry):
-            events = asyncio.Queue()
-            events.put_nowait(("result", {"weird": object()}, True))
-            return events
+            job = InflightJob("k", "analyze")
+            job.publish("result", {"weird": object()}, final=True)
+            return job
 
         monkeypatch.setattr(Gateway, "submit", fake_submit)
         session = serve(['{"workload": "word_count", "id": 9}'])
@@ -246,6 +247,39 @@ class TestServeDispatch:
             assert session.answer(5)["status"] == "ok"
             assert session.counters["gateway.errors"] == 1
 
+    def test_second_crash_degrades_after_two_attempts(self, monkeypatch):
+        # The shards fork from this process, so they run the patch.
+        monkeypatch.setattr(shards, "_run_analyze",
+                            lambda state, msg, conn: os._exit(1))
+        session = serve(['{"workload": "word_count", "id": 1}'], workers=2)
+        body = session.answer(1)
+        assert body["status"] == "degraded"
+        assert body["degraded_reason"] == "worker-crash"
+        assert body["attempts"] == 2
+        assert session.counters["gateway.retries"] == 1
+
+    def test_lone_shard_crash_is_retried_on_its_respawn(self, monkeypatch,
+                                                        tmp_path):
+        # One shard: the crashed job and the one queued behind it wait
+        # for the respawn instead of finding no shard.
+        marker = str(tmp_path / "crashed")
+        real_run_analyze = shards._run_analyze
+
+        def crash_once(state, msg, conn):
+            try:
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                return real_run_analyze(state, msg, conn)
+            os._exit(1)
+
+        monkeypatch.setattr(shards, "_run_analyze", crash_once)
+        session = serve([_tiny(1, 1), _tiny(2, 2)])
+        assert session.answer(1)["status"] == "ok"
+        assert session.answer(1)["attempts"] == 2
+        assert session.answer(2)["status"] == "ok"
+        assert session.answer(2)["attempts"] == 1
+        assert session.counters["gateway.retries"] == 1
+
 
 class TestOneGatewaySession:
     def test_session_starts_its_shards_once(self):
@@ -260,6 +294,16 @@ class TestOneGatewaySession:
                          '"id": "slow"}', 'garbage'])
         assert [frame.get("id") for frame in session.frames] \
             == [None, "slow"]
+
+    def test_entry_memo_holds_workloads_only(self):
+        # An inline source already carries its text; memoizing it would
+        # hold the source twice.
+        session = serve([_tiny(1, 1), _tiny(2, 2), _tiny(1, 3)])
+        assert len(session.gateway._entry_memo) == 0
+        session = serve(['{"workload": "word_count", "id": "a"}',
+                         '{"workload": "word_count", "id": "b"}'])
+        assert len(session.gateway._entry_memo) == 1
+        assert session.counters["gateway.entry_memo_hits"] == 1
 
     def test_identical_requests_in_flight_run_once(self):
         session = serve(['{"workload": "word_count", "id": "a"}',

@@ -13,7 +13,6 @@ from repro.obs import validate_metrics, validate_metrics_stream
 from repro.service.batch import run_batch
 from repro.service.cache import ArtifactCache
 from repro.service.requests import AnalysisRequest
-from repro.service.shards import run_requests
 from repro.workloads import get_workload
 from tests.service.serving import serve
 
@@ -94,8 +93,8 @@ class TestBatchRollup:
         assert warm1.metrics["gauges"]["cache.hit_rate"] == 1.0
 
     def test_inline_batch_rollup_matches_pooled_shape(self):
-        # workers=1 runs in-process; the rollup must still carry the
-        # same histogram set (no pool, so queue waits are zero).
+        # workers=1 is a one-shard session; the rollup carries the
+        # same histogram set as a pooled one.
         report = run_batch(_requests(("word_count",)),
                            workers=1)
         metrics = report.metrics
@@ -151,25 +150,24 @@ class TestEveryMissHasASpan:
 
 class TestQueueWait:
     def test_queue_wait_split_from_run_time(self):
-        # One worker, two requests: the second request queues behind
-        # the first, and that wait lands in queue_seconds, not in the
-        # per-attempt run times.
-        requests = _requests(("word_count", "kmeans"))
-        outcomes = run_requests(requests, 1)
+        # One shard, two requests: the second request queues behind
+        # the first, and that wait lands in queue_seconds, not in its
+        # run time.
+        report = run_batch(_requests(("word_count", "kmeans")), workers=1)
+        outcomes = report.outcomes
         assert outcomes[0].queue_seconds >= 0.0
         assert outcomes[1].queue_seconds > 0.0
         # The follower waited at least as long as the leader's run.
-        assert outcomes[1].queue_seconds >= \
-            outcomes[0].attempt_seconds[0] - 1e-3
-        for outcome in outcomes:
-            assert sum(outcome.attempt_seconds) <= \
-                outcome.seconds + 1e-6
+        assert outcomes[1].queue_seconds >= outcomes[0].seconds - 1e-3
+        run = report.metrics["histograms"]["pool.run_seconds"]
+        total = report.metrics["histograms"]["request.seconds"]
+        assert run["sum"] <= total["sum"]
 
 
 class TestWorkerSnapshots:
     def test_snapshot_shipped_with_profile(self):
-        outcomes = run_requests(_requests(("word_count",)), 2)
-        snapshot = outcomes[0].obs_snapshot
+        report = run_batch(_requests(("word_count",)), workers=2)
+        snapshot = report.outcomes[0].obs_snapshot
         assert snapshot is not None
         validate_metrics(snapshot)
         assert snapshot["phase_seconds"]["sparse_solve"] > 0.0
@@ -192,7 +190,7 @@ class TestWorkerSnapshots:
                            cache=ArtifactCache(tmp_path))
         assert all(o.cache == "miss" for o in report.outcomes)
         summary_hits = sum(
-            o.artifact.summary["incremental"]["func_hits"]
+            o.body["summary"]["incremental"]["func_hits"]
             for o in report.outcomes)
         assert summary_hits > 0
         assert report.counters["cache.func_hits"] == summary_hits
