@@ -5,8 +5,9 @@ program catalogue with a **zipfian digest distribution**: the
 rank-``r`` program is requested with probability proportional to
 ``1 / r**s``.  That is the shape of real analysis-as-a-service
 traffic — most submissions are re-analyses of a few hot programs —
-and it is exactly the regime consistent-hash routing, coalescing, and
-the artifact cache are built for.
+and it is exactly the regime the gateway's coalescing, its response
+LRU, the shards' artifact cache and each program's warm home shard
+for queries are built for.
 
 Everything is driven by one seeded :class:`random.Random`, so a trace
 is a pure function of ``(programs, n, seed, s, tenants,

@@ -4,7 +4,7 @@ Drives a real in-process :class:`repro.gateway.server.Gateway` (TCP,
 framed JSONL, persistent shard workers) with a seeded zipfian trace
 (``benchmarks/gateway_trace.py``) whose ranks are ordered by *cold* cost —
 the most expensive workloads are the hottest, the regime the gateway's
-consistent-hash routing + coalescing + layered caches target. Reports,
+one-queue scheduling + coalescing + layered caches target. Reports,
 per workload, client-observed p50/p99 latency and the speedup over the
 cold no-cache baseline (``run_request_inline`` on a fresh process
 state), plus coalesce/cache-hit rates, a streamed-frames ordering

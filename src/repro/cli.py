@@ -460,8 +460,9 @@ def cmd_batch(args) -> int:
     one line and exit 2."""
     import os
 
+    from repro.harness.export import render_batch_report
     from repro.service import (
-        ArtifactCache, render_batch_report, run_batch, validate_batch_report,
+        ArtifactCache, run_batch, validate_batch_report,
     )
     from repro.service.requests import requests_from_spec
 

@@ -8,15 +8,14 @@ service: framed JSONL and minimal HTTP/1.1 on one TCP port
 
 - :mod:`repro.gateway.protocol` — ``repro.gwframe/1`` frames, the
   JSONL input limits (size/depth caps), the stdlib HTTP/1.1 surface;
-- :mod:`repro.gateway.routing` — consistent-hash placement of program
-  digests onto shards;
 - :mod:`repro.gateway.coalesce` — identical in-flight requests share
   one computation;
-- :mod:`repro.gateway.admission` — per-tenant token buckets and
-  bounded priority queues;
+- :mod:`repro.gateway.admission` — per-tenant token buckets and the
+  one bounded priority queue;
 - :mod:`repro.gateway.server` — the :class:`~repro.gateway.server.Gateway`
-  tying it all together (the shard pool and both transports
-  included).
+  tying it all together (the shard pool, the scheduling — any idle
+  shard takes the next analysis, a program's queries keep one home
+  shard — and both transports included).
 
 The load test's zipfian request traces live with the load test, in
 ``benchmarks/gateway_trace.py``.

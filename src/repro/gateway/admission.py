@@ -1,5 +1,5 @@
-"""Per-tenant admission control: token buckets + bounded priority
-queues.
+"""Per-tenant admission control: token buckets + the gateway's one
+bounded priority queue.
 
 Every gateway request names a ``tenant`` (defaulting to
 ``"default"``).  Each tenant has a :class:`TenantPolicy` — a
@@ -18,13 +18,14 @@ records instead of silently dropping work:
 - **rate**: a classic token bucket per tenant (``rate`` tokens/second
   refill, ``burst`` capacity; ``rate: null`` = unlimited).  An empty
   bucket raises :class:`~repro.gateway.protocol.RateLimited`.
-- **queue depth**: each shard keeps a priority-ordered pending queue;
-  when the *total* queued work exceeds the configured high-water mark
-  the lowest-priority queued request is shed with
+- **queue depth**: the gateway keeps one priority-ordered
+  :class:`PendingQueue`; past the configured high-water mark the
+  lowest-priority newest queued request is shed with
   :class:`~repro.gateway.protocol.QueueFull` — unless the incoming
-  request itself is the lowest, in which case it is refused directly.
-  Backpressure is visible as ``gateway.queue_depth`` gauges and
-  ``gateway.shed`` counters in the ``repro.metrics/1`` feed.
+  request's priority is not above it, in which case the incoming
+  request is refused directly. Backpressure is visible as the
+  ``gateway.queue_depth`` gauge and the ``gateway.shed`` counter in
+  the ``repro.metrics/1`` feed.
 
 Clocks are injectable (``clock=``) so tests drive refill
 deterministically.
@@ -35,7 +36,7 @@ from __future__ import annotations
 import bisect
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.gateway.protocol import BadRequest, RateLimited
 
@@ -159,59 +160,42 @@ class AdmissionController:
 
 
 class PendingQueue:
-    """One shard's priority-ordered pending queue.
+    """The gateway's one priority-ordered pending queue, bounded at
+    *limit* entries.
 
     Kept sorted by ``(-priority, seq)``: index 0 is the
-    highest-priority oldest entry (next to dispatch), the tail is the
-    lowest-priority newest entry (first to shed).  Items are opaque to
-    the queue; the scheduler stores its job objects.
+    highest-priority oldest entry, the tail is the lowest-priority
+    newest entry (first to shed).  Items are opaque to the queue; the
+    scheduler stores its job objects.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, limit: int) -> None:
+        self.limit = limit
         self._entries: List[Tuple[int, int, object]] = []
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def push(self, priority: int, seq: int, item: object) -> None:
+    def push(self, priority: int, seq: int, item: object) -> Optional[object]:
+        """Queue *item*; returns the entry shed to stay within the
+        limit, or None.  A full queue sheds its tail when *priority* is
+        above the tail's; otherwise it sheds *item* itself, unqueued:
+        the incoming request loses ties, because queued work has
+        already waited."""
+        shed = None
+        if len(self._entries) >= self.limit:
+            if not self._entries or priority <= -self._entries[-1][0]:
+                return item
+            shed = self._entries.pop()[2]
         bisect.insort(self._entries, (-priority, seq, item))
+        return shed
 
-    def pop(self) -> object:
-        return self._entries.pop(0)[2]
-
-    def tail_priority(self) -> Optional[int]:
-        """Priority of the entry :meth:`shed_tail` would remove."""
-        return -self._entries[-1][0] if self._entries else None
-
-    def shed_tail(self) -> object:
-        return self._entries.pop()[2]
-
-    def remove(self, item: object) -> bool:
-        for i, (_, _, entry) in enumerate(self._entries):
-            if entry is item:
+    def pop_first(self, runnable: Callable[[object], bool]
+                  ) -> Optional[object]:
+        """Remove and return the first entry *runnable* accepts (None
+        when it accepts none)."""
+        for i, (_, _, item) in enumerate(self._entries):
+            if runnable(item):
                 del self._entries[i]
-                return True
-        return False
-
-
-def shed_lowest(queues: Iterable[PendingQueue],
-                incoming_priority: int) -> Tuple[Optional[PendingQueue], bool]:
-    """Pick the victim when total queued work crosses the high-water
-    mark.  Returns ``(queue, admit_incoming)``: the queue whose tail
-    should be shed (None when nothing is queued), and whether the
-    incoming request should still be admitted.  The incoming request
-    loses ties — queued work has already waited."""
-    victim: Optional[PendingQueue] = None
-    lowest: Optional[int] = None
-    for queue in queues:
-        tail = queue.tail_priority()
-        if tail is None:
-            continue
-        if lowest is None or tail < lowest:
-            lowest = tail
-            victim = queue
-    if victim is None:
-        return None, False
-    if lowest is not None and incoming_priority > lowest:
-        return victim, True
-    return None, False
+                return item
+        return None

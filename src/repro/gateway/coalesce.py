@@ -37,6 +37,10 @@ class InflightJob:
         self.done = False
         #: Followers that attached after the leader (the coalesce count).
         self.followers = 0
+        #: A subscriber asked for the streamed Andersen preview before
+        #: the job was dispatched; one attaching later replays only
+        #: what was streamed.
+        self.stream = False
         #: The ``repro.metrics/1`` span of the shard run that answered,
         #: set by the gateway before the final event publishes; None
         #: for disk hits, errors, hot answers and degraded fallbacks.

@@ -26,21 +26,23 @@ Request path, in order:
 4. **coalescing** — identical in-flight digests share one computation
    (:mod:`repro.gateway.coalesce`); followers replay the leader's
    frames, counted in ``gateway.coalesced``;
-5. **routing + queueing** — the digest routes on the consistent-hash
-   ring to its home shard; work queues per shard in priority order,
-   shedding the lowest-priority entry (429) past the global
-   high-water mark;
+5. **queueing** — work waits in one priority-ordered queue, shedding
+   the lowest-priority newest entry (429) past the high-water mark;
+   each idle shard takes the first job it may run: any analysis, or a
+   query whose program's home shard (``int(digest, 16) % workers``)
+   it is, so a program's demand pipeline stays warm on one shard;
 6. **execution** — the shard worker (:mod:`repro.service.shards`)
    gets the whole request with every job, answers from the on-disk
-   cache or runs the pipeline, and replies with an optional streamed
-   Andersen preview frame and a final result; the pool's wall-clock
-   deadline hard-kills the shard and the answer degrades, reusing the
-   already-streamed preview when one arrived.
+   cache or runs the pipeline, and replies with a final result,
+   preceded by an Andersen preview frame when the job streams or has
+   a wall-clock deadline; the deadline hard-kills the shard and the
+   answer degrades, reusing the preview when one arrived.
 
-Worker death reroutes only the dead shard's keys (ring arc); what
-happens to its in-flight job is :func:`repro.service.runner.retry_lost`.
-Every analysis answer that ran reports the job's real dispatch count
-in ``attempts``.
+A dead shard's queued work stays in the queue, and its queries wait
+for the respawn the pool starts at once; what happens to its
+in-flight job is :func:`repro.service.runner.retry_lost`. Every
+analysis answer that ran reports the number of dispatches that reached
+a shard in ``attempts``.
 
 Besides the two transports, :func:`repro.service.batch.run_batch`
 drives an in-process session: it starts the shards, hands every
@@ -62,13 +64,12 @@ from typing import Dict, List, Optional, TextIO, Tuple
 
 from repro.gateway import protocol
 from repro.gateway.admission import (
-    AdmissionController, PendingQueue, TenantPolicy, shed_lowest,
+    AdmissionController, PendingQueue, TenantPolicy,
 )
 from repro.gateway.coalesce import CoalesceTable, InflightJob
 from repro.gateway.protocol import (
     BadRequest, GatewayClosing, QueueFull, RequestError, RequestTooLarge,
 )
-from repro.gateway.routing import HashRing
 from repro.obs import Observer
 from repro.service.digest import query_digest
 from repro.service.requests import request_from_entry
@@ -114,9 +115,11 @@ class _Job:
     payload: Dict[str, object]           # AnalysisRequest payload
     digest: str                          # program content digest
     query: Optional[Tuple[str, Optional[int], bool]] = None
+    home: Optional[int] = None           # a query's shard; None: any shard
     timeout: Optional[float] = None
     priority: int = 1
-    attempts: int = 0
+    seq: int = 0                         # admission order for queue ties
+    attempts: int = 0                    # dispatches that reached a shard
     enqueued: float = 0.0
     preview: Optional[Dict[str, object]] = None
 
@@ -131,7 +134,7 @@ class Gateway:
         self.obs = Observer(name="gateway", track_memory=False)
         self.admission = AdmissionController(self.options.tenants)
         self.coalesce = CoalesceTable()
-        self.ring = HashRing()
+        self.queue = PendingQueue(self.options.max_queue)
         self.pool = ShardPool(
             self.options.workers,
             options={
@@ -142,11 +145,10 @@ class Gateway:
         self.pool.on_event = self._on_event
         self.pool.on_shard_down = self._on_shard_down
         self.pool.on_shard_up = self._on_shard_up
-        self.queues: Dict[int, PendingQueue] = {
-            shard: PendingQueue() for shard in range(self.options.workers)}
         self._jobs: Dict[int, _Job] = {}
         self._jid = 0
-        self._seq = 0                    # admission order for queue ties
+        self._seq = 0
+        self._turn = 0                   # the shard _pump offers work first
         self._entry_memo: "OrderedDict[str, Tuple[Dict[str, object], str]]" \
             = OrderedDict()
         self._hot: "OrderedDict[str, Dict[str, object]]" = OrderedDict()
@@ -244,7 +246,7 @@ class Gateway:
 
     def _maybe_drained(self) -> None:
         if self._closing and not self._jobs and not self._degrading \
-                and not any(len(q) for q in self.queues.values()):
+                and not len(self.queue):
             self._drained.set()
 
     # -- telemetry ---------------------------------------------------------
@@ -258,12 +260,9 @@ class Gateway:
                        self.admission.rate_limited
                        - self.obs.counter("gateway.rate_limited"))
         self.obs.gauge("gateway.inflight", len(self._jobs))
-        self.obs.gauge("gateway.queue_depth",
-                       sum(len(q) for q in self.queues.values()))
-        for shard, queue in self.queues.items():
-            self.obs.gauge(f"gateway.queue_depth.shard{shard}", len(queue))
+        self.obs.gauge("gateway.queue_depth", len(self.queue))
         self.obs.gauge("gateway.hot_entries", len(self._hot))
-        self.obs.gauge("gateway.shards", len(self.ring))
+        self.obs.gauge("gateway.shards", self.pool.live())
         return self.obs.to_metrics_dict()
 
     def _write_metrics(self) -> None:
@@ -357,6 +356,8 @@ class Gateway:
             job.publish("result", body, final=True)
             return job
         job, leader = self.coalesce.join(key, op)
+        # A subscriber that asks before the dispatch gets the preview.
+        job.stream = job.stream or bool(entry.get("stream", False))
         if not leader:
             self.obs.count("gateway.coalesce_attach", 1)
             return job
@@ -364,6 +365,8 @@ class Gateway:
         timeout = payload.get("timeout")
         gjob = _Job(jid=self._jid, op=op, key=key, inflight=job,
                     payload=payload, digest=digest, query=query,
+                    home=int(digest, 16) % self.pool.workers
+                    if op == "query" else None,
                     timeout=timeout if timeout is not None
                     else self.options.timeout,
                     priority=policy.priority, enqueued=time.monotonic())
@@ -371,30 +374,25 @@ class Gateway:
         return job
 
     def _enqueue(self, gjob: _Job) -> None:
-        shard = self.ring.route(gjob.digest)
-        if shard is None:  # pragma: no cover - ring never stays empty
-            self._finish_with_error(
-                gjob, RequestError("no shards available"))
-            return
-        total = sum(len(q) for q in self.queues.values())
-        if total >= self.options.max_queue:
-            victim_queue, admit = shed_lowest(self.queues.values(),
-                                              gjob.priority)
-            if not admit:
-                self.obs.count("gateway.shed", 1)
-                self._finish_with_error(gjob, QueueFull(
-                    f"gateway queue is full ({total} pending) and tenant "
-                    f"priority {gjob.priority} is not above the lowest "
-                    "queued work"))
-                return
-            victim = victim_queue.shed_tail()
+        """Queue *gjob* (past the high-water mark, the queue sheds its
+        lowest-priority newest job or refuses *gjob*) and hand work to
+        idle shards."""
+        self._seq += 1
+        gjob.seq = self._seq
+        shed = self.queue.push(gjob.priority, gjob.seq, gjob)
+        if shed is gjob:
             self.obs.count("gateway.shed", 1)
-            self._finish_with_error(victim, QueueFull(
+            self._finish_with_error(gjob, QueueFull(
+                f"gateway queue is full ({len(self.queue)} pending) and "
+                f"tenant priority {gjob.priority} is not above the lowest "
+                "queued work"))
+            return
+        if shed is not None:
+            self.obs.count("gateway.shed", 1)
+            self._finish_with_error(shed, QueueFull(  # type: ignore[arg-type]
                 "shed by higher-priority work past the gateway "
                 f"high-water mark ({self.options.max_queue})"))
-        self._seq += 1
-        self.queues[shard].push(gjob.priority, self._seq, gjob)
-        self._pump(shard)
+        self._pump()
 
     def _finish_with_error(self, gjob: _Job, exc: RequestError) -> None:
         self._answer(gjob, "error", protocol.error_body(exc))
@@ -414,14 +412,23 @@ class Gateway:
 
     # -- shard scheduling --------------------------------------------------
 
-    def _pump(self, shard: int) -> None:
-        queue = self.queues[shard]
-        while len(queue) and self.pool.idle(shard):
-            gjob: _Job = queue.pop()  # type: ignore[assignment]
-            self._dispatch(shard, gjob)
+    def _pump(self) -> None:
+        """Each idle shard takes the first queued job it may run: any
+        analysis, or a query homed on it. Shards are offered work in
+        turn, starting after the last one that took a job: offered from
+        shard 0 every time, analyses would pile onto shard 0, and the
+        queries homed there would wait behind them."""
+        workers = self.pool.workers
+        for turn in range(self._turn, self._turn + workers):
+            shard = turn % workers
+            if len(self.queue) and self.pool.idle(shard):
+                gjob = self.queue.pop_first(
+                    lambda job: job.home is None or job.home == shard)
+                if gjob is not None:
+                    self._turn = shard + 1
+                    self._dispatch(shard, gjob)  # type: ignore[arg-type]
 
     def _dispatch(self, shard: int, gjob: _Job) -> None:
-        gjob.attempts += 1
         span = f"g{gjob.jid:04d}"
         if gjob.op == "query":
             message: Dict[str, object] = {
@@ -431,16 +438,21 @@ class Gateway:
                             "obj": gjob.query[2]},
             }
         else:
-            message = {"job_kind": "analyze", "stream": True,
+            # The preview costs a build, a digest and a pipe trip: only
+            # a streaming subscriber or a deadline kill can use it.
+            message = {"job_kind": "analyze",
+                       "stream": gjob.inflight.stream
+                       or gjob.timeout is not None,
                        "payload": dict(gjob.payload, request_id=span)}
         try:
             self.pool.submit(shard, gjob.jid, gjob, message,
                              timeout=gjob.timeout)
         except BrokenPipeError:
-            # The shard died under us; the death callback rebalances.
-            self._seq += 1
-            self.queues[shard].push(gjob.priority, self._seq, gjob)
+            # The shard died under us and the pool marked it down; the
+            # job keeps its place until a shard takes it.
+            self.queue.push(gjob.priority, gjob.seq, gjob)
             return
+        gjob.attempts += 1
         self._jobs[gjob.jid] = gjob
         self.obs.count("gateway.dispatched", 1)
 
@@ -467,7 +479,7 @@ class Gateway:
             self.obs.count("gateway.errors", 1)
         else:
             self._record_result(gjob, body)
-        self._pump(shard)
+        self._pump()
 
     def _record_result(self, gjob: _Job, body: Dict[str, object]) -> None:
         wall = time.monotonic() - gjob.enqueued
@@ -486,12 +498,8 @@ class Gateway:
 
     def _on_shard_down(self, shard: int, lost: List[_Job],
                        reason: str) -> None:
-        # The pool respawns the shard right after this. A lone shard
-        # stays on the ring: its retried and queued work waits on its
-        # queue for the respawn instead of finding no shard at all.
-        rerouted = len(self.ring) > 1
-        if rerouted:
-            self.ring.remove(shard)
+        # The pool respawns the shard right after this; its queries
+        # wait in the queue until then, and any shard takes the rest.
         self.obs.count("gateway.shard_deaths", 1)
         if reason == "wall-clock-timeout":
             self.obs.count("gateway.deadline_kills", 1)
@@ -502,19 +510,10 @@ class Gateway:
                 self._enqueue(gjob)
             else:
                 self._degrade(gjob, reason)
-        if rerouted:
-            # Queued (not yet dispatched) work moves to the survivors.
-            pending = self.queues[shard]
-            moved = len(pending)
-            while len(pending):
-                self._enqueue(pending.pop())  # type: ignore[arg-type]
-            if moved:
-                self.obs.count("gateway.rebalanced", moved)
         self._maybe_drained()
 
     def _on_shard_up(self, shard: int) -> None:
-        self.ring.add(shard)
-        self._pump(shard)
+        self._pump()
 
     def _degrade(self, gjob: _Job, reason: str) -> None:
         """Terminal fallback for a killed/crashed attempt: reuse the
@@ -698,7 +697,7 @@ class Gateway:
             await writer.drain()
             return
         if method == "GET" and path == "/healthz":
-            body = {"status": "ok", "shards": len(self.ring),
+            body = {"status": "ok", "shards": self.pool.live(),
                     "inflight": len(self._jobs)}
             writer.write(protocol.http_response(
                 200, json.dumps(body, sort_keys=True).encode("utf-8")))
@@ -747,9 +746,10 @@ class Gateway:
                 max_depth=self.options.max_json_depth)
             if path == "/query":
                 entry["op"] = "query"
+            if query.get("stream", "") in ("1", "true", "yes"):
+                entry["stream"] = True
             request_id = entry.get("id")
-            stream = query.get("stream", "") in ("1", "true", "yes") \
-                or bool(entry.get("stream", False))
+            stream = bool(entry.get("stream", False))
             events = self.submit(entry).subscribe()
         except RequestError as exc:
             self.obs.count("gateway.refused", 1)

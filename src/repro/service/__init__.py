@@ -43,7 +43,7 @@ from repro.service.artifacts import (
     validate_queryartifact,
 )
 from repro.service.batch import (
-    BatchReport, render_batch_report, run_batch, validate_batch_report,
+    BatchReport, run_batch, validate_batch_report,
 )
 from repro.service.cache import (
     ArtifactCache, FuncArtifactStore, QueryArtifactStore,
@@ -66,6 +66,5 @@ __all__ = [
     "canonical_digest", "query_digest",
     "RequestOutcome", "run_request_inline", "QueryRunner",
     "ShardPool",
-    "BatchReport", "run_batch", "render_batch_report",
-    "validate_batch_report",
+    "BatchReport", "run_batch", "validate_batch_report",
 ]

@@ -502,9 +502,3 @@ def validate_batch_report(doc: object) -> Dict[str, object]:
                    f"queries[{i}] error record missing")
     return doc
 
-
-def render_batch_report(doc: Dict[str, object]) -> str:
-    """Human-readable batch report (delegates to the harness renderer
-    so ``repro batch`` and harness consumers share one formatter)."""
-    from repro.harness.export import render_batch_report as _render
-    return _render(doc)

@@ -43,6 +43,10 @@ from repro.service.artifacts import (
 from repro.service.digest import query_digest
 from repro.service.requests import AnalysisRequest, QueryRequest
 
+#: Demand pipelines a :class:`QueryRunner` keeps warm (an LRU by
+#: program digest).
+MAX_PIPELINES = 4
+
 
 @dataclass
 class RequestOutcome:
@@ -180,11 +184,9 @@ class QueryRunner:
     an Andersen-only approximation.
     """
 
-    def __init__(self, querystore=None, obs=NULL_OBS,
-                 max_pipelines: int = 4) -> None:
+    def __init__(self, querystore=None, obs=NULL_OBS) -> None:
         self.querystore = querystore
         self.obs = obs
-        self.max_pipelines = max_pipelines
         self._pipelines: Dict[str, object] = {}  # digest -> FSAMResult
         self._order: List[str] = []              # LRU, most recent last
 
@@ -214,7 +216,7 @@ class QueryRunner:
         result = FSAM(module, request.config, **kwargs).prepare()
         self._pipelines[digest] = result
         self._order.append(digest)
-        while len(self._order) > self.max_pipelines:
+        while len(self._order) > MAX_PIPELINES:
             evicted = self._order.pop(0)
             del self._pipelines[evicted]
         return result

@@ -22,13 +22,14 @@ one in-flight job per shard, a wall-clock kill timer per job (the
 shard is killed and respawned), and crash detection with respawn.
 What happens to a job its shard died under is the parent's decision,
 made by :func:`repro.service.runner.retry_lost`. The parent is the
-gateway (:mod:`repro.gateway.server`), which routes by program digest
-on a consistent-hash ring so per-program state stays warm.
+gateway (:mod:`repro.gateway.server`): any idle shard takes the next
+analysis from its one queue, and each program's queries go to one
+home shard, so the program's demand pipeline stays warm there.
 
 Worker messages are small dicts; every job answer is a sequence of
 ``(kind, body, final)`` events matching the gateway's frame model:
-an optional ``andersen`` preview, then exactly one final ``result``
-or ``error``.
+an ``andersen`` preview when the job asks for one (``stream``), then
+exactly one final ``result`` or ``error``.
 """
 
 from __future__ import annotations
@@ -276,8 +277,9 @@ class ShardHandle:
 class ShardPool:
     """N persistent shard workers under an asyncio parent.
 
-    The pool is transport- and policy-free: its parent owns routing,
-    queues, coalescing, and retries, and registers callbacks —
+    The pool is transport- and policy-free: its parent owns
+    scheduling, queueing, coalescing, and retries, and registers
+    callbacks —
     ``on_event(shard_id, jid, kind, body, final, obs)`` for
     worker answers, ``on_shard_down(shard_id, jobs, reason)`` when a
     worker dies (with whatever was in flight), and
@@ -394,8 +396,8 @@ class ShardPool:
         handle.kill_reason = None
         self.on_shard_down(handle.shard_id,
                            [lost] if lost is not None else [], reason)
-        # Respawn immediately: the ring re-adds the shard via
-        # on_shard_up, ending the rebalance window.
+        # Respawn immediately: on_shard_up lets the parent hand the
+        # new incarnation work.
         self.respawns += 1
         self._spawn(handle)
         self.on_shard_up(handle.shard_id)
@@ -415,8 +417,9 @@ class ShardPool:
         the shard is idle).  With a wall-clock *timeout*, a job still
         running that many seconds later has its shard killed; the loss
         reaches ``on_shard_down`` as ``wall-clock-timeout``.  Raises
-        ``BrokenPipeError`` when the shard just died — the caller
-        treats it like a crash."""
+        ``BrokenPipeError`` when the shard just died, and marks it down
+        until its death (already on its way through the reader's EOF)
+        respawns it; the job never reached it."""
         handle = self.handles[shard_id]
         if not handle.alive or handle.conn is None:
             raise BrokenPipeError(f"shard {shard_id} is down")
@@ -428,6 +431,7 @@ class ShardPool:
             handle.conn.send(message)
         except (BrokenPipeError, OSError):
             handle.inflight = None
+            handle.alive = False
             raise BrokenPipeError(f"shard {shard_id} pipe broke") from None
         if timeout is not None:
             handle.timer = self._loop.call_later(
@@ -445,6 +449,10 @@ class ShardPool:
     def idle(self, shard_id: int) -> bool:
         handle = self.handles[shard_id]
         return handle.alive and handle.inflight is None
+
+    def live(self) -> int:
+        """The number of shards up now."""
+        return sum(handle.alive for handle in self.handles.values())
 
     # -- shutdown ----------------------------------------------------------
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.gateway.admission import (
     AdmissionController, PendingQueue, TenantPolicy, TokenBucket,
-    policies_from_config, shed_lowest,
+    policies_from_config,
 )
 from repro.gateway.protocol import BadRequest, RateLimited
 
@@ -112,54 +112,68 @@ class TestAdmissionController:
             controller.admit("")
 
 
+def _everything(_item):
+    return True
+
+
 class TestPendingQueue:
     def test_pops_highest_priority_oldest_first(self):
-        queue = PendingQueue()
+        queue = PendingQueue(limit=4)
         queue.push(1, 0, "low-old")
         queue.push(5, 1, "high-a")
         queue.push(5, 2, "high-b")
         queue.push(1, 3, "low-new")
-        assert [queue.pop() for _ in range(4)] == [
+        assert [queue.pop_first(_everything) for _ in range(4)] == [
             "high-a", "high-b", "low-old", "low-new"]
+        assert queue.pop_first(_everything) is None
+
+    def test_pop_first_skips_what_the_taker_may_not_run(self):
+        queue = PendingQueue(limit=4)
+        queue.push(5, 0, "query@1")
+        queue.push(1, 1, "analysis")
+        queue.push(1, 2, "query@0")
+        mine = {"analysis", "query@0"}
+        assert queue.pop_first(mine.__contains__) == "analysis"
+        assert queue.pop_first(mine.__contains__) == "query@0"
+        assert queue.pop_first(mine.__contains__) is None
+        assert len(queue) == 1
 
     def test_shed_tail_takes_lowest_newest(self):
-        queue = PendingQueue()
+        queue = PendingQueue(limit=3)
         queue.push(1, 0, "low-old")
         queue.push(1, 1, "low-new")
         queue.push(5, 2, "high")
-        assert queue.tail_priority() == 1
-        assert queue.shed_tail() == "low-new"
-        assert len(queue) == 2
-
-    def test_remove(self):
-        queue = PendingQueue()
-        queue.push(1, 0, "a")
-        queue.push(2, 1, "b")
-        assert queue.remove("a")
-        assert not queue.remove("ghost")
-        assert queue.pop() == "b"
+        assert queue.push(3, 3, "incoming") == "low-new"
+        assert len(queue) == 3
+        assert [queue.pop_first(_everything) for _ in range(3)] == [
+            "high", "incoming", "low-old"]
 
 
 class TestShedLowest:
+    """The shedding rule of the gateway's one queue, past its limit."""
+
     def test_picks_queue_with_lowest_tail(self):
-        q1, q2 = PendingQueue(), PendingQueue()
-        q1.push(5, 0, "hi")
-        q2.push(1, 1, "lo")
-        victim, admit = shed_lowest([q1, q2], incoming_priority=3)
-        assert victim is q2 and admit
+        queue = PendingQueue(limit=2)
+        queue.push(5, 0, "hi")
+        queue.push(1, 1, "lo")
+        assert queue.push(3, 2, "incoming") == "lo"
+        assert [queue.pop_first(_everything) for _ in range(2)] == [
+            "hi", "incoming"]
 
     def test_incoming_loses_ties(self):
-        queue = PendingQueue()
+        queue = PendingQueue(limit=1)
         queue.push(3, 0, "queued")
-        victim, admit = shed_lowest([queue], incoming_priority=3)
-        assert victim is None and not admit
+        assert queue.push(3, 1, "incoming") == "incoming"
+        assert queue.pop_first(_everything) == "queued"
+        assert len(queue) == 0
 
     def test_incoming_below_everything_is_refused(self):
-        queue = PendingQueue()
+        queue = PendingQueue(limit=1)
         queue.push(5, 0, "queued")
-        victim, admit = shed_lowest([queue], incoming_priority=1)
-        assert victim is None and not admit
+        assert queue.push(1, 1, "incoming") == "incoming"
+        assert len(queue) == 1
 
     def test_empty_queues(self):
-        victim, admit = shed_lowest([PendingQueue()], incoming_priority=1)
-        assert victim is None and not admit
+        queue = PendingQueue(limit=0)
+        assert queue.push(1, 0, "incoming") == "incoming"
+        assert len(queue) == 0

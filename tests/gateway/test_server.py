@@ -1,8 +1,9 @@
 """End-to-end gateway tests: transports, streaming, hardening,
-admission, routing/rebalance, degradation, metrics, shutdown."""
+admission, scheduling, degradation, metrics, shutdown."""
 
 import asyncio
 import json
+import os
 
 import pytest
 
@@ -373,8 +374,7 @@ class TestAdmission:
                           if handle.inflight is not None)
             os.kill(paused, signal.SIGSTOP)
             second = asyncio.ensure_future(one("kmeans", "bulk", 2))
-            await until(lambda: sum(
-                len(q) for q in gateway.queues.values()) == 1)
+            await until(lambda: len(gateway.queue) == 1)
             third = asyncio.ensure_future(one("automount", "vip", 3))
             await until(lambda: gateway.metrics()["counters"]
                         .get("gateway.shed", 0) == 1)
@@ -460,6 +460,173 @@ class TestTelemetry:
         return docs
 
 
+async def _final(job):
+    """The final ``(kind, body)`` of an :class:`InflightJob`."""
+    events = job.subscribe()
+    while True:
+        kind, body, final = await events.get()
+        if final:
+            return kind, body
+
+
+class TestScheduling:
+    """One queue: any idle shard takes the next analysis, and each
+    program's queries run on its one home shard."""
+
+    def test_distinct_analyses_run_at_once(self):
+        _run(self._two_analyses())
+
+    async def _two_analyses(self):
+        # kmeans and radiosity shared a home shard on the hash ring
+        # that placed analyses before, so the second one waited.
+        gateway = Gateway(GatewayOptions(workers=2))
+        await gateway.pool.start()
+        try:
+            jobs = [gateway.submit({"workload": name})
+                    for name in ("kmeans", "radiosity")]
+            assert all(handle.inflight is not None
+                       for handle in gateway.pool.handles.values())
+            assert gateway.metrics()["gauges"]["gateway.queue_depth"] == 0
+            finals = await asyncio.wait_for(asyncio.gather(
+                *(_final(job) for job in jobs)), timeout=60)
+        finally:
+            await gateway.pool.shutdown()
+        assert [body["status"] for _kind, body in finals] == ["ok", "ok"]
+
+    def test_queries_on_one_program_share_its_home_shard(self, monkeypatch):
+        shards = []
+        real_submit = ShardPool.submit
+
+        def spy(pool, shard_id, jid, job, message, timeout=None):
+            shards.append(shard_id)
+            return real_submit(pool, shard_id, jid, job, message,
+                               timeout=timeout)
+
+        monkeypatch.setattr(ShardPool, "submit", spy)
+        jobs, home = _run(self._two_queries())
+        assert shards == [home, home]
+        # The second query ran on the pipeline the first one built.
+        assert "compile" in jobs[0].span["phase_seconds"]
+        assert "compile" not in jobs[1].span["phase_seconds"]
+
+    async def _two_queries(self):
+        gateway = Gateway(GatewayOptions(workers=2))
+        await gateway.pool.start()
+        try:
+            jobs = [gateway.submit({"op": "query", "workload": "word_count",
+                                    "var": var, "obj": True})
+                    for var in ("bucket_0", "bucket_1")]
+            digest = request_from_entry({"workload": "word_count"}).digest()
+            home = int(digest, 16) % 2
+            # The second query waits for the busy home shard while the
+            # other shard idles.
+            assert gateway.metrics()["gauges"]["gateway.queue_depth"] == 1
+            assert not gateway.pool.idle(home)
+            assert gateway.pool.idle(1 - home)
+            finals = await asyncio.wait_for(asyncio.gather(
+                *(_final(job) for job in jobs)), timeout=60)
+        finally:
+            await gateway.pool.shutdown()
+        assert [body["status"] for _kind, body in finals] == ["ok", "ok"]
+        return jobs, home
+
+    def test_every_job_runs_once_on_more_shards_than_cores(
+            self, monkeypatch):
+        # Shards outnumber cores, so they race for the one queue: each
+        # job must be dispatched exactly once, each query on its home.
+        sent = []
+        real_submit = ShardPool.submit
+
+        def spy(pool, shard_id, jid, job, message, timeout=None):
+            sent.append((shard_id, job))
+            return real_submit(pool, shard_id, jid, job, message,
+                               timeout=timeout)
+
+        monkeypatch.setattr(ShardPool, "submit", spy)
+        workers = min((os.cpu_count() or 1) + 1, 8)
+        finals = _run(asyncio.wait_for(self._many(workers), timeout=120))
+        assert [body["status"] for _kind, body in finals] \
+            == ["ok"] * len(finals)
+        assert len({id(gjob) for _shard, gjob in sent}) == len(sent) \
+            == len(finals)
+        queries = [(shard, gjob) for shard, gjob in sent
+                   if gjob.op == "query"]
+        assert len(queries) == 4
+        assert all(shard == gjob.home for shard, gjob in queries)
+
+    async def _many(self, workers):
+        gateway = Gateway(GatewayOptions(workers=workers))
+        await gateway.pool.start()
+        try:
+            programs = TestAnswerCache.PROGRAMS
+            entries = [_tiny(n) for n in range(24)] + [
+                {"op": "query", "source": programs[name], "name": name,
+                 "var": var, "obj": True}
+                for name, var in (("a", "p"), ("a", "x"),
+                                  ("b", "q"), ("b", "y"))]
+            jobs = [gateway.submit(entry) for entry in entries]
+            return await asyncio.gather(*(_final(job) for job in jobs))
+        finally:
+            await gateway.pool.shutdown()
+
+    def test_broken_pipe_waits_for_the_respawn(self, monkeypatch):
+        # The shard is dead but its death is not yet handled: the send
+        # fails, and the job waits in the queue for the respawn. A
+        # gateway that kept the shard idle re-dispatched the job forever.
+        calls = []
+        real_dispatch = Gateway._dispatch
+
+        def counting(gateway, shard, gjob):
+            calls.append(shard)
+            assert len(calls) <= 10, "dispatch spins on a broken pipe"
+            return real_dispatch(gateway, shard, gjob)
+
+        monkeypatch.setattr(Gateway, "_dispatch", counting)
+        kind, body, respawns = _run(self._broken_pipe())
+        assert kind == "result"
+        assert body["status"] == "ok"
+        assert body["attempts"] == 1
+        assert respawns == 1
+        assert calls == [0, 0]
+
+    async def _broken_pipe(self):
+        import signal
+        gateway = Gateway(GatewayOptions(workers=1))
+        await gateway.pool.start()
+        try:
+            handle = gateway.pool.handles[0]
+            os.kill(handle.proc.pid, signal.SIGKILL)
+            handle.proc.join(10)
+            assert not handle.proc.is_alive()
+            job = gateway.submit(_tiny(1))
+            kind, body = await asyncio.wait_for(_final(job), timeout=60)
+        finally:
+            await gateway.pool.shutdown()
+        return kind, body, gateway.pool.respawns
+
+    def test_preview_only_when_streamed_or_deadlined(self):
+        kinds = _run(self._previews())
+        assert kinds == {"plain": ["result"],
+                         "stream": ["andersen", "result"],
+                         "timeout": ["andersen", "result"]}
+
+    async def _previews(self):
+        gateway = Gateway(GatewayOptions(workers=1))
+        await gateway.pool.start()
+        try:
+            entries = {"plain": dict(_tiny(1)),
+                       "stream": dict(_tiny(2), stream=True),
+                       "timeout": dict(_tiny(3), timeout=60.0)}
+            jobs = {name: gateway.submit(entry)
+                    for name, entry in entries.items()}
+            await asyncio.wait_for(asyncio.gather(
+                *(_final(job) for job in jobs.values())), timeout=60)
+        finally:
+            await gateway.pool.shutdown()
+        return {name: [kind for kind, _body, _done in job.events]
+                for name, job in jobs.items()}
+
+
 class TestResilience:
     def test_worker_death_respawns_and_retries(self, tmp_path):
         _run(self._death(tmp_path))
@@ -494,7 +661,7 @@ class TestResilience:
             metrics = gateway.metrics()
             assert metrics["counters"]["gateway.shard_deaths"] >= 1
             assert metrics["counters"]["gateway.retries"] >= 1
-            assert len(gateway.ring) == 2  # respawn re-added the arc
+            assert metrics["gauges"]["gateway.shards"] == 2  # respawned
         finally:
             await gateway.shutdown()
 

@@ -4,10 +4,9 @@ reporting."""
 import pytest
 
 from repro.fsam.config import FSAMConfig
+from repro.harness.export import render_batch_report
 from repro.obs import Observer
-from repro.service.batch import (
-    render_batch_report, run_batch, validate_batch_report,
-)
+from repro.service.batch import run_batch, validate_batch_report
 from repro.service.cache import ArtifactCache
 from repro.service.requests import AnalysisRequest
 from repro.workloads import get_workload
