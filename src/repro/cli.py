@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from typing import List, Optional
@@ -485,7 +486,6 @@ def cmd_batch(args) -> int:
     report = run_batch(requests, workers=workers, cache=cache,
                        timeout=timeout,
                        name=os.path.basename(args.spec),
-                       incremental=not args.no_incremental,
                        slow_ms=args.slow_ms,
                        queries=options.get("queries"))
     doc = validate_batch_report(report.to_dict())
@@ -507,18 +507,20 @@ def cmd_batch(args) -> int:
     return 3 if doc["aggregate"]["degraded"] or failed else 0
 
 
-def _positive(kind):
-    """An argparse type: a positive ``int`` or ``float``."""
+def _positive(kind, zero=False):
+    """An argparse type: a finite positive ``int`` or ``float`` (or
+    zero, with *zero*)."""
     noun = "integer" if kind is int else "number"
+    want = f"a non-negative {noun}" if zero else f"a positive {noun}"
 
     def parse(text: str):
         try:
             value = kind(text)
         except ValueError:
-            value = 0
-        if not value > 0:
-            raise argparse.ArgumentTypeError(
-                f"not a positive {noun}: {text!r}")
+            value = -1
+        if not (math.isfinite(value) and
+                (value >= 0 if zero else value > 0)):
+            raise argparse.ArgumentTypeError(f"not {want}: {text!r}")
         return value
     return parse
 
@@ -553,7 +555,7 @@ def _run_gateway(args, stdio: bool, **transport) -> int:
         max_request_bytes=args.max_request_bytes,
         metrics_interval=args.metrics_interval,
         metrics_stream=metrics_stream, base_dir=args.base_dir,
-        incremental=not args.no_incremental, **transport)
+        **transport)
     in_fd = sys.stdin.fileno() if stdio else None
 
     async def _main() -> None:
@@ -738,9 +740,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout", type=_positive(float), default=None,
                    help="default per-request wall-clock seconds "
                         "(overrides the spec)")
-    p.add_argument("--no-incremental", action="store_true",
-                   help="disable per-function incremental reuse "
-                        "(cold-solve every cache miss)")
     p.add_argument("--out", metavar="OUT", default=None,
                    help="also write the repro.batch/1 report JSON here")
     p.add_argument("--json", action="store_true",
@@ -750,7 +749,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slow-ms", type=float, default=None,
                    help="capture the per-phase profile of requests "
                         "slower than this as exemplars in the report")
-    p.add_argument("--cache-max-mb", type=float, default=None,
+    p.add_argument("--cache-max-mb", type=_positive(float, zero=True),
+                   default=None,
                    help="bound the artifact cache to this many MiB "
                         "(LRU eviction; default unbounded)")
     p.set_defaults(handler=cmd_batch)
@@ -767,14 +767,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="default per-request wall-clock seconds")
     p.add_argument("--base-dir", default=".",
                    help="base directory for 'file' request entries")
-    p.add_argument("--no-incremental", action="store_true",
-                   help="disable per-function incremental reuse")
     _add_metrics_flags(p)
-    p.add_argument("--max-request-bytes", type=int,
+    p.add_argument("--max-request-bytes", type=_positive(int),
                    default=DEFAULT_MAX_REQUEST_BYTES,
                    help="refuse request lines larger than this "
                         "(default 1 MiB)")
-    p.add_argument("--cache-max-mb", type=float, default=None,
+    p.add_argument("--cache-max-mb", type=_positive(float, zero=True),
+                   default=None,
                    help="bound the artifact cache to this many MiB "
                         "(LRU eviction; default unbounded)")
     p.set_defaults(handler=cmd_serve)
@@ -790,7 +789,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "default 8377)")
     p.add_argument("--workers", type=_positive(int), default=2,
                    help="persistent shard worker processes (default 2)")
-    p.add_argument("--max-queue", type=int, default=64,
+    p.add_argument("--max-queue", type=_positive(int), default=64,
                    help="global queued-request high-water mark before "
                         "lowest-priority shedding (default 64)")
     p.add_argument("--tenants-config", metavar="JSON", default=None,
@@ -799,22 +798,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache", default=None,
                    help="artifact cache directory (shared by all "
                         "shards)")
-    p.add_argument("--cache-max-mb", type=float, default=None,
+    p.add_argument("--cache-max-mb", type=_positive(float, zero=True),
+                   default=None,
                    help="bound the artifact cache to this many MiB "
                         "(LRU eviction; default unbounded)")
     p.add_argument("--timeout", type=_positive(float), default=None,
                    help="default per-request wall-clock seconds "
                         "(mid-stream expiry degrades to the already-"
                         "streamed Andersen frame)")
-    p.add_argument("--max-request-bytes", type=int,
+    p.add_argument("--max-request-bytes", type=_positive(int),
                    default=DEFAULT_MAX_REQUEST_BYTES,
                    help="refuse request lines/bodies larger than this "
                         "(default 1 MiB)")
     p.add_argument("--base-dir", default=".",
                    help="base directory for 'file' request entries")
-    p.add_argument("--no-incremental", action="store_true",
-                   help="disable per-function incremental reuse in "
-                        "the shard workers")
     _add_metrics_flags(p)
     p.set_defaults(handler=cmd_gateway)
 

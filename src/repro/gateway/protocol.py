@@ -31,10 +31,11 @@ including the 429-style admission-control records — are ``kind:
 
 Input hardening: request lines larger
 than ``max_request_bytes`` (default 1 MiB) and JSON nested deeper
-than ``max_depth`` are rejected with a structured error record
-*before* any unbounded ``json.loads`` work happens — the depth check
-is a linear pre-scan of the raw text, so a hostile
-100k-deep-bracket line can never reach the recursive parser.
+than :data:`DEFAULT_MAX_JSON_DEPTH` (64, the one depth limit) are
+rejected with a structured error record *before* any unbounded
+``json.loads`` work happens — the depth check is a linear pre-scan of
+the raw text, so a hostile 100k-deep-bracket line can never reach the
+recursive parser.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ from urllib.parse import parse_qsl, urlsplit
 
 from repro.schemas import GWFRAME_SCHEMA
 
-#: The JSONL input limits (and the CLI flags' defaults).
+#: The JSONL input limits: the ``--max-request-bytes`` default, and
+#: the one JSON nesting limit.
 DEFAULT_MAX_REQUEST_BYTES = 1 << 20     # 1 MiB per request line/body
 DEFAULT_MAX_JSON_DEPTH = 64
 
@@ -126,21 +128,22 @@ def json_depth(text: str) -> int:
 
 
 def parse_request_text(text: str,
-                       max_request_bytes: int = DEFAULT_MAX_REQUEST_BYTES,
-                       max_depth: int = DEFAULT_MAX_JSON_DEPTH) -> Dict:
+                       max_request_bytes: int = DEFAULT_MAX_REQUEST_BYTES
+                       ) -> Dict:
     """One hardened request parse: size cap, depth pre-scan, then
     ``json.loads``.  Raises a :class:`RequestError` subclass with a
     structured-record-ready type/code on refusal."""
     encoded_size = len(text.encode("utf-8", errors="replace"))
-    if max_request_bytes is not None and encoded_size > max_request_bytes:
+    if encoded_size > max_request_bytes:
         raise RequestTooLarge(
             f"request is {encoded_size} bytes "
             f"(limit {max_request_bytes}); raise --max-request-bytes "
             "to accept it")
     depth = json_depth(text)
-    if max_depth is not None and depth > max_depth:
+    if depth > DEFAULT_MAX_JSON_DEPTH:
         raise RequestTooDeep(
-            f"request JSON nests {depth} levels deep (limit {max_depth})")
+            f"request JSON nests {depth} levels deep "
+            f"(limit {DEFAULT_MAX_JSON_DEPTH})")
     try:
         entry = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -97,11 +97,9 @@ class GatewayOptions:
     cache_max_bytes: Optional[int] = None
     timeout: Optional[float] = None     # default per-request wall clock
     max_request_bytes: int = protocol.DEFAULT_MAX_REQUEST_BYTES
-    max_json_depth: int = protocol.DEFAULT_MAX_JSON_DEPTH
     metrics_interval: Optional[float] = None  # see _request_answered
     metrics_stream: Optional[object] = None   # writable text stream
     base_dir: str = "."
-    incremental: bool = True
 
 
 @dataclass
@@ -140,7 +138,6 @@ class Gateway:
             options={
                 "cache_root": self.options.cache_root,
                 "cache_max_bytes": self.options.cache_max_bytes,
-                "incremental": self.options.incremental,
             })
         self.pool.on_event = self._on_event
         self.pool.on_shard_down = self._on_shard_down
@@ -643,8 +640,7 @@ class Gateway:
                         f"{self.options.max_request_bytes} bytes; raise "
                         "--max-request-bytes to accept it")
                 entry = protocol.parse_request_text(
-                    text, max_request_bytes=self.options.max_request_bytes,
-                    max_depth=self.options.max_json_depth)
+                    text, max_request_bytes=self.options.max_request_bytes)
                 request_id = entry.get("id")
                 stream = bool(entry.get("stream", False))
                 events = self.submit(entry).subscribe()
@@ -742,8 +738,7 @@ class Gateway:
             body = await reader.readexactly(length) if length else b""
             entry = protocol.parse_request_text(
                 body.decode("utf-8", errors="replace"),
-                max_request_bytes=self.options.max_request_bytes,
-                max_depth=self.options.max_json_depth)
+                max_request_bytes=self.options.max_request_bytes)
             if path == "/query":
                 entry["op"] = "query"
             if query.get("stream", "") in ("1", "true", "yes"):

@@ -132,15 +132,8 @@ def render_telemetry_report(source: TelemetrySource, top: int = 5) -> str:
     hit_rate = gauges.get("cache.hit_rate")
     if hit_rate is None and hits + misses:
         hit_rate = hits / (hits + misses)
-    func_hits = counters.get("cache.func_hits", 0)
-    func_misses = counters.get("cache.func_misses", 0)
-    func_rate = gauges.get("cache.func_hit_rate")
-    if func_rate is None and func_hits + func_misses:
-        func_rate = func_hits / (func_hits + func_misses)
     lines.append(f"  cache hit rate {_rate(hit_rate)} "
-                 f"({hits} hit / {misses} miss), "
-                 f"func layer {_rate(func_rate)} "
-                 f"({func_hits} hit / {func_misses} miss)")
+                 f"({hits} hit / {misses} miss)")
 
     query_requests = counters.get("query.requests")
     if query_requests is not None:

@@ -17,10 +17,10 @@ Turns the single-shot FSAM pipeline into a servable system:
   gateway session (the path ``repro serve`` takes) and one
   aggregated ``repro.batch/1`` report;
 - :mod:`repro.service.incremental` — function-granular incremental
-  analysis over the cache's per-function artifact store
-  (``repro.funcartifact/1``): warm requests whose program digest
-  misses reuse the previous fixpoint for unchanged functions and
-  re-solve only downstream of the edit;
+  analysis over a per-function artifact store
+  (``repro.funcartifact/1``), reached only through
+  :func:`~repro.service.runner.run_request_inline`'s *funcstore*; no
+  shard builds the store (see :mod:`repro.service.shards` for why);
 - :mod:`repro.service.digest` — the one canonical-JSON sha256 every
   service cache key goes through;
 - demand queries (``op: query`` entries, ``repro query``) — answered

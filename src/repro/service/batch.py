@@ -4,10 +4,10 @@
 :func:`run_batch` takes the request path ``repro serve`` takes. It
 starts a :class:`~repro.gateway.server.Gateway`'s shards with no
 listener, submits every request, and builds the report from the final
-answers. So the shards' whole-program cache, function store and query
-store answer batch requests as they answer serve's, and the gateway's
-ladder (deadline kill, one crash retry, degradation; see
-:mod:`repro.service.runner`) is batch's too.
+answers. So the shards' whole-program cache and query store answer
+batch requests as they answer serve's, every miss runs the whole
+pipeline, and the gateway's ladder (deadline kill, one crash retry,
+degradation; see :mod:`repro.service.runner`) is batch's too.
 
 - **Dedup.** Every request is submitted before any answer can arrive,
   so requests with the same content digest join one in-flight job and
@@ -26,8 +26,8 @@ the batch observer in request order. Each miss also records
 ``pool.queue_seconds`` (the rest of the wall time since submission)
 and ``request.seconds`` (both). The top-level phases of the same spans
 sum to ``aggregate.phase_seconds``. The shards' shutdown snapshots
-bring the ``cache.*``, ``cache.func_*`` and ``query.*`` store tallies,
-and the gateway's dispatch counters come along (``gateway.dispatched``,
+bring the ``cache.*`` and ``query.*`` store tallies, and the
+gateway's dispatch counters come along (``gateway.dispatched``,
 ``gateway.retries``, ...). Hits and dedup followers add no samples, so
 a fully warm batch's rollup is byte-identical across reruns (asserted
 by the telemetry suite). Misses slower than ``slow_ms`` keep their
@@ -222,7 +222,6 @@ def run_batch(requests: List[AnalysisRequest],
               timeout: Optional[float] = None,
               obs: Optional[Observer] = None,
               name: str = "batch",
-              incremental: bool = True,
               slow_ms: Optional[float] = None,
               queries: Optional[List[QueryRequest]] = None) -> BatchReport:
     """Run *requests* (and *queries*) on one gateway session of
@@ -230,10 +229,7 @@ def run_batch(requests: List[AnalysisRequest],
 
     The shards share the cache directory of *cache* (and its size
     bound); *timeout* is each request's default wall-clock deadline,
-    past which its shard is killed and the answer degrades. With
-    *incremental* (the default) and a cache, the shards also keep the
-    per-function artifact store under ``<cache>/func`` (see
-    :mod:`repro.service.incremental`).
+    past which its shard is killed and the answer degrades.
 
     *slow_ms* enables exemplar capture: every cache-miss request whose
     wall clock exceeds the threshold lands in ``report.exemplars``
@@ -266,7 +262,7 @@ def run_batch(requests: List[AnalysisRequest],
         max_queue=len(entries),
         cache_root=str(cache.root) if cache is not None else None,
         cache_max_bytes=cache.max_bytes if cache is not None else None,
-        timeout=timeout, incremental=incremental)
+        timeout=timeout)
     start = time.perf_counter()
     jobs, finals, byes, gateway_counters = asyncio.run(
         _session(entries, options))
@@ -347,11 +343,6 @@ def run_batch(requests: List[AnalysisRequest],
     misses = observer.counter("batch.cache_misses")
     if cache is not None and hits + misses:
         observer.gauge("cache.hit_rate", round(hits / (hits + misses), 6))
-    func_hits = observer.counter("cache.func_hits")
-    func_misses = observer.counter("cache.func_misses")
-    if func_hits + func_misses:
-        observer.gauge("cache.func_hit_rate",
-                       round(func_hits / (func_hits + func_misses), 6))
 
     # Exemplars: slow misses keep their full per-phase breakdown in
     # the report, so "why was r0003 slow?" survives aggregation.

@@ -25,14 +25,16 @@ Counters (``cache.hits`` / ``cache.misses`` / ``cache.stores`` /
 ``cache.corrupt`` / ``cache.stale``) flush into a
 :class:`repro.obs.Observer` like any other pipeline stage.
 
-The module also hosts :class:`FuncArtifactStore`, the per-function
-sub-document layer (``repro.funcartifact/1``) used by incremental
-analysis: same fan-out layout under ``<root>/func/``, same atomic
-writes and tolerant reads, keyed by per-function digests (see
-:func:`repro.service.requests.function_digest`), and
-:class:`QueryArtifactStore`, the demand-query sub-result layer
-(``repro.queryartifact/1``) under ``<root>/query/``, keyed by
-:func:`repro.service.digest.query_digest`.
+The module also hosts :class:`QueryArtifactStore`, the demand-query
+sub-result layer (``repro.queryartifact/1``) under ``<root>/query/``,
+keyed by :func:`repro.service.digest.query_digest`, which the shards
+keep beside the artifact cache, and :class:`FuncArtifactStore`, the
+per-function sub-document layer (``repro.funcartifact/1``) of
+incremental analysis: same fan-out layout under ``<root>/func/``,
+same atomic writes and tolerant reads, keyed by per-function digests
+(see :func:`repro.service.requests.function_digest`). No service
+front end builds a ``FuncArtifactStore``; only
+:func:`~repro.service.runner.run_request_inline` callers pass one.
 """
 
 from __future__ import annotations

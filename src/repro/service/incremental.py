@@ -113,7 +113,7 @@ def build_plan(module, dug, builder, andersen, config,
     :class:`~repro.fsam.analysis.FSAM` consults the hook only for
     untraced runs of the delta engine: tracing records
     first-introduction provenance, which a preloaded state skips, and
-    the reference engine has no incremental entry point."""
+    the reference engine lacks an incremental entry point."""
     ctx = _FunctionContext(module, dug, builder, andersen, config)
     stats: Dict[str, object] = {
         "functions": len(ctx.fns),

@@ -7,11 +7,14 @@ analysis processes. Every analyze job carries its whole request, and
 a shard answers it from the on-disk
 :class:`~repro.service.cache.ArtifactCache` (``cache: "hit"``) or by
 running the pipeline (``"miss"``); the gateway's response LRU is the
-one in-memory answer cache. Across the jobs of one incarnation a
-shard keeps:
+one in-memory answer cache. Every miss runs the whole pipeline
+(:func:`~repro.service.runner.run_full`) with no per-function store:
+the function-granular layer of :mod:`repro.service.incremental` made
+a cold miss 2-3x slower and an edit slower than a cold run, so the
+service does not use it. Across the jobs of one incarnation a shard
+keeps:
 
-- the on-disk stores (whole-program, per-function and query) under
-  the cache root;
+- the on-disk stores (whole-program and query) under the cache root;
 - a :class:`~repro.service.runner.QueryRunner` whose per-program
   demand pipelines stay warm between queries.
 
@@ -43,9 +46,7 @@ from typing import Callable, Dict, List, Optional
 from repro.fsam.config import AnalysisTimeout
 from repro.obs import Observer
 from repro.service.artifacts import artifact_from_andersen
-from repro.service.cache import (
-    ArtifactCache, FuncArtifactStore, QueryArtifactStore,
-)
+from repro.service.cache import ArtifactCache, QueryArtifactStore
 from repro.service.requests import AnalysisRequest, QueryRequest
 from repro.service.runner import QueryRunner, run_degraded, run_full
 
@@ -89,8 +90,6 @@ class _ShardState:
         max_bytes = options.get("cache_max_bytes")
         self.cache = ArtifactCache(cache_root, max_bytes=max_bytes) \
             if cache_root else None
-        self.funcstore = FuncArtifactStore(cache_root) \
-            if cache_root and options.get("incremental", True) else None
         self.cache_root = cache_root
         # Built by the first query job, so a shard that answers no
         # queries reports no query-store tallies.
@@ -100,8 +99,6 @@ class _ShardState:
     def flush_stores(self, obs: Observer) -> None:
         if self.cache is not None:
             self.cache.flush_obs(obs)
-        if self.funcstore is not None:
-            self.funcstore.flush_obs(obs)
         if self.querystore is not None:
             self.querystore.flush_obs(obs)
 
@@ -142,8 +139,7 @@ def _run_analyze(state: _ShardState, msg: Dict[str, object], conn) -> None:
     obs = Observer(name=request.request_id or request.name,
                    track_memory=False)
     try:
-        artifact = run_full(request, obs, funcstore=state.funcstore,
-                            on_preanalysis=on_preanalysis
+        artifact = run_full(request, obs, on_preanalysis=on_preanalysis
                             if msg.get("stream") else None)
     except AnalysisTimeout:
         if preview:
@@ -292,6 +288,12 @@ class ShardPool:
             raise ValueError(f"need at least one shard, got {workers}")
         self.workers = workers
         self.options = dict(options or {})
+        # Each shard builds its ArtifactCache after the fork, where a
+        # bad bound would kill every incarnation the pool respawns.
+        max_bytes = self.options.get("cache_max_bytes")
+        if max_bytes is not None and max_bytes < 0:
+            raise ValueError(
+                f"cache_max_bytes must be >= 0, got {max_bytes}")
         self.handles: Dict[int, ShardHandle] = {
             shard_id: ShardHandle(shard_id) for shard_id in range(workers)}
         self.on_event: Callable = lambda *a, **k: None

@@ -673,12 +673,13 @@ class TestResilience:
             workers=1, cache_root=str(tmp_path / "cache")))
         await gateway.start()
         try:
-            # raytrace@6 runs ~3.4s with its Andersen preview ready at
-            # ~0.6s, so a 1.5s deadline lands squarely between the two.
+            # A cold raytrace@8 runs 1.7-2.3s on 2 vCPUs, with its
+            # Andersen preview ready after about 0.6s, so a 1.0s
+            # deadline lands between the two.
             frames = await asyncio.wait_for(_jsonl(
                 gateway.port,
-                [{"workload": "raytrace", "scale": 6, "id": 5,
-                  "stream": True, "timeout": 1.5}]), timeout=120)
+                [{"workload": "raytrace", "scale": 8, "id": 5,
+                  "stream": True, "timeout": 1.0}]), timeout=120)
             mine = _frames_for(frames, 5)
             validate_gwframe_stream(mine)
             final = mine[-1]["body"]

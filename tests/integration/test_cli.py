@@ -560,6 +560,48 @@ class TestBatchSpecErrors:
         assert info.value.code == 2
         assert "not a positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["batch", "spec.json", "--cache-max-mb", "-1"],
+        ["batch", "spec.json", "--cache-max-mb", "inf"],
+        ["serve", "--cache-max-mb", "-1"],
+        ["gateway", "--cache-max-mb", "-1"],
+        ["serve", "--max-request-bytes", "-5"],
+        ["serve", "--max-request-bytes", "0"],
+        ["gateway", "--max-request-bytes", "0"],
+        ["gateway", "--max-queue", "0"],
+        ["batch", "spec.json", "--no-incremental"],
+        ["serve", "--no-incremental"],
+        ["gateway", "--no-incremental"],
+    ], ids=["batch-cache-max-mb", "batch-cache-max-mb-inf",
+            "serve-cache-max-mb", "gateway-cache-max-mb",
+            "serve-max-request-bytes", "serve-max-request-bytes-zero",
+            "gateway-max-request-bytes", "gateway-max-queue",
+            "batch-no-incremental", "serve-no-incremental",
+            "gateway-no-incremental"])
+    def test_bad_service_flag_is_one_line(self, tmp_path, monkeypatch,
+                                          capsys, argv):
+        def no_session(*args, **kwargs):
+            raise AssertionError("a shard session started")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("repro.service.run_batch", no_session)
+        monkeypatch.setattr("repro.cli._run_gateway", no_session)
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        flag = next(arg for arg in argv if arg.startswith("--"))
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if ": error: " in line]
+        assert len(errors) == 1 and flag in errors[0]
+
+    def test_service_flag_floors_are_accepted(self):
+        from repro.cli import build_parser
+        args = build_parser().parse_args(
+            ["gateway", "--cache-max-mb", "0", "--max-request-bytes", "1",
+             "--max-queue", "1"])
+        assert (args.cache_max_mb, args.max_request_bytes,
+                args.max_queue) == (0.0, 1, 1)
+
 
 class TestSourceDiagnostics:
     """A MiniC diagnostic is the user's error, not a crash: every

@@ -69,6 +69,16 @@ class TestCacheIntegration:
             assert warm_o.body["payload_digest"] == \
                 cold_o.body["payload_digest"]
 
+    def test_cached_miss_keeps_no_function_store(self, tmp_path):
+        # Every miss runs the whole pipeline: no shard builds a
+        # per-function store under the cache.
+        report = run_batch(_requests(), workers=2,
+                           cache=ArtifactCache(tmp_path))
+        assert [o.cache for o in report.outcomes] == ["miss"] * len(SMALL)
+        assert all("incremental" not in o.body["summary"]
+                   for o in report.outcomes)
+        assert not (tmp_path / "func").exists()
+
     def test_degraded_outcome_not_cached(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         run_batch(_requests(("raytrace",), time_budget=1e-9),

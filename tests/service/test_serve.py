@@ -51,6 +51,15 @@ class TestServeLoop:
         assert first["digest"] == second["digest"]
         assert first["payload_digest"] == second["payload_digest"]
 
+    def test_cached_miss_keeps_no_function_store(self, tmp_path):
+        cache_root = tmp_path / "cache"
+        body = serve(['{"workload": "word_count", "id": 1}'],
+                     cache_root=str(cache_root)).answer(1)
+        assert body["cache"] == "miss"
+        assert "incremental" not in body["summary"]
+        assert cache_root.is_dir()
+        assert not (cache_root / "func").exists()
+
     def test_malformed_line_does_not_kill_the_loop(self):
         session = serve([
             'this is not json',

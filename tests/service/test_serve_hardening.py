@@ -31,9 +31,9 @@ class TestHardening:
             assert frame["body"]["error"]["type"] == "RequestTooLarge"
 
     def test_deep_nesting_refused_before_parse(self):
+        # 200 levels, over the one 64-level limit.
         hostile = "[" * 200 + "]" * 200
-        session = serve([hostile, '{"workload": "word_count", "id": 1}'],
-                        max_json_depth=32)
+        session = serve([hostile, '{"workload": "word_count", "id": 1}'])
         (refused,) = [frame for frame in session.finals
                       if "id" not in frame]
         assert refused["body"]["error"]["type"] == "RequestTooDeep"
@@ -42,7 +42,7 @@ class TestHardening:
     def test_depth_limit_allows_reasonable_nesting(self):
         entry = json.dumps({"workload": "word_count", "id": 1,
                             "config": {"value_flow": True}})
-        session = serve([entry], max_json_depth=32)
+        session = serve([entry])
         assert session.answer(1)["status"] == "ok"
 
     def test_invalid_json_error_type_is_preserved(self):

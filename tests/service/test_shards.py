@@ -9,6 +9,9 @@ import sys
 import threading
 import time
 
+import pytest
+
+from repro.gateway.server import Gateway, GatewayOptions
 from repro.service.shards import ShardPool
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
@@ -20,6 +23,22 @@ def _run(coro):
         return loop.run_until_complete(coro)
     finally:
         loop.close()
+
+
+class TestOptions:
+    def test_negative_cache_bound_refused_before_any_fork(
+            self, monkeypatch):
+        # Each shard would die building its cache, and the pool would
+        # respawn it for ever: the parent refuses the bound instead.
+        def no_fork(*args, **kwargs):
+            raise AssertionError("a shard was forked")
+
+        monkeypatch.setattr("multiprocessing.Process", no_fork)
+        options = {"cache_root": "cache", "cache_max_bytes": -1}
+        with pytest.raises(ValueError, match="cache_max_bytes"):
+            ShardPool(2, options=options)
+        with pytest.raises(ValueError, match="cache_max_bytes"):
+            Gateway(GatewayOptions(cache_root="cache", cache_max_bytes=-1))
 
 
 class TestSignals:

@@ -3,7 +3,6 @@
 warm-batch metrics, and the ``repro serve`` metrics stream."""
 
 import json
-import shutil
 
 import pytest
 
@@ -53,7 +52,11 @@ class TestBatchRollup:
         assert metrics["counters"]["solver.iterations"] > 0
 
         assert metrics["gauges"]["cache.hit_rate"] == 0.0
-        assert "cache.func_hit_rate" in metrics["gauges"]
+        # The shards keep no per-function store: no func-layer gauge
+        # or counter reaches the rollup.
+        assert not [name for name in (*metrics["gauges"],
+                                      *metrics["counters"])
+                    if name.startswith("cache.func")]
 
         # Slow-request exemplars (threshold 0ms: every miss) keep the
         # per-phase breakdown and the dominant phase.
@@ -172,29 +175,6 @@ class TestWorkerSnapshots:
         validate_metrics(snapshot)
         assert snapshot["phase_seconds"]["sparse_solve"] > 0.0
         assert snapshot["counters"]["solver.iterations"] > 0
-
-    def test_func_counters_survive_pooled_workers(self, tmp_path):
-        """Regression for the removed artifact-summary reconstruction
-        path: store-level func-cache counters shipped in worker
-        snapshots must equal the per-artifact incremental summaries
-        they replaced."""
-        cache = ArtifactCache(tmp_path)
-        run_batch(_requests(), workers=2, cache=cache)
-        # Drop the program-level artifacts but keep the per-function
-        # store, so the rerun misses the top cache and reuses the
-        # function layer.
-        for child in tmp_path.iterdir():
-            if child.is_dir() and child.name != "func":
-                shutil.rmtree(child)
-        report = run_batch(_requests(), workers=2,
-                           cache=ArtifactCache(tmp_path))
-        assert all(o.cache == "miss" for o in report.outcomes)
-        summary_hits = sum(
-            o.body["summary"]["incremental"]["func_hits"]
-            for o in report.outcomes)
-        assert summary_hits > 0
-        assert report.counters["cache.func_hits"] == summary_hits
-        assert report.metrics["gauges"]["cache.func_hit_rate"] > 0.0
 
 
 class TestServeMetricsStream:
