@@ -19,12 +19,12 @@ same way, so the comparison isolates the address-taken machinery).
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.andersen import AndersenResult, run_andersen
 from repro.andersen.fields import derive_field
 from repro.baseline.pcg import ProcedureConcurrencyGraph
-from repro.cfg.icfg import ICFG, ICFGNode, NodeKind
+from repro.cfg.icfg import ICFG, NodeKind
 from repro.fsam.config import Deadline, FSAMConfig
 from repro.ir.instructions import (
     AddrOf, Call, Copy, Fork, Gep, Load, Phi, Ret, Store,
@@ -37,6 +37,9 @@ from repro.pts import PTSet, PTUniverse
 # A memory state: object id -> interned points-to set. Because PTSets
 # are hash-consed, the per-ICFG-node states share set instances, which
 # is what keeps this deliberately-wasteful baseline runnable at all.
+# An object that points nowhere has no entry: with no empty sets
+# stored, two states are equal exactly when they hold the same facts,
+# so the worklist stops once no fact grows.
 MemState = Dict[int, PTSet]
 
 
@@ -89,7 +92,18 @@ class NonSparseAnalysis:
         self.pcg: Optional[ProcedureConcurrencyGraph] = None
         self.universe: Optional[PTUniverse] = None    # set from the pre-analysis
         self.pts_top: Dict[int, PTSet] = {}
-        self.out_state: Dict[int, MemState] = {}      # node uid -> state
+        # Temp id -> the nodes whose transfer reads its set, and the
+        # ids of the temps the current transfer grew.
+        self._readers: Dict[int, List[int]] = {}
+        self._grown: List[int] = []
+        # Thread class id -> the loads that read its store effects.
+        self._effect_readers: Dict[int, List[int]] = {}
+        # Fork node -> the start routines' entries, and back: thread
+        # start sees the spawner's state. The shared ICFG has no such
+        # edges, so the baseline keeps its own.
+        self._fork_succs: Dict[int, List[int]] = {}
+        self._fork_preds: Dict[int, List[int]] = {}
+        self.out_state: Dict[int, MemState] = {}      # ICFG node -> state
         self.iterations = 0
         self.strong_updates = 0
         self.weak_updates = 0
@@ -121,7 +135,33 @@ class NonSparseAnalysis:
         if merged is current:
             return False
         self.pts_top[temp.id] = merged
+        self._grown.append(temp.id)
         return True
+
+    def _build_readers(self) -> None:
+        """Index, once, which nodes read each temp and each thread
+        class's store effects. Every instruction reads its operands,
+        and a call with a result also reads the value of each of its
+        callees' returns. A load reads the effects of every class
+        parallel to its procedure."""
+        readers = self._readers
+        callgraph = self.andersen.callgraph
+        for fn in self.module.functions.values():
+            loads = [self.icfg.node_of(instr) for instr in fn.instructions()
+                     if isinstance(instr, Load)]
+            if loads:
+                for cid in self.pcg.parallel_classes(fn):
+                    self._effect_readers.setdefault(cid, []).extend(loads)
+        for instr in self.module.all_instructions():
+            node = self.icfg.node_of(instr)
+            values = list(instr.operands())
+            if isinstance(instr, Call) and instr.dst is not None:
+                for callee in callgraph.callees(instr):
+                    values.extend(rv.value for rv in callee.instructions()
+                                  if isinstance(rv, Ret))
+            for value in values:
+                if isinstance(value, Temp):
+                    readers.setdefault(value.id, []).append(node)
 
     # -- interference ---------------------------------------------------------
 
@@ -180,32 +220,29 @@ class NonSparseAnalysis:
             self.pcg = ProcedureConcurrencyGraph(self.module, self.andersen)
         for obj in self.module.objects:
             self._objects_by_id[obj.id] = obj
+        self._build_readers()
 
-        graph = self.icfg.graph
+        icfg = self.icfg
         # Fork nodes feed the start routine's entry (thread start sees
         # the spawner's state); joins are identity (interference covers
         # the rest).
-        extra_edges: List[Tuple[ICFGNode, ICFGNode]] = []
-        for fn in self.module.functions.values():
-            for instr in fn.instructions():
-                if isinstance(instr, Fork):
-                    node = self.icfg.node_of(instr)
-                    for routine in self.andersen.callgraph.callees(instr):
-                        if routine in self.icfg.entries:
-                            extra_edges.append((node, self.icfg.entry_of(routine)))
-        for src, dst in extra_edges:
-            graph.add_edge(src, dst)
+        for instr in self.module.all_instructions():
+            if isinstance(instr, Fork):
+                node = icfg.node_of(instr)
+                entries = sorted(icfg.entry_of(routine) for routine
+                                 in self.andersen.callgraph.callees(instr)
+                                 if icfg.has_body(routine))
+                for entry in entries:
+                    self._fork_succs.setdefault(node, []).append(entry)
+                    self._fork_preds.setdefault(entry, []).append(node)
 
-        work: deque = deque()
-        queued: Set[int] = set()
+        work: deque = deque(icfg.nodes())
+        queued = bytearray(b"\x01") * len(icfg)
 
-        def push(node: ICFGNode) -> None:
-            if node.uid not in queued:
-                queued.add(node.uid)
+        def push(node: int) -> None:
+            if not queued[node]:
+                queued[node] = 1
                 work.append(node)
-
-        for node in graph.nodes():
-            push(node)
 
         with obs.phase("nonsparse_solve"):
             while work:
@@ -213,24 +250,29 @@ class NonSparseAnalysis:
                     deadline.check()
                 self.iterations += 1
                 node = work.popleft()
-                queued.discard(node.uid)
+                queued[node] = 0
                 in_state = self._merge_in(node)
                 out_state, top_changed, effect_stores = self._transfer(node, in_state)
-                old = self.out_state.get(node.uid)
+                old = self.out_state.get(node)
                 if old != out_state:
-                    self.out_state[node.uid] = out_state
-                    for succ in graph.successors(node):
+                    self.out_state[node] = out_state
+                    for succ in icfg.successors(node):
                         push(succ)
-                if top_changed or effect_stores:
-                    # Top-level growth re-enables dependent statements; the
-                    # traditional analysis simply reiterates — requeue the
-                    # whole graph region lazily by requeuing users.
-                    for succ in graph.successors(node):
+                    for succ in self._fork_succs.get(node, ()):
                         push(succ)
-                    if effect_stores:
-                        # New interference effects become visible to every
-                        # node of every parallel procedure: requeue them.
-                        self._requeue_parallel(node, push)
+                if top_changed:
+                    # A grown temp is read wherever it is used, not only
+                    # downstream of this node: a callee's uses of a
+                    # parameter, the users of a call's result, a call
+                    # reading its callees' returns. Requeue every reader.
+                    for temp_id in self._grown:
+                        for reader in self._readers.get(temp_id, ()):
+                            push(reader)
+                self._grown.clear()
+                if effect_stores:
+                    # New interference effects become visible to every
+                    # load that reads this store's classes: requeue them.
+                    self._requeue_parallel(node, push)
         self.elapsed = deadline.elapsed()
         self.flush_obs(obs)
         return NonSparseResult(self)
@@ -240,23 +282,22 @@ class NonSparseAnalysis:
         obs.count("nonsparse.strong_updates", self.strong_updates)
         obs.count("nonsparse.weak_updates", self.weak_updates)
         obs.count("nonsparse.parallel_requeues", self.parallel_requeues)
-        obs.gauge("nonsparse.icfg_nodes", len(list(self.icfg.graph.nodes())))
+        obs.gauge("nonsparse.icfg_nodes", len(self.icfg))
         obs.gauge("nonsparse.points_to_entries", self.points_to_entries())
         self.universe.flush_obs(obs)
 
-    def _requeue_parallel(self, node: ICFGNode, push) -> None:
-        parallel = self.pcg.parallel_classes(node.function)
-        for cid in parallel:
-            for fn in self.pcg.class_procs.get(cid, ()):
-                for instr in fn.instructions():
-                    if isinstance(instr, Load):
-                        self.parallel_requeues += 1
-                        push(self.icfg.node_of(instr))
+    def _requeue_parallel(self, node: int, push) -> None:
+        for cid in self.pcg.classes_of(self.icfg.function[node]):
+            for load in self._effect_readers.get(cid, ()):
+                self.parallel_requeues += 1
+                push(load)
 
-    def _merge_in(self, node: ICFGNode) -> MemState:
+    def _merge_in(self, node: int) -> MemState:
         state: MemState = {}
-        for pred in self.icfg.graph.predecessors(node):
-            pred_out = self.out_state.get(pred.uid)
+        preds = self.icfg.predecessors(node)
+        forks = self._fork_preds.get(node)
+        for pred in preds if forks is None else [*preds, *forks]:
+            pred_out = self.out_state.get(pred)
             if not pred_out:
                 continue
             for obj_id, values in pred_out.items():
@@ -266,13 +307,14 @@ class NonSparseAnalysis:
                 state[obj_id] = values if existing is None else (existing | values)
         return state
 
-    def _transfer(self, node: ICFGNode, state: MemState):
+    def _transfer(self, node: int, state: MemState):
         """Returns (out_state, top_changed, produced_new_effects)."""
-        instr = node.instr
+        kind = self.icfg.kind[node]
+        if kind != NodeKind.STMT and kind != NodeKind.CALL:
+            return state, False, False
+        instr = self.icfg.instr[node]
         top_changed = False
         new_effects = False
-        if node.kind in (NodeKind.ENTRY, NodeKind.EXIT, NodeKind.RETSITE):
-            return state, False, False
         if isinstance(instr, AddrOf):
             top_changed = self._set_top(instr.dst, {instr.obj})
         elif isinstance(instr, Copy):
@@ -314,10 +356,14 @@ class NonSparseAnalysis:
                         strong = not self._is_interfering(instr, obj)
                     if strong:
                         self.strong_updates += 1
-                        state[obj.id] = stored
+                        if stored:
+                            state[obj.id] = stored
+                        else:
+                            state.pop(obj.id, None)
                     else:
                         self.weak_updates += 1
-                        state[obj.id] = state.get(obj.id, empty) | stored
+                        if stored:
+                            state[obj.id] = state.get(obj.id, empty) | stored
                 before = self._effect_sizes(instr)
                 self._record_store_effect(instr)
                 new_effects = self._effect_sizes(instr) != before
@@ -331,7 +377,7 @@ class NonSparseAnalysis:
                 if pre:
                     state = dict(state)
                     for obj in pre:
-                        state[obj.id] = empty
+                        state.pop(obj.id, None)
         elif isinstance(instr, Fork):
             # The abstract thread id lands in the handle slot.
             if instr.handle_ptr is not None:

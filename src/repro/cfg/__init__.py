@@ -3,6 +3,6 @@
 
 from repro.cfg.cfg import CFG
 from repro.cfg.callgraph import CallGraph
-from repro.cfg.icfg import ICFG, ICFGNode, NodeKind
+from repro.cfg.icfg import ICFG, EdgeKind, NodeKind
 
-__all__ = ["CFG", "CallGraph", "ICFG", "ICFGNode", "NodeKind"]
+__all__ = ["CFG", "CallGraph", "EdgeKind", "ICFG", "NodeKind"]

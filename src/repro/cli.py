@@ -232,7 +232,7 @@ def cmd_threads(args) -> int:
     print(f"{len(model.threads)} abstract thread(s)")
     for thread in model.threads:
         joined = sorted(model.fully_joined.get(thread.id, ()))
-        states = len(model.state_graphs[thread.id].state_info)
+        states = len(model.state_graphs[thread.id])
         print(f"  {thread!r} states={states} fully-joins={joined}")
     if model.symmetric_pairs:
         print("symmetric fork/join loops:")

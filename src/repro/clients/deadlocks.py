@@ -68,16 +68,16 @@ class DeadlockDetector:
             for sid in span.members:
                 if sid == span.lock_sid:
                     continue
-                _ctx, node = graph.state(sid)
-                if not isinstance(node.instr, Lock):
+                instr = graph.instr_of(sid)
+                if not isinstance(instr, Lock):
                     continue
-                l2 = singleton_lock(result.andersen, node.instr.ptr)
+                l2 = singleton_lock(result.andersen, instr.ptr)
                 if l2 is None or l2 is l1:
                     continue
                 self.lock_objects[l2.id] = l2
                 self.order_edges.setdefault((l1.id, l2.id), [])
-                if node.instr not in self.order_edges[(l1.id, l2.id)]:
-                    self.order_edges[(l1.id, l2.id)].append(node.instr)
+                if instr not in self.order_edges[(l1.id, l2.id)]:
+                    self.order_edges[(l1.id, l2.id)].append(instr)
 
         return self._find_cycles(result)
 

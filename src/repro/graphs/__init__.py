@@ -3,14 +3,14 @@
 These are the compiler-infrastructure substrates FSAM is built on:
 directed graphs, strongly connected components (one iterative Tarjan),
 dominator trees (Cooper-Harvey-Kennedy), dominance frontiers, natural
-loops, and a generic worklist data-flow framework.
+loops, and dense int graphs with a forward gen/kill data-flow solver.
 """
 
 from repro.graphs.digraph import DiGraph
 from repro.graphs.scc import tarjan_scc
 from repro.graphs.dominance import DominatorTree, dominance_frontiers
 from repro.graphs.loops import Loop, natural_loops
-from repro.graphs.dataflow import DataflowProblem, solve_forward
+from repro.graphs.dense import DenseGraph, forward_facts
 
 __all__ = [
     "DiGraph",
@@ -19,6 +19,6 @@ __all__ = [
     "dominance_frontiers",
     "Loop",
     "natural_loops",
-    "DataflowProblem",
-    "solve_forward",
+    "DenseGraph",
+    "forward_facts",
 ]

@@ -9,7 +9,10 @@ their textbook statements.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Hashable, Iterable, Iterator, List, Set
+from typing import AbstractSet, Dict, Hashable, Iterable, Iterator, List, Set
+
+#: What a node not in the graph has as successors and predecessors.
+_NO_NODES: AbstractSet[Hashable] = frozenset()
 
 
 class DiGraph:
@@ -59,14 +62,14 @@ class DiGraph:
             for dst in succs:
                 yield (src, dst)
 
-    def successors(self, node: Hashable) -> Set[Hashable]:
-        return self._succs.get(node, set())
+    def successors(self, node: Hashable) -> AbstractSet[Hashable]:
+        return self._succs.get(node, _NO_NODES)
 
-    def predecessors(self, node: Hashable) -> Set[Hashable]:
-        return self._preds.get(node, set())
+    def predecessors(self, node: Hashable) -> AbstractSet[Hashable]:
+        return self._preds.get(node, _NO_NODES)
 
     def has_edge(self, src: Hashable, dst: Hashable) -> bool:
-        return dst in self._succs.get(src, set())
+        return dst in self._succs.get(src, _NO_NODES)
 
     # -- traversals ---------------------------------------------------
 

@@ -74,7 +74,7 @@ class LockAnalysis:
             for lock_sid, (lock_obj, members) in graph.spans.items():
                 instrs = set()
                 for sid in members:
-                    instr = graph.state_info[sid][1].instr
+                    instr = graph.instr_of(sid)
                     if instr is not None:
                         instrs.add(instr.id)
                 span = LockSpan(thread, lock_obj, lock_sid, members, instrs)
@@ -85,7 +85,7 @@ class LockAnalysis:
                 if self.tracer.enabled:
                     self.tracer.emit(
                         "lock.span", lock=lock_obj.name, thread=thread.id,
-                        acquire_line=graph.state_info[lock_sid][1].instr.line,
+                        acquire_line=graph.instr_of(lock_sid).line,
                         states=len(members), instrs=len(instrs))
 
     # -- span heads and tails ------------------------------------------------

@@ -2,12 +2,17 @@
 
 A forward data-flow problem per thread over its state graph,
 computing I(t, c, s): the set of threads that may run concurrently
-when thread t executes statement s under context c. A statement in a
-sync-free callee has one state per copy of that callee (see
-:class:`~repro.mt.threads.ThreadStateGraph`), whose I-set is the union
-of the I-sets of the calling-context instances it stands for; MHP
-verdicts are existential over instances, so the union answers them
-exactly.
+when thread t executes statement s under context c. It runs
+:func:`~repro.graphs.dense.forward_facts` over the graph's int tables;
+each thread's I-sets are a list indexed by sid, where every state whose
+fact its predecessor's transfer left unchanged holds that same
+frozenset, so a thread keeps a handful of distinct I-set objects.
+
+A statement in a sync-free callee has one state per copy of that
+callee (see :class:`~repro.mt.threads.ThreadStateGraph`), whose I-set
+is the union of the I-sets of the calling-context instances it stands
+for; MHP verdicts are existential over instances, so the union answers
+them exactly.
 
 Rule correspondence (Figure 7):
 
@@ -31,11 +36,13 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.graphs.dataflow import DataflowProblem, solve_forward
+from repro.graphs.dense import forward_facts
 from repro.ir.instructions import Instruction
 from repro.mt.threads import AbstractThread, ThreadModel
 from repro.obs import Observer
 from repro.trace import NULL_TRACER, Tracer
+
+_EMPTY: FrozenSet[int] = frozenset()
 
 
 class MHPOracle:
@@ -98,8 +105,8 @@ class InterleavingAnalysis(MHPOracle):
         super().__init__()
         self.model = model
         self.tracer = tracer
-        # thread id -> sid -> frozenset of concurrent thread ids.
-        self.interleaving: Dict[int, Dict[int, FrozenSet[int]]] = {}
+        # thread id -> per sid, the frozenset of concurrent thread ids.
+        self.interleaving: Dict[int, List[Optional[FrozenSet[int]]]] = {}
         self._pair_cache: Dict[Tuple[int, int], bool] = {}
         self.dataflow_iterations = 0
         self._compute()
@@ -150,27 +157,13 @@ class InterleavingAnalysis(MHPOracle):
                     self.tracer.emit("mhp.kill", thread=thread.id, sid=sid,
                                      joined=sorted(killed))
 
-            def transfer(sid: int, fact: FrozenSet[int]) -> FrozenSet[int]:
-                add = spawn_adds.get(sid)
-                if add:
-                    fact = fact | add
-                kill = kills.get(sid)
-                if kill:
-                    fact = fact - kill
-                return fact
-
-            problem = DataflowProblem(
-                graph.graph,
-                entry_fact=lambda sid: seed,
-                bottom=lambda: frozenset(),
-                transfer=transfer,
-                meet=lambda a, b: a | b,
-                equal=lambda a, b: a == b,
-            )
-            dstats: Dict[str, int] = {}
-            self.interleaving[thread.id] = solve_forward(
-                problem, [graph.entry_sid], stats=dstats)
-            self.dataflow_iterations += dstats.get("iterations", 0)
+            # A fork state adds its spawnees, then a join state removes
+            # what it certainly joined; paths meet by union.
+            facts, iterations = forward_facts(
+                graph.graph, {graph.entry_sid: seed}, gen=spawn_adds,
+                kill=kills, union=True)
+            self.interleaving[thread.id] = facts
+            self.dataflow_iterations += iterations
 
     # -- queries ----------------------------------------------------------------
 
@@ -186,13 +179,13 @@ class InterleavingAnalysis(MHPOracle):
         inst1 = self._instances(s1)
         inst2 = self._instances(s2)
         for t1, sid1 in inst1:
-            i1 = self.interleaving[t1.id].get(sid1, frozenset())
+            i1 = self.interleaving[t1.id][sid1] or _EMPTY
             for t2, sid2 in inst2:
                 if t1 is t2:
                     if t1.multi_forked:
                         yield (t1, sid1), (t2, sid2)
                     continue
-                if t2.id in i1 and t1.id in self.interleaving[t2.id].get(sid2, frozenset()):
+                if t2.id in i1 and t1.id in (self.interleaving[t2.id][sid2] or _EMPTY):
                     yield (t1, sid1), (t2, sid2)
 
     def may_happen_in_parallel(self, s1: Instruction, s2: Instruction) -> bool:
@@ -219,7 +212,7 @@ class InterleavingAnalysis(MHPOracle):
         its call sites' I-sets, which keeps that guarantee.)"""
         entries = []
         for thread, sid in self._instances(instr):
-            iset = self.interleaving[thread.id].get(sid, frozenset())
+            iset = self.interleaving[thread.id][sid] or _EMPTY
             entries.append((thread.id, thread.multi_forked, iset))
         return frozenset(entries)
 

@@ -18,21 +18,28 @@ top of these the model computes:
 Lock-release spans (Definition 3) are traced here too, while each
 graph is built, because they key the copies; :mod:`repro.mt.locks`
 derives span heads and tails from them.
+
+Everything here runs over int tables. ICFG nodes are ints (see
+:mod:`repro.cfg.icfg`); a state is interned over (key id, node) into a
+dense sid, and a built graph's edges are a
+:class:`~repro.graphs.dense.DenseGraph` over sids. Must-join runs
+:func:`~repro.graphs.dense.forward_facts` over it, and its facts are a
+list indexed by sid in which unchanged facts share one frozenset.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
+from array import array
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from repro.andersen import AndersenResult
 from repro.cfg.callgraph import CallGraph
 from repro.cfg.cfg import CFG
-from repro.cfg.icfg import ICFG, ICFGNode, NodeKind
-from repro.graphs.dataflow import DataflowProblem, solve_forward
-from repro.graphs.digraph import DiGraph
+from repro.cfg.icfg import ICFG, NodeKind
+from repro.graphs.dense import DenseGraph, forward_facts
 from repro.ir.instructions import (
-    BarrierWait, Call, Fork, Instruction, Join, Lock, Signal, Unlock, Wait,
+    BarrierWait, Fork, Instruction, Join, Lock, Signal, Unlock, Wait,
 )
 from repro.ir.module import Module
 from repro.ir.values import Function, MemObject, Temp, Value
@@ -126,41 +133,41 @@ def sync_reaching_functions(module: Module, callgraph: CallGraph) -> Set[Functio
 
 
 def returning_functions(icfg: ICFG, callgraph: CallGraph,
-                        functions: List[Function]) -> Set[Function]:
-    """The functions among *functions* (a set closed under calls)
-    whose exit is reachable from their entry, where a call steps to
-    its return site only if some callee returns or none resolves: the
-    least fixpoint, taken callees first."""
-    returning: Set[Function] = set()
-    ordered = sorted(functions, key=callgraph.scc_id)
+                        functions: List[Function]) -> Set[int]:
+    """The ENTRY nodes of the functions among *functions* (a set
+    closed under calls) whose exit is reachable from their entry,
+    where a call steps to its return site only if some callee returns
+    or none resolves: the least fixpoint, taken callees first."""
+    returning: Set[int] = set()
+    ordered = [icfg.entry_of(fn) for fn in sorted(functions, key=callgraph.scc_id)]
     changed = True
     while changed:
         changed = False
-        for fn in ordered:
-            if fn not in returning and \
-                    _exit_reachable(icfg, callgraph, fn, returning):
-                returning.add(fn)
+        for entry in ordered:
+            if entry not in returning and \
+                    _exit_reachable(icfg, entry, returning):
+                returning.add(entry)
                 changed = True
     return returning
 
 
-def _exit_reachable(icfg: ICFG, callgraph: CallGraph, fn: Function,
-                    returning: Set[Function]) -> bool:
-    exit_node = icfg.exit_of(fn)
-    seen = {icfg.entry_of(fn)}
-    work = list(seen)
+def _exit_reachable(icfg: ICFG, entry: int, returning: Set[int]) -> bool:
+    exit_node = entry + 1
+    kinds = icfg.kind
+    seen = {entry}
+    work = [entry]
     while work:
         node = work.pop()
-        if node is exit_node:
+        if node == exit_node:
             return True
-        if node.kind is NodeKind.CALL:
-            callees = [callee for callee in callgraph.callees(node.instr)
-                       if callee in icfg.entries]
+        if kinds[node] == NodeKind.CALL:
+            callees = icfg.call_targets(node)
             if callees and not any(c in returning for c in callees):
                 continue
-            succs = [icfg.retsite_of(node.instr)]
+            succs = (node + 1,)
         else:
-            succs = icfg.intra_successors(node)
+            # Only CALL and EXIT nodes have interprocedural out-edges.
+            succs = icfg.successors(node)
         for succ in succs:
             if succ not in seen:
                 seen.add(succ)
@@ -172,8 +179,8 @@ class ThreadStateGraph:
     """A thread's ICFG, with calling contexts expanded only where
     synchronisation happens.
 
-    States are (key, ICFG node) pairs, numbered densely. The graph has
-    two parts:
+    States are (key, ICFG node) pairs, interned and numbered densely
+    in the order the walk finds them. The graph has two parts:
 
     - **Expanded states**, keyed by a :class:`Context`. They start at
       the thread's routine and descend into *sync-reaching* callees
@@ -195,6 +202,10 @@ class ThreadStateGraph:
     stands for, and exactly their span set; DESIGN.md ("Thread state
     graphs") explains why no answer changes.
 
+    Keys are interned too: ``keys[state_key[sid]]`` is a state's key
+    and ``state_node[sid]`` its ICFG node. Once built, the edges are a
+    :class:`~repro.graphs.dense.DenseGraph` over sids (``graph``).
+
     ``spans`` maps each lock span's acquiring state (a lock, or a
     condition wait that re-acquires its mutex) to its singleton lock
     object and member states (Definition 3). Spans are traced on the
@@ -203,206 +214,285 @@ class ThreadStateGraph:
     """
 
     def __init__(self, thread: AbstractThread, icfg: ICFG,
-                 andersen: AndersenResult, sync_reaching: Set[Function],
-                 returning: Set[Function]) -> None:
+                 andersen: AndersenResult, sync_reaching: Set[int],
+                 returning: Set[int]) -> None:
         self.thread = thread
         self.icfg = icfg
         self.andersen = andersen
         self.callgraph = andersen.callgraph
-        self.sync_reaching = sync_reaching
-        self.returning = returning
-        self.graph = DiGraph()                      # over state ids (ints)
-        self.state_info: List[Tuple[StateKey, ICFGNode]] = []
-        self._index: Dict[Tuple[StateKey, int], int] = {}
+        self.sync_reaching = sync_reaching   # ENTRY nodes
+        self.returning = returning           # ENTRY nodes
+        self.keys: List[StateKey] = []
+        self.state_key = array("i")
+        self.state_node = array("i")
+        self.graph: Optional[DenseGraph] = None
         self.entry_sid: int = -1
         self.exit_sids: List[int] = []
-        self.instr_states: Dict[int, List[int]] = {}   # instr.id -> [sid]
         self.spans: Dict[int, Tuple[MemObject, Set[int]]] = {}
-        # Construction only: (fn, ctx-in-callee) -> [(caller ctx,
-        # retsite node)], callee exit states, and the calls into
-        # sync-free callees waiting for their copies.
-        self._ret_map: Dict[Tuple[str, Context], List[Tuple[Context, ICFGNode]]] = {}
-        self._exit_states: Dict[Tuple[str, Context], int] = {}
-        self._sync_free_calls: List[Tuple[int, Function]] = []
+        # instr.id -> the states at its CALL or STMT node.
+        self.instr_states: Dict[int, Tuple[int, ...]] = {}
+        self._routine_exit = icfg.exit_of(thread.routine)
+        self._key_ids: Dict[StateKey, int] = {}
+        self._index: Dict[int, int] = {}   # key id * |ICFG| + node -> sid
+        self._forks: List[Tuple[int, Fork]] = []
+        self._joins: List[Tuple[int, Join]] = []
+        # Construction only: the edges in insertion order, and the
+        # return edges among them as ``src << 32 | dst`` (the only
+        # ones that can be offered twice); (exit node, callee key id)
+        # -> [(caller key id, retsite node)]; callee exit states; the
+        # calls into sync-free callees waiting for their copies.
+        self._src = array("i")
+        self._dst = array("i")
+        self._ret_edges: Set[int] = set()
+        self._ret_map: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+        self._exit_states: Dict[Tuple[int, int], int] = {}
+        self._sync_free_calls: List[Tuple[int, int]] = []
 
-    def sid_of(self, ctx: Context, node: ICFGNode) -> Optional[int]:
-        return self._index.get((ctx, node.uid))
+    def __len__(self) -> int:
+        return len(self.state_node)
 
-    def state(self, sid: int) -> Tuple[StateKey, ICFGNode]:
-        return self.state_info[sid]
+    def sid_of(self, ctx: Context, node: int) -> Optional[int]:
+        key_id = self._key_ids.get(ctx)
+        if key_id is None:
+            return None
+        return self._index.get(key_id * len(self.icfg) + node)
 
-    def _intern(self, key: StateKey, node: ICFGNode) -> Tuple[int, bool]:
-        index_key = (key, node.uid)
-        sid = self._index.get(index_key)
+    def state(self, sid: int) -> Tuple[StateKey, int]:
+        return self.keys[self.state_key[sid]], self.state_node[sid]
+
+    def instr_of(self, sid: int) -> Optional[Instruction]:
+        """The state's instruction: a return site's is its call's,
+        an entry's or exit's is None."""
+        return self.icfg.instr[self.state_node[sid]]
+
+    def states_of_instr(self, instr: Instruction) -> Tuple[int, ...]:
+        return self.instr_states.get(instr.id, ())
+
+    def fork_states(self) -> List[Tuple[int, Fork]]:
+        return self._forks
+
+    def join_states(self) -> List[Tuple[int, Join]]:
+        return self._joins
+
+    # -- construction ----------------------------------------------------
+
+    def _key_id(self, key: StateKey) -> int:
+        key_id = self._key_ids.get(key)
+        if key_id is None:
+            key_id = len(self.keys)
+            self._key_ids[key] = key_id
+            self.keys.append(key)
+        return key_id
+
+    def _intern(self, key_id: int, node: int) -> Tuple[int, bool]:
+        sid = self._index.get(key_id * len(self.icfg) + node)
         if sid is not None:
             return sid, False
-        sid = len(self.state_info)
-        self._index[index_key] = sid
-        self.state_info.append((key, node))
-        self.graph.add_node(sid)
-        if node.instr is not None and node.kind in (NodeKind.STMT, NodeKind.CALL):
-            self.instr_states.setdefault(node.instr.id, []).append(sid)
+        return self._new_state(key_id, node), True
+
+    def _new_state(self, key_id: int, node: int) -> int:
+        sid = len(self.state_node)
+        self._index[key_id * len(self.icfg) + node] = sid
+        self.state_key.append(key_id)
+        self.state_node.append(node)
+        key = self.keys[key_id]
         if isinstance(key, frozenset):
             for lock_sid in key:
                 self.spans[lock_sid][1].add(sid)
-        elif node.kind is NodeKind.EXIT:
-            self._exit_states[(node.function.name, key)] = sid
-            if node.function is self.thread.routine and key == Context.EMPTY:
+        elif self.icfg.kind[node] == NodeKind.EXIT:
+            self._exit_states[(node, key_id)] = sid
+            if node == self._routine_exit and not key:
                 self.exit_sids.append(sid)
-        return sid, True
+        return sid
 
     def build(self) -> None:
-        entry_node = self.icfg.entry_of(self.thread.routine)
-        self.entry_sid, _ = self._intern(Context.EMPTY, entry_node)
+        self.entry_sid, _ = self._intern(
+            self._key_id(Context.EMPTY), self.icfg.entry_of(self.thread.routine))
         self._walk([self.entry_sid])
         self._trace_spans()
         self._attach_copies()
+        self._freeze()
+
+    def _freeze(self) -> None:
+        self.graph = DenseGraph(len(self), self._src, self._dst)
+        kinds, instrs = self.icfg.kind, self.icfg.instr
+        # Tuples of ints, which the GC stops tracking once it has
+        # seen them; most instructions have one state.
+        by_instr = self.instr_states
+        for sid, node in enumerate(self.state_node):
+            kind = kinds[node]
+            if kind != NodeKind.STMT and kind != NodeKind.CALL:
+                continue
+            instr = instrs[node]
+            sids = by_instr.get(instr.id)
+            by_instr[instr.id] = (sid,) if sids is None else sids + (sid,)
+            if kind == NodeKind.STMT:
+                if isinstance(instr, Fork):
+                    self._forks.append((sid, instr))
+                elif isinstance(instr, Join):
+                    self._joins.append((sid, instr))
+        self._src, self._dst = array("i"), array("i")
+        self._ret_edges = set()
         self._ret_map = {}
         self._exit_states = {}
 
     def _walk(self, work: List[int]) -> None:
+        icfg = self.icfg
+        kinds, width = icfg.kind, len(icfg)
+        succ_off, succ = icfg.graph.succ_off, icfg.graph.succ
+        state_key, state_node = self.state_key, self.state_node
+        index, src, dst = self._index, self._src, self._dst
         while work:
             sid = work.pop()
-            key, node = self.state_info[sid]
-            for succ_key, succ_node in self._successors(sid, key, node):
-                succ_sid, fresh = self._intern(succ_key, succ_node)
-                self.graph.add_edge(sid, succ_sid)
-                if fresh:
-                    work.append(succ_sid)
+            key_id = state_key[sid]
+            node = state_node[sid]
+            kind = kinds[node]
+            if kind == NodeKind.EXIT:
+                for caller_key, retsite in self._ret_map.get((node, key_id), ()):
+                    self._return_to(sid, caller_key, retsite, work)
+            elif kind == NodeKind.CALL:
+                for succ_key, succ_node in self._call_successors(
+                        sid, key_id, node, work):
+                    succ_sid, fresh = self._intern(succ_key, succ_node)
+                    src.append(sid)
+                    dst.append(succ_sid)
+                    if fresh:
+                        work.append(succ_sid)
+            else:
+                # STMT / RETSITE / ENTRY nodes have intra edges only
+                # (fork and join sites too, by construction of the
+                # ICFG), and stay in their key.
+                base = key_id * width
+                for succ_node in succ[succ_off[node]:succ_off[node + 1]]:
+                    succ_sid = index.get(base + succ_node)
+                    if succ_sid is None:
+                        succ_sid = self._new_state(key_id, succ_node)
+                        work.append(succ_sid)
+                    src.append(sid)
+                    dst.append(succ_sid)
 
-    def _successors(self, sid: int, key: StateKey,
-                    node: ICFGNode) -> Iterable[Tuple[StateKey, ICFGNode]]:
-        if node.kind is NodeKind.CALL:
-            yield from self._call_successors(sid, key, node.instr)
-            return
-        if node.kind is NodeKind.EXIT:
-            if not isinstance(key, frozenset):
-                yield from self._ret_map.get((node.function.name, key), [])
-            return
-        # STMT / RETSITE / ENTRY: follow intra-procedural edges only.
-        # (Fork and join sites have only intra successors by
-        # construction of the ICFG.)
-        for succ in self.icfg.intra_successors(node):
-            yield (key, succ)
+    def _return_to(self, exit_sid: int, caller_key: int, retsite: int,
+                   work: List[int]) -> None:
+        ret_sid, fresh = self._intern(caller_key, retsite)
+        edge = exit_sid << 32 | ret_sid
+        if edge not in self._ret_edges:
+            self._ret_edges.add(edge)
+            self._src.append(exit_sid)
+            self._dst.append(ret_sid)
+        if fresh:
+            work.append(ret_sid)
 
-    def _call_successors(self, sid: int, key: StateKey,
-                         call: Call) -> Iterable[Tuple[StateKey, ICFGNode]]:
-        callees = [fn for fn in self.callgraph.callees(call)
-                   if fn in self.icfg.entries]
-        retsite = self.icfg.retsite_of(call)
+    def _call_successors(self, sid: int, key_id: int, node: int,
+                         work: List[int]) -> List[Tuple[int, int]]:
+        key = self.keys[key_id]
+        call = self.icfg.instr[node]
+        retsite = node + 1
+        result: List[Tuple[int, int]] = []
+        callees = self.icfg.call_targets(node)
         # External/unresolved calls fall through.
         falls_through = not callees
-        for callee in callees:
-            if callee not in self.sync_reaching:
+        for entry in callees:
+            if entry not in self.sync_reaching:
                 if isinstance(key, frozenset):
-                    yield (key, self.icfg.entry_of(callee))
+                    result.append((key_id, entry))
                 else:
-                    self._sync_free_calls.append((sid, callee))
-                falls_through = falls_through or callee in self.returning
+                    self._sync_free_calls.append((sid, entry))
+                falls_through = falls_through or entry in self.returning
                 continue
             # Only expanded states reach a sync-reaching callee: the
             # callees of sync-free code are sync-free.
             if self.callgraph.site_in_cycle(call):
-                callee_ctx = key
+                callee_key = key_id
             else:
-                callee_ctx = key.push(call.id)
-            self._register_return(callee, callee_ctx, key, retsite)
-            yield (callee_ctx, self.icfg.entry_of(callee))
+                callee_key = self._key_id(key.push(call.id))
+            self._register_return(entry + 1, callee_key, key_id, retsite, work)
+            result.append((callee_key, entry))
         if falls_through:
-            yield (key, retsite)
+            result.append((key_id, retsite))
+        return result
 
-    def _register_return(self, callee: Function, callee_ctx: Context,
-                         caller_ctx: Context, retsite: ICFGNode) -> None:
-        targets = self._ret_map.setdefault((callee.name, callee_ctx), [])
-        if (caller_ctx, retsite) in targets:
+    def _register_return(self, callee_exit: int, callee_key: int,
+                         caller_key: int, retsite: int,
+                         work: List[int]) -> None:
+        targets = self._ret_map.setdefault((callee_exit, callee_key), [])
+        if (caller_key, retsite) in targets:
             return
-        targets.append((caller_ctx, retsite))
+        targets.append((caller_key, retsite))
         # If the callee's exit state already exists (cycle-collapsed
         # contexts revisited), wire the new return edge immediately.
-        exit_sid = self._exit_states.get((callee.name, callee_ctx))
+        exit_sid = self._exit_states.get((callee_exit, callee_key))
         if exit_sid is not None:
-            ret_sid, fresh = self._intern(caller_ctx, retsite)
-            self.graph.add_edge(exit_sid, ret_sid)
-            if fresh:
-                # Freshly created return site needs expansion: walk it.
-                self._walk([ret_sid])
+            self._return_to(exit_sid, caller_key, retsite, work)
 
     def _trace_spans(self) -> None:
         """Lock-release spans (Definition 3) over the expanded states:
         forward reachability from each acquisition of a singleton
         lock, up to and including the releases of that lock. Calls
         and returns are already matched by the graph."""
-        for sid, (_key, node) in enumerate(self.state_info):
-            if node.kind is not NodeKind.STMT:
+        kinds, instrs = self.icfg.kind, self.icfg.instr
+        expanded: Optional[DenseGraph] = None
+        for sid, node in enumerate(self.state_node):
+            if kinds[node] != NodeKind.STMT:
                 continue
             # A span begins at a lock acquisition — or at a condition
             # wait, which re-acquires the mutex on return.
-            if isinstance(node.instr, Lock):
-                lock_obj = singleton_lock(self.andersen, node.instr.ptr)
-            elif isinstance(node.instr, Wait):
-                lock_obj = singleton_lock(self.andersen, node.instr.mutex_ptr)
+            instr = instrs[node]
+            if isinstance(instr, Lock):
+                lock_obj = singleton_lock(self.andersen, instr.ptr)
+            elif isinstance(instr, Wait):
+                lock_obj = singleton_lock(self.andersen, instr.mutex_ptr)
             else:
                 continue
             if lock_obj is not None:
-                self.spans[sid] = (lock_obj, self._span_members(sid, lock_obj))
+                if expanded is None:
+                    expanded = DenseGraph(len(self), self._src, self._dst)
+                self.spans[sid] = (lock_obj,
+                                   self._span_members(expanded, sid, lock_obj))
 
-    def _span_members(self, lock_sid: int, lock_obj: MemObject) -> Set[int]:
+    def _span_members(self, expanded: DenseGraph, lock_sid: int,
+                      lock_obj: MemObject) -> Set[int]:
+        kinds, instrs = self.icfg.kind, self.icfg.instr
         members: Set[int] = {lock_sid}
         work = [lock_sid]
         while work:
             sid = work.pop()
-            node = self.state_info[sid][1]
-            if sid != lock_sid and node.kind is NodeKind.STMT:
+            node = self.state_node[sid]
+            if sid != lock_sid and kinds[node] == NodeKind.STMT:
+                instr = instrs[node]
                 released = None
-                if isinstance(node.instr, Unlock):
-                    released = singleton_lock(self.andersen, node.instr.ptr)
-                elif isinstance(node.instr, Wait):
+                if isinstance(instr, Unlock):
+                    released = singleton_lock(self.andersen, instr.ptr)
+                elif isinstance(instr, Wait):
                     # cond_wait releases the mutex: the span ends here
                     # (a fresh span is seeded at the wait itself).
                     released = singleton_lock(self.andersen,
-                                              node.instr.mutex_ptr)
+                                              instr.mutex_ptr)
                 # MemObjects are compared by allocation-site id, not
                 # Python identity: distinct MemObject instances can
                 # denote the same abstract object (e.g. after field
                 # derivation or re-materialisation).
                 if released is not None and released.id == lock_obj.id:
                     continue  # the span ends here (release included)
-            for succ in self.graph.successors(sid):
+            for succ in expanded.successors(sid):
                 if succ not in members:
                     members.add(succ)
                     work.append(succ)
         return members
 
     def _attach_copies(self) -> None:
-        calls = {sid for sid, _callee in self._sync_free_calls}
+        calls = {sid for sid, _entry in self._sync_free_calls}
         open_at: Dict[int, List[int]] = {}
         for lock_sid, (_obj, members) in self.spans.items():
             for sid in calls & members:
                 open_at.setdefault(sid, []).append(lock_sid)
-        for call_sid, callee in self._sync_free_calls:
-            key = frozenset(open_at.get(call_sid, ()))
-            entry_sid, fresh = self._intern(key, self.icfg.entry_of(callee))
-            self.graph.add_edge(call_sid, entry_sid)
+        for call_sid, entry in self._sync_free_calls:
+            key_id = self._key_id(frozenset(open_at.get(call_sid, ())))
+            entry_sid, fresh = self._intern(key_id, entry)
+            self._src.append(call_sid)
+            self._dst.append(entry_sid)
             if fresh:
                 self._walk([entry_sid])
         self._sync_free_calls = []
-
-    def fork_states(self) -> List[Tuple[int, Fork]]:
-        result = []
-        for sid, (ctx, node) in enumerate(self.state_info):
-            if isinstance(node.instr, Fork) and node.kind is NodeKind.STMT:
-                result.append((sid, node.instr))
-        return result
-
-    def join_states(self) -> List[Tuple[int, Join]]:
-        result = []
-        for sid, (ctx, node) in enumerate(self.state_info):
-            if isinstance(node.instr, Join) and node.kind is NodeKind.STMT:
-                result.append((sid, node.instr))
-        return result
-
-    def states_of_instr(self, instr: Instruction) -> List[int]:
-        return self.instr_states.get(instr.id, [])
 
 
 class ThreadModel:
@@ -427,8 +517,8 @@ class ThreadModel:
             else find_symmetric_pairs(module, andersen)
         # Per thread: sid -> set of thread ids certainly dead past it.
         self.kills_at: Dict[int, Dict[int, FrozenSet[int]]] = {}
-        # Per thread: sid -> must-joined thread-id set.
-        self.must_join: Dict[int, Dict[int, FrozenSet[int]]] = {}
+        # Per thread, indexed by sid: the must-joined thread-id set.
+        self.must_join: Dict[int, List[Optional[FrozenSet[int]]]] = {}
         # thread id -> ids of descendants it certainly joins by exit.
         self.fully_joined: Dict[int, FrozenSet[int]] = {}
         self.by_id: Dict[int, AbstractThread] = {}
@@ -441,10 +531,13 @@ class ThreadModel:
     # -- construction -------------------------------------------------------
 
     def _build(self) -> None:
+        icfg = self.icfg
         sync_reaching = sync_reaching_functions(self.module, self.callgraph)
         sync_free = [fn for fn in self.module.functions.values()
-                     if fn in self.icfg.entries and fn not in sync_reaching]
-        returning = returning_functions(self.icfg, self.callgraph, sync_free)
+                     if icfg.has_body(fn) and fn not in sync_reaching]
+        returning = returning_functions(icfg, self.callgraph, sync_free)
+        sync_entries = {icfg.entry_of(fn) for fn in sync_reaching
+                        if icfg.has_body(fn)}
         counter = itertools.count()
         main = AbstractThread(next(counter), None, None, Context.EMPTY,
                               self.module.main, False)
@@ -454,15 +547,19 @@ class ThreadModel:
         queue = [main]
         while queue:
             thread = queue.pop(0)
-            graph = ThreadStateGraph(thread, self.icfg, self.andersen,
-                                     sync_reaching, returning)
+            graph = ThreadStateGraph(thread, icfg, self.andersen,
+                                     sync_entries, returning)
             graph.build()
             self.state_graphs[thread.id] = graph
             for sid, fork in graph.fork_states():
                 ctx, _node = graph.state(sid)
-                for routine in self.callgraph.callees(fork):
-                    if routine.is_declaration or not routine.blocks:
-                        continue
+                # In node order, so that thread ids do not follow the
+                # hash order of a function-pointer fork's routines.
+                routines = sorted((routine for routine
+                                   in self.callgraph.callees(fork)
+                                   if icfg.has_body(routine)),
+                                  key=icfg.entry_of)
+                for routine in routines:
                     key = (thread.id, ctx, fork.id, routine.name)
                     if key in seen:
                         continue
@@ -579,33 +676,22 @@ class ThreadModel:
 
     def _compute_must_join(self, thread: AbstractThread) -> None:
         """Forward must data-flow: which threads has *thread* certainly
-        joined when reaching each state."""
+        joined when reaching each state. A join state adds what it
+        kills; paths meet by intersection."""
         graph = self.state_graphs[thread.id]
-        kills = self.kills_at[thread.id]
-        universe = frozenset(t.id for t in self.threads)
-
-        problem = DataflowProblem(
-            graph.graph,
-            entry_fact=lambda sid: frozenset(),
-            bottom=lambda: universe,
-            transfer=lambda sid, fact: fact | kills.get(sid, frozenset()),
-            meet=lambda a, b: a & b,
-            equal=lambda a, b: a == b,
-        )
-        out = solve_forward(problem, [graph.entry_sid])
+        out, _iterations = forward_facts(
+            graph.graph, {graph.entry_sid: frozenset()},
+            gen=self.kills_at[thread.id], kill={}, union=False)
         self.must_join[thread.id] = out
-        if graph.exit_sids:
-            joined = None
-            for sid in graph.exit_sids:
-                fact = out.get(sid, frozenset())
-                joined = fact if joined is None else (joined & fact)
-            self.fully_joined[thread.id] = joined or frozenset()
-        else:
-            self.fully_joined[thread.id] = frozenset()
+        joined: FrozenSet[int] = frozenset()
+        for index, sid in enumerate(graph.exit_sids):
+            fact = out[sid] or frozenset()
+            joined = fact if index == 0 else joined & fact
+        self.fully_joined[thread.id] = joined
 
     def state_count(self) -> int:
         """States over all thread graphs, copies included."""
-        return sum(len(graph.state_info) for graph in self.state_graphs.values())
+        return sum(len(graph) for graph in self.state_graphs.values())
 
     # -- relations --------------------------------------------------------------
 
@@ -652,7 +738,7 @@ class ThreadModel:
         sid = graph.sid_of(child_b.spawn_ctx, fork_node)
         if sid is None:
             return False
-        must = self.must_join.get(lca.id, {}).get(sid, frozenset())
+        must = self.must_join[lca.id][sid] or frozenset()
         if a.id in must:
             return True
         # a may be joined transitively: child_a fully joined and a

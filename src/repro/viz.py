@@ -43,21 +43,16 @@ def icfg_to_dot(icfg: ICFG, function_names: Optional[List[str]] = None) -> str:
     """The interprocedural CFG, optionally restricted to functions."""
     keep = set(function_names) if function_names else None
     lines: List[str] = ["digraph ICFG {", "  node [shape=box, fontsize=9];"]
-    wanted = set()
+    wanted = bytearray(len(icfg))
     for node in icfg.nodes():
-        if keep is None or node.function.name in keep:
-            wanted.add(node.uid)
-            lines.append(f"  n{node.uid} [label={_quote(repr(node))}];")
-    for node in icfg.nodes():
-        if node.uid not in wanted:
-            continue
-        for succ in icfg.successors(node):
-            if succ.uid not in wanted:
-                continue
-            kind = icfg.edge_kind(node, succ)
+        if keep is None or icfg.function[node].name in keep:
+            wanted[node] = 1
+            lines.append(f"  n{node} [label={_quote(icfg.describe(node))}];")
+    for src, dst, kind in icfg.graph.edges():
+        if wanted[src] and wanted[dst]:
             style = {EdgeKind.CALL: ", color=blue",
                      EdgeKind.RET: ", color=green"}.get(kind, "")
-            lines.append(f"  n{node.uid} -> n{succ.uid} [fontsize=8{style}];")
+            lines.append(f"  n{src} -> n{dst} [fontsize=8{style}];")
     lines.append("}")
     return "\n".join(lines)
 

@@ -157,7 +157,7 @@ class TestProfileToggle:
         gauges = result.stats()["gauges"]
         assert gauges["mt.threads"] == len(model.threads) == 2
         assert gauges["mt.states"] == sum(
-            len(graph.state_info) for graph in model.state_graphs.values())
+            len(graph) for graph in model.state_graphs.values())
 
     def test_nonsparse_baseline_flushes_counters(self):
         from repro.baseline import NonSparseAnalysis

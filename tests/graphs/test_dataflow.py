@@ -1,26 +1,28 @@
-"""Generic forward data-flow engine tests."""
+"""Dense forward gen/kill data-flow solver tests."""
 
-from repro.graphs import DataflowProblem, DiGraph, solve_forward
+from repro.graphs import DenseGraph, forward_facts
 
 
 def build(edges):
-    g = DiGraph()
-    for a, b in edges:
-        g.add_edge(a, b)
-    return g
+    count = 1 + max(max(edge) for edge in edges)
+    return DenseGraph(count, [a for a, _b in edges], [b for _a, b in edges])
 
 
 def reaching_labels(graph, entry, gen):
     """A tiny may-analysis: which labels reach each node."""
-    problem = DataflowProblem(
-        graph,
-        entry_fact=lambda n: frozenset(),
-        bottom=lambda: frozenset(),
-        transfer=lambda n, fact: fact | gen.get(n, frozenset()),
-        meet=lambda a, b: a | b,
-        equal=lambda a, b: a == b,
-    )
-    return solve_forward(problem, [entry])
+    facts, _iterations = forward_facts(graph, {entry: frozenset()}, gen, {})
+    return facts
+
+
+class TestDenseGraph:
+    def test_successors_and_predecessors_in_insertion_order(self):
+        g = DenseGraph(4, [0, 2, 0, 1], [3, 3, 1, 3], [1, 0, 2, 0])
+        assert list(g.successors(0)) == [3, 1]
+        assert list(g.predecessors(3)) == [0, 2, 1]
+        assert list(g.successors(3)) == []
+        assert len(g) == 4
+        assert sorted(g.edges()) == [(0, 1, 2), (0, 3, 1), (1, 3, 0),
+                                     (2, 3, 0)]
 
 
 class TestMayAnalysis:
@@ -43,49 +45,39 @@ class TestMayAnalysis:
     def test_unreachable_nodes_not_solved(self):
         g = build([(1, 2), (8, 9)])
         out = reaching_labels(g, 1, {})
-        assert 9 not in out
+        assert out[9] is None and out[8] is None
+        assert out[2] == frozenset()
+
+    def test_kill_after_gen(self):
+        g = build([(1, 2), (2, 3)])
+        facts, _ = forward_facts(g, {1: frozenset("ab")},
+                                 {2: frozenset("c")}, {2: frozenset("ac")})
+        assert facts[2] == {"b"}
+        assert facts[3] == {"b"}
 
 
 class TestMustAnalysis:
     def test_intersection_at_join(self):
         g = build([(1, 2), (1, 3), (2, 4), (3, 4)])
-        universe = frozenset("abc")
         gen = {2: frozenset("ab"), 3: frozenset("b")}
-        problem = DataflowProblem(
-            g,
-            entry_fact=lambda n: frozenset(),
-            bottom=lambda: universe,
-            transfer=lambda n, fact: fact | gen.get(n, frozenset()),
-            meet=lambda a, b: a & b,
-            equal=lambda a, b: a == b,
-        )
-        out = solve_forward(problem, [1])
+        out, _ = forward_facts(g, {1: frozenset()}, gen, {}, union=False)
         assert out[4] == {"b"}  # only b holds on every path
 
     def test_must_through_loop(self):
         # A label generated before the loop must still hold after it.
         g = build([(1, 2), (2, 3), (3, 2), (2, 4)])
-        universe = frozenset("ab")
         gen = {1: frozenset("a")}
-        problem = DataflowProblem(
-            g,
-            entry_fact=lambda n: frozenset(),
-            bottom=lambda: universe,
-            transfer=lambda n, fact: fact | gen.get(n, frozenset()),
-            meet=lambda a, b: a & b,
-            equal=lambda a, b: a == b,
-        )
-        out = solve_forward(problem, [1])
+        out, _ = forward_facts(g, {1: frozenset()}, gen, {}, union=False)
         assert "a" in out[4]
         assert "b" not in out[4]
 
 
 class TestEntryBackEdge:
-    """An entry node's IN fact must meet predecessor OUTs too.
+    """A seed node's IN fact must meet predecessor OUTs too.
 
     A back-edge into the entry (e.g. a state-graph loop returning to a
     thread's entry state) contributes facts generated inside the loop;
-    an engine that seeded entries from entry_fact alone would drop
+    a solver that seeded entries from their seed alone would drop
     them on re-entry and under-approximate the fixpoint.
     """
 
@@ -97,15 +89,8 @@ class TestEntryBackEdge:
 
     def test_entry_fact_and_loop_facts_both_survive(self):
         g = build([(1, 2), (2, 3), (3, 1), (2, 4)])
-        problem = DataflowProblem(
-            g,
-            entry_fact=lambda n: frozenset("e"),
-            bottom=lambda: frozenset(),
-            transfer=lambda n, fact: fact | {"g3"} if n == 3 else fact,
-            meet=lambda a, b: a | b,
-            equal=lambda a, b: a == b,
-        )
-        out = solve_forward(problem, [1])
+        out, _ = forward_facts(g, {1: frozenset("e")},
+                               {3: frozenset({"g3"})}, {})
         # The seed reaches everywhere; the loop-generated label flows
         # back through the entry and out of the exit.
         assert out[1] == {"e", "g3"}
@@ -119,47 +104,44 @@ class TestEntryBackEdge:
 
     def test_two_entries_with_cross_edges(self):
         g = build([(1, 3), (2, 3), (3, 1), (3, 2)])
-        problem_out = solve_forward(DataflowProblem(
-            g,
-            entry_fact=lambda n: frozenset(),
-            bottom=lambda: frozenset(),
-            transfer=lambda n, fact: fact | {1: frozenset("a"),
-                                             2: frozenset("b")}.get(n, frozenset()),
-            meet=lambda a, b: a | b,
-            equal=lambda a, b: a == b,
-        ), [1, 2])
-        assert problem_out[1] == {"a", "b"}
-        assert problem_out[2] == {"a", "b"}
+        out, _ = forward_facts(g, {1: frozenset(), 2: frozenset()},
+                               {1: frozenset("a"), 2: frozenset("b")}, {})
+        assert out[1] == {"a", "b"}
+        assert out[2] == {"a", "b"}
+
+
+class TestSharedFacts:
+    def test_unchanged_facts_are_one_object(self):
+        # Nothing is added or removed past the seed, so every node
+        # holds the seed object itself.
+        g = build([(0, 1), (1, 2), (2, 3), (3, 1)])
+        seed = frozenset({7})
+        out, _ = forward_facts(g, {0: seed}, {}, {})
+        assert all(fact is seed for fact in out)
+
+    def test_meet_keeps_the_covering_operand(self):
+        g = build([(0, 1), (0, 2), (1, 3), (2, 3)])
+        out, _ = forward_facts(g, {0: frozenset({1})},
+                               {1: frozenset({2})}, {})
+        assert out[3] is out[1]
 
 
 class TestIterationStats:
     def test_stats_counts_node_evaluations(self):
         g = build([(1, 2), (2, 3)])
-        stats = {}
-        problem = DataflowProblem(
-            g,
-            entry_fact=lambda n: frozenset(),
-            bottom=lambda: frozenset(),
-            transfer=lambda n, fact: fact | {"x"},
-            meet=lambda a, b: a | b,
-            equal=lambda a, b: a == b,
-        )
-        solve_forward(problem, [1], stats=stats)
-        assert stats["iterations"] >= 3
+        _facts, iterations = forward_facts(
+            g, {1: frozenset()}, {n: frozenset("x") for n in (1, 2, 3)}, {})
+        assert iterations == 3
 
     def test_stats_accumulates_across_calls(self):
-        g = build([(1, 2)])
-        stats = {"iterations": 5}
-        problem = DataflowProblem(
-            g,
-            entry_fact=lambda n: frozenset(),
-            bottom=lambda: frozenset(),
-            transfer=lambda n, fact: fact,
-            meet=lambda a, b: a | b,
-            equal=lambda a, b: a == b,
-        )
-        solve_forward(problem, [1], stats=stats)
-        assert stats["iterations"] > 5
+        # Each solve counts its own evaluations, so a caller summing
+        # them over several graphs (one per thread) gets the total.
+        total = 0
+        for edges in ([(1, 2)], [(1, 2), (2, 3)]):
+            _facts, iterations = forward_facts(build(edges), {1: frozenset()},
+                                               {}, {})
+            total += iterations
+        assert total == 2 + 3
 
     def test_stats_optional(self):
         g = build([(1, 2)])

@@ -104,11 +104,13 @@ def fsam_pins(name: str, scale: int) -> Dict[str, object]:
 
     spans = []
     for span in locks.spans:
-        ctx, node = model.state_graphs[span.thread.id].state(span.lock_sid)
+        graph = model.state_graphs[span.thread.id]
+        ctx, _node = graph.state(span.lock_sid)
+        lock = graph.instr_of(span.lock_sid)
         context = ",".join(str(canon[site]) for site in ctx)
         members = ",".join(str(i) for i in
                            sorted(canon[m] for m in span.member_instrs))
-        spans.append(f"{_thread_key(span.thread, canon)} {canon[node.instr.id]} "
+        spans.append(f"{_thread_key(span.thread, canon)} {canon[lock.id]} "
                      f"[{context}] {members}")
 
     edges = [f"{canon[src.instr.id]} {_obj_key(obj)} {canon[dst.instr.id]}"

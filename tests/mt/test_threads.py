@@ -17,6 +17,16 @@ def thread_by_routine(model, name):
     return [t for t in model.threads if not t.is_main and t.routine.name == name]
 
 
+def state_keys_in(graph, fn_name):
+    """The keys of *graph*'s states at nodes of function *fn_name*."""
+    keys = set()
+    for sid in range(len(graph)):
+        key, node = graph.state(sid)
+        if graph.icfg.function[node].name == fn_name:
+            keys.add(key)
+    return keys
+
+
 FIG8 = """
 int g1; int g2; int g3; int g4; int g5;
 int *m1; int *m2; int *m3; int *m4; int *m5;
@@ -217,7 +227,8 @@ class TestStateGraphs:
         m, model = model_of(FIG8)
         t2 = thread_by_routine(model, "foo2")[0]
         graph = model.state_graphs[t2.id]
-        fns = {node.function.name for _ctx, node in graph.state_info}
+        fns = {graph.icfg.function[graph.state(sid)[1]].name
+               for sid in range(len(graph))}
         assert fns == {"foo2", "bar_"}
 
     def test_sync_free_callee_is_one_copy(self):
@@ -227,18 +238,21 @@ class TestStateGraphs:
         m, model = model_of(FIG8)
         t3 = thread_by_routine(model, "bar_")[0]
         g3 = model.state_graphs[t3.id]
-        keys3 = {key for key, node in g3.state_info if node.function.name == "bar_"}
+        keys3 = state_keys_in(g3, "bar_")
         assert keys3 == {()}  # thread root: empty context
         t2 = thread_by_routine(model, "foo2")[0]
         g2 = model.state_graphs[t2.id]
-        keys2 = {key for key, node in g2.state_info if node.function.name == "bar_"}
+        keys2 = state_keys_in(g2, "bar_")
         assert keys2 == {frozenset()}
         call = next(i for i in m.functions["foo2"].instructions()
                     if isinstance(i, Call))
         [call_sid] = g2.states_of_instr(call)
-        kinds = {g2.state(sid)[1].kind: isinstance(g2.state(sid)[0], frozenset)
+        kinds = {g2.icfg.kind[g2.state(sid)[1]]:
+                 isinstance(g2.state(sid)[0], frozenset)
                  for sid in g2.graph.successors(call_sid)}
         assert kinds == {NodeKind.RETSITE: False, NodeKind.ENTRY: True}
+        assert call_sid in g2.graph.predecessors(
+            g2.graph.successors(call_sid)[0])
 
     def test_copies_keyed_by_open_spans(self):
         # Two unprotected calls share one copy of helper; the call
@@ -259,7 +273,7 @@ class TestStateGraphs:
         [(lock_sid, (_obj, members))] = graph.spans.items()
         assert graph.state(entries[2])[0] == frozenset({lock_sid})
         assert graph.state(entries[0])[0] == frozenset()
-        copy_states = {sid for sid in range(len(graph.state_info))
+        copy_states = {sid for sid in range(len(graph))
                        if graph.state(sid)[0] == frozenset({lock_sid})}
         assert copy_states and copy_states <= members
         assert entries[0] not in members
@@ -271,8 +285,7 @@ class TestStateGraphs:
             "helper();", "locked_helper();"))
         worker = thread_by_routine(model, "w")[0]
         graph = model.state_graphs[worker.id]
-        keys = {key for key, node in graph.state_info
-                if node.function.name == "locked_helper"}
+        keys = state_keys_in(graph, "locked_helper")
         assert len(keys) == 3
         assert all(isinstance(key, tuple) and len(key) == 1 for key in keys)
 
@@ -287,7 +300,7 @@ class TestStateGraphs:
         graph = model.state_graphs[model.threads[0].id]
         store = next(i for i in m.functions["main"].instructions()
                      if isinstance(i, Store))
-        assert graph.states_of_instr(store) == []
+        assert not graph.states_of_instr(store)
 
     def test_recursive_calls_terminate(self):
         m, model = model_of("""
@@ -295,4 +308,4 @@ class TestStateGraphs:
         int main() { return f(5); }
         """)
         graph = model.state_graphs[model.threads[0].id]
-        assert graph.state_info  # finite in spite of recursion
+        assert len(graph)  # finite in spite of recursion
