@@ -46,12 +46,6 @@ from repro.ir.values import Constant, Function, MemObject, ObjectKind, Temp, Val
 from repro.obs import NULL_OBS, Observer
 from repro.pts import PTSet, PTUniverse
 
-# Field chains longer than this collapse onto the base object: the
-# positive-weight-cycle defence (a gep feeding itself would otherwise
-# derive o.f, o.f.f, ... forever). Mirrors the PWC collapsing of
-# Pearce et al. cited in the paper's Section 4.2.
-MAX_FIELD_DEPTH = 8
-
 
 class AndersenResult:
     """Read-only view of the solved constraint system."""

@@ -113,10 +113,6 @@ class NonSparseAnalysis:
         # visible to concurrently-running procedures.
         self._class_effects: Dict[int, Dict[int, PTSet]] = {}
         self._objects_by_id: Dict[int, MemObject] = {}
-        # Lazily-built map: function -> object ids its loads/stores may
-        # touch (pre-analysis view), for interference demotion of
-        # strong updates when the config asks for it.
-        self._proc_access: Optional[Dict[Function, Set[int]]] = None
 
     # -- top-level helpers ------------------------------------------------
 
@@ -184,27 +180,6 @@ class NonSparseAnalysis:
         for cid in self.pcg.parallel_classes(instr.function):
             result = result | self._class_effects.get(cid, {}).get(obj.id, empty)
         return result
-
-    def _is_interfering(self, instr: Store, obj: MemObject) -> bool:
-        """May a procedure running concurrently with this store touch
-        *obj*? The baseline analogue of the DUG's interference marking:
-        it gates strong updates when
-        ``strong_updates_at_interfering_stores`` is off, keeping the
-        FSAM-vs-NONSPARSE precision comparison aligned."""
-        if self._proc_access is None:
-            access: Dict[Function, Set[int]] = {}
-            for fn in self.module.functions.values():
-                ids: Set[int] = set()
-                for i in fn.instructions():
-                    if isinstance(i, (Load, Store)):
-                        ids.update(o.id for o in self.andersen.pts(i.ptr))
-                access[fn] = ids
-            self._proc_access = access
-        for cid in self.pcg.parallel_classes(instr.function):
-            for fn in self.pcg.class_procs.get(cid, ()):
-                if obj.id in self._proc_access.get(fn, ()):
-                    return True
-        return False
 
     # -- solving -----------------------------------------------------------------
 
@@ -348,13 +323,8 @@ class NonSparseAnalysis:
                     # (fsam/solver.py:_eval_store): the pointer must
                     # resolve to exactly one object AND that object
                     # must be a singleton — checked per object, not on
-                    # an arbitrary element of the target set — and the
-                    # belt-and-braces config demotes stores whose
-                    # target a concurrent procedure may touch.
-                    strong = single and obj.is_singleton
-                    if strong and not self.config.strong_updates_at_interfering_stores:
-                        strong = not self._is_interfering(instr, obj)
-                    if strong:
+                    # an arbitrary element of the target set.
+                    if single and obj.is_singleton:
                         self.strong_updates += 1
                         if stored:
                             state[obj.id] = stored

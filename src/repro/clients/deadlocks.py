@@ -20,7 +20,6 @@ from repro.graphs.scc import tarjan_scc
 from repro.ir.instructions import Lock
 from repro.ir.module import Module
 from repro.ir.values import MemObject
-from repro.mt.locks import LockAnalysis
 from repro.mt.threads import singleton_lock
 
 
@@ -56,8 +55,7 @@ class DeadlockDetector:
     def run(self) -> List[DeadlockCandidate]:
         result = FSAM(self.module, self.config).run()
         self.result = result
-        locks = LockAnalysis(result.thread_model, result.andersen,
-                             result.dug, result.builder)
+        locks = result.lock_analysis()
         model = result.thread_model
 
         # Holding l1 (span of l1), acquiring l2: edge l1 -> l2.

@@ -65,15 +65,7 @@ class EscapeAnalysis:
 
     def run(self) -> EscapeReport:
         report = EscapeReport()
-        # Which threads execute each instruction (via state graphs).
-        threads_of_instr: Dict[int, Set[int]] = {}
-        multi: Set[int] = set()
-        for thread in self.model.threads:
-            if thread.multi_forked:
-                multi.add(thread.id)
-            graph = self.model.state_graphs[thread.id]
-            for instr_id in graph.instr_states:
-                threads_of_instr.setdefault(instr_id, set()).add(thread.id)
+        multi = {t.id for t in self.model.threads if t.multi_forked}
 
         for instr in self.module.all_instructions():
             if not isinstance(instr, (Load, Store)):
@@ -81,10 +73,12 @@ class EscapeAnalysis:
             ptr = instr.ptr
             if ptr is None or isinstance(ptr, Constant):
                 continue
+            # The threads that execute the instruction.
+            threads = {tid for tid, _sid in self.model.instances_of(instr)}
             for obj in self.andersen.pts(ptr):
                 report.objects[obj.id] = obj
                 report.accessing_threads.setdefault(obj.id, set()).update(
-                    threads_of_instr.get(instr.id, set()))
+                    threads)
 
         for obj_id, obj in report.objects.items():
             threads = report.accessing_threads.get(obj_id, set())

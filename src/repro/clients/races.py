@@ -55,8 +55,7 @@ class RaceDetector:
         self.result = result
         mhp = result.mhp
         builder = result.builder
-        model = result.thread_model
-        locks = LockAnalysis(model, result.andersen, result.dug, builder)
+        locks = result.lock_analysis()
 
         # Sparse (flow-sensitive) aliasing: which objects can each
         # access actually touch, per FSAM rather than the pre-analysis.

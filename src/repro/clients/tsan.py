@@ -85,8 +85,7 @@ class InstrumentationReducer:
         result = FSAM(self.module, self.config).run()
         self.result = result
         andersen = result.andersen
-        locks = LockAnalysis(result.thread_model, andersen,
-                             result.dug, result.builder)
+        locks = result.lock_analysis()
         mhp = result.mhp
 
         accesses: List[Instruction] = []

@@ -34,7 +34,8 @@ class FSAMResult:
                  builder: MemorySSABuilder, model: Optional[ThreadModel],
                  mhp: Optional[MHPOracle],
                  obs: Observer = NULL_OBS,
-                 tracer: Tracer = NULL_TRACER) -> None:
+                 tracer: Tracer = NULL_TRACER,
+                 locks: Optional[LockAnalysis] = None) -> None:
         self.module = module
         self.solver = solver
         self.andersen = andersen
@@ -42,6 +43,8 @@ class FSAMResult:
         self.builder = builder
         self.thread_model = model
         self.mhp = mhp
+        # The pipeline's lock analysis (None under No-Lock).
+        self.locks = locks
         self.obs = obs
         self.tracer = tracer
         # Filled by FSAM.run() when an incremental hook participated.
@@ -49,6 +52,16 @@ class FSAMResult:
         # Lazily-built demand query engine, shared across query() calls
         # so solved slices accumulate (see repro.fsam.query).
         self._query_engine = None
+
+    def lock_analysis(self) -> LockAnalysis:
+        """The run's lock analysis, or, for a No-Lock run, a new one
+        over the same thread model and DUG. The clients read only its
+        spans and :meth:`~repro.mt.locks.LockAnalysis.commonly_protected`,
+        which the DUG does not decide."""
+        if self.locks is not None:
+            return self.locks
+        return LockAnalysis(self.thread_model, self.andersen, self.dug,
+                            self.builder)
 
     # -- points-to queries ------------------------------------------------
 
@@ -360,7 +373,7 @@ class FSAM:
             locks.flush_obs(obs)
         solver.flush_obs(obs)
         result = FSAMResult(self.module, solver, andersen, dug, builder,
-                            model, mhp, obs=obs, tracer=tracer)
+                            model, mhp, obs=obs, tracer=tracer, locks=locks)
         result.incremental_stats = incremental_stats
         return result
 

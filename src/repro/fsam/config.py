@@ -36,18 +36,18 @@ class FSAMConfig:
     - ``interleaving=False``    -> No-Interleaving (coarse PCG-style MHP)
     - ``value_flow=False``      -> No-Value-Flow (AS(*p,*q) disregarded)
     - ``lock_analysis=False``   -> No-Lock (no span filtering)
+
+    Every configuration applies Figure 10's strong-update rule
+    literally: a store whose pointer resolves to one singleton object
+    updates it strongly, whether or not a concurrent thread touches
+    it. [THREAD-VF] edges carry every MHP writer's value to every MHP
+    reader, and join chis merge the spawner's in-flight defs weakly,
+    so no concurrent write is lost (DESIGN.md, design note 1).
     """
 
     interleaving: bool = True
     value_flow: bool = True
     lock_analysis: bool = True
-    # Literal paper Figure 10: a strong update at any store whose
-    # pointer resolves to one singleton. Sound here because THREAD-VF
-    # adds direct def-use edges from concurrent writers to every MHP
-    # reader, and join chis merge the spawner's in-flight defs weakly.
-    # Set False for a belt-and-braces mode that demotes stores
-    # participating in MHP interference on the contested object.
-    strong_updates_at_interfering_stores: bool = True
     # Wall-clock budget for the whole analysis (None = unbounded).
     time_budget: Optional[float] = None
     # Which sparse solver engine to run: "delta" (default; delta
@@ -65,7 +65,6 @@ class FSAMConfig:
             "interleaving": self.interleaving,
             "value_flow": self.value_flow,
             "lock_analysis": self.lock_analysis,
-            "strong_updates_at_interfering_stores": self.strong_updates_at_interfering_stores,
             "time_budget": self.time_budget,
             "solver_engine": self.solver_engine,
         }
@@ -92,7 +91,6 @@ class FSAMConfig:
             "interleaving": self.interleaving,
             "value_flow": self.value_flow,
             "lock_analysis": self.lock_analysis,
-            "strong_updates_at_interfering_stores": self.strong_updates_at_interfering_stores,
         }
 
     def ablated(self, phase: str) -> "FSAMConfig":

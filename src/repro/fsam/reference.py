@@ -206,10 +206,7 @@ class ReferenceSolver:
             if obj not in targets:
                 self._set_mem(node, obj, self._in_values(node, obj))
                 continue
-            strong = len(targets) == 1 and obj.is_singleton
-            if strong and not self.config.strong_updates_at_interfering_stores:
-                strong = not self.dug.is_interfering(node, obj)
-            if strong:
+            if len(targets) == 1 and obj.is_singleton:
                 self.strong_updates += 1
                 self._set_mem(node, obj, stored)
             else:

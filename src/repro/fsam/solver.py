@@ -890,11 +890,7 @@ class SparseSolver:
                     self._set_mem(node, obj, self._in_mask(node, obj),
                                   ("store-through", node) if tracing else None)
                     continue
-                strong = one_target and obj.is_singleton
-                if strong and \
-                        not self.config.strong_updates_at_interfering_stores:
-                    strong = not self.dug.is_interfering(node, obj)
-                if strong:
+                if one_target and obj.is_singleton:
                     classes[obj.id] = STRONG
                     self.strong_updates += 1
                     self._set_mem(node, obj, stored_mask,
@@ -1107,32 +1103,27 @@ def store_update_classes(solver) -> Dict[Tuple[int, int], str]:
     """Final strong/weak classification per (store instruction id,
     object id), derived from the solver's fixpoint state.
 
-    Works for any engine exposing ``value_pts``/``builder``/``dug``/
-    ``config`` (the production :class:`SparseSolver` and the
+    Works for any engine exposing ``module``/``value_pts``/``builder``
+    (the production :class:`SparseSolver` and the
     :class:`~repro.fsam.reference.ReferenceSolver`), so differential
     tests can assert the engines agree on every [P-SU]/[P-WU]
     decision, not just on the points-to sets.
     """
     classes: Dict[Tuple[int, int], str] = {}
     builder = solver.builder
-    config = solver.config
-    dug = solver.dug
     for fn in solver.module.functions.values():
         for instr in fn.instructions():
             if not isinstance(instr, Store):
                 continue
             targets = solver.value_pts(instr.ptr)
-            node = dug.stmt_node(instr) if dug.has_stmt(instr) else None
             for obj in builder.chis.get(instr.id, ()):
                 if not targets:
                     cls = KILL
                 elif obj not in targets:
                     cls = PASS
+                elif len(targets) == 1 and obj.is_singleton:
+                    cls = STRONG
                 else:
-                    strong = len(targets) == 1 and obj.is_singleton
-                    if strong and node is not None and \
-                            not config.strong_updates_at_interfering_stores:
-                        strong = not dug.is_interfering(node, obj)
-                    cls = STRONG if strong else WEAK
+                    cls = WEAK
                 classes[(instr.id, obj.id)] = cls
     return classes

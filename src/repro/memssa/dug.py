@@ -182,9 +182,6 @@ class DUG:
         self.top_copies: List[Tuple[object, Temp]] = []
         self._copies_by_src: Dict[int, List[Tuple[object, Temp]]] = {}
         self._copies_by_dst: Dict[int, List[Tuple[object, Temp]]] = {}
-        # Interference: objects at which a store statement participates
-        # in an MHP store-store/store-load pair (set by value-flow).
-        self.interfering: Dict[int, Set[MemObject]] = {}
         # Scheduling-metadata memo. The graph is frozen once the
         # value-flow phase finishes, but solvers are constructed on it
         # repeatedly (differential runs, ablation sweeps, benchmark
@@ -625,11 +622,3 @@ class DUG:
                     if isinstance(src, Temp):
                         touch_temp(src.id)
         return up_nodes, up_temps
-
-    # -- interference bookkeeping ---------------------------------------------
-
-    def mark_interfering(self, store_node: DUGNode, obj: MemObject) -> None:
-        self.interfering.setdefault(store_node.uid, set()).add(obj)
-
-    def is_interfering(self, node: DUGNode, obj: MemObject) -> bool:
-        return obj in self.interfering.get(node.uid, ())

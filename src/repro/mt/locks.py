@@ -3,10 +3,17 @@
 Takes the lock-release spans each thread's state graph traced while it
 was built (flow- and context-sensitively, with the copies of sync-free
 callees attached to every span open at their call sites), derives
-per-object span heads and tails from the thread-oblivious def-use
-graph, and decides which MHP aliased pairs are non-interference lock
-pairs — those [THREAD-VF] edges are spurious and get filtered
-(Figure 9's s2 -o-> s4).
+per-object span heads and tails from the def-use graph, and decides
+which MHP aliased pairs are non-interference lock pairs — those
+[THREAD-VF] edges are spurious and get filtered (Figure 9's
+s2 -o-> s4).
+
+A head or tail is computed when it is first asked for, and the
+value-flow phase asks while it inserts [THREAD-VF] edges. So it reads
+the thread-oblivious edges plus the thread edges admitted before that
+first query, and depends on the order in which value flow admits
+pairs. Computing every head and tail on the thread-oblivious graph
+alone changes some answers; ROADMAP.md keeps that as an open item.
 """
 
 from __future__ import annotations
@@ -172,8 +179,8 @@ class LockAnalysis:
 
     # -- non-interference filtering ---------------------------------------------
 
-    def _spans_of(self, thread: AbstractThread, sid: int) -> List[LockSpan]:
-        return [self.spans[i] for i in self._spans_by_state.get((thread.id, sid), [])]
+    def _spans_of(self, tid: int, sid: int) -> List[LockSpan]:
+        return [self.spans[i] for i in self._spans_by_state.get((tid, sid), [])]
 
     def _instance_non_interfering(self, inst1, inst2, store: Store,
                                   target: Instruction, obj: MemObject) -> bool:

@@ -29,12 +29,18 @@ Rule correspondence (Figure 7):
   the fact), so plain forward propagation over it realises all three.
 
 Two statements are MHP when each one's I-set contains the other's
-thread — or when they belong to the same multi-forked thread.
+thread — or when they belong to the same multi-forked thread. Both
+oracles answer every query with that one rule, over the thread
+model's (thread id, sid) instances of each statement
+(:meth:`~repro.mt.threads.ThreadModel.instances_of`); they differ only
+in how they fill the I-set table. The No-Interleaving fallback
+(:class:`CoarsePCGMhp`) gives every state of a thread the set of every
+other thread.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.graphs.dense import forward_facts
 from repro.ir.instructions import Instruction
@@ -44,46 +50,78 @@ from repro.trace import NULL_TRACER, Tracer
 
 _EMPTY: FrozenSet[int] = frozenset()
 
+#: An instance of a statement: (thread id, sid).
+Instance = Tuple[int, int]
+
 
 class MHPOracle:
-    """The query interface the value-flow and lock phases consume."""
+    """The query interface the value-flow and lock phases consume,
+    answered from a table of I-sets per (thread id, sid) that a
+    subclass fills: ``interleaving[tid][sid]`` is the frozenset of
+    thread ids that may run concurrently with that state."""
 
-    def __init__(self) -> None:
+    def __init__(self, model: ThreadModel) -> None:
+        self.model = model
+        self.interleaving: Dict[int, List[Optional[FrozenSet[int]]]] = {}
+        self._multi_forked = {t.id: t.multi_forked for t in model.threads}
         # Tallies flushed to the observer at end of run (repro.obs).
         self.pair_queries = 0
         self.pair_cache_hits = 0
-        # (s1.id, s2.id) -> first MHP instance pair or None; shared by
-        # may_happen_in_parallel and the admission-verdict path so a
-        # witness found while answering the boolean query is never
-        # recomputed by a second instance-pair enumeration.
-        self._witness_cache: Dict[Tuple[int, int], Optional[Tuple]] = {}
+        # (s1.id, s2.id) -> first MHP instance pair or None, stored
+        # both ways round: it answers may_happen_in_parallel and gives
+        # the admission-verdict path its witness, so no pair is
+        # enumerated twice.
+        self._witness_cache: Dict[Tuple[int, int],
+                                  Optional[Tuple[Instance, Instance]]] = {}
 
-    def may_happen_in_parallel(self, s1: Instruction, s2: Instruction) -> bool:
-        raise NotImplementedError
-
-    def parallel_instance_pairs(self, s1: Instruction, s2: Instruction):
+    def parallel_instance_pairs(self, s1: Instruction, s2: Instruction
+                                ) -> Iterator[Tuple[Instance, Instance]]:
         """Iterate MHP instance pairs ((t1, sid1), (t2, sid2))."""
-        raise NotImplementedError
+        isets, multi = self.interleaving, self._multi_forked
+        others = self.model.instances_of(s2)
+        for inst1 in self.model.instances_of(s1):
+            t1, sid1 = inst1
+            i1 = isets[t1][sid1] or _EMPTY
+            for inst2 in others:
+                t2, sid2 = inst2
+                if t1 == t2:
+                    if multi[t1]:
+                        yield inst1, inst2
+                elif t2 in i1 and t1 in (isets[t2][sid2] or _EMPTY):
+                    yield inst1, inst2
 
-    def mhp_witness(self, s1: Instruction, s2: Instruction) -> Optional[Tuple]:
+    def mhp_witness(self, s1: Instruction, s2: Instruction
+                    ) -> Optional[Tuple[Instance, Instance]]:
         """The first MHP instance pair for (s1, s2), or None — cached
         symmetrically (the reversed query returns the swapped pair)."""
         key = (s1.id, s2.id)
         if key in self._witness_cache:
             return self._witness_cache[key]
-        pair = next(iter(self.parallel_instance_pairs(s1, s2)), None)
+        pair = next(self.parallel_instance_pairs(s1, s2), None)
         self._witness_cache[key] = pair
         self._witness_cache[(s2.id, s1.id)] = \
             (pair[1], pair[0]) if pair is not None else None
         return pair
 
-    def region_key(self, instr: Instruction):
+    def may_happen_in_parallel(self, s1: Instruction, s2: Instruction) -> bool:
+        self.pair_queries += 1
+        if (s1.id, s2.id) in self._witness_cache:
+            self.pair_cache_hits += 1
+        return self.mhp_witness(s1, s2) is not None
+
+    def region_key(self, instr: Instruction) -> FrozenSet:
         """A hashable interference-region key: two statements with
         equal keys receive identical MHP verdicts against *any* third
         statement, so batched clients (the value-flow phase) may query
-        one representative per region pair. The base default is the
-        statement's own identity — always sound, no batching."""
-        return ("instr", instr.id)
+        one representative per region pair. Instances collapse to
+        (thread, multi-forked, I-set) triples: the MHP rule reads
+        nothing else about a statement. (An instance in a copy of a
+        sync-free callee carries the union of its call sites' I-sets,
+        which keeps that guarantee.)"""
+        return frozenset(
+            (tid, self._multi_forked[tid],
+             self.interleaving[tid][sid] or _EMPTY)
+            for tid, sid in self.model.instances_of(instr))
 
     def flush_obs(self, obs: Observer) -> None:
         obs.count("mhp.pair_queries", self.pair_queries)
@@ -102,12 +140,8 @@ class InterleavingAnalysis(MHPOracle):
 
     def __init__(self, model: ThreadModel,
                  tracer: Tracer = NULL_TRACER) -> None:
-        super().__init__()
-        self.model = model
+        super().__init__(model)
         self.tracer = tracer
-        # thread id -> per sid, the frozenset of concurrent thread ids.
-        self.interleaving: Dict[int, List[Optional[FrozenSet[int]]]] = {}
-        self._pair_cache: Dict[Tuple[int, int], bool] = {}
         self.dataflow_iterations = 0
         self._compute()
 
@@ -165,57 +199,6 @@ class InterleavingAnalysis(MHPOracle):
             self.interleaving[thread.id] = facts
             self.dataflow_iterations += iterations
 
-    # -- queries ----------------------------------------------------------------
-
-    def _instances(self, instr: Instruction) -> List[Tuple[AbstractThread, int]]:
-        result = []
-        for thread in self.model.threads:
-            graph = self.model.state_graphs[thread.id]
-            for sid in graph.states_of_instr(instr):
-                result.append((thread, sid))
-        return result
-
-    def parallel_instance_pairs(self, s1: Instruction, s2: Instruction):
-        inst1 = self._instances(s1)
-        inst2 = self._instances(s2)
-        for t1, sid1 in inst1:
-            i1 = self.interleaving[t1.id][sid1] or _EMPTY
-            for t2, sid2 in inst2:
-                if t1 is t2:
-                    if t1.multi_forked:
-                        yield (t1, sid1), (t2, sid2)
-                    continue
-                if t2.id in i1 and t1.id in (self.interleaving[t2.id][sid2] or _EMPTY):
-                    yield (t1, sid1), (t2, sid2)
-
-    def may_happen_in_parallel(self, s1: Instruction, s2: Instruction) -> bool:
-        self.pair_queries += 1
-        key = (s1.id, s2.id)
-        cached = self._pair_cache.get(key)
-        if cached is not None:
-            self.pair_cache_hits += 1
-            return cached
-        # Route through mhp_witness so the witnessing instance pair is
-        # cached for the admission-verdict path — the old code threw
-        # it away and re-enumerated on every admitted edge.
-        result = self.mhp_witness(s1, s2) is not None
-        self._pair_cache[key] = result
-        self._pair_cache[(s2.id, s1.id)] = result
-        return result
-
-    def region_key(self, instr: Instruction):
-        """Instances collapsed to (thread, multi-forked, I-set)
-        triples: the MHP verdict formula — same multi-forked thread,
-        or mutual I-set membership — reads nothing else about the
-        statement, so equal keys guarantee equal verdicts. (An
-        instance in a copy of a sync-free callee carries the union of
-        its call sites' I-sets, which keeps that guarantee.)"""
-        entries = []
-        for thread, sid in self._instances(instr):
-            iset = self.interleaving[thread.id][sid] or _EMPTY
-            entries.append((thread.id, thread.multi_forked, iset))
-        return frozenset(entries)
-
     def flush_obs(self, obs: Observer) -> None:
         super().flush_obs(obs)
         obs.count("mhp.dataflow_iterations", self.dataflow_iterations)
@@ -226,60 +209,15 @@ class CoarsePCGMhp(MHPOracle):
     """The No-Interleaving fallback (paper Section 4.3): a
     procedure-level MHP in the spirit of PCG — it knows which thread
     may execute which procedure but performs no flow-sensitive join or
-    happens-before reasoning, so any two statements executed by
+    happens-before reasoning. Every state of a thread gets one shared
+    I-set, every other thread, so any two statements executed by
     distinct threads (or by one multi-forked thread) are deemed
     parallel."""
 
     def __init__(self, model: ThreadModel) -> None:
-        super().__init__()
-        self.model = model
-        self._pair_cache: Dict[Tuple[int, int], bool] = {}
-
-    def _threads_of(self, instr: Instruction) -> List[AbstractThread]:
-        result = []
-        for thread in self.model.threads:
-            graph = self.model.state_graphs[thread.id]
-            if graph.states_of_instr(instr):
-                result.append(thread)
-        return result
-
-    def may_happen_in_parallel(self, s1: Instruction, s2: Instruction) -> bool:
-        self.pair_queries += 1
-        key = (s1.id, s2.id)
-        cached = self._pair_cache.get(key)
-        if cached is not None:
-            self.pair_cache_hits += 1
-            return cached
-        result = False
-        for t1 in self._threads_of(s1):
-            for t2 in self._threads_of(s2):
-                if t1 is t2:
-                    if t1.multi_forked:
-                        result = True
-                        break
-                else:
-                    result = True
-                    break
-            if result:
-                break
-        self._pair_cache[key] = result
-        self._pair_cache[(s2.id, s1.id)] = result
-        return result
-
-    def parallel_instance_pairs(self, s1: Instruction, s2: Instruction):
-        for t1 in self.model.threads:
-            g1 = self.model.state_graphs[t1.id]
-            for sid1 in g1.states_of_instr(s1):
-                for t2 in self.model.threads:
-                    g2 = self.model.state_graphs[t2.id]
-                    for sid2 in g2.states_of_instr(s2):
-                        if t1 is t2 and not t1.multi_forked:
-                            continue
-                        yield (t1, sid1), (t2, sid2)
-
-    def region_key(self, instr: Instruction):
-        """This oracle's verdict reads only which threads may execute
-        the statement (plus their multi-forked flags), so that set is
-        the region key."""
-        return frozenset(
-            (t.id, t.multi_forked) for t in self._threads_of(instr))
+        super().__init__(model)
+        everyone = frozenset(t.id for t in model.threads)
+        for thread in model.threads:
+            others = everyone - {thread.id}
+            self.interleaving[thread.id] = \
+                [others] * len(model.state_graphs[thread.id])

@@ -229,8 +229,6 @@ class ThreadStateGraph:
         self.entry_sid: int = -1
         self.exit_sids: List[int] = []
         self.spans: Dict[int, Tuple[MemObject, Set[int]]] = {}
-        # instr.id -> the states at its CALL or STMT node.
-        self.instr_states: Dict[int, Tuple[int, ...]] = {}
         self._routine_exit = icfg.exit_of(thread.routine)
         self._key_ids: Dict[StateKey, int] = {}
         self._index: Dict[int, int] = {}   # key id * |ICFG| + node -> sid
@@ -264,9 +262,6 @@ class ThreadStateGraph:
         """The state's instruction: a return site's is its call's,
         an entry's or exit's is None."""
         return self.icfg.instr[self.state_node[sid]]
-
-    def states_of_instr(self, instr: Instruction) -> Tuple[int, ...]:
-        return self.instr_states.get(instr.id, ())
 
     def fork_states(self) -> List[Tuple[int, Fork]]:
         return self._forks
@@ -316,17 +311,9 @@ class ThreadStateGraph:
     def _freeze(self) -> None:
         self.graph = DenseGraph(len(self), self._src, self._dst)
         kinds, instrs = self.icfg.kind, self.icfg.instr
-        # Tuples of ints, which the GC stops tracking once it has
-        # seen them; most instructions have one state.
-        by_instr = self.instr_states
         for sid, node in enumerate(self.state_node):
-            kind = kinds[node]
-            if kind != NodeKind.STMT and kind != NodeKind.CALL:
-                continue
-            instr = instrs[node]
-            sids = by_instr.get(instr.id)
-            by_instr[instr.id] = (sid,) if sids is None else sids + (sid,)
-            if kind == NodeKind.STMT:
+            if kinds[node] == NodeKind.STMT:
+                instr = instrs[node]
                 if isinstance(instr, Fork):
                     self._forks.append((sid, instr))
                 elif isinstance(instr, Join):
@@ -521,6 +508,9 @@ class ThreadModel:
         self.must_join: Dict[int, List[Optional[FrozenSet[int]]]] = {}
         # thread id -> ids of descendants it certainly joins by exit.
         self.fully_joined: Dict[int, FrozenSet[int]] = {}
+        # instr.id -> its (thread id, sid) instances: the states at its
+        # CALL or STMT node, in thread order, then sid order.
+        self.instances: Dict[int, Tuple[Tuple[int, int], ...]] = {}
         self.by_id: Dict[int, AbstractThread] = {}
         self._loop_cache: Dict[str, Set] = {}
         self._instr_by_id: Dict[int, Instruction] = {}
@@ -577,6 +567,26 @@ class ThreadModel:
         for thread in reversed(self.threads):
             self._compute_kills(thread)
             self._compute_must_join(thread)
+        self._index_instances()
+
+    def _index_instances(self) -> None:
+        kinds, instrs = self.icfg.kind, self.icfg.instr
+        # Tuples of ints, which the GC stops tracking once it has seen
+        # them; most instructions have one instance.
+        index = self.instances
+        for thread in self.threads:
+            tid = thread.id
+            for sid, node in enumerate(self.state_graphs[tid].state_node):
+                kind = kinds[node]
+                if kind == NodeKind.STMT or kind == NodeKind.CALL:
+                    instr_id = instrs[node].id
+                    found = index.get(instr_id)
+                    index[instr_id] = ((tid, sid),) if found is None \
+                        else found + ((tid, sid),)
+
+    def instances_of(self, instr: Instruction) -> Tuple[Tuple[int, int], ...]:
+        """The (thread id, sid) states that execute *instr*."""
+        return self.instances.get(instr.id, ())
 
     def _loop_blocks(self, fn: Function) -> Set:
         blocks = self._loop_cache.get(fn.name)

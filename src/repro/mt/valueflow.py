@@ -3,11 +3,10 @@
 For every MHP store-load or store-store pair whose pointers share a
 pointed-to object o (the aliased pairs of Figure 2), add a def-use
 edge  store --o--> target  to the DUG, unless the lock analysis can
-prove the pair a non-interference lock pair.
-
-The stores participating in such interference are recorded on the
-DUG: the sparse solver demotes their strong updates on the contested
-object (a concurrent reader may observe the pre-store value).
+prove the pair a non-interference lock pair. The No-Value-Flow
+ablation drops the shared-object premise: every access is then a
+candidate partner of every object a store may write. Both run the
+same candidate loop; only the per-object partner lists differ.
 
 MHP queries are issued per *interference region pair*, not per
 statement pair: statements are grouped by the oracle's
@@ -41,23 +40,29 @@ from repro.trace import NULL_TRACER, Tracer
 
 
 def _index_accesses(builder: MemorySSABuilder):
-    """Per-object store and access (store|load) instruction lists."""
+    """Per-object store and access (store|load) instruction lists,
+    and every access on any object, each in program order."""
     stores_on: Dict[int, List[Store]] = {}
     accesses_on: Dict[int, List[Instruction]] = {}
     objects: Dict[int, MemObject] = {}
+    every_access: List[Instruction] = []
     module = builder.module
     for fn in module.functions.values():
         for instr in fn.instructions():
             if isinstance(instr, Store):
-                for obj in builder.chis.get(instr.id, ()):
-                    objects[obj.id] = obj
-                    stores_on.setdefault(obj.id, []).append(instr)
-                    accesses_on.setdefault(obj.id, []).append(instr)
+                objs = builder.chis.get(instr.id, ())
             elif isinstance(instr, Load):
-                for obj in builder.mus.get(instr.id, ()):
-                    objects[obj.id] = obj
-                    accesses_on.setdefault(obj.id, []).append(instr)
-    return stores_on, accesses_on, objects
+                objs = builder.mus.get(instr.id, ())
+            else:
+                continue
+            if objs:
+                every_access.append(instr)
+            for obj in objs:
+                objects[obj.id] = obj
+                accesses_on.setdefault(obj.id, []).append(instr)
+                if isinstance(instr, Store):
+                    stores_on.setdefault(obj.id, []).append(instr)
+    return stores_on, accesses_on, objects, every_access
 
 
 def _pair_fields(store: Store, target: Instruction,
@@ -76,7 +81,7 @@ def _admission_verdict(mhp: MHPOracle, locks: Optional[LockAnalysis],
     pair = mhp.mhp_witness(store, target)
     if pair is not None:
         (t1, _sid1), (t2, _sid2) = pair
-        info["mhp"] = f"t{t1.id}||t{t2.id}"
+        info["mhp"] = f"t{t1}||t{t2}"
         if locks is None:
             info["lock"] = "lock analysis off"
         elif locks.commonly_protected(pair[0], pair[1]):
@@ -103,20 +108,22 @@ def add_thread_aware_edges(dug: DUG, builder: MemorySSABuilder, mhp: MHPOracle,
     the store may write — exactly the spurious-edge blowup the paper
     measures.
     """
-    stores_on, accesses_on, objects = _index_accesses(builder)
+    stores_on, accesses_on, objects, every_access = _index_accesses(builder)
     tracing = tracer.enabled
     candidate_pairs = mhp_pairs = lock_filtered = edges_added = 0
     mhp_cache_hits = 0
 
-    # Region keys per statement, computed once (the interleaving
-    # oracle's key walks every instance of the statement).
+    # Region keys per statement, computed once.
     region_of: Dict[int, object] = {}
 
-    def key_of(instr: Instruction):
-        key = region_of.get(instr.id)
-        if key is None:
-            key = region_of[instr.id] = mhp.region_key(instr)
-        return key
+    def grouped(instrs: List[Instruction]) -> Dict[object, List[Instruction]]:
+        groups: Dict[object, List[Instruction]] = {}
+        for instr in instrs:
+            key = region_of.get(instr.id)
+            if key is None:
+                key = region_of[instr.id] = mhp.region_key(instr)
+            groups.setdefault(key, []).append(instr)
+        return groups
 
     # (store region, access region) -> MHP verdict, symmetric.
     region_verdicts: Dict[Tuple, bool] = {}
@@ -137,11 +144,10 @@ def add_thread_aware_edges(dug: DUG, builder: MemorySSABuilder, mhp: MHPOracle,
             mhp_cache_hits += npairs
         return verdict
 
-    def admit(store: Store, target: Instruction, obj: MemObject,
-              target_is_chi_store: bool) -> None:
-        """Process one MHP pair: lock filtering, edge insertion,
-        interference marking. The caller established the MHP verdict
-        (directly or via its region)."""
+    def admit(store: Store, target: Instruction, obj: MemObject) -> None:
+        """Process one MHP pair: lock filtering, then edge insertion.
+        The caller established the MHP verdict (directly or via its
+        region)."""
         nonlocal mhp_pairs, lock_filtered, edges_added
         mhp_pairs += 1
         if locks is not None and locks.filters(store, target, obj, mhp):
@@ -160,81 +166,45 @@ def add_thread_aware_edges(dug: DUG, builder: MemorySSABuilder, mhp: MHPOracle,
                 info = _admission_verdict(mhp, locks, store, target, obj)
                 dug.set_thread_edge_info(src, obj, dst, info)
                 tracer.emit("vf.pair", verdict="edge-added", **info)
-        dug.mark_interfering(src, obj)
-        if target_is_chi_store:
-            dug.mark_interfering(dst, obj)
 
-    if alias_filtering:
-        for obj_id, stores in stores_on.items():
-            obj = objects[obj_id]
-            accesses = accesses_on.get(obj_id, [])
-            sgroups: Dict[object, List[Store]] = {}
-            for store in stores:
-                sgroups.setdefault(key_of(store), []).append(store)
-            agroups: Dict[object, List[Instruction]] = {}
-            for access in accesses:
-                agroups.setdefault(key_of(access), []).append(access)
-            for ks, sgroup in sgroups.items():
-                for ka, agroup in agroups.items():
-                    # Self-pairs (target is store) are skipped; when
-                    # the regions coincide every store of sgroup also
-                    # sits in agroup (stores are accesses on obj), so
-                    # the cross product loses exactly len(sgroup).
-                    npairs = len(sgroup) * len(agroup) - \
-                        (len(sgroup) if ks == ka else 0)
-                    if npairs <= 0:
-                        continue
-                    candidate_pairs += npairs
-                    rep_store = sgroup[0]
-                    rep_target = next(
-                        a for a in agroup if a is not rep_store)
-                    if not region_mhp(ks, ka, rep_store, rep_target, npairs):
-                        if tracing:
-                            # Keep the per-pair event stream complete:
-                            # trace consumers reconcile vf.pair events
-                            # against candidate_pairs.
-                            for store in sgroup:
-                                for target in agroup:
-                                    if target is store:
-                                        continue
+    # Without alias filtering every object shares one partner list, so
+    # it is grouped once.
+    every_group = None if alias_filtering else grouped(every_access)
+    for obj_id, stores in stores_on.items():
+        obj = objects[obj_id]
+        sgroups = grouped(stores)
+        agroups = every_group if every_group is not None \
+            else grouped(accesses_on[obj_id])
+        for ks, sgroup in sgroups.items():
+            for ka, agroup in agroups.items():
+                # Self-pairs (target is store) are skipped; when the
+                # regions coincide every store of sgroup also sits in
+                # agroup (a store is an access on each object it may
+                # write), so the cross product loses exactly
+                # len(sgroup).
+                npairs = len(sgroup) * len(agroup) - \
+                    (len(sgroup) if ks == ka else 0)
+                if npairs <= 0:
+                    continue
+                candidate_pairs += npairs
+                rep_store = sgroup[0]
+                rep_target = next(a for a in agroup if a is not rep_store)
+                if not region_mhp(ks, ka, rep_store, rep_target, npairs):
+                    if tracing:
+                        # Keep the per-pair event stream complete:
+                        # trace consumers reconcile vf.pair events
+                        # against candidate_pairs.
+                        for store in sgroup:
+                            for target in agroup:
+                                if target is not store:
                                     tracer.emit(
                                         "vf.pair", verdict="mhp-refuted",
                                         **_pair_fields(store, target, obj))
-                        continue
-                    for store in sgroup:
-                        for target in agroup:
-                            if target is store:
-                                continue
-                            # A Store lands in accesses_on[obj] only
-                            # via its chi on obj, so the chi lookup
-                            # the old inner loop repeated is free.
-                            admit(store, target, obj,
-                                  isinstance(target, Store))
-    else:
-        all_stores = sorted({s.id: s for ss in stores_on.values() for s in ss}.values(),
-                            key=lambda s: s.id)
-        all_accesses = sorted({a.id: a for aa in accesses_on.values() for a in aa}.values(),
-                              key=lambda a: a.id)
-        for store in all_stores:
-            ks = key_of(store)
-            store_objs = list(builder.chis.get(store.id, ()))
-            if not store_objs:
-                continue
-            nobjs = len(store_objs)
-            for target in all_accesses:
-                if target is store:
                     continue
-                candidate_pairs += nobjs
-                if not region_mhp(ks, key_of(target), store, target, nobjs):
-                    if tracing:
-                        for obj in store_objs:
-                            tracer.emit("vf.pair", verdict="mhp-refuted",
-                                        **_pair_fields(store, target, obj))
-                    continue
-                target_chis = builder.chis.get(target.id, ()) \
-                    if isinstance(target, Store) else ()
-                for obj in store_objs:
-                    admit(store, target, obj, obj in target_chis)
+                for store in sgroup:
+                    for target in agroup:
+                        if target is not store:
+                            admit(store, target, obj)
     obs.count("valueflow.candidate_pairs", candidate_pairs)
     obs.count("valueflow.mhp_pairs", mhp_pairs)
     obs.count("valueflow.lock_filtered", lock_filtered)

@@ -21,8 +21,8 @@ Two-level digest scheme
 A level-2 hit alone is not enough to reuse states: a function's DUG
 region is also wired to the rest of the program (formal-in nodes fed
 by every caller, [THREAD-VF] edges admitted by the global MHP/lock
-oracles, interference marks, callsite mu/chi object sets from the
-global Andersen solution). Each funcartifact therefore also records a
+oracles, callsite mu/chi object sets from the global Andersen
+solution). Each funcartifact therefore also records a
 **context signature** over exactly those inputs, computed fresh in
 the current run and compared with the stored one; only a function
 whose digest *and* context signature both match is *validated*.
@@ -296,9 +296,9 @@ class _FunctionContext:
         parametrizes its DUG region's transfer functions and wiring:
         the memSSA skeleton (which pseudo-nodes exist and for which
         objects), every in-edge with its cross-run source identity and
-        thread-awareness, callsite/load/store mu-chi object sets,
-        interference marks, fork thread-id objects, and the sources of
-        interprocedural copies into its temps."""
+        thread-awareness, callsite/load/store mu-chi object sets, fork
+        thread-id objects, and the sources of interprocedural copies
+        into its temps."""
         dug = self.dug
         builder = self.builder
         okey = self._okey
@@ -334,9 +334,7 @@ class _FunctionContext:
                         else 0
                     edges.append([src_fn, src_idx, okey(obj), thread])
             edges.sort()
-            interfering = sorted(
-                okey(obj) for obj in dug.interfering.get(node.uid, ()))
-            node_section.append([desc, edges, interfering])
+            node_section.append([desc, edges])
 
         anno_section: List[object] = []
         for instr in fn.instructions():

@@ -2,8 +2,7 @@
 
 The baseline must gate strong updates exactly like FSAM: per object
 ``obj.is_singleton`` (not the singleton-ness of an arbitrary
-representative of the target set), and demotion of MHP-interfering
-stores when ``strong_updates_at_interfering_stores`` is off.
+representative of the target set), at interfering stores too.
 """
 
 from repro.baseline import NonSparseAnalysis
@@ -86,11 +85,3 @@ int main() {
         fsam_names = fsam.deref_pts_names_at_line(14)
         assert base_names == {"y", "z"}
         assert base_names <= fsam_names
-
-    def test_ablation_demotes_interfering_store_to_weak(self):
-        baseline, fsam = run_both(
-            self.PARALLEL, strong_updates_at_interfering_stores=False)
-        base_names = baseline.deref_pts_names_at_line(14)
-        fsam_names = fsam.deref_pts_names_at_line(14)
-        assert "x" in base_names  # the weak update keeps the old value
-        assert base_names == fsam_names

@@ -64,14 +64,6 @@ class TestEnginesAgreeOnWorkloads:
         _assert_engines_agree(get_workload(name).source(1),
                               FSAMConfig().ablated(phase))
 
-    @pytest.mark.parametrize("name", workload_names())
-    def test_interfering_store_demotion_config(self, name):
-        # The non-default strong-update policy exercises the
-        # classification cache's interference branch.
-        _assert_engines_agree(
-            get_workload(name).source(1),
-            FSAMConfig(strong_updates_at_interfering_stores=False))
-
 
 class TestTracedSolve:
     @pytest.mark.parametrize("name", workload_names())

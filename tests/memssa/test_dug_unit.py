@@ -71,14 +71,6 @@ class TestDUGContainer:
         assert dug.copies_from(t1) == [(t1, t2)]
         assert dug.copies_from(t2) == []
 
-    def test_interference_marks(self):
-        dug = DUG()
-        n, = added(dug, 1)
-        o = obj("o")
-        assert not dug.is_interfering(n, o)
-        dug.mark_interfering(n, o)
-        assert dug.is_interfering(n, o)
-
     def test_node_identity_semantics(self):
         a, b = node(), node()
         assert a != b

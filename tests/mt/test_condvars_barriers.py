@@ -108,8 +108,10 @@ class TestLockSpansAtWait:
         # at the wait itself (the re-acquisition).
         assert len(consumer_spans) == 2
         wait = next(i for i in m.all_instructions() if isinstance(i, Wait))
+        wait_sids = {sid for tid, sid in model.instances_of(wait)
+                     if tid == consumer.id}
         lock_seeded = [sp for sp in consumer_spans
-                       if sp.lock_sid in model.state_graphs[consumer.id].states_of_instr(wait)]
+                       if sp.lock_sid in wait_sids]
         assert len(lock_seeded) == 1
 
     def test_store_before_wait_not_visible_as_span_tail_after(self):

@@ -6,7 +6,6 @@ from repro.andersen import run_andersen
 from repro.frontend import compile_source
 from repro.ir import Load, Store
 from repro.mt import CoarsePCGMhp, InterleavingAnalysis, ThreadModel
-from repro.mt.mhp import MHPOracle
 from repro.obs import Observer
 
 from tests.mt.test_threads import FIG8
@@ -89,13 +88,13 @@ class TestPrecisionOrdering:
 
 class TestMultiForked:
     def test_same_thread_instance_pairs_exist(self):
-        m, _model, mhp = setup(MULTIFORK)
+        m, model, mhp = setup(MULTIFORK)
         store = next(i for i in m.functions["w"].instructions()
                      if isinstance(i, Store))
         pairs = list(mhp.parallel_instance_pairs(store, store))
         assert pairs
         for (t1, _sid1), (t2, _sid2) in pairs:
-            assert t1 is t2 and t1.multi_forked
+            assert t1 == t2 and model.by_id[t1].multi_forked
 
     def test_coarse_agrees_on_multi_forked_self_pair(self):
         m, model, mhp = setup(MULTIFORK)
@@ -108,15 +107,6 @@ class TestMultiForked:
 
 
 class TestRegionKeys:
-    def test_base_default_is_per_statement(self):
-        # The always-sound fallback: every statement its own region,
-        # so batched clients degrade to per-pair querying.
-        m, _model, _mhp = setup(FIG8)
-        base = MHPOracle()
-        s1, s2 = accesses(m)[:2]
-        assert base.region_key(s1) == ("instr", s1.id)
-        assert base.region_key(s1) != base.region_key(s2)
-
     def test_equal_keys_imply_equal_verdicts(self):
         """The region-key contract: statements with equal keys receive
         identical MHP verdicts against *any* third statement. This is
@@ -138,6 +128,20 @@ class TestRegionKeys:
                                 f"{s1!r} and {s2!r} share a region but " \
                                 f"disagree vs {s3!r}"
 
+    def test_coarse_regions_are_thread_sets(self):
+        # The No-Interleaving verdict reads only which threads run a
+        # statement, so its regions are exactly the statements' thread
+        # sets.
+        m, model, _mhp = setup(FIG8)
+        coarse = CoarsePCGMhp(model)
+        stmts = accesses(m)
+        threads = {s.id: {tid for tid, _sid in model.instances_of(s)}
+                   for s in stmts}
+        for s1 in stmts:
+            for s2 in stmts:
+                assert (coarse.region_key(s1) == coarse.region_key(s2)) \
+                    == (threads[s1.id] == threads[s2.id])
+
     def test_regions_actually_coalesce(self):
         # The batching only wins if real programs have fewer regions
         # than statements; both oracles must coalesce on FIG8.
@@ -146,13 +150,6 @@ class TestRegionKeys:
         for oracle in (mhp, CoarsePCGMhp(model)):
             keys = {oracle.region_key(s) for s in stmts}
             assert len(keys) < len(stmts)
-
-    def test_coarse_key_is_thread_set(self):
-        m, model, _mhp = setup(FIG8)
-        coarse = CoarsePCGMhp(model)
-        s = accesses(m)[0]
-        assert coarse.region_key(s) == frozenset(
-            (t.id, t.multi_forked) for t in coarse._threads_of(s))
 
 
 class TestWitnessCaching:
@@ -183,7 +180,6 @@ class TestWitnessCaching:
         m, _model, mhp = setup(FIG8)
         s1, s2 = self._mhp_pair(mhp, accesses(m))
         mhp._witness_cache.clear()
-        mhp._pair_cache.clear()
         calls = self._counting(mhp)
         assert mhp.may_happen_in_parallel(s1, s2)
         witness = mhp.mhp_witness(s1, s2)
@@ -208,7 +204,6 @@ class TestWitnessCaching:
         assert pair is not None
         s1, s2 = pair
         mhp._witness_cache.clear()
-        mhp._pair_cache.clear()
         calls = self._counting(mhp)
         assert not mhp.may_happen_in_parallel(s1, s2)
         assert mhp.mhp_witness(s1, s2) is None

@@ -47,7 +47,7 @@ class TestCoarseInstances:
         s2 = store_to(m, "m2")
         pairs = list(coarse.parallel_instance_pairs(s1, s2))
         assert pairs
-        threads = {(t1.id, t2.id) for (t1, _), (t2, _) in pairs}
+        threads = {(t1, t2) for (t1, _), (t2, _) in pairs}
         assert all(a != b for a, b in threads)
 
     def test_same_thread_non_multi_excluded(self):

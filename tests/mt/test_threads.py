@@ -246,7 +246,8 @@ class TestStateGraphs:
         assert keys2 == {frozenset()}
         call = next(i for i in m.functions["foo2"].instructions()
                     if isinstance(i, Call))
-        [call_sid] = g2.states_of_instr(call)
+        [call_sid] = [sid for tid, sid in model.instances_of(call)
+                      if tid == t2.id]
         kinds = {g2.icfg.kind[g2.state(sid)[1]]:
                  isinstance(g2.state(sid)[0], frozenset)
                  for sid in g2.graph.successors(call_sid)}
@@ -265,7 +266,8 @@ class TestStateGraphs:
                  if isinstance(i, Call)]
         entries = []
         for call in calls:
-            [sid] = graph.states_of_instr(call)
+            [sid] = [s for tid, s in model.instances_of(call)
+                     if tid == worker.id]
             [entry] = [s for s in graph.graph.successors(sid)
                        if isinstance(graph.state(s)[0], frozenset)]
             entries.append(entry)
@@ -297,10 +299,10 @@ class TestStateGraphs:
         void forever() { forever(); }
         int main() { forever(); p = &g; return 0; }
         """)
-        graph = model.state_graphs[model.threads[0].id]
+        assert len(model.threads) == 1
         store = next(i for i in m.functions["main"].instructions()
                      if isinstance(i, Store))
-        assert not graph.states_of_instr(store)
+        assert not model.instances_of(store)
 
     def test_recursive_calls_terminate(self):
         m, model = model_of("""

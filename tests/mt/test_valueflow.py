@@ -120,13 +120,6 @@ class TestThreadVF:
         assert not dug.is_thread_edge(dug.stmt_node(writer_store), B,
                                       dug.stmt_node(b_store))
 
-    def test_interfering_store_marked(self):
-        m, dug, builder, stats = setup(PARALLEL)
-        A = m.globals["A"]
-        store = next(i for i in m.functions["writer"].instructions()
-                     if isinstance(i, Store) and A in builder.chis.get(i.id, set()))
-        assert dug.is_interfering(dug.stmt_node(store), A)
-
     def test_sequential_program_no_edges(self):
         m, dug, builder, stats = setup("""
         int x; int *p;

@@ -65,14 +65,14 @@ def test_query_digest_discriminates_every_field():
 def test_request_digest_pin():
     assert request_digest("int main() { return 0; }\n", FSAMConfig(),
                           code_version="test-1") == \
-        "4bb5863d77e93db42fc42f723658db89723c0cac9e932fd45c0e0e45ed6cf548"
+        "f5af6f67cd52ff547f589ba524b6b10d116d72143e844efe3f4790d4d76d8115"
 
 
 def test_function_digest_pin():
     assert function_digest("fn main:\n  ret 0\n",
                            [["helper", "mod:-,ref:-"]], FSAMConfig(),
                            code_version="test-1") == \
-        "9bf931a23de23d6b5c9b51dbf2e4fe8622e950273bf8f666fad05cf556480477"
+        "70eb6ad43a5dd0b2588131aa0ed952ac3b76f3f5877608354de4465a3c627a6b"
 
 
 def test_request_digest_ignores_execution_only_fields():

@@ -25,8 +25,7 @@ class TestRequestDigest:
         assert request_digest(SOURCE, FSAMConfig()) != \
             request_digest(SOURCE, FSAMConfig(interleaving=False))
         assert request_digest(SOURCE, FSAMConfig()) != \
-            request_digest(SOURCE, FSAMConfig(
-                strong_updates_at_interfering_stores=False))
+            request_digest(SOURCE, FSAMConfig(value_flow=False))
 
     def test_execution_knobs_do_not_participate(self):
         base = request_digest(SOURCE, FSAMConfig())
@@ -44,14 +43,13 @@ class TestRequestDigest:
 class TestConfigWireForm:
     def test_round_trip(self):
         config = FSAMConfig(interleaving=False, time_budget=2.5,
-                            strong_updates_at_interfering_stores=False,
+                            lock_analysis=False,
                             solver_engine="reference")
         assert FSAMConfig.from_dict(config.to_dict()) == config
 
-    def test_six_fields(self):
+    def test_five_fields(self):
         assert sorted(FSAMConfig().to_dict()) == sorted([
-            "interleaving", "value_flow", "lock_analysis",
-            "strong_updates_at_interfering_stores", "time_budget",
+            "interleaving", "value_flow", "lock_analysis", "time_budget",
             "solver_engine"])
 
     def test_unknown_key_rejected(self):
