@@ -289,7 +289,6 @@ def cmd_query(args) -> int:
     abstract object, with ``--obj``) may point to by solving only the
     backward DUG slice that can reach it — bit-identical to the
     whole-program fixpoint, usually a small fraction of the work."""
-    from repro.service.cache import QueryArtifactStore
     from repro.service.requests import AnalysisRequest, QueryRequest
     from repro.service.runner import QueryRunner
 
@@ -308,9 +307,7 @@ def cmd_query(args) -> int:
     request = AnalysisRequest(name=args.file, source=source,
                               config=_config_from(args))
     query = QueryRequest(request=request, var=var, line=line, obj=args.obj)
-    store = QueryArtifactStore(args.cache) if args.cache else None
-    runner = QueryRunner(querystore=store,
-                         obs=Observer(name="query", track_memory=False))
+    runner = QueryRunner(obs=Observer(name="query", track_memory=False))
     try:
         payload = runner.run(query)
     except ValueError as exc:
@@ -681,9 +678,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--obj", action="store_true",
                    help="query the contents of the abstract object "
                         "named VAR instead of a variable")
-    p.add_argument("--cache", default=None,
-                   help="artifact cache directory (query sub-results "
-                        "land under <cache>/query)")
     p.add_argument("--json", action="store_true", help="emit JSON")
     p.add_argument("--no-interleaving", action="store_true")
     p.add_argument("--no-value-flow", action="store_true")

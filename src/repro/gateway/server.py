@@ -72,7 +72,7 @@ from repro.gateway.protocol import (
 )
 from repro.obs import Observer
 from repro.service.digest import query_digest
-from repro.service.requests import request_from_entry
+from repro.service.requests import query_target, request_from_entry
 from repro.service.runner import retry_lost
 from repro.service.shards import ShardPool
 
@@ -294,6 +294,12 @@ class Gateway:
         op = entry.get("op", "analyze")
         if op not in ("analyze", "query"):
             raise BadRequest(f"unknown request op: {op!r}")
+        query = None
+        if op == "query":
+            try:
+                query = query_target(entry)
+            except ValueError as exc:
+                raise BadRequest(str(exc)) from exc
         program_entry = {key: value for key, value in entry.items()
                          if key not in _CONTROL_KEYS}
         memo_key = json.dumps(program_entry, sort_keys=True, default=str) \
@@ -314,18 +320,7 @@ class Gateway:
             self._entry_memo.move_to_end(memo_key)
             self.obs.count("gateway.entry_memo_hits", 1)
         payload, digest = cached
-        if op == "analyze":
-            return op, payload, digest, None
-        var = entry.get("var")
-        if not isinstance(var, str) or not var:
-            raise BadRequest("query entries need a non-empty 'var' string")
-        line = entry.get("line")
-        if line is not None and not isinstance(line, int):
-            raise BadRequest(f"query line is not an integer: {line!r}")
-        obj = entry.get("obj", False)
-        if not isinstance(obj, bool):
-            raise BadRequest(f"query obj is not a boolean: {obj!r}")
-        return op, payload, digest, (var, line, obj)
+        return op, payload, digest, query
 
     def submit(self, entry: Dict[str, object]) -> InflightJob:
         """Admit one parsed request entry; returns the job whose

@@ -137,14 +137,11 @@ def render_telemetry_report(source: TelemetrySource, top: int = 5) -> str:
 
     query_requests = counters.get("query.requests")
     if query_requests is not None:
-        query_hits = counters.get("query.cache_hits", 0)
-        query_misses = counters.get("query.cache_misses", 0)
-        query_rate = query_hits / (query_hits + query_misses) \
-            if query_hits + query_misses else None
+        warm = counters.get("query.engine_hits", 0)
+        warm_rate = warm / query_requests if query_requests else None
         lines.append(
             f"  demand queries: {query_requests}, "
-            f"store hit rate {_rate(query_rate)} "
-            f"({query_hits} hit / {query_misses} miss), "
+            f"warm rate {_rate(warm_rate)} ({warm} answered warm), "
             f"{counters.get('query.solve_iterations', 0)} solver "
             f"iteration(s)")
 

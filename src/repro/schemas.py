@@ -14,8 +14,6 @@ emitting modules; this module is the single source of truth:
   (:mod:`repro.service.artifacts`)
 - ``repro.funcartifact/1`` — per-function artifact sub-documents for
   incremental analysis (:mod:`repro.service.incremental`)
-- ``repro.queryartifact/1`` — cached demand-query sub-results
-  (:mod:`repro.service.runner`)
 - ``repro.batch/1``    — batch reports (:mod:`repro.service.batch`)
 - ``repro.metrics/1``  — service telemetry snapshots: counters,
   gauges, mergeable latency histograms, and flattened phase times
@@ -41,7 +39,6 @@ TRACE_SCHEMA = "repro.trace/1"
 BENCH_SCHEMA = "repro.bench/1"
 ARTIFACT_SCHEMA = "repro.artifact/2"
 FUNC_ARTIFACT_SCHEMA = "repro.funcartifact/1"
-QUERY_ARTIFACT_SCHEMA = "repro.queryartifact/1"
 BATCH_SCHEMA = "repro.batch/1"
 METRICS_SCHEMA = "repro.metrics/1"
 GWFRAME_SCHEMA = "repro.gwframe/1"

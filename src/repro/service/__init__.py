@@ -25,8 +25,8 @@ Turns the single-shot FSAM pipeline into a servable system:
   service cache key goes through;
 - demand queries (``op: query`` entries, ``repro query``) — answered
   by :class:`repro.service.runner.QueryRunner` over backward DUG
-  slices, cached per query in the ``repro.queryartifact/1`` store
-  under ``<cache>/query``.
+  slices; its warm demand engines answer repeats, and no query answer
+  is stored on disk.
 
 Every request runs as a telemetry span (deterministic request id,
 own Observer in the shard); cache-miss span snapshots merge
@@ -38,16 +38,13 @@ gauges — embedded in batch reports and streamed live by
 """
 
 from repro.service.artifacts import (
-    AnalysisArtifact, artifact_from_andersen, artifact_from_query,
-    artifact_from_result, validate_artifact, validate_funcartifact,
-    validate_queryartifact,
+    AnalysisArtifact, artifact_from_andersen, artifact_from_result,
+    validate_artifact, validate_funcartifact,
 )
 from repro.service.batch import (
     BatchReport, run_batch, validate_batch_report,
 )
-from repro.service.cache import (
-    ArtifactCache, FuncArtifactStore, QueryArtifactStore,
-)
+from repro.service.cache import ArtifactCache, FuncArtifactStore
 from repro.service.digest import canonical_digest, query_digest
 from repro.service.requests import (
     AnalysisRequest, QueryRequest, function_digest, request_digest,
@@ -59,9 +56,8 @@ from repro.service.shards import ShardPool
 
 __all__ = [
     "AnalysisArtifact", "artifact_from_result", "artifact_from_andersen",
-    "artifact_from_query",
-    "validate_artifact", "validate_funcartifact", "validate_queryartifact",
-    "ArtifactCache", "FuncArtifactStore", "QueryArtifactStore",
+    "validate_artifact", "validate_funcartifact",
+    "ArtifactCache", "FuncArtifactStore",
     "AnalysisRequest", "QueryRequest", "request_digest", "function_digest",
     "canonical_digest", "query_digest",
     "RequestOutcome", "run_request_inline", "QueryRunner",

@@ -37,10 +37,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.pts import mask_to_hex
-from repro.schemas import (
-    ARTIFACT_SCHEMA, CODE_VERSION, FUNC_ARTIFACT_SCHEMA,
-    QUERY_ARTIFACT_SCHEMA,
-)
+from repro.schemas import ARTIFACT_SCHEMA, CODE_VERSION, FUNC_ARTIFACT_SCHEMA
 
 #: Valid store update classes (mirrors repro.fsam.solver constants).
 _STORE_CLASSES = ("kill", "pass", "strong", "weak")
@@ -193,38 +190,6 @@ def _degraded_pts_top(module, andersen) -> Dict[str, str]:
     return out
 
 
-def artifact_from_query(program_digest: str,
-                        query_result) -> Dict[str, object]:
-    """Serialize one demand-query answer (``repro.queryartifact/1``).
-
-    The *disk key* is the request (program digest + query spec, see
-    :func:`repro.service.digest.query_digest`) so a warm hit needs no
-    pipeline at all. The answer mask is over the program's canonical
-    object table and already bit-identical to the whole-program
-    fixpoint (the demand engine's contract), so names alone are
-    enough for consumers. Documents written with the former
-    ``slice_signature`` field still load.
-    """
-    return {
-        "schema": QUERY_ARTIFACT_SCHEMA,
-        "code_version": CODE_VERSION,
-        "program_digest": program_digest,
-        "query": {
-            "var": query_result.name,
-            "line": query_result.line,
-            "obj": query_result.obj_query,
-        },
-        "slice_nodes": query_result.slice_nodes,
-        "slice_temps": query_result.slice_temps,
-        "slice_fraction": round(query_result.slice_fraction, 6),
-        "iterations": query_result.iterations,
-        "answer": {
-            "mask": mask_to_hex(query_result.mask),
-            "names": query_result.names(),
-        },
-    }
-
-
 # -- schema -----------------------------------------------------------------
 
 
@@ -307,49 +272,4 @@ def validate_funcartifact(doc: object) -> Dict[str, object]:
                f"objects[{i}] is not a kind:name key")
     _check_mask_map(doc.get("top"), "top")
     _check_mask_map(doc.get("mem"), "mem")
-    return doc
-
-
-def validate_queryartifact(doc: object) -> Dict[str, object]:
-    """Check *doc* against ``repro.queryartifact/1``; returns it
-    unchanged."""
-    _check(isinstance(doc, dict), "top level is not an object")
-    assert isinstance(doc, dict)
-    _check(doc.get("schema") == QUERY_ARTIFACT_SCHEMA,
-           f"schema is {doc.get('schema')!r}, "
-           f"expected {QUERY_ARTIFACT_SCHEMA!r}")
-    _check(isinstance(doc.get("code_version"), str) and doc["code_version"],
-           "code_version missing")
-    _check(isinstance(doc.get("program_digest"), str)
-           and doc["program_digest"], "program_digest missing")
-    query = doc.get("query")
-    _check(isinstance(query, dict), "query is not an object")
-    assert isinstance(query, dict)
-    _check(isinstance(query.get("var"), str) and query["var"],
-           "query.var missing")
-    line = query.get("line")
-    _check(line is None or isinstance(line, int),
-           "query.line is neither null nor an integer")
-    _check(isinstance(query.get("obj"), bool), "query.obj is not a bool")
-    for key in ("slice_nodes", "slice_temps", "iterations"):
-        value = doc.get(key)
-        _check(isinstance(value, int) and not isinstance(value, bool)
-               and value >= 0, f"{key} is not a non-negative integer")
-    fraction = doc.get("slice_fraction")
-    _check(isinstance(fraction, (int, float))
-           and not isinstance(fraction, bool) and 0 <= fraction <= 1,
-           "slice_fraction is not in [0, 1]")
-    answer = doc.get("answer")
-    _check(isinstance(answer, dict), "answer is not an object")
-    assert isinstance(answer, dict)
-    mask = answer.get("mask")
-    _check(isinstance(mask, str), "answer.mask is not a hex string")
-    try:
-        int(mask, 16)  # type: ignore[arg-type]
-    except (TypeError, ValueError):
-        _check(False, f"answer.mask is not valid hex: {mask!r}")
-    names = answer.get("names")
-    _check(isinstance(names, list)
-           and all(isinstance(name, str) for name in names),
-           "answer.names is not a list of strings")
     return doc

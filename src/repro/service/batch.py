@@ -4,10 +4,10 @@
 :func:`run_batch` takes the request path ``repro serve`` takes. It
 starts a :class:`~repro.gateway.server.Gateway`'s shards with no
 listener, submits every request, and builds the report from the final
-answers. So the shards' whole-program cache and query store answer
-batch requests as they answer serve's, every miss runs the whole
-pipeline, and the gateway's ladder (deadline kill, one crash retry,
-degradation; see :mod:`repro.service.runner`) is batch's too.
+answers. So the shards' whole-program cache and warm demand engines
+answer batch requests as they answer serve's, every miss runs the
+whole pipeline, and the gateway's ladder (deadline kill, one crash
+retry, degradation; see :mod:`repro.service.runner`) is batch's too.
 
 - **Dedup.** Every request is submitted before any answer can arrive,
   so requests with the same content digest join one in-flight job and
@@ -25,13 +25,14 @@ the batch observer in request order. Each miss also records
 ``pool.run_seconds`` (the answer's own ``seconds``),
 ``pool.queue_seconds`` (the rest of the wall time since submission)
 and ``request.seconds`` (both). The top-level phases of the same spans
-sum to ``aggregate.phase_seconds``. The shards' shutdown snapshots
-bring the ``cache.*`` and ``query.*`` store tallies, and the
-gateway's dispatch counters come along (``gateway.dispatched``,
-``gateway.retries``, ...). Hits and dedup followers add no samples, so
-a fully warm batch's rollup is byte-identical across reruns (asserted
-by the telemetry suite). Misses slower than ``slow_ms`` keep their
-per-phase profile as ``exemplars``.
+sum to ``aggregate.phase_seconds``. Each query job's span brings its
+``query.*`` counters, the shards' shutdown snapshots bring the
+``cache.*`` store tallies, and the gateway's dispatch counters come
+along (``gateway.dispatched``, ``gateway.retries``, ...). Hits and
+dedup followers add no samples, so a fully warm batch's rollup is
+byte-identical across reruns (asserted by the telemetry suite).
+Misses slower than ``slow_ms`` keep their per-phase profile as
+``exemplars``.
 """
 
 from __future__ import annotations
@@ -237,8 +238,8 @@ def run_batch(requests: List[AnalysisRequest],
 
     *queries* (``op: query`` spec entries, parsed by
     :func:`repro.service.requests.requests_from_spec`) are answered by
-    the shards' demand engine and query store; a bad query never fails
-    the batch — the error rides in the query's row.
+    the shards' demand engines; a bad query never fails the batch —
+    the error rides in the query's row.
     """
     import asyncio
 

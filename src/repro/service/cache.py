@@ -25,15 +25,12 @@ Counters (``cache.hits`` / ``cache.misses`` / ``cache.stores`` /
 ``cache.corrupt`` / ``cache.stale``) flush into a
 :class:`repro.obs.Observer` like any other pipeline stage.
 
-The module also hosts :class:`QueryArtifactStore`, the demand-query
-sub-result layer (``repro.queryartifact/1``) under ``<root>/query/``,
-keyed by :func:`repro.service.digest.query_digest`, which the shards
-keep beside the artifact cache, and :class:`FuncArtifactStore`, the
-per-function sub-document layer (``repro.funcartifact/1``) of
-incremental analysis: same fan-out layout under ``<root>/func/``,
-same atomic writes and tolerant reads, keyed by per-function digests
-(see :func:`repro.service.requests.function_digest`). No service
-front end builds a ``FuncArtifactStore``; only
+The module also hosts :class:`FuncArtifactStore`, the per-function
+sub-document layer (``repro.funcartifact/1``) of incremental
+analysis: same fan-out layout under ``<root>/func/``, same atomic
+writes and tolerant reads, keyed by per-function digests (see
+:func:`repro.service.requests.function_digest`). No service front end
+builds a ``FuncArtifactStore``; only
 :func:`~repro.service.runner.run_request_inline` callers pass one.
 """
 
@@ -46,12 +43,9 @@ from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.obs import Observer
-from repro.schemas import (
-    CODE_VERSION, FUNC_ARTIFACT_SCHEMA, QUERY_ARTIFACT_SCHEMA,
-)
+from repro.schemas import CODE_VERSION, FUNC_ARTIFACT_SCHEMA
 from repro.service.artifacts import (
     AnalysisArtifact, validate_artifact, validate_funcartifact,
-    validate_queryartifact,
 )
 
 
@@ -136,12 +130,11 @@ class ArtifactCache:
 
     With *max_bytes* set, the cache is bounded: after every store the
     top-level artifact tree is walked (only the two-hex fan-out
-    directories — the ``func/`` and ``query/`` sub-stores are never
-    evicted from here) and the least-recently-used entries are removed
-    until the total size fits. Recency is mtime: a cache hit
-    ``os.utime``-touches the entry, so a hot artifact survives
-    arbitrarily many eviction sweeps while cold ones age out.
-    Evictions count in ``cache.evicted``.
+    directories — the ``func/`` sub-store is never evicted from here)
+    and the least-recently-used entries are removed until the total
+    size fits. Recency is mtime: a cache hit ``os.utime``-touches the
+    entry, so a hot artifact survives arbitrarily many eviction sweeps
+    while cold ones age out. Evictions count in ``cache.evicted``.
     """
 
     def __init__(self, root, max_bytes: Optional[int] = None) -> None:
@@ -204,7 +197,7 @@ class ArtifactCache:
     def _entries(self):
         """Every top-level artifact file as ``(mtime_ns, size, path)``.
         Only two-hex fan-out directories are scanned, so the ``func/``
-        and ``query/`` sub-stores sharing this root are exempt."""
+        sub-store sharing this root is exempt."""
         entries = []
         try:
             fanouts = list(self.root.iterdir())
@@ -327,62 +320,3 @@ class FuncArtifactStore:
         obs.count("cache.func_misses", self.func_misses)
         obs.count("cache.func_stores", self.func_stores)
 
-
-class QueryArtifactStore:
-    """Demand-query sub-result layer (``repro.queryartifact/1``).
-
-    Lives under ``<root>/query/`` beside an :class:`ArtifactCache`
-    root, with the same two-hex fan-out, atomic-write, and
-    tolerant-read policies. Keys are request digests — H(program
-    digest + var/line/obj + code version), see
-    :func:`repro.service.digest.query_digest` — so a warm hit answers
-    a query without compiling or building any pipeline at all.
-    """
-
-    def __init__(self, root) -> None:
-        self.root = Path(root) / "query"
-        self.query_hits = 0
-        self.query_misses = 0
-        self.query_stores = 0
-        self.corrupt = 0
-
-    def path(self, digest: str) -> Path:
-        return self.root / digest[:2] / f"{digest[2:]}.json"
-
-    def get(self, digest: str) -> Optional[Dict[str, object]]:
-        """The validated queryartifact document for *digest*, or None.
-        A corrupt or version-stale entry counts as ``corrupt``."""
-        doc = _read_entry(self.path(digest), validate_queryartifact,
-                          _doc_version, self._count_bad)
-        if doc is None:
-            self.query_misses += 1
-            return None
-        self.query_hits += 1
-        return doc  # type: ignore[return-value]
-
-    def _count_bad(self, _kind: str) -> None:
-        self.corrupt += 1
-
-    def put(self, digest: str, doc: Dict[str, object]) -> Path:
-        if doc.get("schema") != QUERY_ARTIFACT_SCHEMA:
-            raise ValueError(
-                f"not a queryartifact document: {doc.get('schema')}")
-        path = self.path(digest)
-        _atomic_write(path, doc)
-        self.query_stores += 1
-        return path
-
-    # -- statistics --------------------------------------------------------
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "query_hits": self.query_hits,
-            "query_misses": self.query_misses,
-            "query_stores": self.query_stores,
-            "corrupt": self.corrupt,
-        }
-
-    def flush_obs(self, obs: Observer) -> None:
-        obs.count("query.cache_hits", self.query_hits)
-        obs.count("query.cache_misses", self.query_misses)
-        obs.count("query.cache_stores", self.query_stores)

@@ -36,12 +36,13 @@ def canonical_digest(payload: object) -> str:
 def query_digest(program_digest: str, var: str,
                  line: Optional[int] = None, obj: bool = False,
                  code_version: str = CODE_VERSION) -> str:
-    """Disk key for one demand-query sub-result.
+    """Identity of one demand query: the gateway's coalesce and
+    hot-response key for it, and the ``query_digest`` field of its
+    answer payload. No disk store is keyed by it.
 
-    Keyed on the *request*, not the slice: the whole point of the
-    query cache is answering without building a pipeline, so the key
-    must be computable from the wire entry alone — see the
-    "Demand-driven queries" section of DESIGN.md.
+    Keyed on the *request*, not the slice, so the gateway can compute
+    it from the wire entry alone, before any shard builds a pipeline
+    — see the "Demand-driven queries" section of DESIGN.md.
     """
     return canonical_digest({
         "program": program_digest,

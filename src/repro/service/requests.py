@@ -19,8 +19,9 @@ Each request entry names its program exactly one way: a registered
 ``workload`` (with optional ``scale``), a MiniC ``file`` path
 (relative to the spec's directory), or inline ``source`` text.
 ``workers`` is a positive integer, a ``timeout`` a positive number of
-seconds (or null), ``cache`` a directory path; ``true`` is none of
-them.
+seconds (or null), ``cache`` a directory path, and a workload's
+``scale`` an integer from 0 (the workload's default) to
+:data:`MAX_SCALE`; ``true`` is none of them.
 """
 
 from __future__ import annotations
@@ -32,6 +33,13 @@ from typing import Dict, List, Optional, Tuple
 from repro.fsam.config import FSAMConfig
 from repro.schemas import CODE_VERSION
 from repro.service.digest import canonical_digest
+
+#: The largest workload ``scale`` a request may ask for. The source is
+#: generated before the scanner's ``MAX_SOURCE_CHARS`` bound can refuse
+#: it, so the bound comes first: every registered workload at this
+#: scale fits ``MAX_SOURCE_CHARS`` (httpd_server, the largest per unit,
+#: first exceeds it at 272).
+MAX_SCALE = 256
 
 
 def request_digest(source: str, config: FSAMConfig,
@@ -134,23 +142,33 @@ def query_from_entry(entry: Dict[str, object],
 
     The program half uses the same keys as an analysis entry
     (workload | file | source, config, timeout); the query half is
-    ``var`` (required), ``line`` (optional int), and ``obj``
-    (optional bool)."""
+    checked by :func:`query_target`."""
     if not isinstance(entry, dict):
         raise ValueError(f"query entry is not an object: {entry!r}")
-    var = entry.get("var")
-    if not isinstance(var, str) or not var:
-        raise ValueError("query entries need a non-empty 'var' string")
-    line = entry.get("line")
-    if line is not None and not isinstance(line, int):
-        raise ValueError(f"query line is not an integer: {line!r}")
-    obj = entry.get("obj", False)
-    if not isinstance(obj, bool):
-        raise ValueError(f"query obj is not a boolean: {obj!r}")
+    var, line, obj = query_target(entry)
     program_entry = {key: value for key, value in entry.items()
                      if key not in ("op", "var", "line", "obj")}
     request = request_from_entry(program_entry, base_dir=base_dir)
     return QueryRequest(request=request, var=var, line=line, obj=obj)
+
+
+def query_target(entry: Dict[str, object]
+                 ) -> Tuple[str, Optional[int], bool]:
+    """The ``(var, line, obj)`` half of a query entry: ``var`` a
+    non-empty string (required), ``line`` an integer or null, ``obj``
+    a boolean (default false). A JSON ``true`` is not a line. Raises
+    ``ValueError`` on anything else."""
+    var = entry.get("var")
+    if not isinstance(var, str) or not var:
+        raise ValueError("query entries need a non-empty 'var' string")
+    line = entry.get("line")
+    if line is not None and (isinstance(line, bool)
+                             or not isinstance(line, int)):
+        raise ValueError(f"query line is not an integer: {line!r}")
+    obj = entry.get("obj", False)
+    if not isinstance(obj, bool):
+        raise ValueError(f"query obj is not a boolean: {obj!r}")
+    return var, line, obj
 
 
 def _positive(key: str, value: object, kind) -> None:
@@ -181,7 +199,11 @@ def request_from_entry(entry: Dict[str, object],
     if "workload" in entry:
         from repro.workloads import get_workload
         workload = get_workload(str(entry["workload"]))
-        scale = int(entry.get("scale", 0))  # type: ignore[arg-type]
+        scale = entry.get("scale", 0)
+        if isinstance(scale, bool) or not isinstance(scale, int) \
+                or not 0 <= scale <= MAX_SCALE:
+            raise ValueError(f"scale is not an integer from 0 to "
+                             f"{MAX_SCALE}: {scale!r}")
         name = str(entry.get("name", workload.name))
         source = workload.source(scale)
     elif "file" in entry:

@@ -37,8 +37,7 @@ from repro.minic.errors import MiniCError
 from repro.obs import NULL_OBS, Observer
 from repro.pts import mask_to_hex
 from repro.service.artifacts import (
-    AnalysisArtifact, artifact_from_andersen, artifact_from_query,
-    artifact_from_result,
+    AnalysisArtifact, artifact_from_andersen, artifact_from_result,
 )
 from repro.service.digest import query_digest
 from repro.service.requests import AnalysisRequest, QueryRequest
@@ -166,26 +165,23 @@ class QueryRunner:
     """Executes demand queries for the gateway's shards (batch and
     serve included) and ``repro query``.
 
-    Three rungs, cheapest first:
+    Two rungs, cheapest first:
 
-    1. **disk hit**: the query artifact store answers straight from
-       ``<cache>/query/`` — no compile, no pipeline, zero solver work;
-    2. **warm engine**: an already-built demand pipeline for the same
+    1. **warm engine**: an already-built demand pipeline for the same
        program digest whose accumulated solved slices cover the query
-       (``source == "warm"``, zero iterations);
-    3. **cold solve**: build (or reuse) the prepared pipeline
-       (:meth:`~repro.fsam.FSAM.prepare`), slice backward from the
-       query, run the delta engine over the sub-DUG.
+       (``cache == "warm"``, zero iterations);
+    2. **cold solve** (``cache == "miss"``): build (or reuse) the
+       prepared pipeline (:meth:`~repro.fsam.FSAM.prepare`), slice
+       backward from the query, run the delta engine over the sub-DUG.
 
     Pipelines are kept in a small per-program-digest LRU so a burst of
-    queries against the same program compiles it once. Queries do not
-    walk the degradation ladder — a demand answer is only useful if it
-    is exact, so budget exhaustion propagates as an error instead of
-    an Andersen-only approximation.
+    queries against the same program compiles it once; nothing is
+    written to disk. Queries do not walk the degradation ladder — a
+    demand answer is only useful if it is exact, so budget exhaustion
+    propagates as an error instead of an Andersen-only approximation.
     """
 
-    def __init__(self, querystore=None, obs=NULL_OBS) -> None:
-        self.querystore = querystore
+    def __init__(self, obs=NULL_OBS) -> None:
         self.obs = obs
         self._pipelines: Dict[str, object] = {}  # digest -> FSAMResult
         self._order: List[str] = []              # LRU, most recent last
@@ -244,25 +240,6 @@ class QueryRunner:
             "line": query.line,
             "obj": query.obj,
         }
-        doc = self.querystore.get(digest) \
-            if self.querystore is not None else None
-        if doc is not None:
-            # Disk hit: the stored answer is exact (bit-identity is the
-            # demand engine's contract), so no solver work runs at all.
-            self.obs.count("query.requests", 1)
-            payload.update({
-                "cache": "hit",
-                "pts": list(doc["answer"]["names"]),
-                "mask": doc["answer"]["mask"],
-                "slice_nodes": doc["slice_nodes"],
-                "slice_temps": doc["slice_temps"],
-                "slice_fraction": doc["slice_fraction"],
-                "iterations": 0,
-                "seconds": time.perf_counter() - start,
-            })
-            self.obs.observe("query.request_seconds",
-                             payload["seconds"])
-            return payload
         result = self._pipeline(request, program_digest)
         answer = result.query(query.var, line=query.line, obj=query.obj)
         payload.update({
@@ -275,12 +252,6 @@ class QueryRunner:
             "iterations": answer.iterations,
             "seconds": time.perf_counter() - start,
         })
-        if self.querystore is not None:
-            self.querystore.put(
-                digest, artifact_from_query(program_digest, answer))
         self.obs.observe("query.request_seconds", payload["seconds"])
         return payload
 
-    def flush_obs(self, obs) -> None:
-        if self.querystore is not None:
-            self.querystore.flush_obs(obs)

@@ -7,16 +7,17 @@ analysis processes. Every analyze job carries its whole request, and
 a shard answers it from the on-disk
 :class:`~repro.service.cache.ArtifactCache` (``cache: "hit"``) or by
 running the pipeline (``"miss"``); the gateway's response LRU is the
-one in-memory answer cache. Every miss runs the whole pipeline
-(:func:`~repro.service.runner.run_full`) with no per-function store:
-the function-granular layer of :mod:`repro.service.incremental` made
-a cold miss 2-3x slower and an edit slower than a cold run, so the
-service does not use it. Across the jobs of one incarnation a shard
+one in-memory cache of whole answers. Every miss runs the whole
+pipeline (:func:`~repro.service.runner.run_full`) with no
+per-function store: the function-granular layer of
+:mod:`repro.service.incremental` made a cold miss 2-3x slower and an
+edit slower than a cold run, so the service does not use it. Across the jobs of one incarnation a shard
 keeps:
 
-- the on-disk stores (whole-program and query) under the cache root;
+- the on-disk artifact cache under the cache root;
 - a :class:`~repro.service.runner.QueryRunner` whose per-program
-  demand pipelines stay warm between queries.
+  demand pipelines stay warm between queries: the only query cache
+  below the gateway's response LRU.
 
 The parent side (:class:`ShardPool`) lives inside an asyncio loop: one
 duplex pipe per shard, a daemon reader thread per shard that posts
@@ -46,7 +47,7 @@ from typing import Callable, Dict, List, Optional
 from repro.fsam.config import AnalysisTimeout
 from repro.obs import Observer
 from repro.service.artifacts import artifact_from_andersen
-from repro.service.cache import ArtifactCache, QueryArtifactStore
+from repro.service.cache import ArtifactCache
 from repro.service.requests import AnalysisRequest, QueryRequest
 from repro.service.runner import QueryRunner, run_degraded, run_full
 
@@ -90,17 +91,7 @@ class _ShardState:
         max_bytes = options.get("cache_max_bytes")
         self.cache = ArtifactCache(cache_root, max_bytes=max_bytes) \
             if cache_root else None
-        self.cache_root = cache_root
-        # Built by the first query job, so a shard that answers no
-        # queries reports no query-store tallies.
-        self.queryrunner: Optional[QueryRunner] = None
-        self.querystore: Optional[QueryArtifactStore] = None
-
-    def flush_stores(self, obs: Observer) -> None:
-        if self.cache is not None:
-            self.cache.flush_obs(obs)
-        if self.querystore is not None:
-            self.querystore.flush_obs(obs)
+        self.queryrunner = QueryRunner()
 
 
 def _run_analyze(state: _ShardState, msg: Dict[str, object], conn) -> None:
@@ -162,10 +153,6 @@ def _run_query(state: _ShardState, msg: Dict[str, object], conn) -> None:
     query = QueryRequest(request=request, var=payload["var"],
                          line=payload.get("line"),
                          obj=bool(payload.get("obj", False)))
-    if state.queryrunner is None:
-        if state.cache_root:
-            state.querystore = QueryArtifactStore(state.cache_root)
-        state.queryrunner = QueryRunner(querystore=state.querystore)
     # The job's span, shipped back as an analyze job's is.
     obs = Observer(name=request.request_id or request.name,
                    track_memory=False)
@@ -224,7 +211,8 @@ def shard_worker_main(conn, shard_id: int,
             op = msg.get("op")
             if op == "shutdown":
                 obs = Observer(name=f"shard{shard_id}", track_memory=False)
-                state.flush_stores(obs)
+                if state.cache is not None:
+                    state.cache.flush_obs(obs)
                 try:
                     conn.send({"op": "bye", "shard": shard_id,
                                "obs": obs.to_metrics_dict()})

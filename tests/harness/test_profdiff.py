@@ -140,7 +140,7 @@ class TestQueryZeroDefaults:
     def make_query_metrics(self):
         obs = Observer(name="with-queries", track_memory=False)
         obs.count("query.requests", 3)
-        obs.count("query.cache_hits", 2)
+        obs.count("query.engine_hits", 2)
         obs.observe("query.seconds", 0.002)
         obs.observe("pool.run_seconds", 0.5)
         return obs.to_metrics_dict()
@@ -149,7 +149,7 @@ class TestQueryZeroDefaults:
         diff = diff_profiles(make_metrics(), self.make_query_metrics())
         drift = diff.changed_counters()
         assert drift["query.requests"] == (0, 3)
-        assert drift["query.cache_hits"] == (0, 2)
+        assert drift["query.engine_hits"] == (0, 2)
 
     def test_missing_query_histogram_diffs_as_empty(self):
         diff = diff_profiles(make_metrics(), self.make_query_metrics())

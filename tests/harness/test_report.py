@@ -133,8 +133,7 @@ class TestQuerySummary:
         obs = Observer(name="q", track_memory=False)
         obs.count("gateway.requests", 3)
         obs.count("query.requests", 2)
-        obs.count("query.cache_hits", 1)
-        obs.count("query.cache_misses", 1)
+        obs.count("query.engine_hits", 1)
         obs.count("query.solve_iterations", 4)
         obs.observe("query.request_seconds", 0.003)
         return obs.to_metrics_dict()
@@ -144,7 +143,7 @@ class TestQuerySummary:
         path.write_text(json.dumps(self._query_metrics()))
         text = render_telemetry_report(load_telemetry(str(path)))
         assert "demand queries: 2" in text
-        assert "1 hit / 1 miss" in text
+        assert "warm rate  50.0% (1 answered warm)" in text
         assert "4 solver iteration(s)" in text
         # The latency histogram joins the generic histogram table.
         assert "query.request_seconds" in text

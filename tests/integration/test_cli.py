@@ -376,6 +376,15 @@ class TestUnreadFlags:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_query_has_no_cache(self, sample, tmp_path, capsys):
+        # No query answer is stored on disk, so there is no directory
+        # to name.
+        with pytest.raises(SystemExit) as exc:
+            main(["query", sample, "g", "--cache", str(tmp_path / "d")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
 
 #: ``stats`` flags that steer a run, with the value each would take.
 STATS_RUN_FLAGS = (["--trace", "t.jsonl"], ["--profile", "p2.json"],
@@ -524,9 +533,11 @@ class TestBatchSpecErrors:
         {"requests": [{"workload": "word_count", "timeout": True}]},
         {"requests": []},
         {"requests": [{"workload": "nope"}]},
+        {"requests": [{"workload": "raytrace", "scale": 8000}]},
+        {"requests": [{"workload": "word_count", "scale": True}]},
     ], ids=["workers-string", "timeout-string", "workers-zero",
             "cache-number", "entry-timeout-bool", "no-requests",
-            "unknown-workload"])
+            "unknown-workload", "scale-over-bound", "scale-bool"])
     def test_bad_spec_is_one_line(self, tmp_path, monkeypatch, capsys,
                                   spec):
         def no_session(*args, **kwargs):

@@ -5,9 +5,12 @@ import json
 import pytest
 
 from repro.fsam.config import FSAMConfig
+from repro.minic.lexer import MAX_SOURCE_CHARS
 from repro.service.requests import (
-    AnalysisRequest, request_digest, request_from_entry, requests_from_spec,
+    MAX_SCALE, AnalysisRequest, request_digest, request_from_entry,
+    requests_from_spec,
 )
+from repro.workloads import WORKLOADS
 
 SOURCE = "int main() { return 0; }"
 
@@ -103,6 +106,19 @@ class TestRequestFromEntry:
         # JSON true is not one second, and no deadline is at or below 0.
         with pytest.raises(ValueError, match="timeout"):
             request_from_entry({"workload": "word_count", "timeout": value})
+
+    @pytest.mark.parametrize("value", [True, -1, 1.5, "2", None,
+                                       MAX_SCALE + 1, 8000])
+    def test_bad_scale_rejected(self, value):
+        # Refused before any source is generated.
+        with pytest.raises(ValueError, match="scale"):
+            request_from_entry({"workload": "raytrace", "scale": value})
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_every_workload_fits_the_scanner_at_max_scale(self, name):
+        request = request_from_entry({"workload": name,
+                                      "scale": MAX_SCALE})
+        assert len(request.source) <= MAX_SOURCE_CHARS
 
     def test_config_propagates(self):
         request = request_from_entry({

@@ -55,6 +55,31 @@ class TestHardening:
         assert "not valid JSON" in refused["body"]["error"]["message"]
         assert session.answer(1)["status"] == "ok"
 
+    def test_scale_is_bounded_before_generation(self, monkeypatch):
+        # A workload's source is generated before the scanner bounds
+        # its size, so an oversized or non-integer scale is refused
+        # first: raytrace at scale 8000 would generate ~50 MB of source.
+        from repro.service.requests import MAX_SCALE
+        from repro.workloads.base import Workload
+        generate = Workload.source
+
+        def bounded(workload, scale=0):
+            assert 0 <= scale <= MAX_SCALE, scale
+            return generate(workload, scale)
+
+        monkeypatch.setattr(Workload, "source", bounded)
+        session = serve([
+            '{"workload": "raytrace", "scale": 8000, "id": 1}',
+            '{"workload": "kmeans", "scale": true, "id": 2}',
+            '{"workload": "kmeans", "scale": -1, "id": 3}',
+            '{"workload": "word_count", "scale": 1, "id": 4}',
+        ])
+        for request_id in (1, 2, 3):
+            error = session.answer(request_id)["error"]
+            assert (error["type"], error["code"]) == ("BadRequest", 400)
+            assert "scale" in error["message"]
+        assert session.answer(4)["status"] == "ok"
+
     def test_deeply_nested_source_is_a_parse_error(self):
         source = ("int main() { int x; x = " + "(" * 5000 + "1"
                   + ")" * 5000 + "; return 0; }")
